@@ -3,13 +3,14 @@ a small family of named densities (semicircle, Marchenko-Pastur, Cauchy,
 uniform).
 
 Moments are exact rationals computed from closed recurrences.  The Cauchy
-transform G(z) = integral of 1/(z - x) is evaluated in arbitrary precision
-(mpmath): closed forms where stable ones exist, otherwise adaptive
-Gauss-Legendre quadrature after a trigonometric substitution that absorbs the
-square-root endpoint behaviour of the density.  The substitution keeps the
-integrand analytic, so the quadrature converges to working precision and its
-error estimate is checked; failure to certify raises rather than returning a
-doubtful value.
+transform G(z) = integral of 1/(z - x) and its derivative are evaluated in
+arbitrary precision (mpmath) in closed form for every shape, written so that
+nothing cancels for large |z|.  Quadrature serves only numeric_moment, which
+cross-checks the moment recurrences: adaptive Gauss-Legendre after a
+trigonometric substitution that absorbs the square-root endpoint behaviour of
+the density.  The substitution keeps the integrand analytic, so the
+quadrature converges to working precision and its error estimate is checked;
+failure to certify raises rather than returning a doubtful value.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
@@ -400,7 +401,16 @@ def _check_domain(mu: Measure, z: mp.mpc, dps: int) -> None:
     )
 
 
-def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc | None:
+def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
+    """G(z), or G'(z), at a point that passed the domain check; _transform
+    reflects z out of the lower half-plane for the compact density shapes.
+
+    The density shapes use forms free of cancellation for large |z| (the ray
+    inversion's Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) *
+    sqrt(z - b) ~ z, the Marchenko-Pastur (z + 1 - rate - s) / (2z) becomes
+    2 / (z + 1 - rate + s), like the semicircle's 2 / (zeta + s), and the
+    uniform log((z - a) / (z - b)) becomes log1p((b - a) / (z - b)).
+    """
     if mu.kind == DISCRETE:
         total = mp.mpc(0)
         for t, w in mu.atoms:
@@ -409,21 +419,36 @@ def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc | None
                 raise DomainError(f"evaluation at the atom {t}")
             total += _to_mpf(w) * (-(d**-2) if derivative else 1 / d)
         return total
+    mass = _to_mpf(mu.mass)
     if mu.density == SEMICIRCLE:
         center = _to_mpf(mu.param("center"))
         r = _to_mpf(mu.param("radius"))
         zeta = z - center
         s = mp.sqrt(zeta - r) * mp.sqrt(zeta + r)
         if derivative:
-            return _to_mpf(mu.mass) * (-2) * (1 + zeta / s) / (zeta + s) ** 2
-        return _to_mpf(mu.mass) * 2 / (zeta + s)
-    if mu.density == CAUCHY:
-        if z.imag <= 0:
-            raise DomainError("the Cauchy transform of the Cauchy density is "
-                              "only evaluated in the upper half-plane")
-        d = z - _to_mpf(mu.param("center")) + mp.mpc(0, 1) * _to_mpf(mu.param("scale"))
-        return _to_mpf(mu.mass) * (-(d**-2) if derivative else 1 / d)
-    return None
+            return mass * (-2) * (1 + zeta / s) / (zeta + s) ** 2
+        return mass * 2 / (zeta + s)
+    if mu.density == MARCHENKO_PASTUR:
+        rate = _to_mpf(mu.param("rate"))
+        root = mp.sqrt(rate)
+        s = mp.sqrt(z - (1 - root) ** 2) * mp.sqrt(z - (1 + root) ** 2)
+        d = z + 1 - rate + s
+        if derivative:
+            return mass * (-2) * (1 + (z - 1 - rate) / s) / d**2
+        return mass * 2 / d
+    if mu.density == UNIFORM:
+        a, b = mu.param("a"), mu.param("b")
+        lo, hi = _to_mpf(a), _to_mpf(b)
+        if derivative:
+            return -mass / ((z - lo) * (z - hi))
+        width = _to_mpf(b - a)
+        return mass * mp.log1p(width / (z - hi)) / width
+    # cauchy
+    if z.imag <= 0:
+        raise DomainError("the Cauchy transform of the Cauchy density is "
+                          "only evaluated in the upper half-plane")
+    d = z - _to_mpf(mu.param("center")) + mp.mpc(0, 1) * _to_mpf(mu.param("scale"))
+    return mass * (-(d**-2) if derivative else 1 / d)
 
 
 def _transform(mu: Measure, z, dps: int, derivative: bool) -> mp.mpc:
@@ -433,14 +458,7 @@ def _transform(mu: Measure, z, dps: int, derivative: bool) -> mp.mpc:
         if zz.imag < 0 and not (mu.kind == DISCRETE or mu.density == CAUCHY):
             # reflection through the real axis for compactly supported shapes
             return mp.conj(_transform(mu, mp.conj(zz), dps, derivative))
-        closed = _transform_closed(mu, zz, derivative)
-        if closed is not None:
-            return closed
-        if derivative:
-            h = lambda x: -((zz - x) ** -2)
-        else:
-            h = lambda x: 1 / (zz - x)
-        return _to_mpf(mu.mass) * _density_integral(mu, h, dps)
+        return _transform_closed(mu, zz, derivative)
 
 
 def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:

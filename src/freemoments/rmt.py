@@ -29,7 +29,14 @@ from .cumulants import (
     free_convolve,
 )
 from .errors import BudgetError, ValidationError
-from .measures import Measure, _parse_exact, measure_from_json, measure_to_json, moments
+from .measures import (
+    Measure,
+    _mp_moments,
+    _parse_exact,
+    measure_from_json,
+    measure_to_json,
+    moments,
+)
 
 GUE = "gue"
 WISHART = "wishart"
@@ -246,7 +253,9 @@ def predicted_moments(spec: MatrixEnsembleSpec, p: int) -> MomentSequence:
     if spec.kind == GUE:
         base = moments(Measure.semicircle(0, 2), p).values
     elif spec.kind == WISHART:
-        base = _mp_any_rate(Fraction(spec.wishart_columns(), spec.dim), p)
+        # the Narayana formula holds at every positive rate, also below 1,
+        # where the law has an atom at 0 and Measure rejects it
+        base = _mp_moments(Fraction(spec.wishart_columns(), spec.dim), p)
     elif spec.kind == DETERMINISTIC:
         mass = spec.measure.mass
         base = tuple(v / mass for v in moments(spec.measure, p).values)
@@ -255,17 +264,6 @@ def predicted_moments(spec: MatrixEnsembleSpec, p: int) -> MomentSequence:
         b = predicted_moments(spec.parts[1], p)
         base = free_convolve(a, b).values
     return MomentSequence(_affine_moments(base, spec.scale, spec.shift))
-
-
-def _mp_any_rate(rate: Fraction, p: int) -> tuple[Fraction, ...]:
-    # the Narayana moment formula holds for every positive rate, including
-    # below 1 where the law picks up an atom at 0 and Measure rejects it
-    def narayana(n: int, k: int) -> int:
-        return math.comb(n, k) * math.comb(n, k - 1) // n
-
-    return tuple(
-        sum(narayana(i, k) * rate**k for k in range(1, i + 1)) for i in range(1, p + 1)
-    )
 
 
 def compare_to_prediction(

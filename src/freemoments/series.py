@@ -12,6 +12,7 @@ sums of the cumulants module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -261,17 +262,21 @@ def cumulant_series(cumulants: CumulantSequence) -> TruncatedSeries:
 
 
 def _int_nth_root_floor(x: int, n: int) -> int:
-    """Largest r with r^n <= x, for x >= 0."""
+    """Largest r with r^n <= x, for x >= 0.  Integer-only, so radicands past
+    the float range work too."""
     if x < 0:
         raise ValidationError("negative radicand")
     if x in (0, 1) or n == 1:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    if n == 2:
+        return math.isqrt(x)
+    # Newton from 2^ceil(bits/n) > x^(1/n) decreases monotonically to the floor
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        below = ((n - 1) * r + x // r ** (n - 1)) // n
+        if below >= r:
+            return r
+        r = below
 
 
 def _nth_root_upper(value: Fraction, n: int, digits: int = 18) -> Fraction:

@@ -1,14 +1,17 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive: all-set-partition enumeration with a
-quartic crossing scan, the Catalan recurrence, and a full poset Mobius sweep.
-The production code must agree with these on small sizes.
+quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep, and
+plain mp.quad integrals of densities.  The production code must agree with
+these on small sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+import mpmath as mp
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -97,3 +100,35 @@ def product_over_blocks(blocks: Blocks, values: list[Fraction]) -> Fraction:
     for b in blocks:
         acc *= values[len(b) - 1]
     return acc
+
+
+# ------------------------------------------------- Cauchy transforms by quad
+
+
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def marchenko_pastur_cauchy_quad(rate: Fraction, z, dps: int):
+    """G(z) of the unit-mass Marchenko-Pastur law (rate >= 1), by mp.quad at
+    dps + 15 digits.  x = (1 + rate) + 2 sqrt(rate) sin(theta) maps
+    [-pi/2, pi/2] onto the support and turns the density
+    sqrt((b - x)(x - a)) / (2 pi x) dx into an analytic integrand.  Gauss-
+    Legendre never samples the endpoint x = 0 of rate 1."""
+    with mp.workdps(dps + 15):
+        lam = _mpf(rate)
+        center, half = 1 + lam, 2 * mp.sqrt(lam)
+
+        def f(theta):
+            x = center + half * mp.sin(theta)
+            return half**2 * mp.cos(theta) ** 2 / (2 * mp.pi * x * (z - x))
+
+        return mp.quad(f, [-mp.pi / 2, mp.pi / 2], method="gauss-legendre")
+
+
+def uniform_cauchy_quad(a: Fraction, b: Fraction, z, dps: int):
+    """G(z) of the unit-mass uniform law on [a, b], by mp.quad at dps + 15
+    digits."""
+    with mp.workdps(dps + 15):
+        lo, hi = _mpf(a), _mpf(b)
+        return mp.quad(lambda x: 1 / (z - x), [lo, hi]) / (hi - lo)

@@ -2,6 +2,7 @@
 JSON error payloads, file round trips, and determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,13 @@ def test_support_bound_from_cumulants(capsys):
     code, data = run_json(capsys, "support-bound", "--cumulants", '["0","1/4"]')
     assert code == 0
     assert data["bound"] == "8"
+
+
+def test_support_bound_huge_cumulant(capsys):
+    huge = 10**400 + 1
+    code, data = run_json(capsys, "support-bound", "--cumulants", json.dumps([0, str(huge)]))
+    assert code == 0
+    assert (Fraction(data["bound"]) / 16) ** 2 >= huge
 
 
 def test_levy_tables_both_kinds(capsys, tmp_path):

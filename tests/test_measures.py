@@ -27,6 +27,8 @@ from freemoments.measures import (
     truncate_measure,
 )
 
+from oracles import marchenko_pastur_cauchy_quad, uniform_cauchy_quad
+
 F = Fraction
 
 
@@ -211,24 +213,84 @@ def test_semicircle_transform_vs_quadrature():
         assert close(closed, direct, 1e-25)
 
 
-def test_mp_transform_vs_closed_form():
-    # (z + 1 - rate - sqrt(z-a) sqrt(z-b)) / (2 z)
-    for rate_q in (F(1), F(2), F(5, 2)):
-        mu = Measure.marchenko_pastur(rate_q)
-        rate = mp.mpf(rate_q.numerator) / rate_q.denominator
-        a, b = (1 - mp.sqrt(rate)) ** 2, (1 + mp.sqrt(rate)) ** 2
-        for z in (mp.mpc(2, 1), mp.mpc(-1, 0.5), mp.mpc(0, 3), b + 2):
-            want = (z + 1 - rate - mp.sqrt(z - a) * mp.sqrt(z - b)) / (2 * z)
-            got = cauchy_transform(mu, z, dps=30)
-            assert close(got, want, 1e-20)
+def test_mp_transform_vs_quadrature_oracle():
+    # the production closed form against plain quadrature of the density
+    for rate in (F(1), F(2), F(5, 2)):
+        mu = Measure.marchenko_pastur(rate)
+        b = mu.support_radius()
+        for z in (mp.mpc(2, 1), mp.mpc(-1, 0.5), mp.mpc(0, 3), mp.mpc(b + 2, 0.5)):
+            want = marchenko_pastur_cauchy_quad(rate, z, 30)
+            assert close(cauchy_transform(mu, z, dps=30), want, 1e-20)
 
 
-def test_uniform_transform_vs_log_oracle():
+def test_uniform_transform_vs_quadrature_oracle():
+    # the production closed form against plain quadrature of the density
     mu = Measure.uniform(-1, 2)
-    for z in (mp.mpc(0, 1), mp.mpc(3, 2), mp.mpc(-5, "0.1")):
-        want = (mp.log(z + 1) - mp.log(z - 2)) / 3
-        got = cauchy_transform(mu, z, dps=30)
-        assert close(got, want, 1e-20)
+    for z in (mp.mpc(0, 1), mp.mpc(3, 2), mp.mpc(-5, 0.5)):
+        want = uniform_cauchy_quad(F(-1), F(2), z, 30)
+        assert close(cauchy_transform(mu, z, dps=30), want, 1e-20)
+
+
+# Marchenko-Pastur at the hard-edge rate 1 and above; uniform across 0 and
+# to one side of it
+CLOSED_FORM_SHAPES = [
+    Measure.marchenko_pastur(1),
+    Measure.marchenko_pastur("3/2"),
+    Measure.marchenko_pastur("5/2", mass="2/3"),
+    Measure.uniform(-1, 2),
+    Measure.uniform("1/2", 3, mass=3),
+]
+CLOSED_FORM_IDS = ["mp1", "mp32", "mp52", "unif-across-0", "unif-right"]
+TRANSFORMS = (cauchy_transform, cauchy_transform_derivative)
+
+
+@pytest.mark.parametrize("mu", CLOSED_FORM_SHAPES, ids=CLOSED_FORM_IDS)
+def test_closed_form_reflection_outside_support(mu):
+    r = mu.support_radius()
+    for z in (mp.mpc(r + 1, -1), mp.mpc(-r - 0.5, -2), mp.mpc(0, -r - 1)):
+        for transform in TRANSFORMS:
+            assert close(transform(mu, z), mp.conj(transform(mu, mp.conj(z))), 1e-25)
+
+
+@pytest.mark.parametrize("mu", CLOSED_FORM_SHAPES, ids=CLOSED_FORM_IDS)
+def test_closed_form_real_outside_support(mu):
+    r = mu.support_radius()
+    big = mp.mpf(10) ** 12
+    for x in (r + mp.mpf(1) / 1000, r + 1, -r - 1, big, -big):
+        g = cauchy_transform(mu, x)
+        assert g.imag == 0 and (g.real > 0) == (x > 0)
+        assert cauchy_transform_derivative(mu, x).imag == 0
+
+
+@pytest.mark.parametrize("mu", CLOSED_FORM_SHAPES, ids=CLOSED_FORM_IDS)
+def test_closed_form_has_no_cancellation_at_large_z(mu):
+    # z G(z) = sum_k m_k z^-k with m_0 the mass; at |z| = 1e12 the truncation
+    # after m_3 is far below 10^(5 - dps), while the textbook forms
+    # (z + 1 - rate - s) / (2z) and log((z - a) / (z - b)) lose 12 digits
+    dps = 30
+    z = mp.mpc(0, mp.mpf(10) ** 12)
+    m = (mu.mass,) + moments(mu, 3).values
+    with mp.workdps(60):
+        g_series = sum(mp.mpf(v.numerator) / v.denominator / z**k for k, v in enumerate(m))
+        dg_series = sum(
+            (k + 1) * mp.mpf(v.numerator) / v.denominator / z**k for k, v in enumerate(m)
+        )
+    tol = mp.mpf(10) ** (5 - dps) * mu.mass.numerator / mu.mass.denominator
+    assert abs(z * cauchy_transform(mu, z, dps=dps) - g_series) <= tol
+    assert abs(-(z**2) * cauchy_transform_derivative(mu, z, dps=dps) - dg_series) <= tol
+
+
+def test_mp_rate_one_near_the_hard_edge():
+    # the density blows up like x^(-1/2) at 0, so G is large but finite near 0
+    mu = Measure.marchenko_pastur(1)
+    z = mp.mpc(0, mp.mpf(10) ** -6)
+    g = cauchy_transform(mu, z)
+    assert mp.isfinite(g) and g.imag < 0
+    assert mp.isfinite(cauchy_transform_derivative(mu, z))
+    with mp.workdps(60):
+        # no cancellation in the textbook form this close to 0
+        want = (z - mp.sqrt(z) * mp.sqrt(z - 4)) / (2 * z)
+    assert abs(g - want) <= abs(want) * mp.mpf(10) ** -25
 
 
 def test_herglotz_sign_on_grid():

@@ -20,6 +20,7 @@ from freemoments.errors import (
 )
 from freemoments.series import (
     TruncatedSeries,
+    _int_nth_root_floor,
     cumulant_series,
     g_series_from_moments,
     moments_from_r_series,
@@ -255,6 +256,23 @@ def test_support_bound_irrational_root_certified():
 def test_support_bound_argmax_over_n():
     # |k_3| = 64 -> C = 4 beats |k_1| = 3
     assert bound_of((F(3), F(0), F(64))) == 64
+
+
+def test_int_nth_root_floor_is_exact():
+    for n in (1, 2, 3, 5, 20):
+        for x in (0, 1, 2, 7, 8, 9, 3 ** (5 * n) - 1, 3 ** (5 * n), 10**400 + 1):
+            r = _int_nth_root_floor(x, n)
+            assert r**n <= x < (r + 1) ** n
+
+
+def test_support_bound_past_float_range():
+    # both radicands used to overflow a float seed of the integer root
+    huge = 10**400 + 1
+    b = bound_of((F(0), F(huge)))
+    assert huge <= (b / 16) ** 2 <= huge * (1 + F(1, 10**10))
+    # order 20 scales the radicand by 10^(18 * 20)
+    b = bound_of((F(0),) * 19 + (F(2),))
+    assert 2 <= (b / 16) ** 20 <= 2 * (1 + F(1, 10**10))
 
 
 def test_support_bound_kind_check():
