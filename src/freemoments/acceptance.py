@@ -22,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
@@ -143,12 +144,48 @@ def _fmt(x) -> str:
 # ------------------------------------------------------------------ criteria
 
 
+@lru_cache(maxsize=None)
+def _nc_mobius_by_sizes(n: int) -> dict[tuple[int, ...], int]:
+    """For each block-size profile, the sum over NC(n) of the Mobius value
+    up to the one-block partition.  Enumeration oracle for the criteria that
+    check the production transforms; run_suite clears it, so it is built
+    once per order per run."""
+    full = NCPartition.full(n)
+    totals: dict[tuple[int, ...], int] = {}
+    for blocks in iter_nc_blocks(n):
+        pi = NCPartition.from_blocks(blocks, n)
+        key = pi.block_sizes()
+        totals[key] = totals.get(key, 0) + mobius_nc(NCInterval(pi, full))
+    return totals
+
+
+def _partition_sum_cumulants(m: MomentSequence) -> tuple[Fraction, ...]:
+    """k_n = sum over NC(n) of mu(pi, 1_n) times the moments over the blocks
+    of pi, summed directly from the lattice: shares no code with the
+    functional-relation sweep or the series route."""
+    out = []
+    for n in range(1, m.p + 1):
+        acc = Fraction(0)
+        for profile, weight in _nc_mobius_by_sizes(n).items():
+            term = Fraction(weight)
+            for size in profile:
+                term *= m[size]
+            acc += term
+        out.append(acc)
+    return tuple(out)
+
+
 def _criterion_roundtrip(config: AcceptanceConfig) -> tuple[bool, str]:
     """Moment -> free cumulant -> moment is exactly the identity (and the
-    reverse composition too) on random rational sequences of order <= 10."""
+    reverse composition too) on random rational sequences of order <= 10,
+    and the cumulants equal the partition-sum oracle."""
     checks = _Checks()
     for i, m in enumerate(_random_moment_sequences(200, 10, SUITE_SEED)):
         k = free_cumulants_from_moments(m)
+        checks.expect(
+            k.values == _partition_sum_cumulants(m),
+            f"sequence {i}: m->k differs from the partition sum",
+        )
         checks.expect(
             moments_from_free_cumulants(k).values == m.values,
             f"sequence {i}: m->k->m changed the values",
@@ -159,21 +196,31 @@ def _criterion_roundtrip(config: AcceptanceConfig) -> tuple[bool, str]:
             back.values == as_k.values,
             f"sequence {i}: k->m->k changed the values",
         )
-    return checks.result("200 random rational sequences round-tripped exactly")
+    return checks.result(
+        "200 random rational sequences round-tripped exactly and matched "
+        "the partition sum"
+    )
 
 
 def _criterion_series(config: AcceptanceConfig) -> tuple[bool, str]:
     """The formal-series route to R coefficients agrees exactly with the
-    partition-sum route on the same random sequences."""
+    partition-sum oracle and with the production transform on the same
+    random sequences."""
     checks = _Checks()
     for i, m in enumerate(_random_moment_sequences(200, 10, SUITE_SEED)):
         series = r_series_from_moments(m)
-        k = free_cumulants_from_moments(m)
         checks.expect(
-            series.coeffs == k.values,
+            series.coeffs == _partition_sum_cumulants(m),
             f"sequence {i}: series and partition cumulants differ",
         )
-    return checks.result("series route matched partition route on 200 sequences")
+        checks.expect(
+            series.coeffs == free_cumulants_from_moments(m).values,
+            f"sequence {i}: series and functional-relation cumulants differ",
+        )
+    return checks.result(
+        "series route matched the partition sum and the functional relation "
+        "on 200 sequences"
+    )
 
 
 def _criterion_pinned(config: AcceptanceConfig) -> tuple[bool, str]:
@@ -596,6 +643,7 @@ def run_suite(
 ) -> list[CriterionResult]:
     """Run the requested criteria (all by default, in declaration order)."""
     config = config or AcceptanceConfig()
+    _nc_mobius_by_sizes.cache_clear()
     if only is None:
         selected: Sequence[_Criterion] = CRITERIA
     else:

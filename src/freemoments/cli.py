@@ -15,7 +15,8 @@ output file); progress/status lines go to standard error.  Exact values are
 serialized as "p/q" strings, numeric values as decimal strings together
 with the working precision that produced them.  Exit codes: 0 success, 1
 input/validation problems, 2 numeric failures (non-convergence, budget,
-failed verification).
+failed verification) and internal errors, which print
+{"error": "internal", ...} with the traceback on standard error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import Sequence
 
@@ -519,6 +521,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FreemomentsError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 2 if isinstance(exc, _NUMERIC_FAILURES) else 1
+    except Exception as exc:
+        # a defect in the program, not in the input: stdout stays JSON and
+        # the traceback goes to stderr
+        traceback.print_exc()
+        detail = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "internal", "detail": detail}))
+        return 2
 
 
 if __name__ == "__main__":

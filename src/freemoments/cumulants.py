@@ -3,16 +3,21 @@
 Free cumulants are tied to moments by sums over non-crossing partitions:
 the i-th moment is the sum over NC(i) of products of cumulants indexed by
 block sizes, and the inverse weights each partition by the Mobius value of
-its interval up to the one-block partition.  The classical transform is the
-same construction over all set partitions, with the partition-lattice Mobius
-weight (-1)^(r-1) (r-1)! for an r-block partition.
+its interval up to the one-block partition.  Grouping those sums by the
+block that contains 1 gives the functional relation
 
-Both directions only depend on a partition through its multiset of block
-sizes, so the sums are evaluated from profile tables: counts (and Mobius
-totals) of partitions grouped by block-size profile.  The non-crossing tables
-are built once per order by streaming the enumerator; the classical counts
-use the standard closed form i! / (prod_s (s!)^m_s m_s!).  Tests check both
-tables against direct enumeration.
+    M(z) = 1 + sum_s k_s z^s M(z)^s,    M(z) = 1 + sum_n m_n z^n
+
+(Speicher 1994; Nica-Speicher, Lectures on the Combinatorics of Free
+Probability, Lecture 16), whose z^n coefficient is
+m_n = sum_s k_s [z^(n-s)] M(z)^s.  The coefficient [z^(n-s)] M(z)^s needs
+only m_1..m_(n-1), so one sweep over n solves for whichever side is unknown
+in O(p^3) rational operations, with no enumeration and no order ceiling.
+
+The classical transform is the same construction over all set partitions;
+it is evaluated through the exponential generating functions,
+exp(sum c_i z^i / i!) = 1 + sum m_i z^i / i!, with the series module's exp
+and log.  Tests compare both directions with direct enumeration.
 """
 
 from __future__ import annotations
@@ -20,23 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import KindMismatchError, SizeLimitError, ValidationError
-from .noncrossing import (
-    _kreweras_blocks,
-    iter_nc_blocks,
-    mobius_full,
-    size_ceiling,
-)
+from .errors import KindMismatchError, ValidationError
 
 FREE = "free"
 CLASSICAL = "classical"
-
-# beyond this order the classical direction switches to the exponential
-# generating function log/exp path
-CLASSICAL_PARTITION_CAP = 12
 
 
 def as_fraction(value) -> Fraction:
@@ -104,118 +98,66 @@ def _require_kind(seq: CumulantSequence, kind: str) -> None:
         raise KindMismatchError(f"expected {kind} cumulants, got {seq.kind}")
 
 
-# ------------------------------------------------------------- profile tables
-
-
-def _profile(blocks) -> tuple[int, ...]:
-    return tuple(sorted((len(b) for b in blocks), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _nc_profile_counts(n: int) -> dict[tuple[int, ...], int]:
-    counts: dict[tuple[int, ...], int] = {}
-    for blocks in iter_nc_blocks(n):
-        key = _profile(blocks)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=None)
-def _nc_profile_mobius(n: int) -> dict[tuple[int, ...], int]:
-    """For each block-size profile, the sum over non-crossing partitions with
-    that profile of the Mobius value of [partition, one-block]."""
-    totals: dict[tuple[int, ...], int] = {}
-    for blocks in iter_nc_blocks(n):
-        comp = _kreweras_blocks(blocks, n)
-        mob = 1
-        for v in comp:
-            mob *= mobius_full(len(v))
-        key = _profile(blocks)
-        totals[key] = totals.get(key, 0) + mob
-    return totals
-
-
-def _integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of the integer n as descending tuples."""
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
-
-
-def _multiplicities(profile: tuple[int, ...]) -> dict[int, int]:
-    mult: dict[int, int] = {}
-    for s in profile:
-        mult[s] = mult.get(s, 0) + 1
-    return mult
-
-
-@lru_cache(maxsize=None)
-def _set_partition_profile_count(profile: tuple[int, ...]) -> int:
-    """Number of set partitions of {1..n} with the given block-size profile:
-    n! / (prod_s (s!)^m_s m_s!)."""
-    n = sum(profile)
-    denom = 1
-    for s, m in _multiplicities(profile).items():
-        denom *= math.factorial(s) ** m * math.factorial(m)
-    return math.factorial(n) // denom
-
-
-def _product_for_profile(profile: tuple[int, ...], values: tuple[Fraction, ...]) -> Fraction:
-    acc = Fraction(1)
-    for s in profile:
-        acc *= values[s - 1]
-    return acc
-
-
-def _check_order(p: int, max_n: int | None) -> None:
+def _check_order(p: int) -> None:
     if p < 1:
         raise ValidationError("order p must be >= 1")
-    ceiling = size_ceiling(max_n)
-    if p > ceiling:
-        raise SizeLimitError(
-            f"order {p} exceeds the partition-sum ceiling {ceiling}"
-        )
 
 
 # ------------------------------------------------------------------ free side
 
 
-def moments_from_free_cumulants(
-    cumulants: CumulantSequence, max_n: int | None = None
-) -> MomentSequence:
+def _free_sweep(values: tuple[Fraction, ...], moments_known: bool):
+    """Solve M(z) = 1 + sum_s k_s z^s M(z)^s one order at a time.
+
+    ``values`` are m_1..m_p when ``moments_known``, else k_1..k_p; returns
+    the lists (m_1..m_p, k_1..k_p).  Row n holds [z^(n-s)] M(z)^s for
+    s = 1..n; the entry for s convolves M(z)^(s-1), known up to z^(n-s)
+    from earlier rows, with M(z).  Trivial entries are skipped: s = 1 is
+    m_(n-1), s = n is 1, and m_0 = 1 needs no multiplication.  Nothing is
+    kept between calls.
+    """
+    one = Fraction(1)
+    m = [one]  # m_0 .. m_(n-1)
+    k: list[Fraction] = []
+    # powers[s][j] = [z^j] M(z)^s; powers[1] is m itself, and powers[s]
+    # gains its entry j = n - s at order n
+    powers = [None, m]
+    for n, value in enumerate(values, start=1):
+        acc = k[0] * m[n - 1] if n > 1 else Fraction(0)
+        for s in range(2, n):
+            j = n - s
+            prev = powers[s - 1]
+            c = m[j] + prev[j]
+            for i in range(1, j):
+                c += prev[i] * m[j - i]
+            powers[s].append(c)
+            acc += k[s - 1] * c
+        powers.append([one])
+        # acc = sum over s < n of k_s [z^(n-s)] M(z)^s; the s = n term is k_n
+        if moments_known:
+            k.append(value - acc)
+            m.append(value)
+        else:
+            k.append(value)
+            m.append(value + acc)
+    return m[1:], k
+
+
+def moments_from_free_cumulants(cumulants: CumulantSequence) -> MomentSequence:
     """m_i = sum over non-crossing partitions of {1..i} of the product of
-    cumulants over block sizes."""
+    cumulants over block sizes, solved through the functional relation."""
     _require_kind(cumulants, FREE)
-    _check_order(cumulants.p, max_n)
-    out = []
-    for i in range(1, cumulants.p + 1):
-        acc = Fraction(0)
-        for profile, count in _nc_profile_counts(i).items():
-            acc += count * _product_for_profile(profile, cumulants.values)
-        out.append(acc)
-    return MomentSequence(tuple(out))
+    _check_order(cumulants.p)
+    m, _ = _free_sweep(cumulants.values, moments_known=False)
+    return MomentSequence(tuple(m))
 
 
-def free_cumulants_from_moments(
-    moments: MomentSequence, max_n: int | None = None
-) -> CumulantSequence:
-    """Mobius inversion of the non-crossing moment formula: each partition is
-    weighted by the Mobius value of its interval up to the one-block
-    partition."""
-    _check_order(moments.p, max_n)
-    out = []
-    for i in range(1, moments.p + 1):
-        acc = Fraction(0)
-        for profile, weight in _nc_profile_mobius(i).items():
-            acc += weight * _product_for_profile(profile, moments.values)
-        out.append(acc)
-    return CumulantSequence(tuple(out), FREE)
+def free_cumulants_from_moments(moments: MomentSequence) -> CumulantSequence:
+    """Mobius inversion of the non-crossing moment formula, solved through
+    the functional relation."""
+    _check_order(moments.p)
+    _, k = _free_sweep(moments.values, moments_known=True)
+    return CumulantSequence(tuple(k), FREE)
 
 
 def free_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
@@ -231,10 +173,6 @@ def free_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
 
 
 # ------------------------------------------------------------- classical side
-
-
-def _classical_weight(num_blocks: int) -> int:
-    return (-1) ** (num_blocks - 1) * math.factorial(num_blocks - 1)
 
 
 def _egf_series(values: tuple[Fraction, ...], constant: Fraction):
@@ -253,44 +191,20 @@ def _values_from_egf(series) -> tuple[Fraction, ...]:
     )
 
 
-def moments_from_classical_cumulants(
-    cumulants: CumulantSequence, max_n: int | None = None
-) -> MomentSequence:
-    """Same shape as the free formula but summed over all set partitions.
-    Above the partition cap the exponential-generating-function identity
-    exp(sum c_i z^i / i!) = sum m_i z^i / i! is used instead."""
+def moments_from_classical_cumulants(cumulants: CumulantSequence) -> MomentSequence:
+    """Same shape as the free formula but summed over all set partitions,
+    evaluated as exp(sum c_i z^i / i!) = 1 + sum m_i z^i / i!."""
     _require_kind(cumulants, CLASSICAL)
-    if cumulants.p < 1:
-        raise ValidationError("order p must be >= 1")
-    if cumulants.p > CLASSICAL_PARTITION_CAP:
-        return MomentSequence(_values_from_egf(
-            _egf_series(cumulants.values, Fraction(0)).exp()
-        ))
-    out = []
-    for i in range(1, cumulants.p + 1):
-        acc = Fraction(0)
-        for profile in _integer_partitions(i):
-            count = _set_partition_profile_count(profile)
-            acc += count * _product_for_profile(profile, cumulants.values)
-        out.append(acc)
-    return MomentSequence(tuple(out))
+    _check_order(cumulants.p)
+    return MomentSequence(_values_from_egf(
+        _egf_series(cumulants.values, Fraction(0)).exp()
+    ))
 
 
-def classical_cumulants_from_moments(
-    moments: MomentSequence, max_n: int | None = None
-) -> CumulantSequence:
-    if moments.p < 1:
-        raise ValidationError("order p must be >= 1")
-    if moments.p > CLASSICAL_PARTITION_CAP:
-        return CumulantSequence(_values_from_egf(
-            _egf_series(moments.values, Fraction(1)).log()
-        ), CLASSICAL)
-    out = []
-    for i in range(1, moments.p + 1):
-        acc = Fraction(0)
-        for profile in _integer_partitions(i):
-            count = _set_partition_profile_count(profile)
-            weight = _classical_weight(len(profile))
-            acc += count * weight * _product_for_profile(profile, moments.values)
-        out.append(acc)
-    return CumulantSequence(tuple(out), CLASSICAL)
+def classical_cumulants_from_moments(moments: MomentSequence) -> CumulantSequence:
+    """Inverse of the classical moment formula, evaluated as the log of the
+    moment exponential generating function."""
+    _check_order(moments.p)
+    return CumulantSequence(_values_from_egf(
+        _egf_series(moments.values, Fraction(1)).log()
+    ), CLASSICAL)

@@ -28,9 +28,6 @@ from .cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
-    _check_order,
-    _nc_profile_counts,
-    _product_for_profile,
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
 )
@@ -60,6 +57,11 @@ class LevyPair:
             raise ValidationError("sigma must be a Measure")
 
 
+def _check_order(p: int) -> None:
+    if p < 1:
+        raise ValidationError("order p must be >= 1")
+
+
 def _sigma_moments(pair: LevyPair, p: int) -> tuple[Fraction, ...]:
     """(m_0, m_1, ..., m_p) of sigma, with m_0 the total mass."""
     return (pair.sigma.mass,) + moments(pair.sigma, p).values
@@ -69,7 +71,7 @@ def cumulants_from_levy(pair: LevyPair, p: int, kind: str = FREE) -> CumulantSeq
     """Cumulants of order 1..p of the law generated by the pair.  The free
     and classical readings share the same numbers; only the kind tag
     changes."""
-    _check_order(p, None)
+    _check_order(p)
     m = _sigma_moments(pair, p)
     values = [pair.gamma + (m[1] if p >= 1 else Fraction(0))]
     for q in range(2, p + 1):
@@ -173,20 +175,13 @@ def moment_growth_bound(pair: LevyPair, p: int) -> tuple[Fraction, ...]:
     """B_1..B_p with |m_q(free law)| <= B_q: replace every cumulant in the
     moment expansion by the bound |gamma| + mhat_1 (singletons) or
     mhat_{q-2} + mhat_q (blocks of size q), mhat the absolute moments of
-    sigma, and sum over non-crossing partitions."""
-    _check_order(p, None)
+    sigma: the free moments of that bound sequence."""
+    _check_order(p)
     mhat = (pair.sigma.mass,) + absolute_moments(pair.sigma, p)
     b = [abs(pair.gamma) + mhat[1]]
     for q in range(2, p + 1):
         b.append(mhat[q - 2] + mhat[q])
-    b = tuple(b)
-    out = []
-    for q in range(1, p + 1):
-        acc = Fraction(0)
-        for profile, count in _nc_profile_counts(q).items():
-            acc += count * _product_for_profile(profile, b)
-        out.append(acc)
-    return tuple(out)
+    return moments_from_free_cumulants(CumulantSequence(tuple(b))).values
 
 
 def diagnose_moment_transfer(pair: LevyPair, p: int) -> list[dict]:

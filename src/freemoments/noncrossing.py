@@ -55,14 +55,28 @@ def _canonicalize(blocks: Iterable[Iterable[int]]) -> Blocks:
     )
 
 
-def _check_partition(blocks: Blocks, n: int) -> None:
-    seen: set[int] = set()
+def _parse_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
+    """Canonical form of caller-supplied blocks.  Empty blocks and non-int
+    elements are rejected first, since sorting cannot order them."""
+    out = []
     for block in blocks:
+        try:
+            block = tuple(block)
+        except TypeError:
+            raise ValidationError(f"block {block!r} is not a sequence") from None
         if not block:
             raise ValidationError("empty block in partition")
         for x in block:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValidationError(f"block element {x!r} is not an int")
+        out.append(block)
+    return _canonicalize(out)
+
+
+def _check_partition(blocks: Blocks, n: int) -> None:
+    seen: set[int] = set()
+    for block in blocks:
+        for x in block:
             if x in seen:
                 raise ValidationError(f"element {x} appears twice")
             seen.add(x)
@@ -109,7 +123,7 @@ class NCPartition:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError("partition ground set must be nonempty")
-        if self.blocks != _canonicalize(self.blocks):
+        if self.blocks != _parse_blocks(self.blocks):
             raise ValidationError("blocks not in canonical order")
         _check_partition(self.blocks, self.n)
         if not _blocks_noncrossing(self.blocks, self.n):
@@ -117,7 +131,7 @@ class NCPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "NCPartition":
-        canon = _canonicalize(blocks)
+        canon = _parse_blocks(blocks)
         if n is None:
             n = max((b[-1] for b in canon), default=0)
         return cls(n, canon)
@@ -147,7 +161,7 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
 
     Raises ValidationError when the input is not a set partition at all.
     """
-    canon = _canonicalize(blocks)
+    canon = _parse_blocks(blocks)
     n = max((b[-1] for b in canon), default=0)
     if n == 0:
         raise ValidationError("empty partition")

@@ -6,8 +6,9 @@ operations truncate to the smaller order.  The chain implemented at series
 level is: moments give the expansion of G(1/z) = z + m_1 z^2 + ... ; its
 compositional inverse L satisfies 1/L = 1/z + (R-transform), so the
 R-transform coefficients drop out of the reciprocal of L/z.  Everything is
-exact, which makes this an independent route to the non-crossing cumulant
-sums of the cumulants module.
+exact.  The compositional inverse is taken by Lagrange inversion, so this
+route shares no code with the functional-relation sweep of the cumulants
+module, and the two cross-check each other.
 """
 
 from __future__ import annotations
@@ -132,21 +133,21 @@ class TruncatedSeries:
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(z)) = z + O(z^{N+1}).
 
-        Requires a simple zero at the origin (a_0 = 0, a_1 != 0).  Solved
-        order by order: the z^k coefficient of self(g) is linear in g_k with
-        slope a_1 once g_1..g_{k-1} are fixed.
+        Requires a simple zero at the origin (a_0 = 0, a_1 != 0).  Lagrange
+        inversion: g_k = [w^(k-1)] h(w)^k / k with h = w / self(w), so one
+        power of h per order and no re-composition.
         """
         if self.coeffs[0] != 0 or self.order < 1 or self.coeffs[1] == 0:
             raise NonInvertibleSeriesError(
                 "compositional inverse needs a_0 = 0 and a_1 != 0"
             )
-        n = self.order
-        g = [Fraction(0)] * (n + 1)
-        g[1] = 1 / self.coeffs[1]
-        for k in range(2, n + 1):
-            partial = TruncatedSeries(tuple(g[: k + 1]))
-            h = self.truncate(k).compose(partial)
-            g[k] = -h.coeffs[k] / self.coeffs[1]
+        h = TruncatedSeries(self.coeffs[1:]).reciprocal()
+        g = [Fraction(0)]
+        power = h
+        for k in range(1, self.order + 1):
+            g.append(power.coeffs[k - 1] / k)
+            if k < self.order:
+                power = power * h
         return TruncatedSeries(tuple(g))
 
     # ------------------------------------------------------------- calculus
@@ -179,13 +180,17 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def log(self) -> "TruncatedSeries":
-        """log of a series with constant term 1, via (log s)' = s'/s."""
+        """log of a series with constant term 1, via s (log s)' = s'."""
         if self.coeffs[0] != 1:
             raise CompositionDomainError("log needs constant term 1")
-        derivative = self.differentiate() * self.reciprocal().truncate(
-            max(self.order - 1, 0)
-        )
-        return derivative.integrate().truncate(self.order)
+        n = self.order
+        out = [Fraction(0)] * (n + 1)
+        for k in range(1, n + 1):
+            acc = k * self.coeffs[k]
+            for j in range(1, k):
+                acc -= j * out[j] * self.coeffs[k - j]
+            out[k] = acc / k
+        return TruncatedSeries(tuple(out))
 
 
 # ----------------------------------------------------------- JSON interface

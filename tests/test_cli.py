@@ -170,6 +170,39 @@ def test_validation_problems_exit_1(capsys, argv):
     assert set(payload) == {"error", "detail"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nc", "--kreweras", "[[]]"),
+        ("nc", "--mobius", "[[]]"),
+        ("nc", "--mobius", "[[1]]", "--upper", "[[1], []]"),
+        ("nc", "--kreweras", '[[1, "a"]]'),
+        ("nc", "--kreweras", "[1, 2]"),
+    ],
+)
+def test_nc_malformed_blocks_exit_1(capsys, argv):
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"] == "validation"
+    assert set(data) == {"error", "detail"}
+
+
+def test_internal_error_keeps_json_contract(capsys, monkeypatch):
+    import freemoments.cli as cli
+
+    def broken(args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(cli, "_run_nc", broken)
+    code, out, err = run_cli(capsys, "nc", "--count", "4")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "internal",
+        "detail": "RuntimeError: simulated defect",
+    }
+    assert "Traceback" in err and "simulated defect" in err
+
+
 def test_float_literals_rejected(capsys):
     code, data = run_json(capsys, "cumulants", "--moments", "[0, 0.5]")
     assert code == 1

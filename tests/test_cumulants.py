@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +14,15 @@ from freemoments.cumulants import (
     free_cumulants_from_moments,
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
-    _nc_profile_counts,
-    _nc_profile_mobius,
-    _set_partition_profile_count,
 )
-from freemoments.errors import KindMismatchError, SizeLimitError, ValidationError
-from freemoments.noncrossing import NCInterval, NCPartition, enumerate_nc, mobius_nc
+from freemoments.errors import KindMismatchError, ValidationError
+from freemoments.noncrossing import (
+    NCInterval,
+    NCPartition,
+    catalan,
+    enumerate_nc,
+    mobius_nc,
+)
 
 from oracles import product_over_blocks, set_partitions
 
@@ -56,11 +60,12 @@ def test_kind_checks():
         CumulantSequence(frac_seq([1]), "weird")
 
 
-def test_order_ceiling():
-    with pytest.raises(SizeLimitError):
-        moments_from_free_cumulants(
-            CumulantSequence(frac_seq([1] * 15), FREE)
-        )
+def test_free_transforms_have_no_order_ceiling():
+    # order 30 is far past the lattice enumeration ceiling of 14
+    k = CumulantSequence(frac_seq([1] * 30), FREE)
+    m = moments_from_free_cumulants(k)
+    assert m.values == tuple(F(catalan(n)) for n in range(1, 31))
+    assert free_cumulants_from_moments(m) == k
 
 
 # ------------------------------------------------------------ pinned examples
@@ -270,31 +275,33 @@ def test_classical_sums_match_set_partition_enumeration(p):
     assert list(fast.values) == direct
 
 
-def test_profile_count_tables():
-    assert _nc_profile_counts(4) == {
-        (4,): 1,
-        (3, 1): 4,
-        (2, 2): 2,
-        (2, 1, 1): 6,
-        (1, 1, 1, 1): 1,
-    }
-    # set-partition profile counts: (2,2) on 4 elements -> 3 pairings
-    assert _set_partition_profile_count((2, 2)) == 3
-    assert _set_partition_profile_count((2, 1, 1)) == 6
-    # mobius totals recover the n=2 inversion k2 = m2 - m1^2
-    assert _nc_profile_mobius(2) == {(2,): 1, (1, 1): -1}
-
-
 # ----------------------------------------------------------------- EGF bridge
 
 
 def test_egf_path_agrees_with_partition_path():
-    m = MomentSequence(tuple(F(i, i + 2) for i in range(1, 11)))
-    by_partitions = classical_cumulants_from_moments(m)
-    from freemoments.cumulants import _egf_series, _values_from_egf
-
-    by_egf = _values_from_egf(_egf_series(m.values, F(1)).log())
-    assert by_partitions.values == by_egf
+    """Both classical directions against the set-partition sums, the
+    inverse weighted by the partition-lattice Mobius value
+    (-1)^(r-1) (r-1)! of an r-block partition."""
+    m = tuple(F(i, i + 2) for i in range(1, 9))
+    c = tuple(F(3 - 2 * i, i + 1) for i in range(1, 9))
+    by_partitions_c, by_partitions_m = [], []
+    for i in range(1, 9):
+        parts = set_partitions(i)
+        by_partitions_c.append(sum(
+            (
+                (-1) ** (len(q) - 1) * factorial(len(q) - 1)
+                * product_over_blocks(q, list(m))
+                for q in parts
+            ),
+            F(0),
+        ))
+        by_partitions_m.append(
+            sum((product_over_blocks(q, list(c)) for q in parts), F(0))
+        )
+    by_egf_c = classical_cumulants_from_moments(MomentSequence(m))
+    by_egf_m = moments_from_classical_cumulants(CumulantSequence(c, CLASSICAL))
+    assert list(by_egf_c.values) == by_partitions_c
+    assert list(by_egf_m.values) == by_partitions_m
 
 
 def test_high_order_classical_uses_egf():

@@ -112,6 +112,16 @@ def test_ncpartition_validation():
     assert p.n == 3
 
 
+@pytest.mark.parametrize("blocks", [[[]], [[1], []], [[1, "a"]], [["a"]], [1, 2]])
+def test_malformed_blocks_rejected_before_sorting(blocks):
+    with pytest.raises(ValidationError):
+        is_noncrossing(blocks)
+    with pytest.raises(ValidationError):
+        NCPartition.from_blocks(blocks)
+    with pytest.raises(ValidationError):
+        NCPartition(1, tuple(blocks))
+
+
 # ---------------------------------------------------------------- kreweras
 
 

@@ -18,6 +18,7 @@ from freemoments.errors import (
     PoleError,
     ValidationError,
 )
+from freemoments.noncrossing import catalan
 from freemoments.series import (
     TruncatedSeries,
     _int_nth_root_floor,
@@ -106,10 +107,19 @@ def test_comp_inverse_requires_simple_zero():
         S(0, 0, 1).comp_inverse()
 
 
+def test_comp_inverse_catalan_order_40():
+    # z - z^2 inverts to (1 - sqrt(1 - 4z))/2 = sum catalan(n-1) z^n
+    inv = TruncatedSeries((F(0), F(1), F(-1)) + (F(0),) * 38).comp_inverse()
+    assert inv.coeffs == (F(0),) + tuple(F(catalan(n - 1)) for n in range(1, 41))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(rationals, min_size=0, max_size=8))
-def test_comp_inverse_involution(tail):
-    f = TruncatedSeries((F(0), F(1)) + tuple(tail))
+@given(
+    rationals.filter(lambda a: a != 0),
+    st.lists(rationals, min_size=0, max_size=8),
+)
+def test_comp_inverse_involution(lead, tail):
+    f = TruncatedSeries((F(0), lead) + tuple(tail))
     g = f.comp_inverse()
     assert g.comp_inverse() == f
     # and f(g(z)) = z exactly
