@@ -49,7 +49,6 @@ from .noncrossing import (
     NCPartition,
     catalan,
     enumerate_nc,
-    iter_nc_blocks,
     mobius_nc,
     mobius_nc_poset,
     refines,
@@ -152,8 +151,7 @@ def _nc_mobius_by_sizes(n: int) -> dict[tuple[int, ...], int]:
     once per order per run."""
     full = NCPartition.full(n)
     totals: dict[tuple[int, ...], int] = {}
-    for blocks in iter_nc_blocks(n):
-        pi = NCPartition.from_blocks(blocks, n)
+    for pi in enumerate_nc(n):
         key = pi.block_sizes()
         totals[key] = totals.get(key, 0) + mobius_nc(NCInterval(pi, full))
     return totals
@@ -509,13 +507,10 @@ def _criterion_lattice(config: AcceptanceConfig) -> tuple[bool, str]:
     checks = _Checks()
     for n in range(1, 11):
         bound = 4**n
-        count = 0
-        worst = 0
         full = NCPartition.full(n)
-        for blocks in iter_nc_blocks(n):
-            count += 1
-            pi = NCPartition.from_blocks(blocks, n)
-            worst = max(worst, abs(mobius_nc(NCInterval(pi, full))))
+        parts = enumerate_nc(n)
+        count = len(parts)
+        worst = max(abs(mobius_nc(NCInterval(pi, full))) for pi in parts)
         checks.expect(count == catalan(n), f"n={n}: count {count} != Catalan")
         checks.expect(count <= bound, f"n={n}: count {count} > 4^n")
         checks.expect(worst <= bound, f"n={n}: max |Mobius| {worst} > 4^n")

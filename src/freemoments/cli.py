@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -52,6 +53,7 @@ from .errors import (
     FreemomentsError,
     NumericError,
     RegionTooLargeError,
+    SizeLimitError,
     ValidationError,
 )
 from .levy import (
@@ -107,7 +109,9 @@ def _load_json_text(text: str, what: str):
 
     try:
         return json.loads(text, parse_float=reject_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal longer than the
+        # interpreter's int/str conversion limit
         raise ValidationError(f"{what}: invalid JSON: {exc}") from exc
 
 
@@ -129,6 +133,19 @@ def _sequence_from_text(text: str, what: str) -> tuple[Fraction, ...]:
 
 def _fractions_to_json(values) -> list[str]:
     return [str(Fraction(v)) for v in values]
+
+
+def _check_printable(n: int, what: str) -> None:
+    """Reject, before computing it, an integer that may reach 4^n when the
+    interpreter would refuse to print it (sys.get_int_max_str_digits; 0
+    means no limit).  Catalan(n) and every NC(n) Mobius value are below 4^n,
+    and 4^n has floor(n log10 4) + 1 digits."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n >= limit / math.log10(4):
+        raise SizeLimitError(
+            f"{what} on n={n} elements: the result may reach 4^n, longer than "
+            f"the {limit} digits the interpreter prints"
+        )
 
 
 def _blocks_from_json(data, what: str) -> NCPartition:
@@ -170,6 +187,7 @@ def _run_nc(args) -> tuple[dict, int]:
         n = args.count
         if n < 1:
             raise ValidationError("--count needs n >= 1")
+        _check_printable(n, "--count")
         return {"n": n, "count": catalan(n)}, 0
     if args.list is not None:
         parts = enumerate_nc(args.list)
@@ -193,6 +211,7 @@ def _run_nc(args) -> tuple[dict, int]:
         upper = NCPartition.full(lower.n)
     else:
         upper = _blocks_from_json(_load_json_text(args.upper, "--upper"), "--upper")
+    _check_printable(lower.n, "--mobius")
     value = mobius_nc(NCInterval(lower, upper))
     return {
         "n": lower.n,

@@ -5,12 +5,8 @@ uniform).
 Moments are exact rationals computed from closed recurrences.  The Cauchy
 transform G(z) = integral of 1/(z - x) and its derivative are evaluated in
 arbitrary precision (mpmath) in closed form for every shape, written so that
-nothing cancels for large |z|.  Quadrature serves only numeric_moment, which
-cross-checks the moment recurrences: adaptive Gauss-Legendre after a
-trigonometric substitution that absorbs the square-root endpoint behaviour of
-the density.  The substitution keeps the integrand analytic, so the
-quadrature converges to working precision and its error estimate is checked;
-failure to certify raises rather than returning a doubtful value.
+nothing cancels for large |z|.  No production path integrates numerically;
+quadrature of the densities lives in the test oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
@@ -24,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 import mpmath as mp
 
@@ -32,7 +28,6 @@ from .cumulants import MomentSequence, as_fraction
 from .errors import (
     DomainError,
     MomentDoesNotExistError,
-    NumericError,
     UnsupportedOperationError,
     ValidationError,
 )
@@ -52,9 +47,6 @@ _DENSITY_PARAMS = {
     CAUCHY: ("center", "scale"),
     UNIFORM: ("a", "b"),
 }
-
-_QUAD_GUARD_DIGITS = 15
-
 
 def _parse_exact(value) -> Fraction:
     """ints, Fractions and 'p/q' / decimal strings are exact; floats are
@@ -271,59 +263,6 @@ def moments(mu: Measure, p: int) -> MomentSequence:
     return MomentSequence(tuple(mu.mass * v for v in unit))
 
 
-# ----------------------------------------------------------------- quadrature
-
-
-def _quad_certified(f: Callable, a, b, dps: int):
-    """Adaptive Gauss-Legendre with a checked error estimate: dps relative
-    digits, or an absolute error of 10^(-dps-10) when the value itself is
-    tiny (the estimator bottoms out at the working epsilon)."""
-    with mp.workdps(dps + _QUAD_GUARD_DIGITS):
-        for maxdegree in (8, 10, 12):
-            val, err = mp.quad(
-                f, [a, b], error=True, method="gauss-legendre", maxdegree=maxdegree
-            )
-            floor = max(
-                abs(val) * mp.mpf(10) ** (-dps - 5), mp.mpf(10) ** (-dps - 10)
-            )
-            if err <= floor:
-                return val
-    raise NumericError(
-        f"quadrature failed to certify {dps} digits (estimate {err})"
-    )
-
-
-def _density_integral(mu: Measure, h: Callable, dps: int):
-    """integral of h(x) * density(x) dx for the unit-mass density shape,
-    via a substitution making the integrand analytic."""
-    if mu.density == MARCHENKO_PASTUR:
-        rate = _to_mpf(mu.param("rate"))
-        s = mp.sqrt(rate)
-        a, b = (1 - s) ** 2, (1 + s) ** 2
-        m, half = (a + b) / 2, (b - a) / 2
-
-        def integrand(theta):
-            c = mp.cos(theta)
-            x = m + half * mp.sin(theta)
-            return half * half * c * c / (2 * mp.pi * x) * h(x)
-
-        return _quad_certified(integrand, -mp.pi / 2, mp.pi / 2, dps)
-    if mu.density == SEMICIRCLE:
-        center = _to_mpf(mu.param("center"))
-        r = _to_mpf(mu.param("radius"))
-
-        def integrand(theta):
-            c = mp.cos(theta)
-            x = center + r * mp.sin(theta)
-            return 2 / mp.pi * c * c * h(x)
-
-        return _quad_certified(integrand, -mp.pi / 2, mp.pi / 2, dps)
-    if mu.density == UNIFORM:
-        a, b = _to_mpf(mu.param("a")), _to_mpf(mu.param("b"))
-        return _quad_certified(lambda x: h(x) / (b - a), a, b, dps)
-    raise UnsupportedOperationError(f"no quadrature for {mu.density}")
-
-
 def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
     """integral of |x|^k d(mu) for k = 1..p, exact, where a closed form
     exists: discrete measures, uniform windows, and densities whose support
@@ -360,18 +299,6 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
     raise UnsupportedOperationError(
         "no exact absolute moments for a density straddling zero"
     )
-
-
-def numeric_moment(mu: Measure, k: int, dps: int = 30):
-    """Quadrature value of the k-th raw moment of a density measure; used to
-    cross-check the closed recurrences."""
-    if mu.kind != DENSITY:
-        raise UnsupportedOperationError("numeric_moment expects a density")
-    if mu.density == CAUCHY and k >= 1:
-        raise MomentDoesNotExistError("no Cauchy moments")
-    with mp.workdps(dps):
-        val = _density_integral(mu, lambda x: x**k, dps)
-        return _to_mpf(mu.mass) * val
 
 
 # ----------------------------------------------------------- Cauchy transform

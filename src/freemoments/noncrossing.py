@@ -3,11 +3,16 @@
 Provides enumeration in canonical order, the refinement order, the Kreweras
 complement, and the Mobius function of intervals in the non-crossing
 partition lattice.  The Mobius value is computed in closed form by splitting
-an interval into full sub-lattices; a brute-force poset recursion is exported
-as an independent oracle for tests.
+an interval into full sub-lattices; a brute-force sweep of the defining
+relation over a linear extension of the interval is exported as an
+independent oracle for tests.
 
 Block representation: a partition is a tuple of blocks, each block a strictly
-increasing tuple of integers, blocks ordered by their least element.
+increasing tuple of integers, blocks ordered by their least element.  Every
+question of which block holds an element goes through one derived encoding,
+the label tuple: ``labels[x - 1]`` is the least element of the block holding
+x.  It is computed once per partition and cached on it, and enumerate_nc
+hands out the same partition objects for every call at one order.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitError, ValidationError
@@ -33,11 +38,9 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def size_ceiling(max_n: int | None = None) -> int:
-    """Resolve the enumeration ceiling: explicit argument, else environment
-    override, else the package default."""
-    if max_n is not None:
-        return max_n
+def size_ceiling() -> int:
+    """The enumeration ceiling: the FREEMOMENTS_MAX_N environment variable,
+    else the package default."""
     env = os.environ.get(MAX_N_ENV_VAR)
     if env is not None:
         try:
@@ -74,42 +77,39 @@ def _parse_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 
 
 def _check_partition(blocks: Blocks, n: int) -> None:
+    # distinct ints, n of them, from 1 to n: exactly {1..n}, checked in
+    # O(elements) so a huge element costs nothing to reject
     seen: set[int] = set()
     for block in blocks:
         for x in block:
             if x in seen:
                 raise ValidationError(f"element {x} appears twice")
             seen.add(x)
-    if seen != set(range(1, n + 1)):
+    if len(seen) != n or min(seen) != 1 or max(seen) != n:
         raise ValidationError(f"blocks do not partition 1..{n}: {sorted(seen)}")
 
 
-def _blocks_noncrossing(blocks: Blocks, n: int) -> bool:
-    # Walk 1..n keeping a stack of open blocks; a partition is non-crossing
-    # exactly when blocks close in well-nested bracket order.
-    owner = {}
-    last = {}
-    for idx, block in enumerate(blocks):
+def _labels(blocks: Blocks, n: int) -> tuple[int, ...]:
+    out = [0] * n
+    for block in blocks:
         for x in block:
-            owner[x] = idx
-        last[idx] = block[-1]
+            out[x - 1] = block[0]
+    return tuple(out)
+
+
+def _labels_noncrossing(labels: tuple[int, ...]) -> bool:
+    # Walk 1..n keeping a stack of open blocks, named by their labels; a
+    # partition is non-crossing exactly when blocks close in well-nested
+    # bracket order.
+    last = {label: x for x, label in enumerate(labels, start=1)}
     stack: list[int] = []
-    open_set: set[int] = set()
-    closed: set[int] = set()
-    for x in range(1, n + 1):
-        b = owner[x]
-        if b in closed:
+    for x, label in enumerate(labels, start=1):
+        if label == x:
+            stack.append(label)
+        elif stack[-1] != label:
             return False
-        if b in open_set:
-            if stack[-1] != b:
-                return False
-        else:
-            stack.append(b)
-            open_set.add(b)
-        if last[b] == x:
+        if last[label] == x:
             stack.pop()
-            open_set.discard(b)
-            closed.add(b)
     return True
 
 
@@ -126,7 +126,7 @@ class NCPartition:
         if self.blocks != _parse_blocks(self.blocks):
             raise ValidationError("blocks not in canonical order")
         _check_partition(self.blocks, self.n)
-        if not _blocks_noncrossing(self.blocks, self.n):
+        if not _labels_noncrossing(self.labels):
             raise ValidationError(f"partition has a crossing: {self.blocks}")
 
     @classmethod
@@ -152,8 +152,10 @@ class NCPartition:
         """Multiset of block sizes, sorted descending."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def block_index_of(self) -> dict[int, int]:
-        return {x: i for i, b in enumerate(self.blocks) for x in b}
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """labels[x - 1] is the least element of the block holding x."""
+        return _labels(self.blocks, self.n)
 
 
 def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
@@ -166,7 +168,7 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     if n == 0:
         raise ValidationError("empty partition")
     _check_partition(canon, n)
-    return _blocks_noncrossing(canon, n)
+    return _labels_noncrossing(_labels(canon, n))
 
 
 def _shift(blocks: Blocks, offset: int) -> Blocks:
@@ -197,41 +199,40 @@ def iter_nc_blocks(n: int) -> Iterator[Blocks]:
 
 
 @lru_cache(maxsize=16)
-def _sorted_nc_blocks(n: int) -> tuple[Blocks, ...]:
-    return tuple(sorted(iter_nc_blocks(n)))
-
-
-def enumerate_nc(n: int, max_n: int | None = None) -> list[NCPartition]:
-    """All non-crossing partitions of {1..n}, sorted lexicographically on the
-    canonical block form.  Guarded by a size ceiling (argument, else the
-    FREEMOMENTS_MAX_N environment variable, else 14)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    ceiling = size_ceiling(max_n)
-    if n > ceiling:
-        raise SizeLimitError(
-            f"n={n} exceeds the enumeration ceiling {ceiling}; "
-            f"pass max_n or set {MAX_N_ENV_VAR}"
-        )
+def _lattice(n: int) -> tuple[NCPartition, ...]:
+    # the objects themselves are cached, so their labels are computed once
+    # per partition per order, not once per call
     out = []
-    for blocks in _sorted_nc_blocks(n):
+    for blocks in sorted(iter_nc_blocks(n)):
         p = NCPartition.__new__(NCPartition)
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "blocks", blocks)
         out.append(p)
-    return out
+    return tuple(out)
+
+
+def enumerate_nc(n: int) -> list[NCPartition]:
+    """All non-crossing partitions of {1..n}, sorted lexicographically on the
+    canonical block form.  Guarded by a size ceiling (the FREEMOMENTS_MAX_N
+    environment variable, else 14)."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    ceiling = size_ceiling()
+    if n > ceiling:
+        raise SizeLimitError(
+            f"n={n} exceeds the enumeration ceiling {ceiling}; "
+            f"set {MAX_N_ENV_VAR} to raise it"
+        )
+    return list(_lattice(n))
 
 
 def refines(p: NCPartition, q: NCPartition) -> bool:
     """True iff every block of p is contained in a block of q."""
     if p.n != q.n:
         raise ValidationError("partitions live on different ground sets")
-    owner = q.block_index_of()
-    for block in p.blocks:
-        idx = owner[block[0]]
-        if any(owner[x] != idx for x in block[1:]):
-            return False
-    return True
+    # x and the least element of its p-block must share a q-block
+    owner = q.labels
+    return all(owner[a - 1] == owner[i] for i, a in enumerate(p.labels))
 
 
 @dataclass(frozen=True)
@@ -249,46 +250,32 @@ class NCInterval:
 
 
 def _kreweras_blocks(blocks: Blocks, n: int) -> Blocks:
-    # i ~ j (i < j) in the complement iff {i+1..j} is a union of blocks,
-    # i.e. the sizes of the blocks fully inside (i, j] sum to j - i.
-    spans = [(b[0], b[-1], len(b)) for b in blocks]
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            inside = sum(size for lo, hi, size in spans if lo > i and hi <= j)
-            if inside == j - i:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return _canonicalize(groups.values())
+    # The cycles of pi^-1 gamma with gamma = (1 2 ... n), where pi sends each
+    # element to the next one of its block (Nica-Speicher, Lecture 18).
+    # Started at its least element, each cycle comes out increasing.
+    prev = [0] * (n + 1)
+    for block in blocks:
+        for i, x in enumerate(block):
+            prev[x] = block[i - 1]
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = prev[x % n + 1]
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def kreweras_complement(p: NCPartition) -> NCPartition:
     """Kreweras complement: the coarsest partition of the interleaved copies
     whose union with p stays non-crossing, pulled back to {1..n}."""
     return NCPartition(p.n, _kreweras_blocks(p.blocks, p.n))
-
-
-def _restrict_relabel(p: NCPartition, window: tuple[int, ...]) -> NCPartition:
-    # restriction of p to a subset, relabelled order-preservingly to {1..k}
-    pos = {x: i + 1 for i, x in enumerate(window)}
-    member = set(window)
-    blocks = []
-    for b in p.blocks:
-        sub = tuple(pos[x] for x in b if x in member)
-        if sub:
-            blocks.append(sub)
-    return NCPartition(len(window), _canonicalize(blocks))
 
 
 def mobius_full(k: int) -> int:
@@ -303,34 +290,40 @@ def mobius_nc(interval: NCInterval) -> int:
     restrict the lower partition to each block of the upper one, and split
     each restricted piece into full sub-lattices indexed by the blocks of its
     Kreweras complement."""
+    lower, upper = interval.lower, interval.upper
+    # every block of lower lies in one window (block) of upper; number each
+    # window 1..k and file the lower blocks under their window's label
+    rank = [0] * (lower.n + 1)
+    for window in upper.blocks:
+        for i, x in enumerate(window, start=1):
+            rank[x] = i
+    pieces: dict[int, list[tuple[int, ...]]] = {w[0]: [] for w in upper.blocks}
+    for block in lower.blocks:
+        pieces[upper.labels[block[0] - 1]].append(tuple(rank[x] for x in block))
     total = 1
-    for window in interval.upper.blocks:
-        sub = _restrict_relabel(interval.lower, window)
-        comp = kreweras_complement(sub)
-        for v in comp.blocks:
+    for window in upper.blocks:
+        for v in _kreweras_blocks(tuple(pieces[window[0]]), len(window)):
             total *= mobius_full(len(v))
     return total
 
 
-def mobius_nc_poset(interval: NCInterval, max_n: int | None = None) -> int:
-    """Brute-force Mobius value by poset recursion over NC(n).
+def mobius_nc_poset(interval: NCInterval) -> int:
+    """Brute-force Mobius value from the defining relation
+    mu(lower, q) = -sum of mu(lower, r) over lower <= r < q, over NC(n).
 
-    Exponential; intended as a cross-check oracle for mobius_nc.
+    Uses only enumeration and refinement.  Exponential; intended as a
+    cross-check oracle for mobius_nc.
     """
-    n = interval.lower.n
-    lattice = enumerate_nc(n, max_n=max_n)
     lower, upper = interval.lower, interval.upper
-    between = [q for q in lattice if refines(lower, q) and refines(q, upper)]
-    values: dict[Blocks, int] = {}
-
-    def mu(q: NCPartition) -> int:
-        if q.blocks in values:
-            return values[q.blocks]
-        acc = -sum(
-            mu(r) for r in between if refines(r, q) and r.blocks != q.blocks
-        )
-        values[q.blocks] = acc
-        return acc
-
-    values[lower.blocks] = 1
-    return mu(upper)
+    between = [
+        q for q in enumerate_nc(lower.n) if refines(lower, q) and refines(q, upper)
+    ]
+    # a linear extension, finer first: lower is first, upper last, and every
+    # r < q comes before q; partitions with as many blocks as q never refine it
+    between.sort(key=lambda q: -q.num_blocks)
+    values: list[int] = []
+    for q in between:
+        # zip stops at q: it pairs each partition before q with its value
+        below = (m for r, m in zip(between, values) if refines(r, q))
+        values.append(-sum(below) if values else 1)
+    return values[-1]

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: all-set-partition enumeration with a
 quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep, and
-plain mp.quad integrals of densities.  The production code must agree with
+certified Gauss-Legendre integrals of densities.  The production code must agree with
 these on small sizes.
 """
 
@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 import mpmath as mp
+
+from freemoments.errors import NumericError, UnsupportedOperationError
+from freemoments.measures import MARCHENKO_PASTUR, SEMICIRCLE, UNIFORM, Measure
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -102,33 +106,70 @@ def product_over_blocks(blocks: Blocks, values: list[Fraction]) -> Fraction:
     return acc
 
 
-# ------------------------------------------------- Cauchy transforms by quad
+# ------------------------------------------------------ density quadrature
+
+_QUAD_GUARD_DIGITS = 15
 
 
 def _mpf(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
-def marchenko_pastur_cauchy_quad(rate: Fraction, z, dps: int):
-    """G(z) of the unit-mass Marchenko-Pastur law (rate >= 1), by mp.quad at
-    dps + 15 digits.  x = (1 + rate) + 2 sqrt(rate) sin(theta) maps
-    [-pi/2, pi/2] onto the support and turns the density
-    sqrt((b - x)(x - a)) / (2 pi x) dx into an analytic integrand.  Gauss-
-    Legendre never samples the endpoint x = 0 of rate 1."""
-    with mp.workdps(dps + 15):
-        lam = _mpf(rate)
-        center, half = 1 + lam, 2 * mp.sqrt(lam)
+def _quad_certified(f: Callable, a, b, dps: int):
+    """Adaptive Gauss-Legendre with a checked error estimate: dps relative
+    digits, or an absolute error of 10^(-dps-10) when the value itself is
+    tiny (the estimator bottoms out at the working epsilon)."""
+    for maxdegree in (8, 10, 12):
+        val, err = mp.quad(
+            f, [a, b], error=True, method="gauss-legendre", maxdegree=maxdegree
+        )
+        floor = max(abs(val) * mp.mpf(10) ** (-dps - 5), mp.mpf(10) ** (-dps - 10))
+        if err <= floor:
+            return val
+    raise NumericError(f"quadrature failed to certify {dps} digits (estimate {err})")
 
-        def f(theta):
+
+def density_integral(mu: Measure, h: Callable, dps: int):
+    """Integral of h(x) d(mu) for a semicircle, Marchenko-Pastur or uniform
+    density, certified to dps digits and computed at dps + 15.  The
+    square-root laws are integrated in theta, x = center + half sin(theta) on
+    [-pi/2, pi/2], which absorbs their endpoint behaviour: the density times
+    dx/dtheta is cos(theta)^2 times an analytic factor.  Gauss-Legendre never
+    samples the endpoint x = 0 of Marchenko-Pastur at rate 1."""
+    with mp.workdps(dps + _QUAD_GUARD_DIGITS):
+        mass = _mpf(mu.mass)
+        if mu.density == UNIFORM:
+            a, b = _mpf(mu.param("a")), _mpf(mu.param("b"))
+            return mass * _quad_certified(lambda x: h(x) / (b - a), a, b, dps)
+        if mu.density == MARCHENKO_PASTUR:
+            s = mp.sqrt(_mpf(mu.param("rate")))
+            center, half = 1 + s * s, 2 * s
+
+            def factor(x):
+                return half * half / (2 * mp.pi * x)
+
+        elif mu.density == SEMICIRCLE:
+            center, half = _mpf(mu.param("center")), _mpf(mu.param("radius"))
+
+            def factor(x):
+                return 2 / mp.pi
+
+        else:
+            raise UnsupportedOperationError(f"no quadrature for {mu.density}")
+
+        def integrand(theta):
             x = center + half * mp.sin(theta)
-            return half**2 * mp.cos(theta) ** 2 / (2 * mp.pi * x * (z - x))
+            return factor(x) * mp.cos(theta) ** 2 * h(x)
 
-        return mp.quad(f, [-mp.pi / 2, mp.pi / 2], method="gauss-legendre")
+        return mass * _quad_certified(integrand, -mp.pi / 2, mp.pi / 2, dps)
 
 
-def uniform_cauchy_quad(a: Fraction, b: Fraction, z, dps: int):
-    """G(z) of the unit-mass uniform law on [a, b], by mp.quad at dps + 15
-    digits."""
-    with mp.workdps(dps + 15):
-        lo, hi = _mpf(a), _mpf(b)
-        return mp.quad(lambda x: 1 / (z - x), [lo, hi]) / (hi - lo)
+def numeric_moment(mu: Measure, k: int, dps: int = 30):
+    """Quadrature value of the k-th raw moment of a density measure; checks
+    the closed moment recurrences."""
+    return density_integral(mu, lambda x: x**k, dps)
+
+
+def cauchy_quad(mu: Measure, z, dps: int):
+    """G(z) of a density measure by quadrature; checks the closed forms."""
+    return density_integral(mu, lambda x: 1 / (z - x), dps)

@@ -8,6 +8,7 @@ import pytest
 
 from freemoments.cli import main
 from freemoments.measures import Measure, measure_to_json
+from freemoments.noncrossing import catalan
 from freemoments.rmt import MatrixEnsembleSpec, ensemble_spec_to_json
 
 
@@ -178,6 +179,9 @@ def test_validation_problems_exit_1(capsys, argv):
         ("nc", "--mobius", "[[1]]", "--upper", "[[1], []]"),
         ("nc", "--kreweras", '[[1, "a"]]'),
         ("nc", "--kreweras", "[1, 2]"),
+        ("nc", "--kreweras", "[[1, 1000000000000000000]]"),
+        # an integer literal past the interpreter's int/str digit limit
+        ("nc", "--kreweras", "[[1, " + "9" * 5000 + "]]"),
     ],
 )
 def test_nc_malformed_blocks_exit_1(capsys, argv):
@@ -185,6 +189,38 @@ def test_nc_malformed_blocks_exit_1(capsys, argv):
     assert code == 1
     assert data["error"] == "validation"
     assert set(data) == {"error", "detail"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nc", "--count", "8000"),
+        ("nc", "--count", "1000000000000"),
+        ("nc", "--mobius", json.dumps([[x] for x in range(1, 8001)])),
+    ],
+)
+def test_nc_unprintable_results_rejected_up_front(capsys, monkeypatch, argv):
+    # Catalan(n) and |Mobius| are below 4^n: the estimate rejects the input
+    # before the number is computed
+    import freemoments.cli as cli
+
+    def never(*args):
+        raise AssertionError("computed a result the estimate should reject")
+
+    monkeypatch.setattr(cli, "catalan", never)
+    monkeypatch.setattr(cli, "mobius_nc", never)
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"] == "size-limit"
+    assert set(data) == {"error", "detail"}
+
+
+def test_nc_mobius_on_many_elements(capsys):
+    # O(n) Kreweras: 7000 singletons up to the one-block partition give
+    # -Catalan(6999), which still prints
+    code, data = run_json(capsys, "nc", "--mobius", json.dumps([[x] for x in range(1, 7001)]))
+    assert code == 0
+    assert data["mobius"] == -catalan(6999)
 
 
 def test_internal_error_keeps_json_contract(capsys, monkeypatch):

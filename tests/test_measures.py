@@ -23,11 +23,10 @@ from freemoments.measures import (
     measure_from_json,
     measure_to_json,
     moments,
-    numeric_moment,
     truncate_measure,
 )
 
-from oracles import marchenko_pastur_cauchy_quad, uniform_cauchy_quad
+from oracles import cauchy_quad, numeric_moment
 
 F = Fraction
 
@@ -214,20 +213,20 @@ def test_semicircle_transform_vs_quadrature():
 
 
 def test_mp_transform_vs_quadrature_oracle():
-    # the production closed form against plain quadrature of the density
+    # the production closed form against certified quadrature of the density
     for rate in (F(1), F(2), F(5, 2)):
         mu = Measure.marchenko_pastur(rate)
         b = mu.support_radius()
         for z in (mp.mpc(2, 1), mp.mpc(-1, 0.5), mp.mpc(0, 3), mp.mpc(b + 2, 0.5)):
-            want = marchenko_pastur_cauchy_quad(rate, z, 30)
+            want = cauchy_quad(mu, z, 30)
             assert close(cauchy_transform(mu, z, dps=30), want, 1e-20)
 
 
 def test_uniform_transform_vs_quadrature_oracle():
-    # the production closed form against plain quadrature of the density
+    # the production closed form against certified quadrature of the density
     mu = Measure.uniform(-1, 2)
     for z in (mp.mpc(0, 1), mp.mpc(3, 2), mp.mpc(-5, 0.5)):
-        want = uniform_cauchy_quad(F(-1), F(2), z, 30)
+        want = cauchy_quad(mu, z, 30)
         assert close(cauchy_transform(mu, z, dps=30), want, 1e-20)
 
 

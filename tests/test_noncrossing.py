@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from freemoments.noncrossing import (
     mobius_nc,
     mobius_nc_poset,
     refines,
+    size_ceiling,
 )
 
 from oracles import (
@@ -73,7 +76,9 @@ def test_size_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("FREEMOMENTS_MAX_N", "3")
     with pytest.raises(SizeLimitError):
         enumerate_nc(4)
-    assert len(enumerate_nc(4, max_n=14)) == 14
+    monkeypatch.setenv("FREEMOMENTS_MAX_N", "15")
+    assert size_ceiling() == 15
+    assert len(enumerate_nc(4)) == 14
     monkeypatch.setenv("FREEMOMENTS_MAX_N", "nope")
     with pytest.raises(ValidationError):
         enumerate_nc(4)
@@ -112,7 +117,9 @@ def test_ncpartition_validation():
     assert p.n == 3
 
 
-@pytest.mark.parametrize("blocks", [[[]], [[1], []], [[1, "a"]], [["a"]], [1, 2]])
+@pytest.mark.parametrize(
+    "blocks", [[[]], [[1], []], [[1, "a"]], [["a"]], [1, 2], [[1, 10**18]]]
+)
 def test_malformed_blocks_rejected_before_sorting(blocks):
     with pytest.raises(ValidationError):
         is_noncrossing(blocks)
@@ -120,6 +127,18 @@ def test_malformed_blocks_rejected_before_sorting(blocks):
         NCPartition.from_blocks(blocks)
     with pytest.raises(ValidationError):
         NCPartition(1, tuple(blocks))
+
+
+def test_rejecting_a_huge_element_allocates_little():
+    # validation is O(elements), not O(max element)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            NCPartition.from_blocks([[1, 10**6]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- kreweras
@@ -169,9 +188,17 @@ def test_kreweras_union_noncrossing_and_maximal(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_kreweras_double_complement_preserves_block_sizes(n):
+    # K(K(pi)) is pi rotated one step down: x -> x - 1, and 1 -> n
     for p in enumerate_nc(n):
         kk = kreweras_complement(kreweras_complement(p))
-        assert kk.block_sizes() == p.block_sizes()
+        rotated = [[(x - 2) % n + 1 for x in b] for b in p.blocks]
+        assert kk == NCPartition.from_blocks(rotated, n)
+
+
+def test_kreweras_large_extremes():
+    n = 2000
+    assert kreweras_complement(NCPartition.discrete(n)) == NCPartition.full(n)
+    assert kreweras_complement(NCPartition.full(n)) == NCPartition.discrete(n)
 
 
 # ---------------------------------------------------------------- mobius
