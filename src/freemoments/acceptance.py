@@ -11,7 +11,7 @@ short-circuit the rest) and returns one :class:`CriterionResult` per
 criterion; ``format_report`` renders one PASS/FAIL line each.  A criterion
 that overruns its runtime budget fails even if all its checks pass.
 
-``AcceptanceConfig`` exists mostly for negative controls: overriding the
+``AcceptanceConfig`` exists for negative controls: overriding the
 semicircle reference moments with corrupted values must flip the
 ``taylor-recovery`` criterion to a named failure.
 """
@@ -30,6 +30,7 @@ import mpmath as mp
 from .cumulants import (
     CumulantSequence,
     MomentSequence,
+    as_fraction,
     free_convolve,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
@@ -43,7 +44,7 @@ from .levy import (
     moments_of_classical_id,
     moments_of_free_id,
 )
-from .measures import Measure, _parse_exact, moments
+from .measures import Measure, moments
 from .noncrossing import (
     NCInterval,
     NCPartition,
@@ -72,22 +73,20 @@ SUITE_SEED = 20260825
 
 @dataclass(frozen=True)
 class AcceptanceConfig:
-    """Knobs for the battery.
-
-    semicircle_moments replaces the exact reference moments of the standard
-    semicircle inside the taylor-recovery criterion (negative-control hook);
-    matrix_budget overrides the sampling cost guard of the matrix criterion.
+    """The battery's one knob, a negative-control hook: semicircle_moments
+    replaces the exact reference moments of the standard semicircle inside
+    the taylor-recovery criterion.  The matrix criterion runs under the
+    sampler's default work budget, which its largest case fits.
     """
 
     semicircle_moments: tuple[Fraction, ...] | None = None
-    matrix_budget: float | None = None
 
     def __post_init__(self) -> None:
         if self.semicircle_moments is not None:
             object.__setattr__(
                 self,
                 "semicircle_moments",
-                tuple(_parse_exact(v) for v in self.semicircle_moments),
+                tuple(as_fraction(v) for v in self.semicircle_moments),
             )
 
 
@@ -443,50 +442,32 @@ def _criterion_matrices(config: AcceptanceConfig) -> tuple[bool, str]:
     three reference ensembles, and the free-sum run statistically separates
     the free prediction from plausible classical-convolution values."""
     checks = _Checks()
-    budget = config.matrix_budget
-    half = Fraction(1, 2)
-
     gue = MatrixEnsembleSpec(kind="gue", dim=500, trials=40, seed=SUITE_SEED)
-    est = sample_trace_moments(gue, 6, budget=budget)
-    report = compare_to_prediction(est, predicted_moments(gue, 6))
-    for row in report:
-        checks.expect(
-            row["within"],
-            f"gue order {row['order']}: |{_fmt(row['difference'])}| exceeds "
-            f"allowance {_fmt(row['allowance'])}",
-        )
-
     wishart = MatrixEnsembleSpec(
         kind="wishart", dim=500, trials=40, seed=SUITE_SEED + 1, rate=Fraction(1)
     )
-    est = sample_trace_moments(wishart, 4, budget=budget)
-    report = compare_to_prediction(est, predicted_moments(wishart, 4))
-    for row in report:
-        checks.expect(
-            row["within"],
-            f"wishart order {row['order']}: |{_fmt(row['difference'])}| exceeds "
-            f"allowance {_fmt(row['allowance'])}",
-        )
-
-    bernoulli = Measure.discrete([(-1, half), (1, half)])
+    bernoulli = Measure.discrete([(-1, "1/2"), (1, "1/2")])
     part = MatrixEnsembleSpec(
         kind="deterministic", dim=600, trials=1, seed=0, measure=bernoulli
     )
     free_sum = MatrixEnsembleSpec(
         kind="free_sum", dim=600, trials=40, seed=SUITE_SEED + 2, parts=(part, part)
     )
-    est = sample_trace_moments(free_sum, 4, budget=budget)
-    report = compare_to_prediction(est, predicted_moments(free_sum, 4))
-    for row in report:
-        checks.expect(
-            row["within"],
-            f"free-sum order {row['order']}: |{_fmt(row['difference'])}| exceeds "
-            f"allowance {_fmt(row['allowance'])}",
-        )
-    # The free prediction for the fourth moment is 6.  A classical
-    # (independent) sum of the same two Bernoulli matrices would have
-    # fourth moment 8; the sampler must reject that, and also the value 4
-    # sometimes quoted for this discriminator, at the same allowance.
+    cases = (("gue", gue, 6), ("wishart", wishart, 4), ("free-sum", free_sum, 4))
+    for label, spec, order in cases:
+        est = sample_trace_moments(spec, order)
+        report = compare_to_prediction(est, predicted_moments(spec, order))
+        for row in report:
+            checks.expect(
+                row["within"],
+                f"{label} order {row['order']}: |{_fmt(row['difference'])}| exceeds "
+                f"allowance {_fmt(row['allowance'])}",
+            )
+    # est and report now hold the free-sum run, the last case.  The free
+    # prediction for the fourth moment is 6.  A classical (independent) sum
+    # of the same two Bernoulli matrices would have fourth moment 8; the
+    # sampler must reject that, and also the value 4 sometimes quoted for
+    # this discriminator, at the same allowance.
     allowance = report[3]["allowance"]
     sampled = est.means[3]
     for classical_value in (4.0, 8.0):

@@ -42,6 +42,7 @@ from .cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    as_fraction,
     classical_cumulants_from_moments,
     free_convolve,
     free_cumulants_from_moments,
@@ -62,7 +63,7 @@ from .levy import (
     moments_of_classical_id,
     moments_of_free_id,
 )
-from .measures import Measure, _parse_exact, measure_from_json, moments
+from .measures import Measure, measure_from_json, moments
 from .noncrossing import (
     NCInterval,
     NCPartition,
@@ -128,7 +129,7 @@ def _sequence_from_text(text: str, what: str) -> tuple[Fraction, ...]:
     data = _load_json_text(text, what)
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{what} must be a non-empty JSON array")
-    return tuple(_parse_exact(v) for v in data)
+    return tuple(as_fraction(v) for v in data)
 
 
 def _fractions_to_json(values) -> list[str]:
@@ -333,7 +334,7 @@ def _run_rtransform(args) -> tuple[dict, int]:
 
 
 def _run_levy(args) -> tuple[dict, int]:
-    gamma = _parse_exact(args.gamma)
+    gamma = as_fraction(args.gamma)
     sigma = _measure_from_file(args.sigma)
     pair = LevyPair(gamma, sigma)
     kind = CLASSICAL if args.classical else FREE
@@ -381,10 +382,7 @@ def _run_verify(args) -> tuple[dict, int]:
             overrides = _sequence_from_text(
                 args.corrupt_semicircle, "--corrupt-semicircle"
             )
-        config = AcceptanceConfig(
-            semicircle_moments=overrides, matrix_budget=args.budget
-        )
-        results = run_suite(only=only, config=config)
+        results = run_suite(only=only, config=AcceptanceConfig(overrides))
         print(format_report(results), file=sys.stderr)
         payload = suite_report_json(results)
         return payload, 0 if payload["passed"] else 2
@@ -415,6 +413,26 @@ def _run_verify(args) -> tuple[dict, int]:
 # ------------------------------------------------------------------- parser
 
 
+def _checked(convert, accept, wanted: str, keep_text: bool = False):
+    """argparse type for a numeric flag whose converted value must pass accept;
+    keep_text returns the flag as given (--tol is echoed and re-read later)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, TypeError):
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+        return text if keep_text else value
+
+    return parse
+
+
+_TOL = _checked(mp.mpf, lambda v: mp.isfinite(v) and v > 0, "a positive number", True)
+_BUDGET = _checked(float, lambda v: v > 0, "a positive budget (inf allowed)")
+_DPS = _checked(int, lambda v: v >= 1, "a precision of at least 1 digit")
+
+
 def _add_ray_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", default="1", help="ray cone parameter (exact)")
     parser.add_argument("--beta", default="1/8", help="outermost radius (exact)")
@@ -422,7 +440,7 @@ def _add_ray_flags(parser: argparse.ArgumentParser) -> None:
         "--tilt", default="0", help="tangent of the ray angle off vertical (exact)"
     )
     parser.add_argument("--levels", type=int, default=41, help="halving depth")
-    parser.add_argument("--dps", type=int, default=50, help="working precision")
+    parser.add_argument("--dps", type=_DPS, default=50, help="working precision")
     parser.add_argument("--guard", type=int, default=2, help="extra fit degrees")
 
 
@@ -485,6 +503,7 @@ def _build_parser() -> _Parser:
     _add_ray_flags(rtransform)
     rtransform.add_argument(
         "--tol",
+        type=_TOL,
         metavar="T",
         help="fail (exit 2) when any coefficient error estimate exceeds T",
     )
@@ -502,15 +521,15 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--spec", required=True, metavar="FILE")
     simulate.add_argument("--order", type=int, required=True)
     simulate.add_argument("--seed", type=int, help="override the spec seed")
-    simulate.add_argument("--budget", type=float, help="work budget override")
+    simulate.add_argument("--budget", type=_BUDGET, help="work budget override")
     simulate.add_argument("--out", metavar="FILE", help="write JSON here")
     simulate.set_defaults(run=_run_simulate, out_flag="out")
 
     verify = sub.add_parser("verify", help="coefficient check or acceptance suite")
     verify.add_argument("--measure", metavar="FILE")
     verify.add_argument("--order", type=int)
-    verify.add_argument("--dps", type=int, default=50)
-    verify.add_argument("--tol", default="1e-4", help="max coefficient error")
+    verify.add_argument("--dps", type=_DPS, default=50)
+    verify.add_argument("--tol", type=_TOL, default="1e-4", help="max coefficient error")
     verify.add_argument("--suite", action="store_true", help="run all criteria")
     verify.add_argument(
         "--only",
@@ -523,7 +542,6 @@ def _build_parser() -> _Parser:
         metavar="JSON",
         help="replace the semicircle reference moments (negative control)",
     )
-    verify.add_argument("--budget", type=float, help="matrix work budget override")
     verify.set_defaults(run=_run_verify)
 
     return parser

@@ -34,14 +34,24 @@ CLASSICAL = "classical"
 
 
 def as_fraction(value) -> Fraction:
-    """Exact coercion: int or Fraction only.  Floats are rejected, never
-    silently converted."""
-    if isinstance(value, bool):
-        raise ValidationError("bool is not a rational scalar")
-    if isinstance(value, int):
-        return Fraction(value)
+    """The one exact coercion: Fractions, ints and "p/q" or decimal strings
+    ("3/4", "1.25") become Fractions.  Floats, bools and anything else are
+    rejected, never silently converted."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, int):
+        if isinstance(value, bool):
+            raise ValidationError("bool is not a rational scalar")
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {value!r}") from exc
+    if isinstance(value, float):
+        raise ValidationError(
+            f"float {value!r} rejected: pass an exact 'p/q' or decimal string"
+        )
     raise ValidationError(
         f"exact rational required, got {type(value).__name__}: {value!r}"
     )
@@ -181,7 +191,7 @@ def _egf_series(values: tuple[Fraction, ...], constant: Fraction):
     coeffs = [constant]
     for i, v in enumerate(values, start=1):
         coeffs.append(v / math.factorial(i))
-    return TruncatedSeries.from_coeffs(coeffs)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def _values_from_egf(series) -> tuple[Fraction, ...]:

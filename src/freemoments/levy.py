@@ -28,6 +28,8 @@ from .cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    _check_order,
+    as_fraction,
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
 )
@@ -36,7 +38,6 @@ from .measures import (
     DENSITY,
     DISCRETE,
     Measure,
-    _parse_exact,
     absolute_moments,
     measure_from_json,
     measure_to_json,
@@ -52,19 +53,15 @@ class LevyPair:
     sigma: Measure
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _parse_exact(self.gamma))
+        object.__setattr__(self, "gamma", as_fraction(self.gamma))
         if not isinstance(self.sigma, Measure):
             raise ValidationError("sigma must be a Measure")
 
 
-def _check_order(p: int) -> None:
-    if p < 1:
-        raise ValidationError("order p must be >= 1")
-
-
-def _sigma_moments(pair: LevyPair, p: int) -> tuple[Fraction, ...]:
-    """(m_0, m_1, ..., m_p) of sigma, with m_0 the total mass."""
-    return (pair.sigma.mass,) + moments(pair.sigma, p).values
+def _canonical_cumulants(drift: Fraction, m: tuple) -> tuple[Fraction, ...]:
+    """k_1 = drift + m_1 and k_q = m_(q-2) + m_q (q >= 2) from
+    m = (m_0, m_1, ..., m_p), m_0 the total mass."""
+    return (drift + m[1],) + tuple(m[q - 2] + m[q] for q in range(2, len(m)))
 
 
 def cumulants_from_levy(pair: LevyPair, p: int, kind: str = FREE) -> CumulantSequence:
@@ -72,11 +69,8 @@ def cumulants_from_levy(pair: LevyPair, p: int, kind: str = FREE) -> CumulantSeq
     and classical readings share the same numbers; only the kind tag
     changes."""
     _check_order(p)
-    m = _sigma_moments(pair, p)
-    values = [pair.gamma + (m[1] if p >= 1 else Fraction(0))]
-    for q in range(2, p + 1):
-        values.append(m[q - 2] + m[q])
-    return CumulantSequence(tuple(values[:p]), kind=kind)
+    m = (pair.sigma.mass,) + moments(pair.sigma, p).values
+    return CumulantSequence(_canonical_cumulants(pair.gamma, m), kind=kind)
 
 
 def free_cumulants_from_levy(pair: LevyPair, p: int) -> CumulantSequence:
@@ -131,7 +125,7 @@ def levy_add(a: LevyPair, b: LevyPair) -> LevyPair:
 def dilate_levy(pair: LevyPair, t) -> LevyPair:
     """Pair of the dilation x -> t x of the generated law (discrete sigma
     only; the reweighting keeps the canonical form)."""
-    t = _parse_exact(t)
+    t = as_fraction(t)
     if t == 0:
         raise ValidationError("dilation factor must be nonzero")
     if pair.sigma.kind != DISCRETE:
@@ -178,10 +172,8 @@ def moment_growth_bound(pair: LevyPair, p: int) -> tuple[Fraction, ...]:
     sigma: the free moments of that bound sequence."""
     _check_order(p)
     mhat = (pair.sigma.mass,) + absolute_moments(pair.sigma, p)
-    b = [abs(pair.gamma) + mhat[1]]
-    for q in range(2, p + 1):
-        b.append(mhat[q - 2] + mhat[q])
-    return moments_from_free_cumulants(CumulantSequence(tuple(b))).values
+    bound = _canonical_cumulants(abs(pair.gamma), mhat)
+    return moments_from_free_cumulants(CumulantSequence(bound)).values
 
 
 def diagnose_moment_transfer(pair: LevyPair, p: int) -> list[dict]:

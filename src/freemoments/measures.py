@@ -2,17 +2,21 @@
 a small family of named densities (semicircle, Marchenko-Pastur, Cauchy,
 uniform).
 
-Moments are exact rationals computed from closed recurrences.  The Cauchy
-transform G(z) = integral of 1/(z - x) and its derivative are evaluated in
-arbitrary precision (mpmath) in closed form for every shape, written so that
-nothing cancels for large |z|.  No production path integrates numerically;
+Exact data passes through ``cumulants.as_fraction`` (ints, Fractions, "p/q"
+or decimal strings; never floats).  Moments are exact rationals computed from
+closed recurrences and, for the semicircle, the affine map x -> scale * x +
+shift that the random-matrix predictions share.  The Cauchy transform
+G(z) = integral of 1/(z - x) and its derivative are evaluated in arbitrary
+precision (mpmath) in closed form for every shape, written so that nothing
+cancels for large |z|.  No production path integrates numerically;
 quadrature of the densities lives in the test oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
 for masses other than 1.  G is defined on the upper half-plane and, for
 compactly supported measures, also outside the closed disk containing the
-support, where it is continued by reflection G(conj z) = conj G(z).
+support; every lower-half-plane point is evaluated by the reflection
+G(conj z) = conj G(z).
 """
 
 from __future__ import annotations
@@ -48,20 +52,6 @@ _DENSITY_PARAMS = {
     UNIFORM: ("a", "b"),
 }
 
-def _parse_exact(value) -> Fraction:
-    """ints, Fractions and 'p/q' / decimal strings are exact; floats are
-    rejected so binary rounding never sneaks into rational data."""
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {value!r}") from exc
-    if isinstance(value, float):
-        raise ValidationError(
-            f"float {value!r} rejected: pass an exact 'p/q' or decimal string"
-        )
-    return as_fraction(value)
-
 
 @dataclass(frozen=True)
 class Measure:
@@ -77,7 +67,7 @@ class Measure:
     def __post_init__(self) -> None:
         if self.kind == DISCRETE:
             atoms = tuple(
-                (_parse_exact(t), _parse_exact(w)) for t, w in self.atoms
+                (as_fraction(t), as_fraction(w)) for t, w in self.atoms
             )
             atoms = tuple(sorted(atoms, key=lambda a: a[0]))
             locations = [t for t, _ in atoms]
@@ -98,9 +88,9 @@ class Measure:
                 raise ValidationError(
                     f"{self.density} needs params {wanted}, got {tuple(given)}"
                 )
-            params = tuple((name, _parse_exact(given[name])) for name in wanted)
+            params = tuple((name, as_fraction(given[name])) for name in wanted)
             object.__setattr__(self, "params", params)
-            object.__setattr__(self, "mass", _parse_exact(self.mass))
+            object.__setattr__(self, "mass", as_fraction(self.mass))
             if self.mass < 0:
                 raise ValidationError("mass must be nonnegative")
             if self.atoms:
@@ -169,7 +159,7 @@ class Measure:
 
     def scaled(self, factor) -> "Measure":
         """Same shape with all weights (total mass) multiplied by factor."""
-        f = _parse_exact(factor)
+        f = as_fraction(factor)
         if f <= 0:
             raise ValidationError("scale factor must be positive")
         if self.kind == DISCRETE:
@@ -183,7 +173,7 @@ class Measure:
         if self.kind == DISCRETE:
             if not self.atoms:
                 return mp.mpf(0)
-            return max(abs(mp.mpf(t.numerator) / t.denominator) for t, _ in self.atoms)
+            return max(abs(_to_mpf(t)) for t, _ in self.atoms)
         if self.density == SEMICIRCLE:
             c, r = self.param("center"), self.param("radius")
             return max(abs(_to_mpf(c - r)), abs(_to_mpf(c + r)))
@@ -202,21 +192,24 @@ def _to_mpf(q: Fraction):
 # -------------------------------------------------------------------- moments
 
 
-def _semicircle_moments(center: Fraction, radius: Fraction, p: int) -> list[Fraction]:
-    q = radius * radius / 4
-    central = [Fraction(0)] * (p + 1)
-    central[0] = Fraction(1)
-    for k in range(1, p // 2 + 1):
-        central[2 * k] = catalan(k) * q**k
+def _affine_moments(values, scale: Fraction, shift: Fraction) -> tuple[Fraction, ...]:
+    """Moments of scale * X + shift from the moments m_1..m_p of a law X of
+    unit mass (m_0 = 1), by the binomial expansion."""
+    full = (Fraction(1),) + tuple(values)
     out = []
-    for i in range(1, p + 1):
-        out.append(
-            sum(
-                math.comb(i, j) * center ** (i - j) * central[j]
-                for j in range(i + 1)
-            )
-        )
-    return out
+    for k in range(1, len(full)):
+        acc = Fraction(0)
+        for j in range(k + 1):
+            acc += math.comb(k, j) * scale**j * full[j] * shift ** (k - j)
+        out.append(acc)
+    return tuple(out)
+
+
+def _semicircle_moments(center: Fraction, radius: Fraction, p: int) -> tuple:
+    """The standard semicircle (m_2k = Catalan(k), odd moments 0) scaled by
+    radius / 2 and shifted by center."""
+    standard = [0 if i % 2 else catalan(i // 2) for i in range(1, p + 1)]
+    return _affine_moments(standard, radius / 2, center)
 
 
 def _narayana(p: int, k: int) -> int:
@@ -306,7 +299,7 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
 
 def _part_to_mpf(v):
     if isinstance(v, (int, str, Fraction)):
-        return _to_mpf(_parse_exact(v))
+        return _to_mpf(as_fraction(v))
     return mp.mpf(v)
 
 
@@ -330,7 +323,7 @@ def _check_domain(mu: Measure, z: mp.mpc, dps: int) -> None:
 
 def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
     """G(z), or G'(z), at a point that passed the domain check; _transform
-    reflects z out of the lower half-plane for the compact density shapes.
+    reflects z out of the lower half-plane.
 
     The density shapes use forms free of cancellation for large |z| (the ray
     inversion's Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) *
@@ -371,9 +364,6 @@ def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
         width = _to_mpf(b - a)
         return mass * mp.log1p(width / (z - hi)) / width
     # cauchy
-    if z.imag <= 0:
-        raise DomainError("the Cauchy transform of the Cauchy density is "
-                          "only evaluated in the upper half-plane")
     d = z - _to_mpf(mu.param("center")) + mp.mpc(0, 1) * _to_mpf(mu.param("scale"))
     return mass * (-(d**-2) if derivative else 1 / d)
 
@@ -382,9 +372,10 @@ def _transform(mu: Measure, z, dps: int, derivative: bool) -> mp.mpc:
     with mp.workdps(dps):
         zz = _as_mpc(z)
         _check_domain(mu, zz, dps)
-        if zz.imag < 0 and not (mu.kind == DISCRETE or mu.density == CAUCHY):
-            # reflection through the real axis for compactly supported shapes
-            return mp.conj(_transform(mu, mp.conj(zz), dps, derivative))
+        if zz.imag < 0:
+            # the domain check admits the lower half-plane only outside a
+            # compact support, where G(conj z) = conj G(z)
+            return mp.conj(_transform_closed(mu, mp.conj(zz), derivative))
         return _transform_closed(mu, zz, derivative)
 
 
@@ -407,7 +398,7 @@ def cauchy_transform_exact(mu: Measure, re: Fraction, im: Fraction) -> tuple[Fra
     measures: the transform is a rational function of the atom data."""
     if mu.kind != DISCRETE:
         raise UnsupportedOperationError("exact evaluation needs a discrete measure")
-    re, im = _parse_exact(re), _parse_exact(im)
+    re, im = as_fraction(re), as_fraction(im)
     if im <= 0:
         radius = max((abs(t) for t, _ in mu.atoms), default=Fraction(0))
         if re * re + im * im <= radius * radius:
@@ -437,8 +428,8 @@ class Window:
     hi_closed: bool = False
 
     def __post_init__(self) -> None:
-        lo = None if self.lo is None else _parse_exact(self.lo)
-        hi = None if self.hi is None else _parse_exact(self.hi)
+        lo = None if self.lo is None else as_fraction(self.lo)
+        hi = None if self.hi is None else as_fraction(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if lo is not None and hi is not None and lo > hi:
@@ -488,7 +479,7 @@ def measure_from_json(data) -> Measure:
         if not isinstance(atoms, list) or any(len(a) != 2 for a in atoms):
             raise ValidationError("discrete measure needs 'atoms': [[t, w], ...]")
         mu = Measure.discrete([(a[0], a[1]) for a in atoms])
-        if "mass" in data and _parse_exact(data["mass"]) != mu.mass:
+        if "mass" in data and as_fraction(data["mass"]) != mu.mass:
             raise ValidationError("declared mass disagrees with atom weights")
         return mu
     if kind == DENSITY:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .cumulants import MomentSequence, free_cumulants_from_moments
+from .cumulants import MomentSequence, as_fraction, free_cumulants_from_moments
 from .errors import (
     DomainError,
     NumericError,
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    _parse_exact,
     _to_mpf,
     cauchy_transform,
     cauchy_transform_derivative,
@@ -58,9 +57,9 @@ class NontangentialRay:
     levels: int = DEFAULT_LEVELS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _parse_exact(self.alpha))
-        object.__setattr__(self, "beta", _parse_exact(self.beta))
-        object.__setattr__(self, "tan_theta", _parse_exact(self.tan_theta))
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "tan_theta", as_fraction(self.tan_theta))
         if self.alpha <= 0:
             raise ValidationError("alpha must be positive")
         if self.beta <= 0:
@@ -233,6 +232,10 @@ class TaylorEstimate:
 
 
 def _fit_coefficients(ts, values, degree, t_ref):
+    """Least squares on a[i, m] = (t_i / t_ref)^m by one skinny QR, a = QR:
+    returns (x, R, R^-1) with x = R^-1 Q^T b.  Q has orthonormal columns, so
+    the pseudo-inverse R^-1 Q^T has the row norms of R^-1 and a has the
+    singular values of R."""
     rows, cols = len(ts), degree + 1
     a = mp.matrix(rows, cols)
     b = mp.matrix(rows, 1)
@@ -243,14 +246,16 @@ def _fit_coefficients(ts, values, degree, t_ref):
             a[i, m] = acc
             acc *= s
         b[i] = v
-    try:
-        x, _ = mp.qr_solve(a, b)
-    except ValueError as exc:
+    q, r = mp.qr(a, mode="skinny")
+    if any(r[m, m] ** 2 <= mp.eps for m in range(cols)):
         raise NumericError(
             "least-squares matrix is numerically singular; lower the fit "
             "degree or raise the working precision"
-        ) from exc
-    return a, [x[m] for m in range(cols)]
+        )
+    with mp.extradps(10):
+        r_inv = mp.inverse(r)
+        x = r_inv * (q.T * b)
+    return [x[m] for m in range(cols)], r, r_inv
 
 
 def estimate_taylor_on_ray(
@@ -263,7 +268,9 @@ def estimate_taylor_on_ray(
     sub-grid of radii <= beta/100 (or max_radius) and read off the first p
     coefficients.  Requires at least 3 (p + 1) points spanning two decades
     of radius.  Error figures come from refitting on the even- and
-    odd-indexed halves of the grid."""
+    odd-indexed halves of the grid; each of the three fits is one QR
+    factorisation, and the condition number and the sensitivity to the
+    inversion residuals are read off the full fit's small square R."""
     if p < 1:
         raise ValidationError("order p must be >= 1")
     if guard < 0:
@@ -285,32 +292,28 @@ def estimate_taylor_on_ray(
             raise ValidationError("fit radii must span at least two decades")
         vals = [samples.r_values[i] for i in sel]
         t_ref = max(ts)
-        a, x_full = _fit_coefficients(ts, vals, degree, t_ref)
+        x_full, r, r_inv = _fit_coefficients(ts, vals, degree, t_ref)
 
         spreads = [mp.mpf(0)] * (degree + 1)
         for parity in (0, 1):
             sub = [i for i in range(len(sel)) if i % 2 == parity]
             if len(sub) < degree + 1:
                 raise ValidationError("sub-grid too small for the fit degree")
-            _, x_sub = _fit_coefficients(
+            x_sub, _, _ = _fit_coefficients(
                 [ts[i] for i in sub], [vals[i] for i in sub], degree, t_ref
             )
             for m in range(degree + 1):
                 spreads[m] = max(spreads[m], abs(x_full[m] - x_sub[m]))
 
-        sv = mp.svd_r(a, compute_uv=False)
+        sv = mp.svd_r(r, compute_uv=False)
         smin, smax = min(sv), max(sv)
         condition = mp.inf if smin == 0 else smax / smin
 
-        # row norms of the pseudo-inverse give the per-coefficient
-        # sensitivity to the inversion residuals
-        gram = a.T * a
-        pinv = mp.inverse(gram) * a.T
+        # row norms of the pseudo-inverse (those of R^-1) give the
+        # per-coefficient sensitivity to the inversion residuals
         noise = max(samples.stability[i] for i in sel)
-        sens = [
-            mp.sqrt(sum(pinv[m, j] ** 2 for j in range(len(sel))))
-            for m in range(degree + 1)
-        ]
+        with mp.extradps(10):
+            sens = [mp.norm(r_inv[m, :]) for m in range(degree + 1)]
 
         d = samples.ray.direction()
         coeffs, imags, errors, nonreal = [], [], [], []

@@ -26,13 +26,14 @@ import numpy as np
 
 from .cumulants import (
     MomentSequence,
+    as_fraction,
     free_convolve,
 )
 from .errors import BudgetError, ValidationError
 from .measures import (
     Measure,
+    _affine_moments,
     _mp_moments,
-    _parse_exact,
     measure_from_json,
     measure_to_json,
     moments,
@@ -71,12 +72,12 @@ class MatrixEnsembleSpec:
             raise ValidationError("trials must be a positive int")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative int")
-        object.__setattr__(self, "scale", _parse_exact(self.scale))
-        object.__setattr__(self, "shift", _parse_exact(self.shift))
+        object.__setattr__(self, "scale", as_fraction(self.scale))
+        object.__setattr__(self, "shift", as_fraction(self.shift))
         if self.kind == WISHART:
             if self.rate is None:
                 raise ValidationError("wishart needs a rate")
-            object.__setattr__(self, "rate", _parse_exact(self.rate))
+            object.__setattr__(self, "rate", as_fraction(self.rate))
             if self.rate <= 0:
                 raise ValidationError("rate must be positive")
         elif self.rate is not None:
@@ -235,18 +236,6 @@ def sample_trace_moments(
 # ----------------------------------------------------------------- prediction
 
 
-def _affine_moments(values: tuple[Fraction, ...], scale: Fraction, shift: Fraction):
-    """Moments of scale * X + shift from moments of X (probability law)."""
-    full = (Fraction(1),) + tuple(values)
-    out = []
-    for k in range(1, len(full)):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc += math.comb(k, j) * scale**j * full[j] * shift ** (k - j)
-        out.append(acc)
-    return tuple(out)
-
-
 def predicted_moments(spec: MatrixEnsembleSpec, p: int) -> MomentSequence:
     """Exact limiting moments (dim -> infinity at fixed shape) of the
     ensemble's spectral law, as rationals."""
@@ -325,21 +314,14 @@ def ensemble_spec_from_json(data) -> MatrixEnsembleSpec:
     extra = set(data) - known
     if extra:
         raise ValidationError(f"unknown ensemble fields {sorted(extra)}")
-    kwargs: dict = {k: data[k] for k in ("kind", "dim") if k in data}
-    if "kind" not in kwargs or "dim" not in kwargs:
+    if "kind" not in data or "dim" not in data:
         raise ValidationError("ensemble JSON needs 'kind' and 'dim'")
-    for k in ("trials", "seed"):
-        if k in data:
-            kwargs[k] = data[k]
-    if "rate" in data:
-        kwargs["rate"] = data["rate"]
+    plain = ("kind", "dim", "trials", "seed", "rate", "scale", "shift")
+    kwargs: dict = {k: data[k] for k in plain if k in data}
     if "measure" in data:
         kwargs["measure"] = measure_from_json(data["measure"])
     if "parts" in data:
         if not isinstance(data["parts"], list):
             raise ValidationError("'parts' must be a list")
         kwargs["parts"] = tuple(ensemble_spec_from_json(p) for p in data["parts"])
-    for k in ("scale", "shift"):
-        if k in data:
-            kwargs[k] = data[k]
     return MatrixEnsembleSpec(**kwargs)

@@ -42,10 +42,6 @@ class TruncatedSeries:
         )
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable) -> "TruncatedSeries":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls(tuple(Fraction(0) for _ in range(order + 1)))
 
@@ -201,20 +197,7 @@ def series_to_json(series: TruncatedSeries) -> list[str]:
 
 
 def series_from_json(data: Iterable) -> TruncatedSeries:
-    coeffs = []
-    for item in data:
-        if isinstance(item, float):
-            raise ValidationError(
-                "series coefficients must be exact: use 'p/q' strings"
-            )
-        if isinstance(item, str):
-            try:
-                coeffs.append(Fraction(item))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"bad rational literal {item!r}") from exc
-        else:
-            coeffs.append(as_fraction(item))
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(tuple(data))
 
 
 # ------------------------------------------------- moment / R-transform chain

@@ -174,6 +174,46 @@ def test_validation_problems_exit_1(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("rtransform", "--measure", "@semicircle", "--order", "2", "--tol", "abc"),
+        ("rtransform", "--measure", "@semicircle", "--order", "2", "--tol", "nan"),
+        ("verify", "--measure", "@semicircle", "--order", "2", "--tol", "abc"),
+        ("verify", "--measure", "@semicircle", "--order", "2", "--tol", "nan"),
+        ("verify", "--measure", "@semicircle", "--order", "2", "--tol=-1e-5"),
+        ("verify", "--measure", "@semicircle", "--order", "2", "--tol", "0"),
+        ("verify", "--measure", "@semicircle", "--order", "2", "--dps", "0"),
+        ("rtransform", "--measure", "@semicircle", "--order", "2", "--dps", "0"),
+        ("simulate", "--spec", "@gue", "--order", "2", "--budget", "nan"),
+        ("simulate", "--spec", "@gue", "--order", "2", "--budget", "0"),
+        ("simulate", "--spec", "@gue", "--order", "2", "--budget", "-1"),
+        # the suite has no budget flag; the matrix criterion fits the default
+        ("verify", "--suite", "--only", "support-bound", "--budget", "1e12"),
+    ],
+)
+def test_hostile_numeric_flags_exit_1(capsys, semicircle_file, gue_spec_file, argv):
+    files = {"@semicircle": semicircle_file, "@gue": gue_spec_file}
+    code, data = run_json(capsys, *(files.get(a, a) for a in argv))
+    assert code == 1
+    assert data["error"] == "validation"
+    assert set(data) == {"error", "detail"}
+
+
+def test_numeric_flags_accept_decimal_tol_and_infinite_budget(
+    capsys, two_atom_file, gue_spec_file
+):
+    code, data = run_json(
+        capsys, "verify", "--measure", two_atom_file, "--order", "2", "--tol", "1e-5"
+    )
+    assert code == 0
+    assert data["tol"] == "1e-5"  # echoed as given
+    code, data = run_json(
+        capsys, "simulate", "--spec", gue_spec_file, "--order", "2", "--budget", "inf"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("nc", "--kreweras", "[[]]"),
         ("nc", "--mobius", "[[]]"),
         ("nc", "--mobius", "[[1]]", "--upper", "[[1], []]"),

@@ -9,6 +9,7 @@ from freemoments.cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    as_fraction,
     classical_cumulants_from_moments,
     free_convolve,
     free_cumulants_from_moments,
@@ -47,6 +48,31 @@ def test_float_inputs_rejected():
         CumulantSequence((F(1), 2.0))
     with pytest.raises(ValidationError):
         CumulantSequence((True,))
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [("3/4", F(3, 4)), ("1.25", F(5, 4)), (" -2 ", F(-2)), (7, F(7)), (F(2, 3), F(2, 3))],
+)
+def test_as_fraction_accepts_exact_values(value, want):
+    got = as_fraction(value)
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc", "0.5.1", 0.5, True, None, [1]])
+def test_as_fraction_rejects_everything_else(value):
+    with pytest.raises(ValidationError):
+        as_fraction(value)
+
+
+def test_sequences_accept_rational_strings():
+    m = MomentSequence(("0", "1/2", "1.5"))
+    assert m.values == (F(0), F(1, 2), F(3, 2))
+    assert all(type(v) is Fraction for v in m.values)
+    assert free_cumulants_from_moments(m).values == (F(0), F(1, 2), F(3, 2))
+    assert CumulantSequence(("1/3", 2)).values == (F(1, 3), F(2))
+    with pytest.raises(ValidationError):
+        MomentSequence(("1/2", 0.5))
 
 
 def test_kind_checks():

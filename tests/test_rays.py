@@ -11,7 +11,7 @@ from freemoments.cumulants import (
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
-from freemoments.errors import RegionTooLargeError, ValidationError
+from freemoments.errors import NumericError, RegionTooLargeError, ValidationError
 from freemoments.measures import Measure
 from freemoments.rays import (
     NontangentialRay,
@@ -245,3 +245,41 @@ def test_estimate_metadata():
     lo, hi = est.radius_range
     assert lo < hi <= mp.mpf(1) / 800
     assert est.condition > 1
+
+
+@pytest.mark.parametrize("dps, guard", [(15, 12), (10, 10), (15, 20), (20, 25)])
+def test_singular_fit_raises_numeric_error(dps, guard):
+    # a fit degree the working precision cannot resolve
+    samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=dps)
+    with pytest.raises(NumericError, match="numerically singular"):
+        estimate_taylor_on_ray(samples, 4, guard=guard)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [Measure.semicircle(0, 2), Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])],
+    ids=["semicircle", "three-atom"],
+)
+def test_fit_agrees_with_svd_and_householder_oracles(mu):
+    # rebuild the tall Vandermonde matrix of the fit and solve it by the
+    # routes the production fit does not take: the singular values of the
+    # whole matrix and mpmath's Householder least squares
+    p, guard = 4, 2
+    samples = invert_g_on_ray(mu)
+    est = estimate_taylor_on_ray(samples, p, guard=guard)
+    t_ref = est.radius_range[1]
+    sel = [i for i, t in enumerate(samples.radii) if t <= t_ref]
+    assert len(sel) == est.points_used
+    a = mp.matrix(
+        [[(samples.radii[i] / t_ref) ** m for m in range(p + guard)] for i in sel]
+    )
+    b = mp.matrix([samples.r_values[i] for i in sel])
+    sv = mp.svd_r(a, compute_uv=False)
+    condition = max(sv) / min(sv)
+    assert abs(est.condition - condition) <= mp.mpf("1e-20") * condition
+    x, _ = mp.qr_solve(a, b)
+    d = samples.ray.direction()
+    for m in range(p):
+        want = x[m] * d**-m * t_ref**-m
+        got = mp.mpc(est.coefficients[m], est.imag_parts[m])
+        assert abs(got - want) <= mp.mpf("1e-20") * max(1, abs(want))
