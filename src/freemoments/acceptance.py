@@ -39,6 +39,7 @@ from .errors import FreemomentsError, ValidationError
 from .levy import (
     LevyPair,
     classical_cumulants_from_levy,
+    diagnose_moment_transfer,
     free_cumulants_from_levy,
     levy_add,
     moments_of_classical_id,
@@ -398,7 +399,8 @@ def _random_levy_pair(rng: random.Random) -> LevyPair:
 def _criterion_semigroup(config: AcceptanceConfig) -> tuple[bool, str]:
     """Pair addition adds cumulants exactly, and the (gamma/n, sigma/n)
     pair is an exact n-th convolution root, for 50 random discrete pairs
-    and n in {2, 3, 7}."""
+    and n in {2, 3, 7}; each pair's free-law moments stay within the growth
+    bound from the absolute moments of its Levy measure."""
     checks = _Checks()
     rng = random.Random(SUITE_SEED + 8)
     order = 6
@@ -407,6 +409,10 @@ def _criterion_semigroup(config: AcceptanceConfig) -> tuple[bool, str]:
         b = _random_levy_pair(rng)
         ka = free_cumulants_from_levy(a, order).values
         kb = free_cumulants_from_levy(b, order).values
+        checks.expect(
+            all(row["within"] for row in diagnose_moment_transfer(a, order)),
+            f"pair {i}: a free-law moment exceeds its Levy growth bound",
+        )
         total = free_cumulants_from_levy(levy_add(a, b), order).values
         checks.expect(
             total == tuple(x + y for x, y in zip(ka, kb)),

@@ -132,8 +132,21 @@ def _sequence_from_text(text: str, what: str) -> tuple[Fraction, ...]:
     return tuple(as_fraction(v) for v in data)
 
 
+def _exact_str(value) -> str:
+    """The "p/q" string of an exact value.  Its size is known only once it
+    is computed, so a result with more digits than the interpreter prints
+    (sys.get_int_max_str_digits; 0 means no limit) is rejected here."""
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise SizeLimitError(
+            f"an exact result has more than the {sys.get_int_max_str_digits()} "
+            "digits the interpreter prints"
+        ) from exc
+
+
 def _fractions_to_json(values) -> list[str]:
-    return [str(Fraction(v)) for v in values]
+    return [_exact_str(v) for v in values]
 
 
 def _check_printable(n: int, what: str) -> None:
@@ -269,7 +282,7 @@ def _run_support_bound(args) -> tuple[dict, int]:
     bound = support_bound_from_cumulants(k)
     return {
         "k": _fractions_to_json(k.values),
-        "bound": str(bound),
+        "bound": _exact_str(bound),
         "note": "support certified inside [-bound, bound]; deliberately "
         "conservative (16x the cumulant growth rate)",
     }, 0
@@ -313,9 +326,9 @@ def _run_rtransform(args) -> tuple[dict, int]:
             "order": args.order,
             "dps": args.dps,
             "ray": {
-                "alpha": str(Fraction(ray.alpha)),
-                "beta": str(Fraction(ray.beta)),
-                "tan_theta": str(Fraction(ray.tan_theta)),
+                "alpha": _exact_str(ray.alpha),
+                "beta": _exact_str(ray.beta),
+                "tan_theta": _exact_str(ray.tan_theta),
                 "levels": ray.levels,
             },
             "dropped_levels": list(samples.dropped),
@@ -345,7 +358,7 @@ def _run_levy(args) -> tuple[dict, int]:
         m = moments_of_classical_id(pair, args.order)
     return {
         "kind": kind,
-        "gamma": str(gamma),
+        "gamma": _exact_str(gamma),
         "order": args.order,
         "cumulants": _fractions_to_json(k.values),
         "moments": _fractions_to_json(m.values),

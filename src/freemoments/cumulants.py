@@ -23,6 +23,7 @@ and log.  Tests compare both directions with direct enumeration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -35,8 +36,11 @@ CLASSICAL = "classical"
 
 def as_fraction(value) -> Fraction:
     """The one exact coercion: Fractions, ints and "p/q" or decimal strings
-    ("3/4", "1.25") become Fractions.  Floats, bools and anything else are
-    rejected, never silently converted."""
+    ("3/4", "1.25", "1.25e3") become Fractions.  Floats, bools and anything
+    else are rejected, never silently converted.  A decimal exponent of
+    either sign is bounded like a digit string: 10^e must have no more
+    digits than int() converts (sys.get_int_max_str_digits; 0 means no
+    limit), checked before 10^e is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -44,6 +48,7 @@ def as_fraction(value) -> Fraction:
             raise ValidationError("bool is not a rational scalar")
         return Fraction(value)
     if isinstance(value, str):
+        _check_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -55,6 +60,22 @@ def as_fraction(value) -> Fraction:
     raise ValidationError(
         f"exact rational required, got {type(value).__name__}: {value!r}"
     )
+
+
+def _check_exponent(text: str) -> None:
+    _, marker, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if not marker or not limit:
+        return
+    try:
+        power = int(exponent)
+    except ValueError:
+        return  # not an integer exponent: Fraction rejects the literal
+    if abs(power) >= limit:
+        raise ValidationError(
+            f"decimal exponent beyond the {limit} digits the interpreter "
+            "converts"
+        )
 
 
 def _as_values(values: Iterable) -> tuple[Fraction, ...]:

@@ -39,8 +39,6 @@ from .measures import (
     DISCRETE,
     Measure,
     absolute_moments,
-    measure_from_json,
-    measure_to_json,
     moments,
 )
 
@@ -195,16 +193,3 @@ def diagnose_moment_transfer(pair: LevyPair, p: int) -> list[dict]:
             }
         )
     return report
-
-
-# ----------------------------------------------------------------------- JSON
-
-
-def levy_pair_to_json(pair: LevyPair) -> dict:
-    return {"gamma": str(pair.gamma), "sigma": measure_to_json(pair.sigma)}
-
-
-def levy_pair_from_json(data) -> LevyPair:
-    if not isinstance(data, dict) or set(data) != {"gamma", "sigma"}:
-        raise ValidationError("pair JSON must have exactly 'gamma' and 'sigma'")
-    return LevyPair(data["gamma"], measure_from_json(data["sigma"]))

@@ -297,18 +297,6 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------- Cauchy transform
 
 
-def _part_to_mpf(v):
-    if isinstance(v, (int, str, Fraction)):
-        return _to_mpf(as_fraction(v))
-    return mp.mpf(v)
-
-
-def _as_mpc(z) -> mp.mpc:
-    if isinstance(z, (tuple, list)) and len(z) == 2:
-        return mp.mpc(_part_to_mpf(z[0]), _part_to_mpf(z[1]))
-    return mp.mpc(z)
-
-
 def _check_domain(mu: Measure, z: mp.mpc, dps: int) -> None:
     if z.imag > 0:
         return
@@ -370,7 +358,7 @@ def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
 
 def _transform(mu: Measure, z, dps: int, derivative: bool) -> mp.mpc:
     with mp.workdps(dps):
-        zz = _as_mpc(z)
+        zz = mp.mpc(z)
         _check_domain(mu, zz, dps)
         if zz.imag < 0:
             # the domain check admits the lower half-plane only outside a
@@ -391,66 +379,6 @@ def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:
 def cauchy_transform_derivative(mu: Measure, z, dps: int = 30) -> mp.mpc:
     """G'(z) = -integral of 1/(z - x)^2 dmu(x); same domain as G."""
     return _transform(mu, z, dps, derivative=True)
-
-
-def cauchy_transform_exact(mu: Measure, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact rational (real, imag) of G at a rational point, for discrete
-    measures: the transform is a rational function of the atom data."""
-    if mu.kind != DISCRETE:
-        raise UnsupportedOperationError("exact evaluation needs a discrete measure")
-    re, im = as_fraction(re), as_fraction(im)
-    if im <= 0:
-        radius = max((abs(t) for t, _ in mu.atoms), default=Fraction(0))
-        if re * re + im * im <= radius * radius:
-            raise DomainError("rational point inside the support disk")
-    out_re, out_im = Fraction(0), Fraction(0)
-    for t, w in mu.atoms:
-        dre = re - t
-        denom = dre * dre + im * im
-        if denom == 0:
-            raise DomainError(f"evaluation at the atom {t}")
-        out_re += w * dre / denom
-        out_im -= w * im / denom
-    return out_re, out_im
-
-
-# ----------------------------------------------------------------- truncation
-
-
-@dataclass(frozen=True)
-class Window:
-    """A real interval with explicit endpoint inclusion; None means
-    unbounded on that side.  Default is the half-open [lo, hi)."""
-
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    lo_closed: bool = True
-    hi_closed: bool = False
-
-    def __post_init__(self) -> None:
-        lo = None if self.lo is None else as_fraction(self.lo)
-        hi = None if self.hi is None else as_fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo is not None and hi is not None and lo > hi:
-            raise ValidationError("window with lo > hi")
-
-    def contains(self, t: Fraction) -> bool:
-        if self.lo is not None and (t < self.lo or (t == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (t > self.hi or (t == self.hi and not self.hi_closed)):
-            return False
-        return True
-
-
-def truncate_measure(mu: Measure, window: Window) -> Measure:
-    """Restriction of a discrete measure to a window (weights unchanged)."""
-    if mu.kind != DISCRETE:
-        raise UnsupportedOperationError(
-            "truncation is defined for discrete measures only"
-        )
-    kept = [(t, w) for t, w in mu.atoms if window.contains(t)]
-    return Measure(DISCRETE, atoms=tuple(kept))
 
 
 # ----------------------------------------------------------------------- JSON

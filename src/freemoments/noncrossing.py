@@ -158,19 +158,6 @@ class NCPartition:
         return _labels(self.blocks, self.n)
 
 
-def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    """True iff ``blocks`` is a non-crossing partition of {1..max element}.
-
-    Raises ValidationError when the input is not a set partition at all.
-    """
-    canon = _parse_blocks(blocks)
-    n = max((b[-1] for b in canon), default=0)
-    if n == 0:
-        raise ValidationError("empty partition")
-    _check_partition(canon, n)
-    return _labels_noncrossing(_labels(canon, n))
-
-
 def _shift(blocks: Blocks, offset: int) -> Blocks:
     return tuple(tuple(x + offset for x in b) for b in blocks)
 

@@ -197,17 +197,6 @@ def invert_g_on_ray(
         )
 
 
-def left_inverse_residual(source, samples: RayTransformSamples, dps: int | None = None):
-    """Re-evaluate |G(K(z)) - z| for every retained sample, by default at
-    10 extra digits; the max is a certificate for the whole inversion."""
-    dps = dps or samples.dps + 10
-    with mp.workdps(dps):
-        g, _ = _transform_pair(source)
-        return tuple(
-            abs(g(w) - z) for w, z in zip(samples.k_values, samples.points)
-        )
-
-
 # ------------------------------------------------------------------- fitting
 
 
@@ -262,10 +251,9 @@ def estimate_taylor_on_ray(
     samples: RayTransformSamples,
     p: int,
     guard: int = 2,
-    max_radius=None,
 ) -> TaylorEstimate:
     """Fit a polynomial of degree p - 1 + guard to the R values on the
-    sub-grid of radii <= beta/100 (or max_radius) and read off the first p
+    sub-grid of radii <= beta/100 and read off the first p
     coefficients.  Requires at least 3 (p + 1) points spanning two decades
     of radius.  Error figures come from refitting on the even- and
     odd-indexed halves of the grid; each of the three fits is one QR
@@ -276,10 +264,7 @@ def estimate_taylor_on_ray(
     if guard < 0:
         raise ValidationError("guard must be >= 0")
     with mp.workdps(samples.dps):
-        if max_radius is None:
-            cap = _to_mpf(samples.ray.beta) / FIT_RADIUS_SHRINK
-        else:
-            cap = mp.mpf(max_radius)
+        cap = _to_mpf(samples.ray.beta) / FIT_RADIUS_SHRINK
         sel = [i for i, t in enumerate(samples.radii) if t <= cap]
         degree = p - 1 + guard
         if len(sel) < 3 * (p + 1):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .cumulants import CumulantSequence, MomentSequence, as_fraction, FREE
 from .errors import (
@@ -44,15 +43,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls(tuple(Fraction(0) for _ in range(order + 1)))
-
-    @classmethod
-    def identity(cls, order: int) -> "TruncatedSeries":
-        """The series z, truncated at the given order (>= 1)."""
-        if order < 1:
-            raise ValidationError("identity needs order >= 1")
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[1] = Fraction(1)
-        return cls(tuple(coeffs))
 
     @property
     def order(self) -> int:
@@ -146,22 +136,6 @@ class TruncatedSeries:
                 power = power * h
         return TruncatedSeries(tuple(g))
 
-    # ------------------------------------------------------------- calculus
-
-    def differentiate(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries((Fraction(0),))
-        return TruncatedSeries(
-            tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-        )
-
-    def integrate(self) -> "TruncatedSeries":
-        """Antiderivative with zero constant term."""
-        return TruncatedSeries(
-            (Fraction(0),)
-            + tuple(c / (i + 1) for i, c in enumerate(self.coeffs))
-        )
-
     def exp(self) -> "TruncatedSeries":
         """exp of a series vanishing at 0, via e' = s' e."""
         if self.coeffs[0] != 0:
@@ -187,17 +161,6 @@ class TruncatedSeries:
                 acc -= j * out[j] * self.coeffs[k - j]
             out[k] = acc / k
         return TruncatedSeries(tuple(out))
-
-
-# ----------------------------------------------------------- JSON interface
-
-
-def series_to_json(series: TruncatedSeries) -> list[str]:
-    return [str(c) for c in series.coeffs]
-
-
-def series_from_json(data: Iterable) -> TruncatedSeries:
-    return TruncatedSeries(tuple(data))
 
 
 # ------------------------------------------------- moment / R-transform chain
@@ -235,15 +198,6 @@ def moments_from_r_series(r: TruncatedSeries) -> MomentSequence:
     if g.coeffs[1] != 1:
         raise ValidationError("R series does not invert to a moment expansion")
     return MomentSequence(tuple(g.coeffs[2:]))
-
-
-def cumulant_series(cumulants: CumulantSequence) -> TruncatedSeries:
-    """View free cumulants k_1..k_p as the R-series of order p-1."""
-    if cumulants.kind != FREE:
-        raise KindMismatchError("cumulant_series expects free cumulants")
-    if cumulants.p < 1:
-        raise ValidationError("need at least one cumulant")
-    return TruncatedSeries(cumulants.values)
 
 
 # ------------------------------------------------------------- support bound

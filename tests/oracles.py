@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive: all-set-partition enumeration with a
-quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep, and
-certified Gauss-Legendre integrals of densities.  The production code must agree with
-these on small sizes.
+quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep,
+certified Gauss-Legendre integrals of densities, and the Cauchy transform of
+a discrete measure in rational arithmetic.  The production code must agree
+with these on small sizes.
 """
 
 from __future__ import annotations
@@ -173,3 +174,16 @@ def numeric_moment(mu: Measure, k: int, dps: int = 30):
 def cauchy_quad(mu: Measure, z, dps: int):
     """G(z) of a density measure by quadrature; checks the closed forms."""
     return density_integral(mu, lambda x: 1 / (z - x), dps)
+
+
+def cauchy_exact(mu: Measure, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact (real, imag) of G at the rational point re + i im, im > 0, of a
+    discrete measure: G is a rational function of the atom data, summed here
+    in Fractions; checks the mpmath evaluation."""
+    out_re, out_im = Fraction(0), Fraction(0)
+    for t, w in mu.atoms:
+        dre = re - t
+        denom = dre * dre + im * im
+        out_re += w * dre / denom
+        out_im -= w * im / denom
+    return out_re, out_im

@@ -2,6 +2,7 @@
 JSON error payloads, file round trips, and determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,17 @@ def test_nc_unprintable_results_rejected_up_front(capsys, monkeypatch, argv):
     assert code == 1
     assert data["error"] == "size-limit"
     assert set(data) == {"error", "detail"}
+
+
+@pytest.mark.parametrize("flag", [("cumulants", "--moments"), ("moments", "--cumulants")])
+def test_unprintable_exact_result_is_a_size_limit_error(capsys, flag):
+    # m_2 - m_1^2 (or k_2 + k_1^2) of two 4000-digit values has about 8000
+    # digits; its size is known only once it is computed
+    big = "9" * 4000
+    code, data = run_json(capsys, *flag, json.dumps([big, big]))
+    assert code == 1
+    assert data["error"] == "size-limit"
+    assert str(sys.get_int_max_str_digits()) in data["detail"]
 
 
 def test_nc_mobius_on_many_elements(capsys):

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -52,7 +54,15 @@ def test_float_inputs_rejected():
 
 @pytest.mark.parametrize(
     "value, want",
-    [("3/4", F(3, 4)), ("1.25", F(5, 4)), (" -2 ", F(-2)), (7, F(7)), (F(2, 3), F(2, 3))],
+    [
+        ("3/4", F(3, 4)),
+        ("1.25", F(5, 4)),
+        (" -2 ", F(-2)),
+        (7, F(7)),
+        (F(2, 3), F(2, 3)),
+        ("-3/4", F(-3, 4)),
+        ("1.25e3", F(1250)),
+    ],
 )
 def test_as_fraction_accepts_exact_values(value, want):
     got = as_fraction(value)
@@ -63,6 +73,18 @@ def test_as_fraction_accepts_exact_values(value, want):
 def test_as_fraction_rejects_everything_else(value):
     with pytest.raises(ValidationError):
         as_fraction(value)
+
+
+def test_as_fraction_bounds_decimal_exponents():
+    # 10^e is built only when it has no more digits than int() converts,
+    # so a huge exponent is refused at once
+    limit = sys.get_int_max_str_digits()
+    assert as_fraction(f"1e{limit - 1}") == 10 ** (limit - 1)
+    for text in ("1e1000000", "1e-1000000", f"1E+{limit}", f"1e-{limit}"):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="exponent"):
+            as_fraction(text)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_sequences_accept_rational_strings():

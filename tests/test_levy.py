@@ -24,8 +24,6 @@ from freemoments.levy import (
     dilate_levy,
     free_cumulants_from_levy,
     levy_add,
-    levy_pair_from_json,
-    levy_pair_to_json,
     moment_growth_bound,
     moments_of_classical_id,
     moments_of_free_id,
@@ -260,20 +258,6 @@ def test_bound_with_density_sigma():
         moment_growth_bound(straddling, 3)
     shifted = LevyPair(0, Measure.semicircle(3, 2))
     assert all(r["within"] for r in diagnose_moment_transfer(shifted, 5))
-
-
-# ----------------------------------------------------------------------- JSON
-
-
-def test_json_round_trip():
-    p = pair("-2/7", [(1, "1/3"), (-4, 2)])
-    data = levy_pair_to_json(p)
-    assert data["gamma"] == "-2/7"
-    assert levy_pair_from_json(data) == p
-    with pytest.raises(ValidationError):
-        levy_pair_from_json({"gamma": "1"})
-    with pytest.raises(ValidationError):
-        levy_pair_from_json({"gamma": 0.5, "sigma": {"kind": "discrete", "atoms": []}})
 
 
 # --------------------------------------------------- consistency with moments

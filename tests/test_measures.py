@@ -1,4 +1,4 @@
-"""Measures: exact moments, Cauchy transforms, truncation, JSON."""
+"""Measures: exact moments, Cauchy transforms, JSON."""
 
 from fractions import Fraction
 
@@ -11,22 +11,18 @@ from freemoments.cumulants import CumulantSequence, moments_from_free_cumulants
 from freemoments.errors import (
     DomainError,
     MomentDoesNotExistError,
-    UnsupportedOperationError,
     ValidationError,
 )
 from freemoments.measures import (
     Measure,
-    Window,
     cauchy_transform,
     cauchy_transform_derivative,
-    cauchy_transform_exact,
     measure_from_json,
     measure_to_json,
     moments,
-    truncate_measure,
 )
 
-from oracles import cauchy_quad, numeric_moment
+from oracles import cauchy_exact, cauchy_quad, numeric_moment
 
 F = Fraction
 
@@ -383,67 +379,12 @@ def test_derivative_matches_difference_quotient(mu):
 @settings(max_examples=60, deadline=None)
 def test_exact_discrete_transform_matches_mpc(atoms, re, im):
     mu = Measure.discrete(atoms)
-    ere, eim = cauchy_transform_exact(mu, re, im)
-    g = cauchy_transform(mu, (str(re), str(im)), dps=35)
+    ere, eim = cauchy_exact(mu, re, im)
+    z = mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+    g = cauchy_transform(mu, z, dps=35)
     target = mp.mpc(mp.mpf(ere.numerator) / ere.denominator, mp.mpf(eim.numerator) / eim.denominator)
     assert close(g, target, 1e-28)
     assert eim < 0
-
-
-def test_exact_transform_needs_discrete():
-    with pytest.raises(UnsupportedOperationError):
-        cauchy_transform_exact(Measure.semicircle(0, 2), F(0), F(1))
-
-
-# ---------------------------------------------------------------- truncation
-
-
-def test_truncate_half_open():
-    mu = Measure.discrete([(0, 1), (1, 2), (2, 3)])
-    out = truncate_measure(mu, Window(lo=1, hi=2))
-    assert out.atoms == ((F(1), F(2)),)
-
-
-def test_truncate_open_ray():
-    mu = Measure.discrete([(1, 1), (2, 1)])
-    out = truncate_measure(mu, Window(lo=1, lo_closed=False))
-    assert out.atoms == ((F(2), F(1)),)
-
-
-def test_truncate_closed_endpoints():
-    mu = Measure.discrete([(0, 1), (5, 1)])
-    out = truncate_measure(mu, Window(lo=0, hi=5, hi_closed=True))
-    assert out.mass == 2
-
-
-def test_truncate_to_empty_and_density_rejected():
-    mu = Measure.discrete([(0, 1)])
-    out = truncate_measure(mu, Window(lo=1))
-    assert out.atoms == () and out.mass == 0
-    with pytest.raises(UnsupportedOperationError):
-        truncate_measure(Measure.semicircle(0, 2), Window())
-    with pytest.raises(ValidationError):
-        Window(lo=2, hi=1)
-
-
-@given(
-    atoms=st.lists(
-        st.tuples(
-            st.integers(min_value=-6, max_value=6),
-            st.fractions(min_value=F(1, 3), max_value=F(2)),
-        ),
-        min_size=1,
-        max_size=5,
-        unique_by=lambda a: a[0],
-    ),
-    cut=st.integers(min_value=-6, max_value=6),
-)
-@settings(max_examples=50, deadline=None)
-def test_truncation_splits_mass(atoms, cut):
-    mu = Measure.discrete(atoms)
-    left = truncate_measure(mu, Window(hi=cut, hi_closed=False))
-    right = truncate_measure(mu, Window(lo=cut, lo_closed=True))
-    assert left.mass + right.mass == mu.mass
 
 
 # ---------------------------------------------------------------------- JSON

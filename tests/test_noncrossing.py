@@ -9,7 +9,6 @@ from freemoments.noncrossing import (
     NCPartition,
     catalan,
     enumerate_nc,
-    is_noncrossing,
     kreweras_complement,
     mobius_full,
     mobius_nc,
@@ -88,13 +87,14 @@ def test_size_ceiling_env_override(monkeypatch):
 
 
 def test_is_noncrossing_examples():
-    assert is_noncrossing([(1, 3), (2,)]) is True
-    assert is_noncrossing([(1, 3), (2, 4)]) is False
-    assert is_noncrossing([(1, 4), (2, 3)]) is True
-    with pytest.raises(ValidationError):
-        is_noncrossing([(1, 2), (2, 3)])
-    with pytest.raises(ValidationError):
-        is_noncrossing([(1,), (3,)])
+    assert NCPartition.from_blocks([(1, 3), (2,)]).n == 3
+    assert NCPartition.from_blocks([(1, 4), (2, 3)]).n == 4
+    with pytest.raises(ValidationError, match="crossing"):
+        NCPartition.from_blocks([(1, 3), (2, 4)])
+    with pytest.raises(ValidationError, match="twice"):
+        NCPartition.from_blocks([(1, 2), (2, 3)])
+    with pytest.raises(ValidationError, match="do not partition"):
+        NCPartition.from_blocks([(1,), (3,)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +102,11 @@ def test_is_noncrossing_examples():
 def test_is_noncrossing_matches_quartic_oracle(n, data):
     parts = set_partitions(n)
     blocks = data.draw(st.sampled_from(parts))
-    assert is_noncrossing(blocks) == (not has_crossing(blocks))
+    if has_crossing(blocks):
+        with pytest.raises(ValidationError, match="crossing"):
+            NCPartition.from_blocks(blocks)
+    else:
+        assert NCPartition.from_blocks(blocks).n == n
 
 
 def test_ncpartition_validation():
@@ -121,8 +125,6 @@ def test_ncpartition_validation():
     "blocks", [[[]], [[1], []], [[1, "a"]], [["a"]], [1, 2], [[1, 10**18]]]
 )
 def test_malformed_blocks_rejected_before_sorting(blocks):
-    with pytest.raises(ValidationError):
-        is_noncrossing(blocks)
     with pytest.raises(ValidationError):
         NCPartition.from_blocks(blocks)
     with pytest.raises(ValidationError):

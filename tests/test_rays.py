@@ -12,12 +12,11 @@ from freemoments.cumulants import (
     moments_from_free_cumulants,
 )
 from freemoments.errors import NumericError, RegionTooLargeError, ValidationError
-from freemoments.measures import Measure
+from freemoments.measures import Measure, cauchy_transform
 from freemoments.rays import (
     NontangentialRay,
     estimate_taylor_on_ray,
     invert_g_on_ray,
-    left_inverse_residual,
     verify_taylor_cumulants,
 )
 
@@ -115,7 +114,12 @@ def test_residuals_certified():
         slack = mp.mpf(10) ** -44
         for z, res in zip(samples.points, samples.residuals):
             assert res <= abs(z) * slack
-    fresh = left_inverse_residual(Measure.semicircle(0, 2), samples)
+    # re-evaluated at 10 extra digits, |G(K(z)) - z| certifies the inversion
+    with mp.workdps(60):
+        fresh = [
+            abs(cauchy_transform(Measure.semicircle(0, 2), w, dps=60) - z)
+            for w, z in zip(samples.k_values, samples.points)
+        ]
     assert max(fresh) < 1e-40
 
 
@@ -233,8 +237,10 @@ def test_fit_validation():
         estimate_taylor_on_ray(samples, 0)
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 3, guard=-1)
-    with pytest.raises(ValidationError):
-        estimate_taylor_on_ray(samples, 3, max_radius=mp.mpf(10) ** -14)
+    # 13 levels leave 6 fit radii within a factor 32 of each other
+    short = invert_g_on_ray(Measure.semicircle(0, 2), NontangentialRay(levels=13))
+    with pytest.raises(ValidationError, match="two decades"):
+        estimate_taylor_on_ray(short, 1)
 
 
 def test_estimate_metadata():

@@ -22,12 +22,9 @@ from freemoments.noncrossing import catalan
 from freemoments.series import (
     TruncatedSeries,
     _int_nth_root_floor,
-    cumulant_series,
     g_series_from_moments,
     moments_from_r_series,
     r_series_from_moments,
-    series_from_json,
-    series_to_json,
     support_bound_from_cumulants,
 )
 
@@ -123,7 +120,7 @@ def test_comp_inverse_involution(lead, tail):
     g = f.comp_inverse()
     assert g.comp_inverse() == f
     # and f(g(z)) = z exactly
-    assert f.compose(g) == TruncatedSeries.identity(f.order)
+    assert f.compose(g).coeffs == (F(0), F(1)) + (F(0),) * len(tail)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,25 +145,6 @@ def test_exp_log_round_trip():
     assert exp_series.compose(log_1plusz).coeffs == (
         F(1), F(1), F(0), F(0), F(0), F(0),
     )
-
-
-def test_calculus():
-    s = S(2, 1, 3)
-    assert s.differentiate().coeffs == (F(1), F(6))
-    assert s.integrate().coeffs == (F(0), F(2), F(1, 2), F(1))
-
-
-# ---------------------------------------------------------------- JSON bridge
-
-
-def test_json_round_trip():
-    s = S(0, "1/2", -3)
-    assert series_to_json(s) == ["0", "1/2", "-3"]
-    assert series_from_json(series_to_json(s)) == s
-    with pytest.raises(ValidationError):
-        series_from_json([0.5])
-    with pytest.raises(ValidationError):
-        series_from_json(["1/0"])
 
 
 # ------------------------------------------------------- moment/R-chain level
@@ -224,13 +202,6 @@ def test_shift_rule(values, a):
     r_shift = r_series_from_moments(free_convolve(m, delta))
     assert r_shift.coeffs[0] == r_base.coeffs[0] + a
     assert r_shift.coeffs[1:] == r_base.coeffs[1:]
-
-
-def test_cumulant_series_view():
-    k = CumulantSequence((F(1), F(2)), FREE)
-    assert cumulant_series(k).coeffs == (F(1), F(2))
-    with pytest.raises(KindMismatchError):
-        cumulant_series(CumulantSequence((F(1),), CLASSICAL))
 
 
 # --------------------------------------------------------------- support bound
