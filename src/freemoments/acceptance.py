@@ -56,7 +56,6 @@ from .noncrossing import (
     refines,
 )
 from .rays import (
-    NontangentialRay,
     estimate_taylor_on_ray,
     invert_g_on_ray,
     verify_taylor_cumulants,

@@ -15,9 +15,9 @@ only m_1..m_(n-1), so one sweep over n solves for whichever side is unknown
 in O(p^3) rational operations, with no enumeration and no order ceiling.
 
 The classical transform is the same construction over all set partitions;
-it is evaluated through the exponential generating functions,
-exp(sum c_i z^i / i!) = 1 + sum m_i z^i / i!, with the series module's exp
-and log.  Tests compare both directions with direct enumeration.
+grouped by the block that contains 1, they give m_n = sum_j C(n-1, j-1)
+c_j m_(n-j) with m_0 = 1, which a second sweep solves in O(p^2) rational
+operations.  Tests compare both directions with direct enumeration.
 """
 
 from __future__ import annotations
@@ -206,36 +206,37 @@ def free_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
 # ------------------------------------------------------------- classical side
 
 
-def _egf_series(values: tuple[Fraction, ...], constant: Fraction):
-    from .series import TruncatedSeries
-
-    coeffs = [constant]
-    for i, v in enumerate(values, start=1):
-        coeffs.append(v / math.factorial(i))
-    return TruncatedSeries(tuple(coeffs))
-
-
-def _values_from_egf(series) -> tuple[Fraction, ...]:
-    return tuple(
-        c * math.factorial(i)
-        for i, c in enumerate(series.coeffs[1:], start=1)
-    )
+def _classical_sweep(values: tuple[Fraction, ...], moments_known: bool):
+    """Solve m_n = sum_j C(n-1, j-1) c_j m_(n-j) one order at a time, with
+    ``values`` and the result as in _free_sweep.  acc sums the terms j < n,
+    which need only earlier orders; the j = n term is c_n, since m_0 = 1."""
+    m = [Fraction(1)]  # m_0 .. m_(n-1)
+    c: list[Fraction] = []
+    for n, value in enumerate(values, start=1):
+        acc = Fraction(0)
+        for j in range(1, n):
+            acc += math.comb(n - 1, j - 1) * c[j - 1] * m[n - j]
+        if moments_known:
+            c.append(value - acc)
+            m.append(value)
+        else:
+            c.append(value)
+            m.append(value + acc)
+    return m[1:], c
 
 
 def moments_from_classical_cumulants(cumulants: CumulantSequence) -> MomentSequence:
     """Same shape as the free formula but summed over all set partitions,
-    evaluated as exp(sum c_i z^i / i!) = 1 + sum m_i z^i / i!."""
+    solved through the binomial recursion."""
     _require_kind(cumulants, CLASSICAL)
     _check_order(cumulants.p)
-    return MomentSequence(_values_from_egf(
-        _egf_series(cumulants.values, Fraction(0)).exp()
-    ))
+    m, _ = _classical_sweep(cumulants.values, moments_known=False)
+    return MomentSequence(tuple(m))
 
 
 def classical_cumulants_from_moments(moments: MomentSequence) -> CumulantSequence:
-    """Inverse of the classical moment formula, evaluated as the log of the
-    moment exponential generating function."""
+    """Inverse of the classical moment formula, solved through the binomial
+    recursion."""
     _check_order(moments.p)
-    return CumulantSequence(_values_from_egf(
-        _egf_series(moments.values, Fraction(1)).log()
-    ), CLASSICAL)
+    _, c = _classical_sweep(moments.values, moments_known=True)
+    return CumulantSequence(tuple(c), CLASSICAL)

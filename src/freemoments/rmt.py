@@ -29,7 +29,7 @@ from .cumulants import (
     as_fraction,
     free_convolve,
 )
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, SizeLimitError, ValidationError
 from .measures import (
     Measure,
     _affine_moments,
@@ -47,6 +47,14 @@ FREE_SUM = "free_sum"
 KINDS = (GUE, WISHART, DETERMINISTIC, FREE_SUM)
 
 DEFAULT_BUDGET = 2e11  # rough operation units: trials * N^2 * max(N, M) * (p + 10)
+
+
+def _require_float_range(value: Fraction, what: str) -> None:
+    """Sampling runs in floats, so an exact value must convert to one."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,8 @@ class MatrixEnsembleSpec:
             raise ValidationError("seed must be a nonnegative int")
         object.__setattr__(self, "scale", as_fraction(self.scale))
         object.__setattr__(self, "shift", as_fraction(self.shift))
+        _require_float_range(self.scale, "scale")
+        _require_float_range(self.shift, "shift")
         if self.kind == WISHART:
             if self.rate is None:
                 raise ValidationError("wishart needs a rate")
@@ -87,6 +97,8 @@ class MatrixEnsembleSpec:
                 raise ValidationError("deterministic needs a discrete measure")
             if not self.measure.atoms:
                 raise ValidationError("deterministic measure must have atoms")
+            for t, _ in self.measure.atoms:
+                _require_float_range(t, "atom location")
         elif self.measure is not None:
             raise ValidationError(f"{self.kind} takes no measure")
         if self.kind == FREE_SUM:
@@ -268,7 +280,12 @@ def compare_to_prediction(
     n = estimate.spec.dim
     report = []
     for k in range(1, estimate.p + 1):
-        want = float(exact[k])
+        try:
+            want = float(exact[k])
+        except OverflowError:
+            raise SizeLimitError(
+                f"predicted moment of order {k} is past the float range"
+            ) from None
         got = estimate.means[k - 1]
         allowance = z * estimate.stderrs[k - 1] + c * k * k / n
         report.append(

@@ -1,9 +1,9 @@
 """Truncated formal power series over exact rationals, plus the series form
 of the moment -> R-transform chain.
 
-A series holds coefficients a_0..a_N of an order-N truncation.  Binary
-operations truncate to the smaller order.  The chain implemented at series
-level is: moments give the expansion of G(1/z) = z + m_1 z^2 + ... ; its
+A series holds coefficients a_0..a_N of an order-N truncation.  The product
+truncates to the smaller order.  The chain implemented at series level
+is: moments give the expansion of G(1/z) = z + m_1 z^2 + ... ; its
 compositional inverse L satisfies 1/L = 1/z + (R-transform), so the
 R-transform coefficients drop out of the reciprocal of L/z.  Everything is
 exact.  The compositional inverse is taken by Lagrange inversion, so this
@@ -40,34 +40,11 @@ class TruncatedSeries:
             self, "coeffs", tuple(as_fraction(c) for c in self.coeffs)
         )
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(tuple(Fraction(0) for _ in range(order + 1)))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValidationError("order must be >= 0")
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     # ----------------------------------------------------------- arithmetic
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(Fraction(-1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -80,10 +57,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(tuple(out))
-
-    def scale(self, scalar) -> "TruncatedSeries":
-        s = as_fraction(scalar)
-        return TruncatedSeries(tuple(c * s for c in self.coeffs))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -107,10 +80,9 @@ class TruncatedSeries:
                 "composition needs an inner series with zero constant term"
             )
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        result = TruncatedSeries.zero(n)
+        result = TruncatedSeries((Fraction(0),) * (n + 1))
         for a in reversed(self.coeffs[: n + 1]):
-            result = result * inner_t
+            result = result * inner
             result = TruncatedSeries(
                 (result.coeffs[0] + a,) + result.coeffs[1:]
             )
@@ -135,32 +107,6 @@ class TruncatedSeries:
             if k < self.order:
                 power = power * h
         return TruncatedSeries(tuple(g))
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series vanishing at 0, via e' = s' e."""
-        if self.coeffs[0] != 0:
-            raise CompositionDomainError("exp needs a zero constant term")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
-        return TruncatedSeries(tuple(out))
-
-    def log(self) -> "TruncatedSeries":
-        """log of a series with constant term 1, via s (log s)' = s'."""
-        if self.coeffs[0] != 1:
-            raise CompositionDomainError("log needs constant term 1")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
-        return TruncatedSeries(tuple(out))
 
 
 # ------------------------------------------------- moment / R-transform chain

@@ -5,6 +5,7 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freemoments.cli import main
@@ -84,6 +85,12 @@ def test_moments_from_cumulants(capsys):
     code, data = run_json(capsys, "moments", "--cumulants", '["0","1","0","0"]')
     assert code == 0
     assert data["m"] == ["0", "1", "0", "2"]
+    # Poisson(1): all classical cumulants 1, moments the Bell numbers
+    code, data = run_json(
+        capsys, "moments", "--classical", "--cumulants", '["1","1","1","1","1"]'
+    )
+    assert code == 0
+    assert data == {"kind": "classical", "m": ["1", "2", "5", "15", "52"]}
 
 
 def test_moments_from_measure_file(capsys, semicircle_file):
@@ -392,6 +399,31 @@ def test_simulate_budget_exit_2(capsys, gue_spec_file):
     )
     assert code == 2
     assert data["error"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ({"kind": "gue", "dim": 4, "scale": "1e400"}, "validation"),
+        (
+            {
+                "kind": "deterministic",
+                "dim": 4,
+                "measure": {"kind": "discrete", "atoms": [["1e400", "1"]]},
+            },
+            "validation",
+        ),
+        # the spec fits floats, the predicted m_4 = 2 * 10^400 does not
+        ({"kind": "gue", "dim": 4, "scale": "1e100"}, "size-limit"),
+    ],
+)
+def test_simulate_past_float_range_is_an_input_error(capsys, tmp_path, spec, error):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, data = run_json(capsys, "simulate", "--spec", str(path), "--order", "4")
+    assert code == 1
+    assert data["error"] == error
 
 
 def test_simulate_exact_for_deterministic_measure(capsys, tmp_path):

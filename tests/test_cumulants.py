@@ -323,10 +323,10 @@ def test_classical_sums_match_set_partition_enumeration(p):
     assert list(fast.values) == direct
 
 
-# ----------------------------------------------------------------- EGF bridge
+# ------------------------------------------------------- classical recursion
 
 
-def test_egf_path_agrees_with_partition_path():
+def test_classical_recursion_agrees_with_partition_path():
     """Both classical directions against the set-partition sums, the
     inverse weighted by the partition-lattice Mobius value
     (-1)^(r-1) (r-1)! of an r-block partition."""
@@ -346,15 +346,32 @@ def test_egf_path_agrees_with_partition_path():
         by_partitions_m.append(
             sum((product_over_blocks(q, list(c)) for q in parts), F(0))
         )
-    by_egf_c = classical_cumulants_from_moments(MomentSequence(m))
-    by_egf_m = moments_from_classical_cumulants(CumulantSequence(c, CLASSICAL))
-    assert list(by_egf_c.values) == by_partitions_c
-    assert list(by_egf_m.values) == by_partitions_m
+    by_recursion_c = classical_cumulants_from_moments(MomentSequence(m))
+    by_recursion_m = moments_from_classical_cumulants(
+        CumulantSequence(c, CLASSICAL)
+    )
+    assert list(by_recursion_c.values) == by_partitions_c
+    assert list(by_recursion_m.values) == by_partitions_m
 
 
-def test_high_order_classical_uses_egf():
-    c = CumulantSequence(tuple(F(1) for _ in range(14)), CLASSICAL)
+def bell_numbers(count):
+    """B_1..B_count by the Bell triangle: each row starts with the last
+    entry of the row above, and each next entry is the one before it plus
+    the entry above that one."""
+    row, out = [1], []
+    for _ in range(count):
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row = nxt
+        out.append(row[0])
+    return out
+
+
+def test_high_order_classical_bell_numbers():
+    c = CumulantSequence(tuple(F(1) for _ in range(30)), CLASSICAL)
     m = moments_from_classical_cumulants(c)
     # Poisson(1) moments are the Bell numbers
     assert m.values[:6] == frac_seq([1, 2, 5, 15, 52, 203])
+    assert m.values == frac_seq(bell_numbers(30))
     assert classical_cumulants_from_moments(m).values == c.values

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemoments.cumulants import (
-    CumulantSequence,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )

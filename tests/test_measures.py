@@ -15,6 +15,7 @@ from freemoments.errors import (
 )
 from freemoments.measures import (
     Measure,
+    absolute_moments,
     cauchy_transform,
     cauchy_transform_derivative,
     measure_from_json,
@@ -22,7 +23,7 @@ from freemoments.measures import (
     moments,
 )
 
-from oracles import cauchy_exact, cauchy_quad, numeric_moment
+from oracles import cauchy_exact, cauchy_quad, density_integral, numeric_moment
 
 F = Fraction
 
@@ -158,6 +159,31 @@ def test_closed_moments_match_quadrature(mu):
         num = numeric_moment(mu, k, dps=30)
         target = mp.mpf(exact[k].numerator) / exact[k].denominator
         assert abs(num - target) <= 1e-10 * (1 + abs(target))
+
+
+@pytest.mark.parametrize(
+    "mu, pieces",
+    [
+        (Measure.uniform("1/2", 3), [Measure.uniform("1/2", 3)]),
+        (Measure.uniform(-3, "-1/2"), [Measure.uniform(-3, "-1/2")]),
+        # |x| has a kink at 0, so the oracle integrates each side on its own
+        (
+            Measure.uniform(-3, 1),
+            [Measure.uniform(-3, 0, "3/4"), Measure.uniform(0, 1, "1/4")],
+        ),
+        (Measure.semicircle(-3, 2), [Measure.semicircle(-3, 2)]),
+    ],
+    ids=["unif-right", "unif-left", "unif-straddle", "sc-left"],
+)
+def test_absolute_moments_match_quadrature(mu, pieces):
+    exact = absolute_moments(mu, 6)
+    for k, value in enumerate(exact, start=1):
+        num = sum(
+            density_integral(piece, lambda x: abs(x) ** k, dps=25)
+            for piece in pieces
+        )
+        target = mp.mpf(value.numerator) / value.denominator
+        assert abs(num - target) <= mp.mpf(10) ** -25 * (1 + abs(target))
 
 
 # ---------------------------------------------------------- Cauchy transform

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from freemoments.cumulants import MomentSequence
-from freemoments.errors import BudgetError, ValidationError
+from freemoments.errors import BudgetError, SizeLimitError, ValidationError
 from freemoments.levy import LevyPair, moments_of_free_id, shifted_poisson_parameters
 from freemoments.measures import Measure
 from freemoments.rmt import (
     MatrixEnsembleSpec,
-    MomentEstimate,
     compare_to_prediction,
     ensemble_spec_from_json,
     ensemble_spec_to_json,
@@ -59,6 +58,24 @@ def test_spec_validation():
         )
     with pytest.raises(ValidationError):
         MatrixEnsembleSpec(kind="gue", dim=10, scale=0.5)
+    # sampling runs in floats
+    with pytest.raises(ValidationError, match="scale"):
+        MatrixEnsembleSpec(kind="gue", dim=4, scale="1e400")
+    with pytest.raises(ValidationError, match="shift"):
+        MatrixEnsembleSpec(kind="gue", dim=4, shift="-1e400")
+    with pytest.raises(ValidationError, match="atom location"):
+        MatrixEnsembleSpec(
+            kind="deterministic", dim=4, measure=Measure.discrete([("1e400", 1)])
+        )
+
+
+def test_compare_rejects_prediction_past_float_range():
+    # scale 1e100 keeps the spec in range, but m_4 = 2 * 10^400 is not
+    spec = MatrixEnsembleSpec(kind="gue", dim=4, scale="1e100")
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = sample_trace_moments(spec, 4)
+    with pytest.raises(SizeLimitError, match="order 4"):
+        compare_to_prediction(est, predicted_moments(spec, 4))
 
 
 def test_wishart_columns_rounding():
