@@ -182,7 +182,7 @@ def _measure_from_file(path: str) -> Measure:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out_path is None:
         print(text)
         return

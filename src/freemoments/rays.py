@@ -344,7 +344,6 @@ def verify_taylor_cumulants(
     p: int,
     ray: NontangentialRay | None = None,
     dps: int = 50,
-    guard: int = 2,
     reference_moments: MomentSequence | None = None,
 ) -> TaylorCheck:
     """End-to-end check that the fitted ray coefficients reproduce the free
@@ -362,7 +361,7 @@ def verify_taylor_cumulants(
         )
     exact = free_cumulants_from_moments(reference_moments).values[:p]
     samples = invert_g_on_ray(mu, ray, dps=dps)
-    est = estimate_taylor_on_ray(samples, p, guard=guard)
+    est = estimate_taylor_on_ray(samples, p)
     with mp.workdps(dps):
         exact_f = [_to_mpf(v) for v in exact]
         errs = tuple(abs(e - x) for e, x in zip(est.coefficients, exact_f))

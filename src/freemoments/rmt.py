@@ -11,8 +11,8 @@ order.
 (semicircle for gue, the law with constant free cumulants for wishart with
 the realized aspect ratio, the empirical diagonal for deterministic, free
 additive convolution for free_sum), and `compare_to_prediction` checks the
-sampled trace moments against them with an allowance of z standard errors
-plus a c * k^2 / N term for the finite-dimension bias.
+sampled trace moments against them with an allowance of 3 standard errors
+plus a 5 k^2 / N term for the finite-dimension bias.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ FREE_SUM = "free_sum"
 
 KINDS = (GUE, WISHART, DETERMINISTIC, FREE_SUM)
 
-DEFAULT_BUDGET = 2e11  # rough operation units: trials * N^2 * max(N, M) * (p + 10)
+DEFAULT_BUDGET = 2e11  # rough operation units, see _cost_units
 
 
 def _require_float_range(value: Fraction, what: str) -> None:
@@ -204,44 +204,51 @@ class MomentEstimate:
         }
 
 
-def _cost_units(spec: MatrixEnsembleSpec, p: int) -> float:
+def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
+    """(sampling, prediction) units of one matrix of the spec with its parts:
+    4 N^2 max(N, M) float multiply-adds; p^2 rational ones per node and p^3
+    per free sum, weighted by their wall time at orders 50-1000."""
     n = spec.dim
     wide = spec.wishart_columns() if spec.kind == WISHART else n
-    # Roughly one unit per scalar multiply-add: sampling/assembly plus one
-    # dense N^3 multiply per requested order.
-    per_trial = n * n * max(n, wide) * (p + 4)
+    sample, predict = 4 * n * n * max(n, wide), 350_000 * p * p
     if spec.kind == FREE_SUM:
-        per_trial += sum(_cost_units(part, 0) for part in spec.parts)
-    return spec.trials * per_trial
+        parts = [_node_units(part, p) for part in spec.parts]
+        sample += sum(s for s, _ in parts)
+        predict += 20_000 * p**3 + sum(q for _, q in parts)
+    return sample, predict
+
+
+def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
+    """Roughly one unit per float multiply-add: per trial the sampling, one
+    eigendecomposition (about 3 N^3) and the N p power sums; the prediction
+    once."""
+    sample, predict = _node_units(spec, p)
+    return spec.trials * (sample + 3 * spec.dim**3 + spec.dim * p) + predict
 
 
 def sample_trace_moments(
     spec: MatrixEnsembleSpec, p: int, budget: float | None = None
 ) -> MomentEstimate:
-    """Run the trials and collect tr(H^k)/N per trial.  Refuses up front if
-    the estimated operation count exceeds the budget (default 2e11)."""
+    """Run the trials and collect tr(H^k)/N, the mean k-th power of the
+    eigenvalues, per trial.  Refuses up front if the estimated operation
+    count of sampling and prediction exceeds the budget (default 2e11)."""
     if p < 1:
         raise ValidationError("order p must be >= 1")
     cap = DEFAULT_BUDGET if budget is None else float(budget)
     cost = _cost_units(spec, p)
     if cost > cap:
+        shown = f"{cost:.2e}" if cost < 1e300 else "past 1e300"  # a huge int has no float
         raise BudgetError(
-            f"estimated cost {cost:.2e} exceeds budget {cap:.2e}; "
+            f"estimated cost {shown} exceeds budget {cap:.2e}; "
             "raise `budget` explicitly to run this"
         )
-    children = np.random.SeedSequence(spec.seed).spawn(spec.trials)
     rows = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        h = sample_matrix(spec, rng)
-        # Normalized trace of successive powers; repeated multiplication is
-        # benign for the small orders used here and avoids an eigensolver.
-        power = h
-        row = []
-        for _ in range(p):
-            row.append(float(np.trace(power).real) / spec.dim)
-            power = power @ h
-        rows.append(tuple(row))
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.trials):
+        h = sample_matrix(spec, np.random.default_rng(child))
+        if not np.isfinite(h).all():
+            raise SizeLimitError("a sampled matrix has an entry past the float range")
+        eig = np.linalg.eigvalsh(h)
+        rows.append(tuple((eig[:, None] ** np.arange(1, p + 1)).mean(axis=0).tolist()))
     return MomentEstimate(spec=spec, p=p, per_trial=tuple(rows))
 
 
@@ -267,14 +274,9 @@ def predicted_moments(spec: MatrixEnsembleSpec, p: int) -> MomentSequence:
     return MomentSequence(_affine_moments(base, spec.scale, spec.shift))
 
 
-def compare_to_prediction(
-    estimate: MomentEstimate,
-    exact: MomentSequence,
-    z: float = 3.0,
-    c: float = 5.0,
-) -> list[dict]:
+def compare_to_prediction(estimate: MomentEstimate, exact: MomentSequence) -> list[dict]:
     """Per-order comparison records; `within` uses the allowance
-    z * stderr + c * k^2 / dim."""
+    3 * stderr + 5 * k^2 / dim."""
     if exact.p < estimate.p:
         raise ValidationError("need exact moments up to the sampled order")
     n = estimate.spec.dim
@@ -283,11 +285,11 @@ def compare_to_prediction(
         try:
             want = float(exact[k])
         except OverflowError:
-            raise SizeLimitError(
-                f"predicted moment of order {k} is past the float range"
-            ) from None
+            raise SizeLimitError(f"order {k}: prediction past the float range") from None
         got = estimate.means[k - 1]
-        allowance = z * estimate.stderrs[k - 1] + c * k * k / n
+        allowance = 3 * estimate.stderrs[k - 1] + 5 * k * k / n
+        if not (math.isfinite(got - want) and math.isfinite(allowance)):
+            raise SizeLimitError(f"order {k}: sampled mean or stderr past the float range")
         report.append(
             {
                 "order": k,

@@ -5,6 +5,7 @@ report repeats the outcome with timing and detail."""
 
 import pytest
 
+import freemoments.acceptance as acceptance
 from freemoments.acceptance import (
     CRITERIA,
     AcceptanceConfig,
@@ -12,6 +13,7 @@ from freemoments.acceptance import (
     run_suite,
 )
 from freemoments.errors import ValidationError
+from freemoments.noncrossing import NCPartition
 
 SLUGS = [c.slug for c in CRITERIA]
 
@@ -89,3 +91,20 @@ def test_negative_control_does_not_touch_other_cases():
     config = AcceptanceConfig(semicircle_moments=(0, 1, 0, 1))
     results = run_suite(only=["moment-cumulant-roundtrip"], config=config)
     assert results[0].passed
+
+
+def test_negative_control_wrong_mobius_value_fails_by_interval(monkeypatch):
+    # One closed-form value off by one on a single interval of NC(7): the
+    # defining relation breaks there first, and the detail names it.
+    lower = NCPartition.from_blocks([[1], [2, 3], [4], [5], [6], [7]])
+    upper = NCPartition.from_blocks([[1, 2, 3, 4], [5], [6, 7]])
+    true_mobius = acceptance.mobius_nc
+
+    def off_by_one(interval):
+        value = true_mobius(interval)
+        return value + 1 if (interval.lower, interval.upper) == (lower, upper) else value
+
+    monkeypatch.setattr(acceptance, "mobius_nc", off_by_one)
+    [result] = run_suite(only=["lattice-size-bounds"])
+    assert not result.passed
+    assert result.detail.split("; ")[0].endswith(f"{lower.blocks} <= {upper.blocks}")

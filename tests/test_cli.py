@@ -2,6 +2,7 @@
 JSON error payloads, file round trips, and determinism."""
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -424,6 +425,48 @@ def test_simulate_past_float_range_is_an_input_error(capsys, tmp_path, spec, err
         code, data = run_json(capsys, "simulate", "--spec", str(path), "--order", "4")
     assert code == 1
     assert data["error"] == error
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # finite samples, but the stderr of m_1 overflows
+        {"kind": "gue", "dim": 10, "trials": 2, "scale": "1e200"},
+        # sampled entries past the float range, refused before the eigensolver
+        {"kind": "wishart", "dim": 10, "trials": 2, "rate": "2", "scale": "1e308"},
+    ],
+)
+def test_simulate_sample_past_float_range_is_size_limit(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(capsys, "simulate", "--spec", str(path), "--order", "1")
+    assert code == 1
+    assert _strict_json(out)["error"] == "size-limit"
+
+
+def test_simulate_huge_order_is_refused_by_the_budget(capsys, gue_spec_file):
+    for order in ("100000", str(10**400)):
+        code, data = run_json(capsys, "simulate", "--spec", gue_spec_file, "--order", order)
+        assert code == 2
+        assert data["error"] == "budget"
+
+
+def test_non_finite_float_never_reaches_stdout(capsys, gue_spec_file, monkeypatch):
+    import freemoments.cli as cli
+
+    rows = [{"within": True, "allowance": math.inf}]
+    monkeypatch.setattr(cli, "compare_to_prediction", lambda estimate, exact: rows)
+    code, out, _ = run_cli(capsys, "simulate", "--spec", gue_spec_file, "--order", "2")
+    assert code == 2
+    assert _strict_json(out)["error"] == "internal"
 
 
 def test_simulate_exact_for_deterministic_measure(capsys, tmp_path):

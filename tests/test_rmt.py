@@ -10,7 +10,9 @@ from freemoments.errors import BudgetError, SizeLimitError, ValidationError
 from freemoments.levy import LevyPair, moments_of_free_id, shifted_poisson_parameters
 from freemoments.measures import Measure
 from freemoments.rmt import (
+    DEFAULT_BUDGET,
     MatrixEnsembleSpec,
+    _cost_units,
     compare_to_prediction,
     ensemble_spec_from_json,
     ensemble_spec_to_json,
@@ -261,6 +263,90 @@ def test_budget_guard():
     with pytest.raises(BudgetError):
         sample_trace_moments(tiny, 2, budget=10)
     assert sample_trace_moments(tiny, 2, budget=float("inf")).p == 2
+
+
+def test_budget_counts_the_prediction():
+    # the exact prediction of a free sum grows like p^3 rational
+    # multiply-adds on ever longer rationals, that of a single node like p^2
+    bernoulli_sum = MatrixEnsembleSpec(
+        kind="free_sum", dim=20, parts=(bernoulli_diag(20), bernoulli_diag(20))
+    )
+    small_gue = MatrixEnsembleSpec(kind="gue", dim=10)
+    for spec in (bernoulli_sum, small_gue):
+        assert _cost_units(spec, 10**4) > DEFAULT_BUDGET
+    # refused before any sampling, also where the estimate is no float
+    for p in (10**5, 10**400):
+        with pytest.raises(BudgetError):
+            sample_trace_moments(small_gue, p)
+
+
+def test_default_budget_fits_the_oracle_and_benchmark_shapes():
+    half = Measure.discrete([(-1, "1/2"), (1, "1/2")])
+    part = MatrixEnsembleSpec(kind="deterministic", dim=600, measure=half)
+    oracle = [
+        (MatrixEnsembleSpec(kind="gue", dim=500, trials=40), 6),
+        (MatrixEnsembleSpec(kind="wishart", dim=500, trials=40, rate=1), 4),
+        (MatrixEnsembleSpec(kind="free_sum", dim=600, trials=40, parts=(part, part)), 4),
+    ]
+    # the largest shapes of the matrix benchmark: N = 400, 8 trials, p <= 6
+    det = bernoulli_diag(400)
+    bench = [
+        (MatrixEnsembleSpec(kind="gue", dim=400, trials=8, scale=2), 6),
+        (MatrixEnsembleSpec(kind="wishart", dim=400, trials=8, rate="3/2"), 6),
+        (MatrixEnsembleSpec(
+            kind="free_sum", dim=400, trials=8,
+            parts=(det, MatrixEnsembleSpec(kind="gue", dim=400)),
+        ), 6),
+    ]
+    for spec, p in oracle + bench:
+        assert _cost_units(spec, p) <= DEFAULT_BUDGET
+
+
+def _trial_matrix(spec: MatrixEnsembleSpec, trial: int) -> np.ndarray:
+    child = np.random.SeedSequence(spec.seed).spawn(spec.trials)[trial]
+    return sample_matrix(spec, np.random.default_rng(child))
+
+
+def test_trial_rows_are_eigenvalue_power_sums():
+    # each trial's row is the eigenvalue power sums over N of sample_matrix
+    # at that trial's child seed, so a caller can rebuild any one trial on
+    # its own; they equal tr(H^k)/N from matrix powers up to rounding
+    specs = [
+        MatrixEnsembleSpec(kind="gue", dim=60, trials=3, seed=4),
+        MatrixEnsembleSpec(
+            kind="wishart", dim=60, trials=3, seed=5, rate="3/2", scale=2, shift="-1/2"
+        ),
+        bernoulli_diag(60, trials=2, seed=6),
+        MatrixEnsembleSpec(
+            kind="free_sum", dim=60, trials=3, seed=7,
+            parts=(bernoulli_diag(60), MatrixEnsembleSpec(kind="gue", dim=60)),
+        ),
+    ]
+    for spec in specs:
+        est = sample_trace_moments(spec, 6)
+        assert len(est.per_trial) == spec.trials
+        for t, row in enumerate(est.per_trial):
+            h = _trial_matrix(spec, t)
+            eig = np.linalg.eigvalsh(h)
+            want = [np.mean(eig**k) for k in range(1, 7)]
+            scale = max(1.0, float(np.max(np.abs(want))))
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12 * scale)
+            powers = [np.trace(np.linalg.matrix_power(h, k)).real / spec.dim for k in range(1, 7)]
+            np.testing.assert_allclose(row, powers, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_non_finite_samples_are_size_limit_errors():
+    # entries past the float range are refused before the eigensolver
+    wide = MatrixEnsembleSpec(kind="wishart", dim=10, trials=2, rate=2, scale="1e308")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SizeLimitError, match="sampled matrix"):
+            sample_trace_moments(wide, 1)
+    # finite samples whose spread overflows: the stderr of m_1 is not a float
+    spec = MatrixEnsembleSpec(kind="gue", dim=10, trials=2, scale="1e200")
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = sample_trace_moments(spec, 1)
+    with pytest.raises(SizeLimitError, match="order 1"):
+        compare_to_prediction(est, predicted_moments(spec, 1))
 
 
 # ----------------------------------------------------------------------- JSON
