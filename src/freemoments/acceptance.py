@@ -10,10 +10,6 @@ the random-matrix oracle, and lattice size bounds.
 short-circuit the rest) and returns one :class:`CriterionResult` per
 criterion; ``format_report`` renders one PASS/FAIL line each.  A criterion
 that overruns its runtime budget fails even if all its checks pass.
-
-``AcceptanceConfig`` exists for negative controls: overriding the
-semicircle reference moments with corrupted values must flip the
-``taylor-recovery`` criterion to a named failure.
 """
 
 from __future__ import annotations
@@ -28,9 +24,9 @@ from typing import Callable, Iterable, Sequence
 import mpmath as mp
 
 from .cumulants import (
+    CLASSICAL,
     CumulantSequence,
     MomentSequence,
-    as_fraction,
     free_convolve,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
@@ -38,9 +34,8 @@ from .cumulants import (
 from .errors import FreemomentsError, ValidationError
 from .levy import (
     LevyPair,
-    classical_cumulants_from_levy,
+    cumulants_from_levy,
     diagnose_moment_transfer,
-    free_cumulants_from_levy,
     levy_add,
     moments_of_classical_id,
     moments_of_free_id,
@@ -68,25 +63,6 @@ from .rmt import (
 from .series import r_series_from_moments, support_bound_from_cumulants
 
 SUITE_SEED = 20260825
-
-
-@dataclass(frozen=True)
-class AcceptanceConfig:
-    """The battery's one knob, a negative-control hook: semicircle_moments
-    replaces the exact reference moments of the standard semicircle inside
-    the taylor-recovery criterion.  The matrix criterion runs under the
-    sampler's default work budget, which its largest case fits.
-    """
-
-    semicircle_moments: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.semicircle_moments is not None:
-            object.__setattr__(
-                self,
-                "semicircle_moments",
-                tuple(as_fraction(v) for v in self.semicircle_moments),
-            )
 
 
 @dataclass(frozen=True)
@@ -171,7 +147,7 @@ def _partition_sum_cumulants(m: MomentSequence) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _criterion_roundtrip(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_roundtrip() -> tuple[bool, str]:
     """Moment -> free cumulant -> moment is exactly the identity (and the
     reverse composition too) on random rational sequences of order <= 10,
     and the cumulants equal the partition-sum oracle."""
@@ -198,7 +174,7 @@ def _criterion_roundtrip(config: AcceptanceConfig) -> tuple[bool, str]:
     )
 
 
-def _criterion_series(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_series() -> tuple[bool, str]:
     """The formal-series route to R coefficients agrees exactly with the
     partition-sum oracle and with the production transform on the same
     random sequences."""
@@ -219,7 +195,7 @@ def _criterion_series(config: AcceptanceConfig) -> tuple[bool, str]:
     )
 
 
-def _criterion_pinned(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_pinned() -> tuple[bool, str]:
     """Pinned R-transforms: point mass -> constant a, semicircle ->
     m + (r^2/4) z (exact); Cauchy -> constant -i on the ray (numeric)."""
     checks = _Checks()
@@ -260,7 +236,7 @@ def _five_atom_measure(seed: int) -> Measure:
     return Measure.discrete([(t, w / total) for t, w in locations.items()])
 
 
-def _criterion_taylor(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_taylor() -> tuple[bool, str]:
     """Numeric Taylor coefficients from the ray match the exact free
     cumulants at order 4 for four reference measures."""
     half = Fraction(1, 2)
@@ -273,10 +249,7 @@ def _criterion_taylor(config: AcceptanceConfig) -> tuple[bool, str]:
     checks = _Checks()
     worst = mp.mpf(0)
     for label, mu, tol in cases:
-        reference = None
-        if label == "semicircle" and config.semicircle_moments is not None:
-            reference = MomentSequence(config.semicircle_moments)
-        check = verify_taylor_cumulants(mu, 4, dps=50, reference_moments=reference)
+        check = verify_taylor_cumulants(mu, 4, dps=50)
         with mp.workdps(50):
             err = mp.mpf(check.max_error)
             worst = max(worst, err / tol)
@@ -289,7 +262,7 @@ def _criterion_taylor(config: AcceptanceConfig) -> tuple[bool, str]:
     )
 
 
-def _criterion_nonreal(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_nonreal() -> tuple[bool, str]:
     """A law without moments yields a decisively non-real constant
     coefficient, and the fit flags it."""
     samples = invert_g_on_ray(Measure.cauchy(), dps=50)
@@ -305,7 +278,7 @@ def _criterion_nonreal(config: AcceptanceConfig) -> tuple[bool, str]:
     return checks.result(f"|imag(b_0)| = {_fmt(magnitude)}, flag fired")
 
 
-def _criterion_support(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_support() -> tuple[bool, str]:
     """The cumulant support bound evaluates to exactly 16 for the standard
     semicircle and the rate-1 Marchenko-Pastur law, and both true supports
     sit inside [-16, 16].  The factor-8 conservatism is documented, not
@@ -337,7 +310,7 @@ def _criterion_support(config: AcceptanceConfig) -> tuple[bool, str]:
     )
 
 
-def _criterion_levy_pins(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_levy_pins() -> tuple[bool, str]:
     """The two canonical positive pairs: free Poisson (all cumulants equal
     to the rate, Catalan-like moment ladder vs the classical Bell ladder)
     and the centered unit pair whose correspondents are the semicircle and
@@ -346,11 +319,11 @@ def _criterion_levy_pins(config: AcceptanceConfig) -> tuple[bool, str]:
     half = Fraction(1, 2)
     poisson = LevyPair(half, Measure.discrete([(1, half)]))
     checks.expect(
-        free_cumulants_from_levy(poisson, 4).values == (Fraction(1),) * 4,
+        cumulants_from_levy(poisson, 4).values == (Fraction(1),) * 4,
         "rate-1 pair: free cumulants are not all 1",
     )
     checks.expect(
-        classical_cumulants_from_levy(poisson, 4).values == (Fraction(1),) * 4,
+        cumulants_from_levy(poisson, 4, CLASSICAL).values == (Fraction(1),) * 4,
         "rate-1 pair: classical cumulants are not all 1",
     )
     checks.expect(
@@ -394,7 +367,7 @@ def _random_levy_pair(rng: random.Random) -> LevyPair:
     return LevyPair(gamma, Measure.discrete(list(atoms.items())))
 
 
-def _criterion_semigroup(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_semigroup() -> tuple[bool, str]:
     """Pair addition adds cumulants exactly, and the (gamma/n, sigma/n)
     pair is an exact n-th convolution root, for 50 random discrete pairs
     and n in {2, 3, 7}; each pair's free-law moments stay within the growth
@@ -405,13 +378,13 @@ def _criterion_semigroup(config: AcceptanceConfig) -> tuple[bool, str]:
     for i in range(50):
         a = _random_levy_pair(rng)
         b = _random_levy_pair(rng)
-        ka = free_cumulants_from_levy(a, order).values
-        kb = free_cumulants_from_levy(b, order).values
+        ka = cumulants_from_levy(a, order).values
+        kb = cumulants_from_levy(b, order).values
         checks.expect(
             all(row["within"] for row in diagnose_moment_transfer(a, order)),
             f"pair {i}: a free-law moment exceeds its Levy growth bound",
         )
-        total = free_cumulants_from_levy(levy_add(a, b), order).values
+        total = cumulants_from_levy(levy_add(a, b), order).values
         checks.expect(
             total == tuple(x + y for x, y in zip(ka, kb)),
             f"pair {i}: addition is not cumulant-additive",
@@ -426,7 +399,7 @@ def _criterion_semigroup(config: AcceptanceConfig) -> tuple[bool, str]:
             )
         for n in (2, 3, 7):
             root = LevyPair(a.gamma / n, a.sigma.scaled(Fraction(1, n)))
-            scaled = free_cumulants_from_levy(root, order).values
+            scaled = cumulants_from_levy(root, order).values
             checks.expect(
                 scaled == tuple(k / n for k in ka),
                 f"pair {i}: (gamma/{n}, sigma/{n}) does not scale cumulants by 1/{n}",
@@ -435,13 +408,13 @@ def _criterion_semigroup(config: AcceptanceConfig) -> tuple[bool, str]:
             for _ in range(n - 1):
                 acc = levy_add(acc, root)
             checks.expect(
-                free_cumulants_from_levy(acc, order).values == ka,
+                cumulants_from_levy(acc, order).values == ka,
                 f"pair {i}: {n}-fold sum of the scaled pair is not the original",
             )
     return checks.result("50 random pairs: additivity and n-th roots exact")
 
 
-def _criterion_matrices(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_matrices() -> tuple[bool, str]:
     """Monte Carlo trace moments reproduce the exact predictions for the
     three reference ensembles, and the free-sum run statistically separates
     the free prediction from plausible classical-convolution values."""
@@ -485,7 +458,7 @@ def _criterion_matrices(config: AcceptanceConfig) -> tuple[bool, str]:
     )
 
 
-def _criterion_lattice(config: AcceptanceConfig) -> tuple[bool, str]:
+def _criterion_lattice() -> tuple[bool, str]:
     """Enumerated lattice sizes and top-interval Mobius values stay under
     4^n for n <= 10, and on every interval for n <= 7 the closed-form Mobius
     product satisfies the defining relation sum_{lower <= r <= q} mu(lower, r)
@@ -523,7 +496,7 @@ class _Criterion:
     slug: str
     description: str
     budget_seconds: float
-    run: Callable[[AcceptanceConfig], tuple[bool, str]]
+    run: Callable[[], tuple[bool, str]]
 
 
 CRITERIA: tuple[_Criterion, ...] = (
@@ -592,12 +565,10 @@ CRITERIA: tuple[_Criterion, ...] = (
 CRITERIA_BY_SLUG = {c.slug: c for c in CRITERIA}
 
 
-def run_criterion(
-    criterion: _Criterion, config: AcceptanceConfig
-) -> CriterionResult:
+def run_criterion(criterion: _Criterion) -> CriterionResult:
     start = time.perf_counter()
     try:
-        passed, detail = criterion.run(config)
+        passed, detail = criterion.run()
     except FreemomentsError as exc:
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - start
@@ -616,17 +587,15 @@ def run_criterion(
     )
 
 
-def run_suite(
-    only: Iterable[str] | None = None,
-    config: AcceptanceConfig | None = None,
-) -> list[CriterionResult]:
+def run_suite(only: Iterable[str] | None = None) -> list[CriterionResult]:
     """Run the requested criteria (all by default, in declaration order)."""
-    config = config or AcceptanceConfig()
     _nc_mobius_by_sizes.cache_clear()
     if only is None:
         selected: Sequence[_Criterion] = CRITERIA
     else:
         slugs = list(only)
+        if not slugs:
+            raise ValidationError("no criteria selected")
         unknown = [s for s in slugs if s not in CRITERIA_BY_SLUG]
         if unknown:
             known = ", ".join(c.slug for c in CRITERIA)
@@ -634,7 +603,7 @@ def run_suite(
                 f"unknown criteria {unknown}; known criteria: {known}"
             )
         selected = [CRITERIA_BY_SLUG[s] for s in slugs]
-    return [run_criterion(c, config) for c in selected]
+    return [run_criterion(c) for c in selected]
 
 
 def format_report(results: Sequence[CriterionResult]) -> str:

@@ -31,12 +31,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .acceptance import (
-    AcceptanceConfig,
-    format_report,
-    run_suite,
-    suite_report_json,
-)
+from .acceptance import format_report, run_suite, suite_report_json
 from .cumulants import (
     CLASSICAL,
     FREE,
@@ -390,12 +385,7 @@ def _run_verify(args) -> tuple[dict, int]:
         only = None
         if args.only:
             only = [s for chunk in args.only for s in chunk.split(",") if s]
-        overrides = None
-        if args.corrupt_semicircle is not None:
-            overrides = _sequence_from_text(
-                args.corrupt_semicircle, "--corrupt-semicircle"
-            )
-        results = run_suite(only=only, config=AcceptanceConfig(overrides))
+        results = run_suite(only=only)
         print(format_report(results), file=sys.stderr)
         payload = suite_report_json(results)
         return payload, 0 if payload["passed"] else 2
@@ -549,11 +539,6 @@ def _build_parser() -> _Parser:
         action="append",
         metavar="SLUGS",
         help="comma-separated criterion slugs (repeatable)",
-    )
-    verify.add_argument(
-        "--corrupt-semicircle",
-        metavar="JSON",
-        help="replace the semicircle reference moments (negative control)",
     )
     verify.set_defaults(run=_run_verify)
 

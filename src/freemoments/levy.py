@@ -71,22 +71,14 @@ def cumulants_from_levy(pair: LevyPair, p: int, kind: str = FREE) -> CumulantSeq
     return CumulantSequence(_canonical_cumulants(pair.gamma, m), kind=kind)
 
 
-def free_cumulants_from_levy(pair: LevyPair, p: int) -> CumulantSequence:
-    return cumulants_from_levy(pair, p, FREE)
-
-
-def classical_cumulants_from_levy(pair: LevyPair, p: int) -> CumulantSequence:
-    return cumulants_from_levy(pair, p, CLASSICAL)
-
-
 def moments_of_free_id(pair: LevyPair, p: int) -> MomentSequence:
     """Moments of the freely infinitely divisible law of the pair."""
-    return moments_from_free_cumulants(free_cumulants_from_levy(pair, p))
+    return moments_from_free_cumulants(cumulants_from_levy(pair, p))
 
 
 def moments_of_classical_id(pair: LevyPair, p: int) -> MomentSequence:
     """Moments of the classically infinitely divisible law of the pair."""
-    return moments_from_classical_cumulants(classical_cumulants_from_levy(pair, p))
+    return moments_from_classical_cumulants(cumulants_from_levy(pair, p, CLASSICAL))
 
 
 # ------------------------------------------------------------ pair arithmetic

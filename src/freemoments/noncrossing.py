@@ -18,15 +18,13 @@ hands out the same partition objects for every call at one order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitError, ValidationError
 
-DEFAULT_MAX_N = 14
-MAX_N_ENV_VAR = "FREEMOMENTS_MAX_N"
+MAX_N = 14  # enumeration ceiling: NC(14) has 2674440 partitions
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -36,20 +34,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValidationError("catalan index must be nonnegative")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def size_ceiling() -> int:
-    """The enumeration ceiling: the FREEMOMENTS_MAX_N environment variable,
-    else the package default."""
-    env = os.environ.get(MAX_N_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{MAX_N_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return DEFAULT_MAX_N
 
 
 def _canonicalize(blocks: Iterable[Iterable[int]]) -> Blocks:
@@ -200,16 +184,11 @@ def _lattice(n: int) -> tuple[NCPartition, ...]:
 
 def enumerate_nc(n: int) -> list[NCPartition]:
     """All non-crossing partitions of {1..n}, sorted lexicographically on the
-    canonical block form.  Guarded by a size ceiling (the FREEMOMENTS_MAX_N
-    environment variable, else 14)."""
+    canonical block form.  Guarded by the size ceiling MAX_N."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    ceiling = size_ceiling()
-    if n > ceiling:
-        raise SizeLimitError(
-            f"n={n} exceeds the enumeration ceiling {ceiling}; "
-            f"set {MAX_N_ENV_VAR} to raise it"
-        )
+    if n > MAX_N:
+        raise SizeLimitError(f"n={n} exceeds the enumeration ceiling {MAX_N}")
     return list(_lattice(n))
 
 

@@ -6,12 +6,7 @@ report repeats the outcome with timing and detail."""
 import pytest
 
 import freemoments.acceptance as acceptance
-from freemoments.acceptance import (
-    CRITERIA,
-    AcceptanceConfig,
-    format_report,
-    run_suite,
-)
+from freemoments.acceptance import CRITERIA, format_report, run_suite
 from freemoments.errors import ValidationError
 from freemoments.noncrossing import NCPartition
 
@@ -70,14 +65,15 @@ def test_only_filter_runs_requested_subset():
 def test_unknown_criterion_rejected():
     with pytest.raises(ValidationError, match="unknown criteria"):
         run_suite(only=["not-a-criterion"])
+    with pytest.raises(ValidationError, match="no criteria selected"):
+        run_suite(only=[])
 
 
-def test_negative_control_corrupted_reference_fails_by_name():
+def test_negative_control_corrupted_reference_fails_by_name(corrupt_semicircle):
     # The true even moments of the standard semicircle are 1 and 2; claim
     # the fourth is 1 and the Taylor-recovery criterion must fail, naming
     # the corrupted case.
-    config = AcceptanceConfig(semicircle_moments=(0, 1, 0, 1))
-    results = run_suite(only=["taylor-recovery"], config=config)
+    results = run_suite(only=["taylor-recovery"])
     assert len(results) == 1
     result = results[0]
     assert result.slug == "taylor-recovery"
@@ -85,11 +81,10 @@ def test_negative_control_corrupted_reference_fails_by_name():
     assert "semicircle" in result.detail
 
 
-def test_negative_control_does_not_touch_other_cases():
+def test_negative_control_does_not_touch_other_cases(corrupt_semicircle):
     # Corrupting the semicircle reference must not affect a run filtered to
     # criteria that never consult it.
-    config = AcceptanceConfig(semicircle_moments=(0, 1, 0, 1))
-    results = run_suite(only=["moment-cumulant-roundtrip"], config=config)
+    results = run_suite(only=["moment-cumulant-roundtrip"])
     assert results[0].passed
 
 

@@ -171,6 +171,9 @@ def test_levy_tables_both_kinds(capsys, tmp_path):
         ("verify",),
         ("verify", "--measure", "/nonexistent.json", "--order", "2"),
         ("verify", "--suite", "--only", "no-such-criterion"),
+        # an empty selection runs nothing, so it cannot pass
+        ("verify", "--suite", "--only", ""),
+        ("verify", "--suite", "--only", ","),
     ],
 )
 def test_validation_problems_exit_1(capsys, argv):
@@ -347,6 +350,23 @@ def test_rtransform_tol_failure_exits_2(capsys, two_atom_file):
     assert json.loads(out)["within_tol"] is False
 
 
+@pytest.mark.parametrize("command", ["rtransform", "verify"])
+@pytest.mark.parametrize(
+    "mu",
+    [Measure.discrete([]), Measure.semicircle(0, 2, mass=0)],
+    ids=["no-atoms", "mass-0"],
+)
+def test_zero_measure_on_the_ray_exits_1(capsys, tmp_path, command, mu):
+    # G = 0 has no inverse, so no choice of ray helps: an input error, not
+    # a region-too-large one
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(measure_to_json(mu)))
+    code, data = run_json(capsys, command, "--measure", str(path), "--order", "2")
+    assert code == 1
+    assert data["error"] == "validation"
+    assert "zero measure" in data["detail"]
+
+
 def test_rtransform_bad_ray_exits_1(capsys, two_atom_file):
     code, out, _ = run_cli(
         capsys,
@@ -510,12 +530,8 @@ def test_verify_suite_filter_and_report_lines(capsys):
     assert lines[-1] == "2/2 criteria passed"
 
 
-def test_verify_suite_negative_control_named_failure(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "verify", "--suite", "--only", "taylor-recovery",
-        "--corrupt-semicircle", "[0,1,0,1]",
-    )
+def test_verify_suite_negative_control_named_failure(capsys, corrupt_semicircle):
+    code, out, err = run_cli(capsys, "verify", "--suite", "--only", "taylor-recovery")
     assert code == 2
     data = json.loads(out)
     assert data["passed"] is False

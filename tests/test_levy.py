@@ -17,11 +17,9 @@ from freemoments.errors import (
 )
 from freemoments.levy import (
     LevyPair,
-    classical_cumulants_from_levy,
     cumulants_from_levy,
     diagnose_moment_transfer,
     dilate_levy,
-    free_cumulants_from_levy,
     levy_add,
     moment_growth_bound,
     moments_of_classical_id,
@@ -54,7 +52,7 @@ def atom_strategy():
 
 def test_atom_at_zero_gives_semicircle():
     p = pair(0, [(0, 1)])
-    k = free_cumulants_from_levy(p, 6)
+    k = cumulants_from_levy(p, 6)
     assert k.values == (0, 1, 0, 0, 0, 0)
     assert moments_of_free_id(p, 6).values == (0, 1, 0, 2, 0, 5)
     assert moments_of_classical_id(p, 6).values == (0, 1, 0, 3, 0, 15)
@@ -63,13 +61,13 @@ def test_atom_at_zero_gives_semicircle():
 def test_free_poisson_pair():
     # gamma = rate/2 and a half-rate atom at 1 give constant cumulants
     p = pair("1/2", [(1, "1/2")])
-    assert free_cumulants_from_levy(p, 5).values == (1, 1, 1, 1, 1)
+    assert cumulants_from_levy(p, 5).values == (1, 1, 1, 1, 1)
     assert moments_of_free_id(p, 4).values == (1, 2, 5, 14)
     assert moments_of_classical_id(p, 4).values == (1, 2, 5, 15)
 
 
 def test_unit_atom_cumulants():
-    k = free_cumulants_from_levy(pair(0, [(1, 1)]), 5)
+    k = cumulants_from_levy(pair(0, [(1, 1)]), 5)
     assert k.values == (1, 2, 2, 2, 2)
 
 
@@ -79,14 +77,14 @@ def test_general_formula_small_order():
     m1 = F(-1, 2) + F(1, 2)
     m2 = F(1, 2) + 1
     m3 = F(-1, 2) + 2
-    k = free_cumulants_from_levy(p, 3)
+    k = cumulants_from_levy(p, 3)
     assert k.values == (2 + m1, F(3, 4) + m2, m1 + m3)
 
 
 def test_classical_and_free_share_values():
     p = pair("-1/3", [(1, 1), (-2, "1/5")])
-    kf = free_cumulants_from_levy(p, 6)
-    kc = classical_cumulants_from_levy(p, 6)
+    kf = cumulants_from_levy(p, 6)
+    kc = cumulants_from_levy(p, 6, "classical")
     assert kf.values == kc.values
     assert kf.kind == "free" and kc.kind == "classical"
 
@@ -100,19 +98,20 @@ def test_density_sigma():
     # semicircle jump measure: exact sigma-moments feed straight through
     sigma = Measure.semicircle(0, 2)
     p = LevyPair(0, sigma)
-    k = free_cumulants_from_levy(p, 5)
+    k = cumulants_from_levy(p, 5)
     assert k.values == (0, 2, 0, 3, 0)  # m = (1, 0, 1, 0, 2, 0)
 
 
 def test_cauchy_sigma_has_no_cumulants():
     p = LevyPair(0, Measure.cauchy())
     with pytest.raises(MomentDoesNotExistError):
-        free_cumulants_from_levy(p, 2)
+        cumulants_from_levy(p, 2)
 
 
 def test_kind_tag_flows_through():
     k = cumulants_from_levy(pair(0, [(1, 1)]), 3, kind="classical")
-    assert k == classical_cumulants_from_levy(pair(0, [(1, 1)]), 3)
+    assert k.kind == "classical"
+    assert k.values == cumulants_from_levy(pair(0, [(1, 1)]), 3).values
 
 
 def test_validation():
@@ -121,7 +120,7 @@ def test_validation():
     with pytest.raises(ValidationError):
         LevyPair(0, "not a measure")
     with pytest.raises(ValidationError):
-        free_cumulants_from_levy(pair(0, [(1, 1)]), 0)
+        cumulants_from_levy(pair(0, [(1, 1)]), 0)
 
 
 # ------------------------------------------------------------ pair arithmetic
@@ -137,9 +136,9 @@ def test_validation():
 def test_superposition_adds_cumulants(g1, g2, a1, a2):
     p1, p2 = pair(g1, a1), pair(g2, a2)
     total = levy_add(p1, p2)
-    k1 = free_cumulants_from_levy(p1, 5).values
-    k2 = free_cumulants_from_levy(p2, 5).values
-    kt = free_cumulants_from_levy(total, 5).values
+    k1 = cumulants_from_levy(p1, 5).values
+    k2 = cumulants_from_levy(p2, 5).values
+    kt = cumulants_from_levy(total, 5).values
     assert kt == tuple(x + y for x, y in zip(k1, k2))
 
 
@@ -167,8 +166,8 @@ def test_superposition_of_matching_densities():
 @settings(max_examples=60, deadline=None)
 def test_dilation_scales_cumulants(g, atoms, t):
     p = pair(g, atoms)
-    k = free_cumulants_from_levy(p, 6).values
-    kd = free_cumulants_from_levy(dilate_levy(p, t), 6).values
+    k = cumulants_from_levy(p, 6).values
+    kd = cumulants_from_levy(dilate_levy(p, t), 6).values
     assert kd == tuple(t**q * k[q - 1] for q in range(1, 7))
 
 
@@ -184,7 +183,7 @@ def test_shifted_poisson_parameters():
     assert params == {"scale": 1, "rate": 12, "shift": -6}
     # the model reproduces the pair's cumulants:
     # scale^q * (rate at every order) plus the shift at order 1
-    k = free_cumulants_from_levy(pair(0, [(1, 6)]), 5)
+    k = cumulants_from_levy(pair(0, [(1, 6)]), 5)
     model = [params["scale"] ** q * params["rate"] for q in range(1, 6)]
     model[0] += params["shift"]
     assert k.values == tuple(model)
@@ -198,7 +197,7 @@ def test_shifted_poisson_parameters():
 def test_shifted_poisson_matches_any_single_atom(t, c):
     p = pair(0, [(t, c)])
     params = shifted_poisson_parameters(p)
-    k = free_cumulants_from_levy(p, 6).values
+    k = cumulants_from_levy(p, 6).values
     model = [params["scale"] ** q * params["rate"] for q in range(1, 7)]
     model[0] += params["shift"]
     assert k == tuple(model)
@@ -266,7 +265,7 @@ def test_bound_with_density_sigma():
 @settings(max_examples=40, deadline=None)
 def test_cumulants_of_generated_law_round_trip(g, atoms):
     p = pair(g, atoms)
-    k = free_cumulants_from_levy(p, 5)
+    k = cumulants_from_levy(p, 5)
     m = moments_from_free_cumulants(k)
     assert free_cumulants_from_moments(m) == k
     assert moments_of_free_id(p, 5) == m

@@ -14,7 +14,6 @@ from freemoments.noncrossing import (
     mobius_nc,
     mobius_nc_poset,
     refines,
-    size_ceiling,
 )
 
 from oracles import (
@@ -69,18 +68,6 @@ def test_size_ceiling():
         enumerate_nc(15)
     with pytest.raises(ValidationError):
         enumerate_nc(0)
-
-
-def test_size_ceiling_env_override(monkeypatch):
-    monkeypatch.setenv("FREEMOMENTS_MAX_N", "3")
-    with pytest.raises(SizeLimitError):
-        enumerate_nc(4)
-    monkeypatch.setenv("FREEMOMENTS_MAX_N", "15")
-    assert size_ceiling() == 15
-    assert len(enumerate_nc(4)) == 14
-    monkeypatch.setenv("FREEMOMENTS_MAX_N", "nope")
-    with pytest.raises(ValidationError):
-        enumerate_nc(4)
 
 
 # ---------------------------------------------------------------- crossing test
