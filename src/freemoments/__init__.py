@@ -30,7 +30,6 @@ from .cumulants import (
 )
 from .errors import (
     BudgetError,
-    CompositionDomainError,
     DomainError,
     FreemomentsError,
     KindMismatchError,
@@ -52,7 +51,6 @@ from .levy import (
     moment_growth_bound,
     moments_of_classical_id,
     moments_of_free_id,
-    shifted_poisson_parameters,
 )
 from .measures import (
     Measure,
@@ -109,7 +107,6 @@ __all__ = [
     "BudgetError",
     "CLASSICAL",
     "CRITERIA",
-    "CompositionDomainError",
     "CriterionResult",
     "CumulantSequence",
     "DEFAULT_BUDGET",
@@ -177,7 +174,6 @@ __all__ = [
     "run_suite",
     "sample_matrix",
     "sample_trace_moments",
-    "shifted_poisson_parameters",
     "support_bound_from_cumulants",
     "verify_taylor_cumulants",
 ]

@@ -283,12 +283,6 @@ def _run_support_bound(args) -> tuple[dict, int]:
     }, 0
 
 
-def _ray_from_args(args) -> NontangentialRay:
-    return NontangentialRay(
-        alpha=args.alpha, beta=args.beta, tan_theta=args.tilt, levels=args.levels
-    )
-
-
 def _taylor_rows(est, digits: int) -> list[dict]:
     rows = []
     for i in range(est.order):
@@ -302,10 +296,10 @@ def _taylor_rows(est, digits: int) -> list[dict]:
 
 def _run_rtransform(args) -> tuple[dict, int]:
     mu = _measure_from_file(args.measure)
-    ray = _ray_from_args(args)
+    ray = NontangentialRay(alpha=args.alpha, beta=args.beta, tan_theta=args.tilt)
     with mp.workdps(args.dps):
         samples = invert_g_on_ray(mu, ray, dps=args.dps)
-        est = estimate_taylor_on_ray(samples, args.order, guard=args.guard)
+        est = estimate_taylor_on_ray(samples, args.order)
         digits = min(args.dps, 30)
         points = [
             {
@@ -436,17 +430,6 @@ _BUDGET = _checked(float, lambda v: v > 0, "a positive budget (inf allowed)")
 _DPS = _checked(int, lambda v: v >= 1, "a precision of at least 1 digit")
 
 
-def _add_ray_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", default="1", help="ray cone parameter (exact)")
-    parser.add_argument("--beta", default="1/8", help="outermost radius (exact)")
-    parser.add_argument(
-        "--tilt", default="0", help="tangent of the ray angle off vertical (exact)"
-    )
-    parser.add_argument("--levels", type=int, default=41, help="halving depth")
-    parser.add_argument("--dps", type=_DPS, default=50, help="working precision")
-    parser.add_argument("--guard", type=int, default=2, help="extra fit degrees")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="freemoments", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,7 +486,12 @@ def _build_parser() -> _Parser:
     )
     rtransform.add_argument("--measure", required=True, metavar="FILE")
     rtransform.add_argument("--order", type=int, required=True)
-    _add_ray_flags(rtransform)
+    rtransform.add_argument("--alpha", default="1", help="ray cone parameter (exact)")
+    rtransform.add_argument("--beta", default="1/8", help="outermost radius (exact)")
+    rtransform.add_argument(
+        "--tilt", default="0", help="tangent of the ray angle off vertical (exact)"
+    )
+    rtransform.add_argument("--dps", type=_DPS, default=50, help="working precision")
     rtransform.add_argument(
         "--tol",
         type=_TOL,

@@ -35,12 +35,6 @@ class PoleError(FreemomentsError):
     code = "pole"
 
 
-class CompositionDomainError(FreemomentsError):
-    """Series composition with a nonzero inner constant term."""
-
-    code = "composition-domain"
-
-
 class NonInvertibleSeriesError(FreemomentsError):
     """Compositional inverse of a series without a simple zero at 0."""
 

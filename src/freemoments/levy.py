@@ -130,28 +130,6 @@ def dilate_levy(pair: LevyPair, t) -> LevyPair:
     return LevyPair(gamma, Measure.discrete(atoms))
 
 
-def shifted_poisson_parameters(pair: LevyPair) -> dict[str, Fraction]:
-    """For a centerless pair whose sigma is a single atom c*delta_t with
-    t != 0, the free law is a dilated Marchenko-Pastur law plus a shift:
-
-        scale * MP(rate) shifted by `shift`,
-
-    with scale = t, rate = c (1 + t^2) / t^2, shift = -c / t.  Handy for
-    building matrix models of the law."""
-    if pair.gamma != 0:
-        raise UnsupportedOperationError("model is for pairs with zero drift")
-    if pair.sigma.kind != DISCRETE or len(pair.sigma.atoms) != 1:
-        raise UnsupportedOperationError("model needs a single-atom sigma")
-    (t, c), = pair.sigma.atoms
-    if t == 0:
-        raise UnsupportedOperationError("atom at zero generates a plain semicircle")
-    return {
-        "scale": t,
-        "rate": c * (1 + t * t) / (t * t),
-        "shift": -c / t,
-    }
-
-
 # ------------------------------------------------------------- moment bounds
 
 

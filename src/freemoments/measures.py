@@ -80,7 +80,7 @@ class Measure:
             if self.density is not None or self.params:
                 raise ValidationError("discrete measure with density fields")
         elif self.kind == DENSITY:
-            if self.density not in _DENSITY_PARAMS:
+            if not isinstance(self.density, str) or self.density not in _DENSITY_PARAMS:
                 raise ValidationError(f"unknown density {self.density!r}")
             wanted = _DENSITY_PARAMS[self.density]
             given = dict(self.params)
@@ -323,8 +323,6 @@ def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
         total = mp.mpc(0)
         for t, w in mu.atoms:
             d = z - _to_mpf(t)
-            if d == 0:
-                raise DomainError(f"evaluation at the atom {t}")
             total += _to_mpf(w) * (-(d**-2) if derivative else 1 / d)
         return total
     mass = _to_mpf(mu.mass)
@@ -383,6 +381,11 @@ def cauchy_transform_derivative(mu: Measure, z, dps: int = 30) -> mp.mpc:
 
 # ----------------------------------------------------------------------- JSON
 
+_JSON_FIELDS = {
+    DISCRETE: {"kind", "atoms", "mass"},
+    DENSITY: {"kind", "name", "params", "mass"},
+}
+
 
 def measure_to_json(mu: Measure) -> dict:
     if mu.kind == DISCRETE:
@@ -402,22 +405,27 @@ def measure_from_json(data) -> Measure:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("measure JSON must be an object with a 'kind'")
     kind = data["kind"]
+    if kind not in (DISCRETE, DENSITY):  # a tuple: kind may be unhashable
+        raise ValidationError(f"unknown measure kind {kind!r}")
+    extra = set(data) - _JSON_FIELDS[kind]
+    if extra:
+        raise ValidationError(f"unknown {kind} measure fields {sorted(extra)}")
     if kind == DISCRETE:
         atoms = data.get("atoms")
-        if not isinstance(atoms, list) or any(len(a) != 2 for a in atoms):
+        if not isinstance(atoms, list) or any(
+            not isinstance(a, (list, tuple)) or len(a) != 2 for a in atoms
+        ):
             raise ValidationError("discrete measure needs 'atoms': [[t, w], ...]")
         mu = Measure.discrete([(a[0], a[1]) for a in atoms])
         if "mass" in data and as_fraction(data["mass"]) != mu.mass:
             raise ValidationError("declared mass disagrees with atom weights")
         return mu
-    if kind == DENSITY:
-        params = data.get("params")
-        if not isinstance(params, dict):
-            raise ValidationError("density measure needs a 'params' object")
-        return Measure(
-            DENSITY,
-            density=data.get("name"),
-            params=tuple(params.items()),
-            mass=data.get("mass", 1),
-        )
-    raise ValidationError(f"unknown measure kind {kind!r}")
+    params = data.get("params")
+    if not isinstance(params, dict):
+        raise ValidationError("density measure needs a 'params' object")
+    return Measure(
+        DENSITY,
+        density=data.get("name"),
+        params=tuple(params.items()),
+        mass=data.get("mass", 1),
+    )

@@ -121,10 +121,6 @@ class NCPartition:
         return cls(n, canon)
 
     @classmethod
-    def discrete(cls, n: int) -> "NCPartition":
-        return cls(n, tuple((i,) for i in range(1, n + 1)))
-
-    @classmethod
     def full(cls, n: int) -> "NCPartition":
         return cls(n, (tuple(range(1, n + 1)),))
 

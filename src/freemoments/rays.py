@@ -43,6 +43,7 @@ from .measures import (
 
 DEFAULT_LEVELS = 41
 FIT_RADIUS_SHRINK = 100  # fit only radii <= beta / this
+FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,6 @@ class TaylorEstimate:
     too large to blame on that error."""
 
     order: int
-    guard: int
     coefficients: tuple
     imag_parts: tuple
     errors: tuple
@@ -249,26 +249,21 @@ def _fit_coefficients(ts, values, degree, t_ref):
     return [x[m] for m in range(cols)], r, r_inv
 
 
-def estimate_taylor_on_ray(
-    samples: RayTransformSamples,
-    p: int,
-    guard: int = 2,
-) -> TaylorEstimate:
-    """Fit a polynomial of degree p - 1 + guard to the R values on the
+def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstimate:
+    """Fit a polynomial of degree p - 1 + FIT_GUARD to the R values on the
     sub-grid of radii <= beta/100 and read off the first p
     coefficients.  Requires at least 3 (p + 1) points spanning two decades
-    of radius.  Error figures come from refitting on the even- and
+    of radius, so each half below holds at least p + 2 points, enough for
+    the degree.  Error figures come from refitting on the even- and
     odd-indexed halves of the grid; each of the three fits is one QR
     factorisation, and the condition number and the sensitivity to the
     inversion residuals are read off the full fit's small square R."""
     if p < 1:
         raise ValidationError("order p must be >= 1")
-    if guard < 0:
-        raise ValidationError("guard must be >= 0")
     with mp.workdps(samples.dps):
         cap = _to_mpf(samples.ray.beta) / FIT_RADIUS_SHRINK
         sel = [i for i, t in enumerate(samples.radii) if t <= cap]
-        degree = p - 1 + guard
+        degree = p - 1 + FIT_GUARD
         if len(sel) < 3 * (p + 1):
             raise ValidationError(
                 f"{len(sel)} points below radius {mp.nstr(cap)} but the fit "
@@ -284,8 +279,6 @@ def estimate_taylor_on_ray(
         spreads = [mp.mpf(0)] * (degree + 1)
         for parity in (0, 1):
             sub = [i for i in range(len(sel)) if i % 2 == parity]
-            if len(sub) < degree + 1:
-                raise ValidationError("sub-grid too small for the fit degree")
             x_sub, _, _ = _fit_coefficients(
                 [ts[i] for i in sub], [vals[i] for i in sub], degree, t_ref
             )
@@ -314,7 +307,6 @@ def estimate_taylor_on_ray(
             nonreal.append(abs(c.imag) > max(mp.mpf(10) ** -6, 10 * err))
         return TaylorEstimate(
             order=p,
-            guard=guard,
             coefficients=tuple(coeffs),
             imag_parts=tuple(imags),
             errors=tuple(errors),

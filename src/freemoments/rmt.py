@@ -57,6 +57,11 @@ def _require_float_range(value: Fraction, what: str) -> None:
         raise ValidationError(f"{what} is past the float range") from None
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true must not pass as the count 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MatrixEnsembleSpec:
     """Declarative description of a Hermitian random-matrix experiment."""
@@ -74,11 +79,11 @@ class MatrixEnsembleSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise ValidationError("dim must be a positive int")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError("trials must be a positive int")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative int")
         object.__setattr__(self, "scale", as_fraction(self.scale))
         object.__setattr__(self, "shift", as_fraction(self.shift))

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .cumulants import CumulantSequence, MomentSequence, as_fraction, FREE
 from .errors import (
-    CompositionDomainError,
     KindMismatchError,
     NonInvertibleSeriesError,
     PoleError,
@@ -72,21 +71,6 @@ class TruncatedSeries:
                     acc += self.coeffs[j] * out[k - j]
             out[k] = -inv0 * acc
         return TruncatedSeries(tuple(out))
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(z)); the inner series must vanish at 0."""
-        if inner.coeffs[0] != 0:
-            raise CompositionDomainError(
-                "composition needs an inner series with zero constant term"
-            )
-        n = min(self.order, inner.order)
-        result = TruncatedSeries((Fraction(0),) * (n + 1))
-        for a in reversed(self.coeffs[: n + 1]):
-            result = result * inner
-            result = TruncatedSeries(
-                (result.coeffs[0] + a,) + result.coeffs[1:]
-            )
-        return result
 
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(z)) = z + O(z^{N+1}).
@@ -141,8 +125,6 @@ def moments_from_r_series(r: TruncatedSeries) -> MomentSequence:
     ell_over_z = zk.reciprocal()
     ell = TruncatedSeries((Fraction(0),) + ell_over_z.coeffs)
     g = ell.comp_inverse()
-    if g.coeffs[1] != 1:
-        raise ValidationError("R series does not invert to a moment expansion")
     return MomentSequence(tuple(g.coeffs[2:]))
 
 
@@ -152,8 +134,6 @@ def moments_from_r_series(r: TruncatedSeries) -> MomentSequence:
 def _int_nth_root_floor(x: int, n: int) -> int:
     """Largest r with r^n <= x, for x >= 0.  Integer-only, so radicands past
     the float range work too."""
-    if x < 0:
-        raise ValidationError("negative radicand")
     if x in (0, 1) or n == 1:
         return x
     if n == 2:

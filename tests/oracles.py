@@ -176,6 +176,14 @@ def cauchy_quad(mu: Measure, z, dps: int):
     return density_integral(mu, lambda x: 1 / (z - x), dps)
 
 
+def shifted_poisson_model(t, c) -> dict[str, Fraction]:
+    """Matrix model of the zero-drift pair (0, c delta_t), t != 0: its free
+    law is scale * MP(rate) shifted by `shift`, with scale = t,
+    rate = c (1 + t^2) / t^2 and shift = -c / t."""
+    t, c = Fraction(t), Fraction(c)
+    return {"scale": t, "rate": c * (1 + t * t) / (t * t), "shift": -c / t}
+
+
 def cauchy_exact(mu: Measure, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
     """Exact (real, imag) of G at the rational point re + i im, im > 0, of a
     discrete measure: G is a rational function of the atom data, summed here

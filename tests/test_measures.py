@@ -446,3 +446,29 @@ def test_json_rejects_floats_and_junk():
         measure_from_json(["not", "a", "measure"])
     with pytest.raises(ValidationError):
         measure_from_json({"kind": "spectral"})
+
+
+_SEMICIRCLE_JSON = {
+    "kind": "density",
+    "name": "semicircle",
+    "params": {"center": "0", "radius": "2"},
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a misspelt field must not fall back to its default
+        dict(_SEMICIRCLE_JSON, Mass="3"),
+        dict(_SEMICIRCLE_JSON, atoms=[]),
+        {"kind": "discrete", "atoms": [[1, 1]], "weights": [1]},
+        {"kind": "discrete", "atoms": [[1, 1]], "name": "semicircle"},
+        # malformed shapes are validation errors, not TypeErrors
+        {"kind": "discrete", "atoms": [5]},
+        dict(_SEMICIRCLE_JSON, name=["semicircle"]),
+        {"kind": ["discrete"], "atoms": []},
+    ],
+)
+def test_json_rejects_unknown_fields_and_shapes(data):
+    with pytest.raises(ValidationError):
+        measure_from_json(data)

@@ -29,6 +29,11 @@ def blocks_of(p):
     return p.blocks
 
 
+def singletons(n):
+    """The bottom of NC(n): every element in its own block."""
+    return NCPartition.from_blocks([[i] for i in range(1, n + 1)])
+
+
 # ---------------------------------------------------------------- enumeration
 
 
@@ -134,8 +139,8 @@ def test_rejecting_a_huge_element_allocates_little():
 
 
 def test_kreweras_examples():
-    assert kreweras_complement(NCPartition.discrete(3)) == NCPartition.full(3)
-    assert kreweras_complement(NCPartition.full(3)) == NCPartition.discrete(3)
+    assert kreweras_complement(singletons(3)) == NCPartition.full(3)
+    assert kreweras_complement(NCPartition.full(3)) == singletons(3)
     k = kreweras_complement(NCPartition.from_blocks([(1, 2), (3,)]))
     assert k.block_sizes() == (2, 1)
     assert k.blocks == ((1,), (2, 3))
@@ -186,8 +191,8 @@ def test_kreweras_double_complement_preserves_block_sizes(n):
 
 def test_kreweras_large_extremes():
     n = 2000
-    assert kreweras_complement(NCPartition.discrete(n)) == NCPartition.full(n)
-    assert kreweras_complement(NCPartition.full(n)) == NCPartition.discrete(n)
+    assert kreweras_complement(singletons(n)) == NCPartition.full(n)
+    assert kreweras_complement(NCPartition.full(n)) == singletons(n)
 
 
 # ---------------------------------------------------------------- mobius
@@ -195,7 +200,7 @@ def test_kreweras_large_extremes():
 
 def test_mobius_full_interval_values():
     for n, expected in [(1, 1), (2, -1), (3, 2), (4, -5), (5, 14)]:
-        interval = NCInterval(NCPartition.discrete(n), NCPartition.full(n))
+        interval = NCInterval(singletons(n), NCPartition.full(n))
         assert mobius_nc(interval) == expected
         assert mobius_full(n) == expected
 
@@ -207,11 +212,11 @@ def test_mobius_point_interval():
 
 def test_invalid_interval():
     lower = NCPartition.full(3)
-    upper = NCPartition.discrete(3)
+    upper = singletons(3)
     with pytest.raises(ValidationError):
         NCInterval(lower, upper)
     with pytest.raises(ValidationError):
-        NCInterval(NCPartition.discrete(2), NCPartition.discrete(3))
+        NCInterval(singletons(2), singletons(3))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -228,7 +233,7 @@ def test_mobius_closed_form_matches_poset_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_mobius_sum_over_lattice_vanishes(n):
-    bottom = NCPartition.discrete(n)
+    bottom = singletons(n)
     top = NCPartition.full(n)
     total_from_bottom = sum(
         mobius_nc(NCInterval(bottom, p)) for p in enumerate_nc(n)
@@ -250,10 +255,10 @@ def test_counts_and_mobius_within_power_bound(n):
 
 
 def test_refines_basic():
-    a = NCPartition.discrete(4)
+    a = singletons(4)
     b = NCPartition.from_blocks([(1, 2), (3, 4)])
     c = NCPartition.full(4)
     assert refines(a, b) and refines(b, c) and refines(a, c)
     assert not refines(c, b)
     with pytest.raises(ValidationError):
-        refines(NCPartition.discrete(2), NCPartition.discrete(3))
+        refines(singletons(2), singletons(3))

@@ -14,6 +14,7 @@ from freemoments.cumulants import (
 from freemoments.errors import NumericError, RegionTooLargeError, ValidationError
 from freemoments.measures import Measure, cauchy_transform, moments
 from freemoments.rays import (
+    FIT_GUARD,
     NontangentialRay,
     estimate_taylor_on_ray,
     invert_g_on_ray,
@@ -245,8 +246,6 @@ def test_fit_validation():
         estimate_taylor_on_ray(samples, 11)  # needs 36 points, only 34 fit
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 0)
-    with pytest.raises(ValidationError):
-        estimate_taylor_on_ray(samples, 3, guard=-1)
     # 13 levels leave 6 fit radii within a factor 32 of each other
     short = invert_g_on_ray(Measure.semicircle(0, 2), NontangentialRay(levels=13))
     with pytest.raises(ValidationError, match="two decades"):
@@ -257,18 +256,18 @@ def test_estimate_metadata():
     samples = invert_g_on_ray(Measure.semicircle(0, 2))
     est = estimate_taylor_on_ray(samples, 4)
     assert est.points_used == 34
-    assert est.order == 4 and est.guard == 2
+    assert est.order == 4
     lo, hi = est.radius_range
     assert lo < hi <= mp.mpf(1) / 800
     assert est.condition > 1
 
 
-@pytest.mark.parametrize("dps, guard", [(15, 12), (10, 10), (15, 20), (20, 25)])
-def test_singular_fit_raises_numeric_error(dps, guard):
+@pytest.mark.parametrize("dps, p", [(10, 4), (15, 5), (20, 8), (25, 6)])
+def test_singular_fit_raises_numeric_error(dps, p):
     # a fit degree the working precision cannot resolve
     samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=dps)
     with pytest.raises(NumericError, match="numerically singular"):
-        estimate_taylor_on_ray(samples, 4, guard=guard)
+        estimate_taylor_on_ray(samples, p)
 
 
 @pytest.mark.parametrize(
@@ -280,14 +279,14 @@ def test_fit_agrees_with_svd_and_householder_oracles(mu):
     # rebuild the tall Vandermonde matrix of the fit and solve it by the
     # routes the production fit does not take: the singular values of the
     # whole matrix and mpmath's Householder least squares
-    p, guard = 4, 2
+    p = 4
     samples = invert_g_on_ray(mu)
-    est = estimate_taylor_on_ray(samples, p, guard=guard)
+    est = estimate_taylor_on_ray(samples, p)
     t_ref = est.radius_range[1]
     sel = [i for i, t in enumerate(samples.radii) if t <= t_ref]
     assert len(sel) == est.points_used
     a = mp.matrix(
-        [[(samples.radii[i] / t_ref) ** m for m in range(p + guard)] for i in sel]
+        [[(samples.radii[i] / t_ref) ** m for m in range(p + FIT_GUARD)] for i in sel]
     )
     b = mp.matrix([samples.r_values[i] for i in sel])
     sv = mp.svd_r(a, compute_uv=False)

@@ -7,7 +7,7 @@ import pytest
 
 from freemoments.cumulants import MomentSequence
 from freemoments.errors import BudgetError, SizeLimitError, ValidationError
-from freemoments.levy import LevyPair, moments_of_free_id, shifted_poisson_parameters
+from freemoments.levy import LevyPair, moments_of_free_id
 from freemoments.measures import Measure
 from freemoments.rmt import (
     DEFAULT_BUDGET,
@@ -21,6 +21,8 @@ from freemoments.rmt import (
     sample_matrix,
     sample_trace_moments,
 )
+
+from oracles import shifted_poisson_model
 
 F = Fraction
 
@@ -222,7 +224,7 @@ def test_matched_model_for_free_id_law():
     # the zero-drift pair with a single jump atom has the same law as an
     # affinely mapped wishart matrix; check moments end to end
     pair = LevyPair(0, Measure.discrete([(1, 6)]))
-    params = shifted_poisson_parameters(pair)
+    params = shifted_poisson_model(1, 6)
     assert params == {"scale": 1, "rate": 12, "shift": -6}
     spec = MatrixEnsembleSpec(
         kind="wishart",
@@ -365,6 +367,15 @@ def test_spec_json_round_trip():
         assert ensemble_spec_from_json(ensemble_spec_to_json(spec)) == spec
 
 
+@pytest.mark.parametrize("field", ["dim", "trials", "seed"])
+def test_spec_json_rejects_booleans_as_counts(field):
+    # bool is an int subclass in Python, but JSON true is not a count
+    with pytest.raises(ValidationError, match=field):
+        ensemble_spec_from_json(dict({"kind": "gue", "dim": 4}, **{field: True}))
+    with pytest.raises(ValidationError, match=field):
+        MatrixEnsembleSpec(**dict({"kind": "gue", "dim": 4}, **{field: False}))
+
+
 def test_spec_json_rejects_junk():
     with pytest.raises(ValidationError):
         ensemble_spec_from_json({"kind": "gue"})
@@ -375,7 +386,8 @@ def test_spec_json_rejects_junk():
 
 
 def _matched_spectrum_min(pair: LevyPair, dim: int, trials: int, seed: int) -> float:
-    params = shifted_poisson_parameters(pair)
+    (t, c), = pair.sigma.atoms
+    params = shifted_poisson_model(t, c)
     spec = MatrixEnsembleSpec(
         kind="wishart",
         dim=dim,
