@@ -278,8 +278,9 @@ def _run_support_bound(args) -> tuple[dict, int]:
     return {
         "k": _fractions_to_json(k.values),
         "bound": _exact_str(bound),
-        "note": "support certified inside [-bound, bound]; deliberately "
-        "conservative (16x the cumulant growth rate)",
+        "note": "bound = 16L, L = max_n |k_n|^(1/n) over the given cumulants; "
+        "finitely many cumulants do not bound the support, but if "
+        "|k_n| <= L^n for every n it lies in [-4L, 4L], so bound is 4x that",
     }, 0
 
 
@@ -475,7 +476,7 @@ def _build_parser() -> _Parser:
     rseries.add_argument("--moments", required=True, metavar="JSON")
     rseries.set_defaults(run=_run_rseries)
 
-    support = sub.add_parser("support-bound", help="certified support radius bound")
+    support = sub.add_parser("support-bound", help="support bound 16 max_n |k_n|^(1/n)")
     source = support.add_mutually_exclusive_group(required=True)
     source.add_argument("--cumulants", metavar="JSON")
     source.add_argument("--moments", metavar="JSON")

@@ -11,7 +11,10 @@ free cumulants of mu.  This module samples K on a geometric grid of radii
 along such a ray (damped Newton with continuation from the smallest radius,
 where K(z) is dominated by 1/z), and fits a polynomial to the R values to
 estimate the leading Taylor coefficients together with per-coefficient
-error estimates from nested sub-grid fits.
+error estimates from nested sub-grid fits.  The fit matrix depends only on
+which grid levels were kept, the degree and the precision, never on the
+measure, so its pseudo-inverses are built once per such key and cached;
+every fit after the first is a matrix-vector product.
 
 All arithmetic is mpmath at a caller-chosen working precision; every kept
 sample carries a certified inversion residual |G(K(z)) - z|, and the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -157,10 +161,16 @@ def invert_g_on_ray(
     Points where Newton cannot reach the residual target |z| * 10^(6-dps)
     are dropped; if every point fails the ray does not fit inside the
     region where G is invertible and RegionTooLargeError is raised.  A
-    measure of mass 0 is refused up front: its G vanishes identically.
+    measure of mass other than 1 is refused up front: at mass 0 G vanishes
+    identically, and at mass c K(z) ~ c/z, so K(z) - 1/z keeps the pole
+    (c - 1)/z and is the R-transform only for a probability measure.
     """
     if isinstance(source, Measure) and source.mass == 0:
         raise ValidationError("the zero measure has G = 0, which has no inverse")
+    if isinstance(source, Measure) and source.mass != 1:
+        raise ValidationError(
+            f"the R-transform needs a probability measure, but the mass is {source.mass}"
+        )
     if ray is None:
         ray = NontangentialRay()
     with mp.workdps(dps):
@@ -222,31 +232,50 @@ class TaylorEstimate:
     radius_range: tuple
 
 
-def _fit_coefficients(ts, values, degree, t_ref):
-    """Least squares on a[i, m] = (t_i / t_ref)^m by one skinny QR, a = QR:
-    returns (x, R, R^-1) with x = R^-1 Q^T b.  Q has orthonormal columns, so
-    the pseudo-inverse R^-1 Q^T has the row norms of R^-1 and a has the
-    singular values of R."""
-    rows, cols = len(ts), degree + 1
-    a = mp.matrix(rows, cols)
-    b = mp.matrix(rows, 1)
-    for i, (t, v) in enumerate(zip(ts, values)):
-        s = t / t_ref
-        acc = mp.mpf(1)
-        for m in range(cols):
-            a[i, m] = acc
-            acc *= s
-        b[i] = v
+def _pseudo_inverse(offsets, degree, eps):
+    """One skinny QR of a[i, m] = 2^(-offsets[i] m), a = QR: returns the
+    rows of the pseudo-inverse R^-1 Q^T together with R and R^-1, or None
+    when some r_mm^2 <= eps."""
+    a = mp.matrix([[mp.ldexp(1, -o * m) for m in range(degree + 1)] for o in offsets])
     q, r = mp.qr(a, mode="skinny")
-    if any(r[m, m] ** 2 <= mp.eps for m in range(cols)):
-        raise NumericError(
-            "least-squares matrix is numerically singular; lower the fit "
-            "degree or raise the working precision"
-        )
-    with mp.extradps(10):
-        r_inv = mp.inverse(r)
-        x = r_inv * (q.T * b)
-    return [x[m] for m in range(cols)], r, r_inv
+    if any(r[m, m] ** 2 <= eps for m in range(degree + 1)):
+        return None
+    r_inv = mp.inverse(r)
+    # R^-1 is upper triangular: row m of R^-1 Q^T sums over k >= m only
+    inv_rows, q_rows = r_inv.tolist(), q.tolist()
+    rows = tuple(
+        tuple(mp.fdot(inv_rows[m][m:], q_row[m:]) for q_row in q_rows)
+        for m in range(degree + 1)
+    )
+    return rows, r, r_inv
+
+
+@lru_cache(maxsize=32)
+def _fit_maps(offsets: tuple[int, ...], degree: int, dps: int):
+    """The fit as linear maps, built once per (offsets, degree, dps).
+
+    The fit radii are t_i = beta / 2^j_i, so t_i / t_ref = 2^-(j_i - j_0)
+    with offsets[i] = j_i - j_0: the matrix depends neither on the measure
+    nor on beta or the direction.  Returns the pseudo-inverses of the full
+    row set and of its even- and odd-indexed halves, then, for the full
+    set, the row norms of R^-1 (Q has orthonormal columns, so they are
+    those of the pseudo-inverse) and the condition number (a has the
+    singular values of R).  Returns None when any of the three row sets is
+    numerically singular at dps."""
+    with mp.workdps(dps):
+        eps = +mp.eps  # fixed at dps: mp.eps follows the working precision
+        with mp.extradps(10):
+            full = _pseudo_inverse(offsets, degree, eps)
+            even = _pseudo_inverse(offsets[0::2], degree, eps)
+            odd = _pseudo_inverse(offsets[1::2], degree, eps)
+            if full is None or even is None or odd is None:
+                return None
+            rows, r, r_inv = full
+            sens = tuple(mp.norm(r_inv[m, :]) for m in range(degree + 1))
+            sv = mp.svd_r(r, compute_uv=False)
+            smin, smax = min(sv), max(sv)
+            condition = mp.inf if smin == 0 else smax / smin
+    return rows, even[0], odd[0], sens, condition
 
 
 def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstimate:
@@ -255,9 +284,10 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
     coefficients.  Requires at least 3 (p + 1) points spanning two decades
     of radius, so each half below holds at least p + 2 points, enough for
     the degree.  Error figures come from refitting on the even- and
-    odd-indexed halves of the grid; each of the three fits is one QR
-    factorisation, and the condition number and the sensitivity to the
-    inversion residuals are read off the full fit's small square R."""
+    odd-indexed halves of the grid.  Each of the three fits is one product
+    of the R values with a cached pseudo-inverse (`_fit_maps`); the
+    condition number and the sensitivity to the inversion residuals come
+    with the full fit's pseudo-inverse from the same cache entry."""
     if p < 1:
         raise ValidationError("order p must be >= 1")
     with mp.workdps(samples.dps):
@@ -274,26 +304,24 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
             raise ValidationError("fit radii must span at least two decades")
         vals = [samples.r_values[i] for i in sel]
         t_ref = max(ts)
-        x_full, r, r_inv = _fit_coefficients(ts, vals, degree, t_ref)
-
-        spreads = [mp.mpf(0)] * (degree + 1)
-        for parity in (0, 1):
-            sub = [i for i in range(len(sel)) if i % 2 == parity]
-            x_sub, _, _ = _fit_coefficients(
-                [ts[i] for i in sub], [vals[i] for i in sub], degree, t_ref
+        j0 = samples.indices[sel[0]]
+        maps = _fit_maps(tuple(samples.indices[i] - j0 for i in sel), degree, samples.dps)
+        if maps is None:
+            raise NumericError(
+                "least-squares matrix is numerically singular; lower the fit "
+                "degree or raise the working precision"
             )
-            for m in range(degree + 1):
-                spreads[m] = max(spreads[m], abs(x_full[m] - x_sub[m]))
-
-        sv = mp.svd_r(r, compute_uv=False)
-        smin, smax = min(sv), max(sv)
-        condition = mp.inf if smin == 0 else smax / smin
-
-        # row norms of the pseudo-inverse (those of R^-1) give the
-        # per-coefficient sensitivity to the inversion residuals
-        noise = max(samples.stability[i] for i in sel)
+        full, even, odd, sens, condition = maps
+        # only the first p coefficients are read off
         with mp.extradps(10):
-            sens = [mp.norm(r_inv[m, :]) for m in range(degree + 1)]
+            x_full = [mp.fdot(row, vals) for row in full[:p]]
+            x_even = [mp.fdot(row, vals[0::2]) for row in even[:p]]
+            x_odd = [mp.fdot(row, vals[1::2]) for row in odd[:p]]
+        spreads = [
+            max(abs(x_full[m] - x_even[m]), abs(x_full[m] - x_odd[m])) for m in range(p)
+        ]
+        # sens[m] is the per-coefficient sensitivity to the inversion residuals
+        noise = max(samples.stability[i] for i in sel)
 
         d = samples.ray.direction()
         coeffs, imags, errors, nonreal = [], [], [], []

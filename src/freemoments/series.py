@@ -165,13 +165,18 @@ def _nth_root_upper(value: Fraction, n: int, digits: int = 18) -> Fraction:
 
 
 def support_bound_from_cumulants(cumulants: CumulantSequence) -> Fraction:
-    """16 * max_n |k_n|^(1/n): every compactly supported measure whose free
-    cumulants start with these values has support inside [-bound, bound].
+    """16 L with L = max_n |k_n|^(1/n) over the given free cumulants.
+
+    Finitely many cumulants do not bound the support: the law
+    (1 - e) delta_0 + (e/2)(delta_-100 + delta_100), e = 10^-4, has k_1 = 0
+    and k_2 = 1, so its bound is 16, while its support radius is 100.  What
+    holds is conditional: if |k_n| <= L^n for every n, then |m_n| <= Cat_n
+    L^n < (4L)^n and the support lies in [-4L, 4L] (sharp: Marchenko-Pastur(1)
+    has k_n = 1 and support [0, 4]).  The bound returned is 4 times that.
 
     The argmax is found with exact cross-power comparisons |k_i|^j vs
-    |k_j|^i; the root is exact when rational, otherwise a certified rational
-    upper bound.  Deliberately conservative: for the standard semicircle the
-    bound is 16 while the support is [-2, 2].
+    |k_j|^i; the root is exact when rational, otherwise a rational upper
+    bound on it.
     """
     if cumulants.kind != FREE:
         raise KindMismatchError("support bound needs free cumulants")

@@ -126,6 +126,19 @@ def test_support_bound_from_cumulants(capsys):
     assert data["bound"] == "8"
 
 
+def test_support_bound_note_states_its_hypothesis(capsys):
+    # finitely many cumulants do not bound the support: (1 - e) delta_0 +
+    # (e/2)(delta_-100 + delta_100) with e = 1e-4 has k_1 = 0, k_2 = 1 and
+    # bound 16, but support radius 100
+    code, data = run_json(capsys, "support-bound", "--cumulants", '["0","1"]')
+    assert code == 0
+    assert data["bound"] == "16"
+    note = data["note"]
+    assert "|k_n| <= L^n for every n" in note
+    assert "[-4L, 4L]" in note
+    assert "certified" not in note
+
+
 def test_support_bound_huge_cumulant(capsys):
     huge = 10**400 + 1
     code, data = run_json(capsys, "support-bound", "--cumulants", json.dumps([0, str(huge)]))
@@ -365,6 +378,24 @@ def test_zero_measure_on_the_ray_exits_1(capsys, tmp_path, command, mu):
     assert code == 1
     assert data["error"] == "validation"
     assert "zero measure" in data["detail"]
+
+
+
+@pytest.mark.parametrize("command", ["rtransform", "verify"])
+@pytest.mark.parametrize(
+    "mu",
+    [Measure.semicircle(0, 2, mass=2), Measure.discrete([(0, "1/2")])],
+    ids=["mass-2-semicircle", "half-mass-atom"],
+)
+def test_non_probability_measure_on_the_ray_exits_1(capsys, tmp_path, command, mu):
+    # K(z) - 1/z keeps the pole (mass - 1)/z: the fit would report garbage
+    # (k_2 ~ 1e16 for the mass-2 semicircle) or a misleading point count
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps(measure_to_json(mu)))
+    code, data = run_json(capsys, command, "--measure", str(path), "--order", "3")
+    assert code == 1
+    assert data["error"] == "validation"
+    assert "probability measure" in data["detail"]
 
 
 def test_rtransform_bad_ray_exits_1(capsys, two_atom_file):

@@ -1,10 +1,12 @@
 """Ray inversion of G and Taylor-coefficient recovery."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from freemoments import rays
 from freemoments.cumulants import (
     CumulantSequence,
     MomentSequence,
@@ -152,6 +154,19 @@ def test_source_validation():
         invert_g_on_ray((lambda z: z,))
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [Measure.semicircle(0, 2, mass=2), Measure.discrete([(0, "1/2")])],
+    ids=["mass-2-semicircle", "half-mass-atom"],
+)
+def test_non_probability_measure_is_refused(mu):
+    # at mass c, K(z) ~ c/z and K(z) - 1/z keeps the pole (c - 1)/z
+    with pytest.raises(ValidationError, match="probability measure"):
+        invert_g_on_ray(mu)
+    with pytest.raises(ValidationError, match="probability measure"):
+        verify_taylor_cumulants(mu, 3)
+
+
 # -------------------------------------------------------------------- fitting
 
 
@@ -268,6 +283,42 @@ def test_singular_fit_raises_numeric_error(dps, p):
     samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=dps)
     with pytest.raises(NumericError, match="numerically singular"):
         estimate_taylor_on_ray(samples, p)
+    # the cached verdict raises again on the same key
+    with pytest.raises(NumericError, match="numerically singular"):
+        estimate_taylor_on_ray(samples, p)
+
+
+def _oracle_fit(samples, p):
+    """The fit solved by the routes the production fit does not take: the
+    tall Vandermonde matrix on the kept radii <= beta/100, rebuilt from the
+    radii themselves, its SVD and mpmath's Householder least squares.
+    Returns the Taylor coefficients b_0..b_(p-1), the condition number and
+    the row norms of the pseudo-inverse V Sigma^-1 U^T (those of
+    V Sigma^-1)."""
+    cap = mp.mpf(samples.ray.beta.numerator) / samples.ray.beta.denominator / 100
+    sel = [i for i, t in enumerate(samples.radii) if t <= cap]
+    t_ref = samples.radii[sel[0]]
+    cols = p + FIT_GUARD
+    a = mp.matrix([[(samples.radii[i] / t_ref) ** m for m in range(cols)] for i in sel])
+    b = mp.matrix([samples.r_values[i] for i in sel])
+    _, sv, v = mp.svd_r(a, full_matrices=False)
+    # mpmath returns V^T: column m of it is row m of V
+    sens = [mp.sqrt(mp.fsum((v[k, m] / sv[k]) ** 2 for k in range(cols))) for m in range(cols)]
+    x, _ = mp.qr_solve(a, b)
+    d = samples.ray.direction()
+    coefficients = [x[m] * d**-m * t_ref**-m for m in range(p)]
+    return coefficients, max(sv) / min(sv), sens
+
+
+def _assert_matches_oracle(samples, p):
+    """The fit against `_oracle_fit`; returns both."""
+    est = estimate_taylor_on_ray(samples, p)
+    oracle = want, condition, _ = _oracle_fit(samples, p)
+    assert abs(est.condition - condition) <= mp.mpf("1e-20") * condition
+    for m in range(p):
+        got = mp.mpc(est.coefficients[m], est.imag_parts[m])
+        assert abs(got - want[m]) <= mp.mpf("1e-20") * max(1, abs(want[m]))
+    return est, oracle
 
 
 @pytest.mark.parametrize(
@@ -276,25 +327,65 @@ def test_singular_fit_raises_numeric_error(dps, p):
     ids=["semicircle", "three-atom"],
 )
 def test_fit_agrees_with_svd_and_householder_oracles(mu):
-    # rebuild the tall Vandermonde matrix of the fit and solve it by the
-    # routes the production fit does not take: the singular values of the
-    # whole matrix and mpmath's Householder least squares
     p = 4
     samples = invert_g_on_ray(mu)
-    est = estimate_taylor_on_ray(samples, p)
+    est, (_, _, want) = _assert_matches_oracle(samples, p)
     t_ref = est.radius_range[1]
     sel = [i for i, t in enumerate(samples.radii) if t <= t_ref]
     assert len(sel) == est.points_used
-    a = mp.matrix(
-        [[(samples.radii[i] / t_ref) ** m for m in range(p + FIT_GUARD)] for i in sel]
+    # the cached row norms of R^-1 are those of the SVD's V Sigma^-1
+    offsets = tuple(samples.indices[i] - samples.indices[sel[0]] for i in sel)
+    sens = rays._fit_maps(offsets, p - 1 + FIT_GUARD, samples.dps)[3]
+    for got, ref in zip(sens, want):
+        assert abs(got - ref) <= mp.mpf("1e-20") * ref
+
+
+def test_fit_cache_keys_on_precision():
+    mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
+    at_30 = invert_g_on_ray(mu, dps=30)
+    at_50 = invert_g_on_ray(mu, dps=50)
+    rays._fit_maps.cache_clear()
+    fresh = estimate_taylor_on_ray(at_50, 4)
+    rays._fit_maps.cache_clear()
+    estimate_taylor_on_ray(at_30, 4)
+    after_30 = estimate_taylor_on_ray(at_50, 4)
+    assert after_30 == fresh
+
+
+def test_fit_with_a_dropped_level_matches_oracle():
+    samples = invert_g_on_ray(Measure.semicircle(0, 2))
+    gone = samples.indices.index(20)  # inside the fit range j >= 7
+    keep = [i for i in range(len(samples.indices)) if i != gone]
+
+    def without(field):
+        return tuple(getattr(samples, field)[i] for i in keep)
+
+    fields = ("indices", "radii", "points", "k_values", "r_values", "residuals", "stability")
+    holed = dataclasses.replace(
+        samples, dropped=(20,), **{field: without(field) for field in fields}
     )
-    b = mp.matrix([samples.r_values[i] for i in sel])
-    sv = mp.svd_r(a, compute_uv=False)
-    condition = max(sv) / min(sv)
-    assert abs(est.condition - condition) <= mp.mpf("1e-20") * condition
-    x, _ = mp.qr_solve(a, b)
-    d = samples.ray.direction()
-    for m in range(p):
-        want = x[m] * d**-m * t_ref**-m
-        got = mp.mpc(est.coefficients[m], est.imag_parts[m])
-        assert abs(got - want) <= mp.mpf("1e-20") * max(1, abs(want))
+    est, _ = _assert_matches_oracle(holed, 4)
+    assert est.points_used == 33
+
+
+def test_fit_cache_is_shared_across_beta_and_direction():
+    mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
+    _assert_matches_oracle(invert_g_on_ray(mu), 4)
+    misses = rays._fit_maps.cache_info().misses
+    other = invert_g_on_ray(mu, NontangentialRay(beta=F(1, 5), tan_theta=F(1, 3)))
+    assert other.dropped == ()
+    _assert_matches_oracle(other, 4)
+    assert rays._fit_maps.cache_info().misses == misses
+
+
+def test_warm_fit_runs_no_factorisation(monkeypatch):
+    estimate_taylor_on_ray(invert_g_on_ray(Measure.semicircle(0, 2)), 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm fit factorised a matrix")
+
+    for name in ("qr", "inverse", "svd_r"):
+        monkeypatch.setattr(mp, name, refuse)
+    samples = invert_g_on_ray(Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]))
+    est = estimate_taylor_on_ray(samples, 4)
+    assert est.condition > 1
