@@ -1,8 +1,8 @@
 """Computational free probability at desk scale.
 
 Exact combinatorics on the non-crossing partition lattice, free and
-classical moment/cumulant transforms, truncated formal series for the
-Cauchy/R-transform chain, rational measures with certified numeric
+classical moment/cumulant transforms, the R-transform's coefficients as
+a truncated series, rational measures with certified numeric
 transforms, R-transform Taylor coefficients recovered on non-tangential
 rays, free Levy pairs with their classical correspondents, and a
 random-matrix Monte Carlo oracle.  ``freemoments.cli`` wires everything
@@ -34,9 +34,7 @@ from .errors import (
     FreemomentsError,
     KindMismatchError,
     MomentDoesNotExistError,
-    NonInvertibleSeriesError,
     NumericError,
-    PoleError,
     RegionTooLargeError,
     SizeLimitError,
     UnsupportedOperationError,
@@ -95,7 +93,6 @@ from .rmt import (
 )
 from .series import (
     TruncatedSeries,
-    g_series_from_moments,
     moments_from_r_series,
     r_series_from_moments,
     support_bound_from_cumulants,
@@ -122,10 +119,8 @@ __all__ = [
     "MomentSequence",
     "NCInterval",
     "NCPartition",
-    "NonInvertibleSeriesError",
     "NontangentialRay",
     "NumericError",
-    "PoleError",
     "RayTransformSamples",
     "RegionTooLargeError",
     "SizeLimitError",
@@ -151,7 +146,6 @@ __all__ = [
     "format_report",
     "free_convolve",
     "free_cumulants_from_moments",
-    "g_series_from_moments",
     "haar_unitary",
     "invert_g_on_ray",
     "kreweras_complement",

@@ -6,6 +6,10 @@ formal series, pinned transforms, numeric ray recovery of Taylor
 coefficients, support bounds, Levy-pair correspondents and their semigroup,
 the random-matrix oracle, and lattice size bounds.
 
+Two exact oracles share no code with the free cumulant sweep they check:
+``_partition_sum_cumulants`` sums over the enumerated lattice, and
+``_lagrange_cumulants`` runs the formal-series chain by Lagrange inversion.
+
 ``run_suite`` executes every requested criterion (failures never
 short-circuit the rest) and returns one :class:`CriterionResult` per
 criterion; ``format_report`` renders one PASS/FAIL line each.  A criterion
@@ -134,7 +138,7 @@ def _nc_mobius_by_sizes(n: int) -> dict[tuple[int, ...], int]:
 def _partition_sum_cumulants(m: MomentSequence) -> tuple[Fraction, ...]:
     """k_n = sum over NC(n) of mu(pi, 1_n) times the moments over the blocks
     of pi, summed directly from the lattice: shares no code with the
-    functional-relation sweep or the series route."""
+    functional-relation sweep or the Lagrange chain below."""
     out = []
     for n in range(1, m.p + 1):
         acc = Fraction(0)
@@ -145,6 +149,51 @@ def _partition_sum_cumulants(m: MomentSequence) -> tuple[Fraction, ...]:
             acc += term
         out.append(acc)
     return tuple(out)
+
+
+def _series_product(a, b) -> tuple[Fraction, ...]:
+    """Coefficient tuples a_0..a_N of truncated series: a * b, truncated to
+    the smaller order."""
+    n = min(len(a), len(b))
+    return tuple(
+        sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)
+    )
+
+
+def _series_reciprocal(a) -> tuple[Fraction, ...]:
+    """Multiplicative inverse; a_0 = 0 raises ZeroDivisionError."""
+    out = [1 / Fraction(a[0])]
+    for k in range(1, len(a)):
+        acc = sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+        out.append(-out[0] * acc)
+    return tuple(out)
+
+
+def _series_comp_inverse(a) -> tuple[Fraction, ...]:
+    """Compositional inverse g with a(g(z)) = z + O(z^(N+1)), for a_0 = 0 and
+    a_1 != 0.  Lagrange inversion: g_k = [w^(k-1)] h(w)^k / k with
+    h = w / a(w), so one power of h per order and no re-composition."""
+    if len(a) < 2 or a[0] != 0 or a[1] == 0:
+        raise ValueError("compositional inverse needs a_0 = 0 and a_1 != 0")
+    h = _series_reciprocal(a[1:])
+    g = [Fraction(0)]
+    power = h
+    for k in range(1, len(a)):
+        g.append(power[k - 1] / k)
+        power = _series_product(power, h)
+    return tuple(g)
+
+
+def _g_expansion(m: MomentSequence) -> tuple[Fraction, ...]:
+    """G(1/z) near 0: z + m_1 z^2 + ... + m_p z^(p+1)."""
+    return (Fraction(0), Fraction(1)) + m.values
+
+
+def _lagrange_cumulants(m: MomentSequence) -> tuple[Fraction, ...]:
+    """k_1..k_p from the chain: L is the compositional inverse of the G
+    expansion, and 1/L = 1/z + R, so R = (reciprocal(L/z) - 1)/z."""
+    ell = _series_comp_inverse(_g_expansion(m))
+    return _series_reciprocal(ell[1:])[1:]
 
 
 def _criterion_roundtrip() -> tuple[bool, str]:
@@ -175,18 +224,18 @@ def _criterion_roundtrip() -> tuple[bool, str]:
 
 
 def _criterion_series() -> tuple[bool, str]:
-    """The formal-series route to R coefficients agrees exactly with the
-    partition-sum oracle and with the production transform on the same
-    random sequences."""
+    """The formal-series route to R coefficients (Lagrange inversion) agrees
+    exactly with the partition-sum oracle and with the production R series,
+    the functional-relation sweep, on the same random sequences."""
     checks = _Checks()
     for i, m in enumerate(_random_moment_sequences(200, 10, SUITE_SEED)):
-        series = r_series_from_moments(m)
+        series = _lagrange_cumulants(m)
         checks.expect(
-            series.coeffs == _partition_sum_cumulants(m),
+            series == _partition_sum_cumulants(m),
             f"sequence {i}: series and partition cumulants differ",
         )
         checks.expect(
-            series.coeffs == free_cumulants_from_moments(m).values,
+            series == r_series_from_moments(m).coeffs,
             f"sequence {i}: series and functional-relation cumulants differ",
         )
     return checks.result(

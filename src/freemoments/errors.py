@@ -29,18 +29,6 @@ class KindMismatchError(FreemomentsError):
     code = "kind-mismatch"
 
 
-class PoleError(FreemomentsError):
-    """Reciprocal of a series with vanishing constant term."""
-
-    code = "pole"
-
-
-class NonInvertibleSeriesError(FreemomentsError):
-    """Compositional inverse of a series without a simple zero at 0."""
-
-    code = "non-invertible-series"
-
-
 class MomentDoesNotExistError(FreemomentsError):
     """A requested moment integral diverges (e.g. heavy tails)."""
 

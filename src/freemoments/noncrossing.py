@@ -12,7 +12,8 @@ increasing tuple of integers, blocks ordered by their least element.  Every
 question of which block holds an element goes through one derived encoding,
 the label tuple: ``labels[x - 1]`` is the least element of the block holding
 x.  It is computed once per partition and cached on it, and enumerate_nc
-hands out the same partition objects for every call at one order.
+hands out the same partition objects for every call at one order up to
+CACHED_N.
 """
 
 from __future__ import annotations
@@ -165,10 +166,7 @@ def iter_nc_blocks(n: int) -> Iterator[Blocks]:
     yield from rec(1, (1,), ())
 
 
-@lru_cache(maxsize=16)
-def _lattice(n: int) -> tuple[NCPartition, ...]:
-    # the objects themselves are cached, so their labels are computed once
-    # per partition per order, not once per call
+def _build_lattice(n: int) -> tuple[NCPartition, ...]:
     out = []
     for blocks in sorted(iter_nc_blocks(n)):
         p = NCPartition.__new__(NCPartition)
@@ -178,6 +176,14 @@ def _lattice(n: int) -> tuple[NCPartition, ...]:
     return tuple(out)
 
 
+# Orders up to CACHED_N repeat across the acceptance battery and the
+# benchmark and together hold about 10 MB, so they are built, labels and
+# all, once.  Larger lattices grow about 3.5x per order and are rebuilt per
+# call rather than kept for the life of the process.
+CACHED_N = 10
+_lattice = lru_cache(maxsize=CACHED_N)(_build_lattice)
+
+
 def enumerate_nc(n: int) -> list[NCPartition]:
     """All non-crossing partitions of {1..n}, sorted lexicographically on the
     canonical block form.  Guarded by the size ceiling MAX_N."""
@@ -185,7 +191,7 @@ def enumerate_nc(n: int) -> list[NCPartition]:
         raise ValidationError("n must be >= 1")
     if n > MAX_N:
         raise SizeLimitError(f"n={n} exceeds the enumeration ceiling {MAX_N}")
-    return list(_lattice(n))
+    return list(_lattice(n) if n <= CACHED_N else _build_lattice(n))
 
 
 def refines(p: NCPartition, q: NCPartition) -> bool:

@@ -13,6 +13,8 @@ the realized aspect ratio, the empirical diagonal for deterministic, free
 additive convolution for free_sum), and `compare_to_prediction` checks the
 sampled trace moments against them with an allowance of 3 standard errors
 plus a 5 k^2 / N term for the finite-dimension bias.
+
+Only sampling needs numpy, so only the sampling functions import it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the four functions that use it: every process
+# that imports the package imports this module, and most never sample.
+if TYPE_CHECKING:
+    import numpy as np
 
 from .cumulants import (
     MomentSequence,
@@ -128,6 +134,7 @@ class MatrixEnsembleSpec:
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the
     R-diagonal phases folded back in (plain QR alone is not Haar)."""
+    import numpy as np
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()
@@ -155,6 +162,7 @@ def _deterministic_counts(mu: Measure, n: int) -> list[tuple[Fraction, int]]:
 
 
 def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     n = spec.dim
     if spec.kind == GUE:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -189,6 +197,7 @@ class MomentEstimate:
     stderrs: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
         data = np.asarray(self.per_trial)
         trials = data.shape[0]
         object.__setattr__(self, "means", tuple(float(v) for v in data.mean(axis=0)))
@@ -237,6 +246,7 @@ def sample_trace_moments(
     """Run the trials and collect tr(H^k)/N, the mean k-th power of the
     eigenvalues, per trial.  Refuses up front if the estimated operation
     count of sampling and prediction exceeds the budget (default 2e11)."""
+    import numpy as np
     if p < 1:
         raise ValidationError("order p must be >= 1")
     cap = DEFAULT_BUDGET if budget is None else float(budget)

@@ -1,14 +1,13 @@
-"""Truncated formal power series over exact rationals, plus the series form
-of the moment -> R-transform chain.
+"""The R-transform's Taylor coefficients as a series, and the support bound
+they give.
 
-A series holds coefficients a_0..a_N of an order-N truncation.  The product
-truncates to the smaller order.  The chain implemented at series level
-is: moments give the expansion of G(1/z) = z + m_1 z^2 + ... ; its
-compositional inverse L satisfies 1/L = 1/z + (R-transform), so the
-R-transform coefficients drop out of the reciprocal of L/z.  Everything is
-exact.  The compositional inverse is taken by Lagrange inversion, so this
-route shares no code with the functional-relation sweep of the cumulants
-module, and the two cross-check each other.
+R(z) = k_1 + k_2 z + ... + k_p z^(p-1): its coefficients are the free
+cumulants, so both directions of the moment <-> R map are the
+functional-relation sweep of the cumulants module, packed into or read
+from a :class:`TruncatedSeries`.  The Lagrange-inversion form of the same
+chain (G(1/z) = z + m_1 z^2 + ..., compositional inverse L, 1/L = 1/z + R)
+shares no code with the sweep and lives in the acceptance battery as the
+oracle that cross-checks it.
 """
 
 from __future__ import annotations
@@ -17,13 +16,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cumulants import CumulantSequence, MomentSequence, as_fraction, FREE
-from .errors import (
-    KindMismatchError,
-    NonInvertibleSeriesError,
-    PoleError,
-    ValidationError,
+from .cumulants import (
+    FREE,
+    CumulantSequence,
+    MomentSequence,
+    as_fraction,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
 )
+from .errors import KindMismatchError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -43,89 +44,15 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    # ----------------------------------------------------------- arithmetic
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise PoleError("reciprocal of a series vanishing at 0")
-        n = self.order
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if j <= n and self.coeffs[j] != 0:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncatedSeries(tuple(out))
-
-    def comp_inverse(self) -> "TruncatedSeries":
-        """Compositional inverse g with self(g(z)) = z + O(z^{N+1}).
-
-        Requires a simple zero at the origin (a_0 = 0, a_1 != 0).  Lagrange
-        inversion: g_k = [w^(k-1)] h(w)^k / k with h = w / self(w), so one
-        power of h per order and no re-composition.
-        """
-        if self.coeffs[0] != 0 or self.order < 1 or self.coeffs[1] == 0:
-            raise NonInvertibleSeriesError(
-                "compositional inverse needs a_0 = 0 and a_1 != 0"
-            )
-        h = TruncatedSeries(self.coeffs[1:]).reciprocal()
-        g = [Fraction(0)]
-        power = h
-        for k in range(1, self.order + 1):
-            g.append(power.coeffs[k - 1] / k)
-            if k < self.order:
-                power = power * h
-        return TruncatedSeries(tuple(g))
-
-
-# ------------------------------------------------- moment / R-transform chain
-
-
-def g_series_from_moments(moments: MomentSequence) -> TruncatedSeries:
-    """Expansion of G(1/z) near 0: z + m_1 z^2 + ... + m_p z^{p+1}."""
-    return TruncatedSeries(
-        (Fraction(0), Fraction(1)) + moments.values
-    )
-
 
 def r_series_from_moments(moments: MomentSequence) -> TruncatedSeries:
-    """R-transform coefficients k_1..k_p as a series of order p-1.
-
-    Chain: L = compositional inverse of the G expansion; 1/L = 1/z + R, so
-    R = (reciprocal(L/z) - 1)/z coefficientwise.
-    """
-    if moments.p < 1:
-        raise ValidationError("need at least the first moment")
-    g = g_series_from_moments(moments)
-    ell = g.comp_inverse()
-    ell_over_z = TruncatedSeries(ell.coeffs[1:])
-    zk = ell_over_z.reciprocal()
-    return TruncatedSeries(zk.coeffs[1:])
+    """R-transform coefficients k_1..k_p as a series of order p-1."""
+    return TruncatedSeries(free_cumulants_from_moments(moments).values)
 
 
 def moments_from_r_series(r: TruncatedSeries) -> MomentSequence:
     """Inverse of r_series_from_moments; input order p-1 yields p moments."""
-    p = r.order + 1
-    zk = TruncatedSeries((Fraction(1),) + r.coeffs)
-    ell_over_z = zk.reciprocal()
-    ell = TruncatedSeries((Fraction(0),) + ell_over_z.coeffs)
-    g = ell.comp_inverse()
-    return MomentSequence(tuple(g.coeffs[2:]))
+    return moments_from_free_cumulants(CumulantSequence(r.coeffs))
 
 
 # ------------------------------------------------------------- support bound

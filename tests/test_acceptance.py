@@ -6,6 +6,7 @@ report repeats the outcome with timing and detail."""
 import pytest
 
 import freemoments.acceptance as acceptance
+import freemoments.cumulants as cumulants
 from freemoments.acceptance import CRITERIA, format_report, run_suite
 from freemoments.errors import ValidationError
 from freemoments.noncrossing import NCPartition
@@ -103,3 +104,24 @@ def test_negative_control_wrong_mobius_value_fails_by_interval(monkeypatch):
     [result] = run_suite(only=["lattice-size-bounds"])
     assert not result.passed
     assert result.detail.split("; ")[0].endswith(f"{lower.blocks} <= {upper.blocks}")
+
+
+def test_negative_control_corrupted_sweep_fails_series_by_name(monkeypatch):
+    # The production R series is the functional-relation sweep.  Shift the
+    # last free cumulant it returns by one: series-matches-partitions must
+    # fail on every comparison with it, while the Lagrange chain and the
+    # partition sum, which share no code with the sweep, still agree.
+    true_sweep = cumulants._free_sweep
+
+    def corrupted(values, moments_known):
+        m, k = true_sweep(values, moments_known)
+        return m, k[:-1] + [k[-1] + 1]
+
+    monkeypatch.setattr(cumulants, "_free_sweep", corrupted)
+    [result] = run_suite(only=["series-matches-partitions"])
+    assert result.slug == "series-matches-partitions"
+    assert not result.passed
+    assert result.detail.startswith(
+        "200/400 checks failed: sequence 0: series and functional-relation "
+        "cumulants differ; sequence 1: series and functional-relation"
+    )

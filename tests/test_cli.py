@@ -3,12 +3,15 @@ JSON error payloads, file round trips, and determinism."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import freemoments
 from freemoments.cli import main
 from freemoments.measures import Measure, measure_to_json
 from freemoments.noncrossing import catalan
@@ -430,6 +433,52 @@ def test_simulate_deterministic_and_seed_override(capsys, gue_spec_file):
     assert data["spec"]["seed"] == 12
     assert data["estimate"]["rng"] == "numpy-pcg64"
     assert len(data["comparison"]) == 4
+
+
+# Runs in a fresh interpreter, whose sys.modules shows what was imported.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+import freemoments
+from freemoments import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, json.loads(out.getvalue())
+
+measure, spec = sys.argv[1:]
+seen = {"after_import": "numpy" in sys.modules}
+seen["nc"] = run("nc", "--count", "4")
+seen["rseries"] = run("rseries", "--moments", '["0","1","0","2"]')
+seen["rtransform"] = run("rtransform", "--measure", measure, "--order", "2")
+seen["before_simulate"] = "numpy" in sys.modules
+seen["simulate"] = run("simulate", "--spec", spec, "--order", "4")
+seen["after_simulate"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy(capsys, semicircle_file, gue_spec_file):
+    src = os.path.dirname(os.path.dirname(freemoments.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, semicircle_file, gue_spec_file],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    seen = json.loads(done.stdout)
+    assert seen["after_import"] is False
+    assert seen["nc"] == [0, {"n": 4, "count": 14}]
+    assert seen["rseries"] == [0, {"r": ["0", "1", "0", "0"]}]
+    assert seen["rtransform"][0] == 0
+    assert seen["before_simulate"] is False
+    assert seen["after_simulate"] is True
+    # sampling with numpy imported late gives what this process, which
+    # imported numpy up front, gives
+    code, out, _ = run_cli(capsys, "simulate", "--spec", gue_spec_file, "--order", "4")
+    assert seen["simulate"] == [code, json.loads(out)]
 
 
 def test_simulate_out_file(capsys, gue_spec_file, tmp_path):

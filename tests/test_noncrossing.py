@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from freemoments.errors import SizeLimitError, ValidationError
 from freemoments.noncrossing import (
+    CACHED_N,
     NCInterval,
     NCPartition,
     catalan,
@@ -14,6 +15,7 @@ from freemoments.noncrossing import (
     mobius_nc,
     mobius_nc_poset,
     refines,
+    _lattice,
 )
 
 from oracles import (
@@ -66,6 +68,21 @@ def test_enumeration_n3_explicit():
         ((1, 2, 3),),
         ((1, 3), (2,)),
     ]
+
+
+def test_lattice_cache_keeps_only_small_orders():
+    # orders up to CACHED_N are built once and shared; a larger lattice is
+    # rebuilt per call and never held by the cache
+    assert CACHED_N == 10
+    _lattice.cache_clear()
+    first = enumerate_nc(CACHED_N)
+    assert enumerate_nc(CACHED_N)[5] is first[5]
+    big = enumerate_nc(CACHED_N + 1)
+    assert len(big) == catalan(CACHED_N + 1)
+    info = _lattice.cache_info()
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == (CACHED_N, 1, 1, 1)
+    assert enumerate_nc(CACHED_N + 1)[5] is not big[5]
+    assert _lattice.cache_info().currsize == 1
 
 
 def test_size_ceiling():
