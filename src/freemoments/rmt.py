@@ -14,6 +14,14 @@ additive convolution for free_sum), and `compare_to_prediction` checks the
 sampled trace moments against them with an allowance of 3 standard errors
 plus a 5 k^2 / N term for the finite-dimension bias.
 
+The trace moments tr(H^k)/N, k <= p, come from the half powers H^j,
+j <= ceil(p/2): tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>,
+so order 2 takes no matrix product, order 4 one and order 6 two.  Above
+order 6 (`_HALF_POWER_MAX_ORDER`) the half powers would take three
+products or more, which is what one eigvalsh costs at N >= 600, so there
+they are the eigenvalue power sums.  A free sum rotates its diagonal part
+with one product, which keeps the spectrum of A + U B U^H.
+
 Only sampling needs numpy, so only the sampling functions import it.
 """
 
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# numpy is imported inside the four functions that use it: every process
+# numpy is imported inside the functions that use it: every process
 # that imports the package imports this module, and most never sample.
 if TYPE_CHECKING:
     import numpy as np
@@ -162,6 +170,13 @@ def _deterministic_counts(mu: Measure, n: int) -> list[tuple[Fraction, int]]:
 
 
 def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One dense complex sample of the ensemble; the draws run part 0,
+    part 1, then the Haar unitary U of a free sum.
+
+    A free sum A + U B U^H is returned up to a unitary conjugation that
+    keeps its spectrum, so that the rotation of a deterministic (diagonal)
+    part takes one product: (U B) U^H + A when B is diagonal, U^H A U + B
+    when only A is, and the literal A + U B U^H when neither is."""
     import numpy as np
     n = spec.dim
     if spec.kind == GUE:
@@ -180,7 +195,12 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
         u = haar_unitary(n, rng)
-        h = a + u @ b @ u.conj().T
+        if spec.parts[1].kind == DETERMINISTIC:
+            h = (u * np.diagonal(b).real) @ u.conj().T + a
+        elif spec.parts[0].kind == DETERMINISTIC:
+            h = (u.conj().T * np.diagonal(a).real) @ u + b
+        else:
+            h = a + u @ b @ u.conj().T
     if spec.scale != 1 or spec.shift != 0:
         h = float(spec.scale) * h + float(spec.shift) * np.eye(n)
     return h
@@ -200,11 +220,14 @@ class MomentEstimate:
         import numpy as np
         data = np.asarray(self.per_trial)
         trials = data.shape[0]
-        object.__setattr__(self, "means", tuple(float(v) for v in data.mean(axis=0)))
-        if trials > 1:
-            se = data.std(axis=0, ddof=1) / math.sqrt(trials)
-        else:
-            se = np.zeros(self.p)
+        # values past the float range are reported by compare_to_prediction
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = data.mean(axis=0)
+            if trials > 1:
+                se = data.std(axis=0, ddof=1) / math.sqrt(trials)
+            else:
+                se = np.zeros(self.p)
+        object.__setattr__(self, "means", tuple(float(v) for v in means))
         object.__setattr__(self, "stderrs", tuple(float(v) for v in se))
 
     def to_json(self) -> dict:
@@ -219,33 +242,74 @@ class MomentEstimate:
 
 
 def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
-    """(sampling, prediction) units of one matrix of the spec with its parts:
-    4 N^2 max(N, M) float multiply-adds; p^2 rational ones per node and p^3
-    per free sum, weighted by their wall time at orders 50-1000."""
+    """(sampling, prediction) units of one matrix of the spec with its parts.
+    Sampling: 4 N^2 max(N, M) per drawn part, the Wishart product X X^H or,
+    for the O(N^2) draws, a floor that keeps the budget bounding the time
+    and the memory of large N at low orders; per free sum the Haar QR
+    (about 16/3 N^3) and the rotation, one product of 4 N^3 when a part is
+    diagonal and two otherwise.  Prediction: p^2 rational multiply-adds per
+    node and p^3 per free sum, weighted by their wall time at orders
+    50-1000."""
     n = spec.dim
-    wide = spec.wishart_columns() if spec.kind == WISHART else n
-    sample, predict = 4 * n * n * max(n, wide), 350_000 * p * p
-    if spec.kind == FREE_SUM:
-        parts = [_node_units(part, p) for part in spec.parts]
-        sample += sum(s for s, _ in parts)
-        predict += 20_000 * p**3 + sum(q for _, q in parts)
+    predict = 350_000 * p * p
+    if spec.kind != FREE_SUM:
+        wide = spec.wishart_columns() if spec.kind == WISHART else n
+        return 4 * n * n * max(n, wide), predict
+    products = 1 if any(part.kind == DETERMINISTIC for part in spec.parts) else 2
+    sample = 16 * n**3 // 3 + 4 * n**3 * products
+    parts = [_node_units(part, p) for part in spec.parts]
+    sample += sum(s for s, _ in parts)
+    predict += 20_000 * p**3 + sum(q for _, q in parts)
     return sample, predict
 
 
 def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
-    """Roughly one unit per float multiply-add: per trial the sampling, one
-    eigendecomposition (about 3 N^3) and the N p power sums; the prediction
-    once."""
+    """Roughly one unit per float multiply-add, so 4 N^3 per complex
+    product: per trial the sampling and the trace moments (up to order 6
+    the ceil(p/2) - 1 products of the half powers and p inner products of
+    4 N^2; above it one eigendecomposition, weighted at its wall time of
+    about three products, and the N p power sums); the prediction once."""
     sample, predict = _node_units(spec, p)
-    return spec.trials * (sample + 3 * spec.dim**3 + spec.dim * p) + predict
+    n = spec.dim
+    if p <= _HALF_POWER_MAX_ORDER:
+        trace = 4 * n**3 * ((p + 1) // 2 - 1) + 4 * n * n * p
+    else:
+        trace = 12 * n**3 + n * p
+    return spec.trials * (sample + trace) + predict
+
+
+# Up to this order the trace moments come from the half powers H^j,
+# j <= ceil(p/2), which take at most two products; order 7 or 8 would take
+# three, and one eigvalsh costs 9.3, 4.4, 3.8, 2.9 and 2.8 products at
+# N = 50, 150, 400, 600 and 1000 (complex, one BLAS thread).
+_HALF_POWER_MAX_ORDER = 6
+
+
+def _trace_moments(h: np.ndarray, p: int) -> list[float]:
+    """tr(H^k)/N, k = 1..p, of a Hermitian H.  Up to order 6 from the half
+    powers: tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>;
+    above it as the mean k-th power of the eigenvalues."""
+    import numpy as np
+    n = h.shape[0]
+    if p > _HALF_POWER_MAX_ORDER:
+        eig = np.linalg.eigvalsh(h)
+        return (eig[:, None] ** np.arange(1, p + 1)).mean(axis=0).tolist()
+    powers = [h]  # powers[j - 1] = H^j
+    while len(powers) < (p + 1) // 2:
+        powers.append(h @ powers[-1])
+    sums = [np.trace(h).real]
+    for k in range(2, p + 1):
+        sums.append(np.vdot(powers[k // 2 - 1], powers[(k + 1) // 2 - 1]).real)
+    return [float(s) / n for s in sums]
 
 
 def sample_trace_moments(
     spec: MatrixEnsembleSpec, p: int, budget: float | None = None
 ) -> MomentEstimate:
-    """Run the trials and collect tr(H^k)/N, the mean k-th power of the
-    eigenvalues, per trial.  Refuses up front if the estimated operation
-    count of sampling and prediction exceeds the budget (default 2e11)."""
+    """Run the trials and collect tr(H^k)/N per trial (see _trace_moments:
+    half powers up to order 6, eigenvalues above).  Refuses up front if the
+    estimated operation count of sampling and prediction exceeds the budget
+    (default 2e11)."""
     import numpy as np
     if p < 1:
         raise ValidationError("order p must be >= 1")
@@ -258,12 +322,14 @@ def sample_trace_moments(
             "raise `budget` explicitly to run this"
         )
     rows = []
-    for child in np.random.SeedSequence(spec.seed).spawn(spec.trials):
-        h = sample_matrix(spec, np.random.default_rng(child))
-        if not np.isfinite(h).all():
-            raise SizeLimitError("a sampled matrix has an entry past the float range")
-        eig = np.linalg.eigvalsh(h)
-        rows.append(tuple((eig[:, None] ** np.arange(1, p + 1)).mean(axis=0).tolist()))
+    # entries and sums past the float range are refused below and by
+    # compare_to_prediction, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for child in np.random.SeedSequence(spec.seed).spawn(spec.trials):
+            h = sample_matrix(spec, np.random.default_rng(child))
+            if not np.isfinite(h).all():
+                raise SizeLimitError("a sampled matrix has an entry past the float range")
+            rows.append(tuple(_trace_moments(h, p)))
     return MomentEstimate(spec=spec, p=p, per_trial=tuple(rows))
 
 

@@ -1,5 +1,6 @@
 """Random-matrix sampling against exact moment predictions."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from freemoments.measures import Measure
 from freemoments.rmt import (
     DEFAULT_BUDGET,
     MatrixEnsembleSpec,
+    _HALF_POWER_MAX_ORDER,
     _cost_units,
     compare_to_prediction,
     ensemble_spec_from_json,
@@ -335,6 +337,119 @@ def test_trial_rows_are_eigenvalue_power_sums():
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12 * scale)
             powers = [np.trace(np.linalg.matrix_power(h, k)).real / spec.dim for k in range(1, 7)]
             np.testing.assert_allclose(row, powers, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_budget_counts_one_rotation_product_for_a_diagonal_part():
+    # the deterministic and GUE nodes cost the same to draw, so the only
+    # difference is the second product of U B U^H
+    dim, trials = 50, 3
+    gue = MatrixEnsembleSpec(kind="gue", dim=dim)
+    one = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, trials=trials, parts=(bernoulli_diag(dim), gue)
+    )
+    two = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=trials, parts=(gue, gue))
+    assert _cost_units(two, 4) - _cost_units(one, 4) == trials * 4 * dim**3
+
+
+def test_budget_refuses_large_draws_at_low_orders():
+    # at order 2 the trace takes no product, but the draws and the dense
+    # arrays of a large N still cost time and memory: one 20000 x 20000
+    # complex matrix is 6.4 GB
+    for dim, trials in ((20_000, 1), (4_000, 1_000)):
+        spec = MatrixEnsembleSpec(kind="gue", dim=dim, trials=trials)
+        with pytest.raises(BudgetError):
+            sample_trace_moments(spec, 2)
+
+
+def test_budget_weighs_the_eigendecomposition_at_three_products():
+    # order 7 trades the two half-power products of order 6 for one
+    # eigvalsh, whose wall time is about three products
+    dim, trials = 50, 3
+    spec = MatrixEnsembleSpec(kind="gue", dim=dim, trials=trials)
+    step = _cost_units(spec, 7) - _cost_units(spec, 6)
+    predict = 350_000 * (7**2 - 6**2)
+    assert step - predict == trials * (4 * dim**3 + dim * 7 - 4 * dim * dim * 6)
+
+
+_ROUTE_SPECS = [
+    MatrixEnsembleSpec(kind="gue", dim=40, trials=2, seed=11),
+    MatrixEnsembleSpec(
+        kind="wishart", dim=40, trials=2, seed=12, rate="1/2", scale="3/2", shift="-1/4"
+    ),
+    MatrixEnsembleSpec(
+        kind="wishart", dim=40, trials=2, seed=13, rate="3/2", scale="1/2", shift=1
+    ),
+    bernoulli_diag(40, trials=2, seed=14, scale=2, shift="1/2"),
+    MatrixEnsembleSpec(
+        kind="free_sum", dim=40, trials=2, seed=15,
+        parts=(bernoulli_diag(40), MatrixEnsembleSpec(kind="gue", dim=40)),
+    ),
+    MatrixEnsembleSpec(
+        kind="free_sum", dim=40, trials=2, seed=16, shift=-1,
+        parts=(MatrixEnsembleSpec(kind="wishart", dim=40, rate=2), bernoulli_diag(40)),
+    ),
+    MatrixEnsembleSpec(
+        kind="free_sum", dim=40, trials=2, seed=17, scale="1/2",
+        parts=(bernoulli_diag(40), bernoulli_diag(40)),
+    ),
+]
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_both_trace_routes_are_eigenvalue_power_sums(p):
+    # orders up to _HALF_POWER_MAX_ORDER come from half powers, the rest
+    # from the eigenvalues; both must give the eigenvalue power sums
+    assert 1 < _HALF_POWER_MAX_ORDER < 12
+    for spec in _ROUTE_SPECS:
+        est = sample_trace_moments(spec, p)
+        for t, row in enumerate(est.per_trial):
+            eig = np.linalg.eigvalsh(_trial_matrix(spec, t))
+            for k, got in enumerate(row, start=1):
+                want = np.mean(eig**k)
+                size = np.mean(np.abs(eig) ** k)  # tr|H|^k / N, the rounding scale
+                assert abs(got - want) <= 1e-12 * max(abs(want), size), (spec.kind, p, t, k)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("diagonal", "gue"), ("gue", "diagonal"), ("diagonal", "diagonal"), ("gue", "wishart"),
+])
+def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
+    # rebuilt from the public samplers in the draw order part 0, part 1,
+    # Haar, on the same child generator as the trial
+    make = {
+        "diagonal": lambda: bernoulli_diag(30),
+        "gue": lambda: MatrixEnsembleSpec(kind="gue", dim=30),
+        "wishart": lambda: MatrixEnsembleSpec(kind="wishart", dim=30, rate="3/2"),
+    }
+    spec = MatrixEnsembleSpec(
+        kind="free_sum", dim=30, trials=3, seed=21, scale="3/2", shift="-1/2",
+        parts=(make[first](), make[second]()),
+    )
+    for t in range(spec.trials):
+        child = np.random.SeedSequence(spec.seed).spawn(spec.trials)[t]
+        rng = np.random.default_rng(child)
+        a = sample_matrix(spec.parts[0], rng)
+        b = sample_matrix(spec.parts[1], rng)
+        u = haar_unitary(spec.dim, rng)
+        literal = 1.5 * (a + u @ b @ u.conj().T) - 0.5 * np.eye(spec.dim)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(_trial_matrix(spec, t)), np.linalg.eigvalsh(literal),
+            rtol=0, atol=1e-10,
+        )
+
+
+def test_size_limit_path_does_not_warn():
+    # the overflow is reported as a SizeLimitError, so numpy must not also
+    # print a RuntimeWarning about it
+    spec = MatrixEnsembleSpec(kind="gue", dim=10, trials=2, scale="1e200")
+    wide = MatrixEnsembleSpec(kind="wishart", dim=10, trials=2, rate=2, scale="1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = sample_trace_moments(spec, 1)
+        with pytest.raises(SizeLimitError, match="order 1"):
+            compare_to_prediction(est, predicted_moments(spec, 1))
+        with pytest.raises(SizeLimitError, match="sampled matrix"):
+            sample_trace_moments(wide, 1)
 
 
 def test_non_finite_samples_are_size_limit_errors():
