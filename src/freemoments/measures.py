@@ -6,10 +6,13 @@ Exact data passes through ``cumulants.as_fraction`` (ints, Fractions, "p/q"
 or decimal strings; never floats).  Moments are exact rationals computed from
 closed recurrences and, for the semicircle, the affine map x -> scale * x +
 shift that the random-matrix predictions share.  The Cauchy transform
-G(z) = integral of 1/(z - x) and its derivative are evaluated in arbitrary
-precision (mpmath) in closed form for every shape, written so that nothing
-cancels for large |z|.  No production path integrates numerically;
-quadrature of the densities lives in the test oracles.
+G(z) = integral of 1/(z - x) and its derivative come from one evaluation
+of the pair (G(z), G'(z)) in arbitrary precision (mpmath), closed-form for
+every shape and free of cancellation for large |z|; the shared terms
+(1/(z - t), or s = sqrt(z - a) sqrt(z - b)), the domain check and the
+reflection serve both components, which ``cauchy_transform`` and
+``cauchy_transform_derivative`` return.  No production path integrates
+numerically; quadrature of the densities lives in the test oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
@@ -309,8 +312,8 @@ def _check_domain(mu: Measure, z: mp.mpc, dps: int) -> None:
     )
 
 
-def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
-    """G(z), or G'(z), at a point that passed the domain check; _transform
+def _transform_closed(mu: Measure, z: mp.mpc) -> tuple[mp.mpc, mp.mpc]:
+    """(G(z), G'(z)) at a point that passed the domain check; _transform
     reflects z out of the lower half-plane.
 
     The density shapes use forms free of cancellation for large |z| (the ray
@@ -320,49 +323,49 @@ def _transform_closed(mu: Measure, z: mp.mpc, derivative: bool) -> mp.mpc:
     uniform log((z - a) / (z - b)) becomes log1p((b - a) / (z - b)).
     """
     if mu.kind == DISCRETE:
-        total = mp.mpc(0)
+        g = gp = mp.mpc(0)
         for t, w in mu.atoms:
-            d = z - _to_mpf(t)
-            total += _to_mpf(w) * (-(d**-2) if derivative else 1 / d)
-        return total
+            inv = 1 / (z - _to_mpf(t))
+            term = _to_mpf(w) * inv
+            g += term
+            gp -= term * inv
+        return g, gp
     mass = _to_mpf(mu.mass)
-    if mu.density == SEMICIRCLE:
-        center = _to_mpf(mu.param("center"))
-        r = _to_mpf(mu.param("radius"))
-        zeta = z - center
-        s = mp.sqrt(zeta - r) * mp.sqrt(zeta + r)
-        if derivative:
-            return mass * (-2) * (1 + zeta / s) / (zeta + s) ** 2
-        return mass * 2 / (zeta + s)
-    if mu.density == MARCHENKO_PASTUR:
-        rate = _to_mpf(mu.param("rate"))
-        root = mp.sqrt(rate)
-        s = mp.sqrt(z - (1 - root) ** 2) * mp.sqrt(z - (1 + root) ** 2)
-        d = z + 1 - rate + s
-        if derivative:
-            return mass * (-2) * (1 + (z - 1 - rate) / s) / d**2
-        return mass * 2 / d
+    if mu.density == CAUCHY:
+        inv = 1 / (z - _to_mpf(mu.param("center")) + 1j * _to_mpf(mu.param("scale")))
+        g = mass * inv
+        return g, -g * inv
     if mu.density == UNIFORM:
         a, b = mu.param("a"), mu.param("b")
-        lo, hi = _to_mpf(a), _to_mpf(b)
-        if derivative:
-            return -mass / ((z - lo) * (z - hi))
-        width = _to_mpf(b - a)
-        return mass * mp.log1p(width / (z - hi)) / width
-    # cauchy
-    d = z - _to_mpf(mu.param("center")) + mp.mpc(0, 1) * _to_mpf(mu.param("scale"))
-    return mass * (-(d**-2) if derivative else 1 / d)
+        width, z_hi = _to_mpf(b - a), z - _to_mpf(b)
+        return mass * mp.log1p(width / z_hi) / width, -mass / ((z - _to_mpf(a)) * z_hi)
+    if mu.density == SEMICIRCLE:
+        r = _to_mpf(mu.param("radius"))
+        zeta = z - _to_mpf(mu.param("center"))
+        s = mp.sqrt(zeta - r) * mp.sqrt(zeta + r)
+        g = mass * 2 / (zeta + s)
+        return g, -g / s  # s' = zeta / s turns -G (1 + s') / (zeta + s) into -G / s
+    # marchenko_pastur
+    rate = _to_mpf(mu.param("rate"))
+    root = mp.sqrt(rate)
+    s = mp.sqrt(z - (1 - root) ** 2) * mp.sqrt(z - (1 + root) ** 2)
+    d = z + 1 - rate + s
+    g = mass * 2 / d
+    # s' = (z - 1 - rate) / s, with 1 + rate the midpoint of the support
+    return g, -g * (1 + (z - 1 - rate) / s) / d
 
 
-def _transform(mu: Measure, z, dps: int, derivative: bool) -> mp.mpc:
+def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
+    """(G(z), G'(z)) to roughly dps digits, both reflected for Im z < 0."""
     with mp.workdps(dps):
         zz = mp.mpc(z)
         _check_domain(mu, zz, dps)
         if zz.imag < 0:
             # the domain check admits the lower half-plane only outside a
             # compact support, where G(conj z) = conj G(z)
-            return mp.conj(_transform_closed(mu, mp.conj(zz), derivative))
-        return _transform_closed(mu, zz, derivative)
+            g, gp = _transform_closed(mu, mp.conj(zz))
+            return mp.conj(g), mp.conj(gp)
+        return _transform_closed(mu, zz)
 
 
 def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:
@@ -371,12 +374,12 @@ def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:
     z must lie in the open upper half-plane, or (for compactly supported
     measures) strictly outside the disk |z| <= support radius.
     """
-    return _transform(mu, z, dps, derivative=False)
+    return _transform(mu, z, dps)[0]
 
 
 def cauchy_transform_derivative(mu: Measure, z, dps: int = 30) -> mp.mpc:
     """G'(z) = -integral of 1/(z - x)^2 dmu(x); same domain as G."""
-    return _transform(mu, z, dps, derivative=True)
+    return _transform(mu, z, dps)[1]
 
 
 # ----------------------------------------------------------------------- JSON

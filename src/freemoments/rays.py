@@ -16,10 +16,13 @@ which grid levels were kept, the degree and the precision, never on the
 measure, so its pseudo-inverses are built once per such key and cached;
 every fit after the first is a matrix-vector product.
 
-All arithmetic is mpmath at a caller-chosen working precision; every kept
-sample carries a certified inversion residual |G(K(z)) - z|, and the
-stability figure residual / |z|^2 bounds the error this residual induces in
-the R value.
+Newton gets G and G' from one evaluation per trial point and steps with
+the slope that came with the point it accepted.  All arithmetic is mpmath
+at a caller-chosen working precision; every kept sample carries a certified
+inversion residual |G(K(z)) - z|, and the stability figure residual / |z|^2
++ |K(z)| 10^(1 - dps) bounds the error of the R value: what the residual
+induces, plus the rounding of K ~ 1/z, which R = K - 1/z falls below on
+very small radii.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 import mpmath as mp
 
@@ -37,15 +41,9 @@ from .errors import (
     RegionTooLargeError,
     ValidationError,
 )
-from .measures import (
-    Measure,
-    _to_mpf,
-    cauchy_transform,
-    cauchy_transform_derivative,
-    moments,
-)
+from .measures import Measure, _to_mpf, _transform, moments
 
-DEFAULT_LEVELS = 41
+NEWTON_MAX_ITER = 80
 FIT_RADIUS_SHRINK = 100  # fit only radii <= beta / this
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 
@@ -59,7 +57,7 @@ class NontangentialRay:
     alpha: Fraction = Fraction(1)
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
-    levels: int = DEFAULT_LEVELS
+    levels: ClassVar[int] = 41
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -69,8 +67,6 @@ class NontangentialRay:
             raise ValidationError("alpha must be positive")
         if self.beta <= 0:
             raise ValidationError("beta must be positive")
-        if not isinstance(self.levels, int) or self.levels < 10:
-            raise ValidationError("levels must be an int >= 10")
         lid = min(self.alpha, 1 / self.alpha)
         if abs(self.tan_theta) >= lid:
             raise ValidationError(
@@ -109,44 +105,43 @@ class RayTransformSamples:
 
 
 def _transform_pair(source):
+    """One callable w -> (G(w), G'(w)) at the working precision."""
     if isinstance(source, Measure):
-        return (
-            lambda z: cauchy_transform(source, z, dps=mp.mp.dps),
-            lambda z: cauchy_transform_derivative(source, z, dps=mp.mp.dps),
-        )
+        return lambda w: _transform(source, w, mp.mp.dps)
     if isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source):
-        return source
+        g, gp = source
+        return lambda w: (g(w), gp(w))
     raise ValidationError("source must be a Measure or a (G, G') pair of callables")
 
 
-def _newton(g, gp, z, seed, target, max_iter=80) -> tuple[mp.mpc, mp.mpf] | None:
+def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf] | None:
+    """Damped Newton on G(w) = z, where transform(w) = (G(w), G'(w)):
+    returns (w, |G(w) - z|) once that is <= target, or None."""
     w = seed
     try:
-        fw = g(w) - z
+        g, slope = transform(w)
     except (DomainError, ValueError, ZeroDivisionError):
         return None
-    for _ in range(max_iter):
+    fw = g - z
+    for _ in range(NEWTON_MAX_ITER):
         if abs(fw) <= target:
             return w, abs(fw)
-        try:
-            dw = fw / gp(w)
-        except (DomainError, ValueError, ZeroDivisionError):
+        if slope == 0:
             return None
+        dw = fw / slope
         lam = mp.mpf(1)
-        improved = False
         while lam > mp.mpf(2) ** -40:
             trial = w - lam * dw
             try:
-                ft = g(trial) - z
+                g, trial_slope = transform(trial)
             except (DomainError, ValueError, ZeroDivisionError):
                 lam /= 2
                 continue
-            if abs(ft) < abs(fw):
-                w, fw = trial, ft
-                improved = True
+            if abs(g - z) < abs(fw):
+                w, fw, slope = trial, g - z, trial_slope
                 break
             lam /= 2
-        if not improved:
+        else:
             return None
     return (w, abs(fw)) if abs(fw) <= target else None
 
@@ -174,16 +169,17 @@ def invert_g_on_ray(
     if ray is None:
         ray = NontangentialRay()
     with mp.workdps(dps):
-        g, gp = _transform_pair(source)
+        transform = _transform_pair(source)
         zs = ray.points()
         slack = mp.mpf(10) ** (6 - dps)
+        rounding = mp.mpf(10) ** (1 - dps)
         kept: list[tuple[int, mp.mpc, mp.mpc, mp.mpf]] = []
         dropped: list[int] = []
         finite_part = mp.mpc(0)
         for j in range(ray.levels - 1, -1, -1):
             z = zs[j]
             seed = 1 / z + finite_part
-            got = _newton(g, gp, z, seed, target=abs(z) * slack)
+            got = _newton(transform, z, seed, target=abs(z) * slack)
             if got is None:
                 dropped.append(j)
                 continue
@@ -205,7 +201,7 @@ def invert_g_on_ray(
             k_values=tuple(w for _, _, w, _ in kept),
             r_values=tuple(w - 1 / z for _, z, w, _ in kept),
             residuals=tuple(res for _, _, _, res in kept),
-            stability=tuple(res / abs(z) ** 2 for _, z, _, res in kept),
+            stability=tuple(res / abs(z) ** 2 + abs(w) * rounding for _, z, w, res in kept),
             dropped=tuple(sorted(dropped)),
         )
 

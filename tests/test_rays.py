@@ -1,12 +1,13 @@
 """Ray inversion of G and Taylor-coefficient recovery."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from freemoments import rays
+from freemoments import measures, rays
 from freemoments.cumulants import (
     CumulantSequence,
     MomentSequence,
@@ -14,7 +15,12 @@ from freemoments.cumulants import (
     moments_from_free_cumulants,
 )
 from freemoments.errors import NumericError, RegionTooLargeError, ValidationError
-from freemoments.measures import Measure, cauchy_transform, moments
+from freemoments.measures import (
+    Measure,
+    cauchy_transform,
+    cauchy_transform_derivative,
+    moments,
+)
 from freemoments.rays import (
     FIT_GUARD,
     NontangentialRay,
@@ -31,6 +37,10 @@ def _enough_digits():
     # assertions below do arithmetic on 50-digit sample values
     with mp.workdps(50):
         yield
+
+
+# the per-point fields of RayTransformSamples
+POINT_FIELDS = ("indices", "radii", "points", "k_values", "r_values", "residuals", "stability")
 
 
 def arcsine_callables():
@@ -69,8 +79,6 @@ def test_ray_cone_validation():
     with pytest.raises(ValidationError):
         NontangentialRay(beta=0)
     with pytest.raises(ValidationError):
-        NontangentialRay(levels=5)
-    with pytest.raises(ValidationError):
         NontangentialRay(beta=0.125)  # floats stay out of exact fields
 
 
@@ -92,7 +100,7 @@ def test_dirac_inversion_matches_closed_form():
     for z, w, r, stab in zip(
         samples.points, samples.k_values, samples.r_values, samples.stability
     ):
-        # the stability figure is exactly the residual-induced bound on R
+        # the stability figure bounds the error of K and of R
         assert abs(w - (3 + 1 / z)) <= stab + mp.mpf(10) ** -45
         assert abs(r - 3) <= stab + mp.mpf(10) ** -45
 
@@ -142,7 +150,9 @@ def test_unreachable_radii_are_dropped():
 
 
 def test_region_too_large():
-    ray = NontangentialRay(beta=10**6, levels=10)
+    # the smallest of the 41 radii is 2^40 / 2^40 = 1, and no z = -it with
+    # t >= 1/2 is a value of the arcsine G
+    ray = NontangentialRay(beta=2**40)
     with pytest.raises(RegionTooLargeError):
         invert_g_on_ray(arcsine_callables(), ray)
 
@@ -152,6 +162,57 @@ def test_source_validation():
         invert_g_on_ray("not a measure")
     with pytest.raises(ValidationError):
         invert_g_on_ray((lambda z: z,))
+
+
+FIVE_SHAPES = {
+    "discrete": Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]),
+    "semicircle": Measure.semicircle(0, 2),
+    "marchenko-pastur": Measure.marchenko_pastur(2),
+    "uniform": Measure.uniform(-1, 1),
+    "cauchy": Measure.cauchy(),
+}
+
+
+@pytest.mark.parametrize("mu", FIVE_SHAPES.values(), ids=FIVE_SHAPES.keys())
+def test_measure_and_callable_pair_sources_agree(mu):
+    # a Measure runs the joint (G, G') evaluation; the pair of its two
+    # components must follow the same Newton path
+    pair = (
+        functools.partial(cauchy_transform, mu, dps=50),
+        functools.partial(cauchy_transform_derivative, mu, dps=50),
+    )
+    direct = invert_g_on_ray(mu, dps=50)
+    wrapped = invert_g_on_ray(pair, dps=50)
+    assert direct.r_values == wrapped.r_values
+    assert direct.residuals == wrapped.residuals
+    assert direct.dropped == wrapped.dropped
+
+
+def test_one_transform_evaluation_per_newton_point(monkeypatch):
+    calls = []
+    closed = measures._transform_closed
+
+    def counting(*args):
+        calls.append(args)
+        return closed(*args)
+
+    monkeypatch.setattr(measures, "_transform_closed", counting)
+    samples = invert_g_on_ray(Measure.semicircle(0, 2))
+    assert samples.dropped == ()
+    # a seed and about two Newton steps per grid point, each one evaluation
+    assert len(calls) < 4 * NontangentialRay.levels
+
+
+def test_tiny_beta_error_covers_the_rounding_of_k():
+    # on radii <= 1e-30, R = K - 1/z ~ z lies below the rounding of K ~ 1/z
+    # at 50 digits, and G(K) rounds to z exactly: the error figure must
+    # still cover the distance to the true k_2 = 1
+    ray = NontangentialRay(beta="1e-30")
+    samples = invert_g_on_ray(Measure.semicircle(0, 2), ray)
+    est = estimate_taylor_on_ray(samples, 2)
+    assert abs(est.coefficients[1] - 1) <= est.errors[1]
+    for w, stab in zip(samples.k_values, samples.stability):
+        assert stab >= abs(w) * mp.mpf(10) ** -49
 
 
 @pytest.mark.parametrize(
@@ -261,8 +322,10 @@ def test_fit_validation():
         estimate_taylor_on_ray(samples, 11)  # needs 36 points, only 34 fit
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 0)
-    # 13 levels leave 6 fit radii within a factor 32 of each other
-    short = invert_g_on_ray(Measure.semicircle(0, 2), NontangentialRay(levels=13))
+    # the first 13 levels leave 6 fit radii within a factor 32 of each other
+    short = dataclasses.replace(
+        samples, **{field: getattr(samples, field)[:13] for field in POINT_FIELDS}
+    )
     with pytest.raises(ValidationError, match="two decades"):
         estimate_taylor_on_ray(short, 1)
 
@@ -360,9 +423,8 @@ def test_fit_with_a_dropped_level_matches_oracle():
     def without(field):
         return tuple(getattr(samples, field)[i] for i in keep)
 
-    fields = ("indices", "radii", "points", "k_values", "r_values", "residuals", "stability")
     holed = dataclasses.replace(
-        samples, dropped=(20,), **{field: without(field) for field in fields}
+        samples, dropped=(20,), **{field: without(field) for field in POINT_FIELDS}
     )
     est, _ = _assert_matches_oracle(holed, 4)
     assert est.points_used == 33
