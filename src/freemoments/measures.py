@@ -11,8 +11,13 @@ of the pair (G(z), G'(z)) in arbitrary precision (mpmath), closed-form for
 every shape and free of cancellation for large |z|; the shared terms
 (1/(z - t), or s = sqrt(z - a) sqrt(z - b)), the domain check and the
 reflection serve both components, which ``cauchy_transform`` and
-``cauchy_transform_derivative`` return.  No production path integrates
-numerically; quadrature of the densities lives in the test oracles.
+``cauchy_transform_derivative`` return.  ``_evaluator`` builds that
+evaluation for one measure at one precision, with the measure's exact
+constants (atoms and weights, center and radius, the Cauchy pole, the
+Marchenko-Pastur edges, the uniform ends) converted to mpf once, so the ray
+inversion pays the conversions once per ray, not per Newton point.  No
+production path integrates numerically; quadrature of the densities lives
+in the test oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
@@ -24,6 +29,7 @@ G(conj z) = conj G(z).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -300,21 +306,10 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------- Cauchy transform
 
 
-def _check_domain(mu: Measure, z: mp.mpc, dps: int) -> None:
-    if z.imag > 0:
-        return
-    radius = mu.support_radius(dps)
-    if radius is not None and abs(z) > radius:
-        return
-    raise DomainError(
-        f"point {z} is neither in the upper half-plane nor outside the "
-        "support disk"
-    )
-
-
-def _transform_closed(mu: Measure, z: mp.mpc) -> tuple[mp.mpc, mp.mpc]:
-    """(G(z), G'(z)) at a point that passed the domain check; _transform
-    reflects z out of the lower half-plane.
+def _closed_form(mu: Measure):
+    """A callable z -> (G(z), G'(z)) for points that passed the domain check,
+    with the exact constants of mu converted to mpf once, at the working
+    precision of this call; _evaluator adds the check and the reflection.
 
     The density shapes use forms free of cancellation for large |z| (the ray
     inversion's Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) *
@@ -323,49 +318,92 @@ def _transform_closed(mu: Measure, z: mp.mpc) -> tuple[mp.mpc, mp.mpc]:
     uniform log((z - a) / (z - b)) becomes log1p((b - a) / (z - b)).
     """
     if mu.kind == DISCRETE:
-        g = gp = mp.mpc(0)
-        for t, w in mu.atoms:
-            inv = 1 / (z - _to_mpf(t))
-            term = _to_mpf(w) * inv
-            g += term
-            gp -= term * inv
-        return g, gp
+        atoms = tuple((_to_mpf(t), _to_mpf(w)) for t, w in mu.atoms)
+
+        def discrete(z):
+            g = gp = mp.mpc(0)
+            for t, w in atoms:
+                inv = 1 / (z - t)
+                term = w * inv
+                g += term
+                gp -= term * inv
+            return g, gp
+
+        return discrete
     mass = _to_mpf(mu.mass)
     if mu.density == CAUCHY:
-        inv = 1 / (z - _to_mpf(mu.param("center")) + 1j * _to_mpf(mu.param("scale")))
-        g = mass * inv
-        return g, -g * inv
+        pole = mp.mpc(_to_mpf(mu.param("center")), -_to_mpf(mu.param("scale")))
+
+        def cauchy(z):
+            inv = 1 / (z - pole)
+            g = mass * inv
+            return g, -g * inv
+
+        return cauchy
     if mu.density == UNIFORM:
         a, b = mu.param("a"), mu.param("b")
-        width, z_hi = _to_mpf(b - a), z - _to_mpf(b)
-        return mass * mp.log1p(width / z_hi) / width, -mass / ((z - _to_mpf(a)) * z_hi)
+        lo, hi, width = _to_mpf(a), _to_mpf(b), _to_mpf(b - a)
+
+        def uniform(z):
+            z_hi = z - hi
+            return mass * mp.log1p(width / z_hi) / width, -mass / ((z - lo) * z_hi)
+
+        return uniform
     if mu.density == SEMICIRCLE:
-        r = _to_mpf(mu.param("radius"))
-        zeta = z - _to_mpf(mu.param("center"))
-        s = mp.sqrt(zeta - r) * mp.sqrt(zeta + r)
-        g = mass * 2 / (zeta + s)
-        return g, -g / s  # s' = zeta / s turns -G (1 + s') / (zeta + s) into -G / s
-    # marchenko_pastur
+        center, r = _to_mpf(mu.param("center")), _to_mpf(mu.param("radius"))
+
+        def semicircle(z):
+            zeta = z - center
+            s = mp.sqrt(zeta - r) * mp.sqrt(zeta + r)
+            g = mass * 2 / (zeta + s)
+            return g, -g / s  # s' = zeta / s turns -G (1 + s') / (zeta + s) into -G / s
+
+        return semicircle
     rate = _to_mpf(mu.param("rate"))
     root = mp.sqrt(rate)
-    s = mp.sqrt(z - (1 - root) ** 2) * mp.sqrt(z - (1 + root) ** 2)
-    d = z + 1 - rate + s
-    g = mass * 2 / d
-    # s' = (z - 1 - rate) / s, with 1 + rate the midpoint of the support
-    return g, -g * (1 + (z - 1 - rate) / s) / d
+    lo, hi = (1 - root) ** 2, (1 + root) ** 2
+
+    def marchenko_pastur(z):
+        s = mp.sqrt(z - lo) * mp.sqrt(z - hi)
+        d = z + 1 - rate + s
+        g = mass * 2 / d
+        # s' = (z - 1 - rate) / s, with 1 + rate the midpoint of the support
+        return g, -g * (1 + (z - 1 - rate) / s) / d
+
+    return marchenko_pastur
+
+
+def _evaluator(mu: Measure, dps: int):
+    """A callable z -> (G(z), G'(z)), both reflected for Im z < 0, built at
+    the working precision dps and to be called at it.  The support radius of
+    the domain check is converted on the first point off the upper
+    half-plane, which the ray inversion rarely reaches."""
+    closed = _closed_form(mu)
+    support = functools.cache(lambda: mu.support_radius(dps))
+
+    def evaluate(z):
+        zz = mp.mpc(z)
+        if zz.imag > 0:
+            return closed(zz)
+        radius = support()
+        if radius is None or abs(zz) <= radius:
+            raise DomainError(
+                f"point {zz} is neither in the upper half-plane nor outside the "
+                "support disk"
+            )
+        if zz.imag < 0:
+            # outside a compact support, G(conj z) = conj G(z)
+            g, gp = closed(mp.conj(zz))
+            return mp.conj(g), mp.conj(gp)
+        return closed(zz)
+
+    return evaluate
 
 
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
     """(G(z), G'(z)) to roughly dps digits, both reflected for Im z < 0."""
     with mp.workdps(dps):
-        zz = mp.mpc(z)
-        _check_domain(mu, zz, dps)
-        if zz.imag < 0:
-            # the domain check admits the lower half-plane only outside a
-            # compact support, where G(conj z) = conj G(z)
-            g, gp = _transform_closed(mu, mp.conj(zz))
-            return mp.conj(g), mp.conj(gp)
-        return _transform_closed(mu, zz)
+        return _evaluator(mu, dps)(z)
 
 
 def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:

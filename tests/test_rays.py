@@ -14,7 +14,12 @@ from freemoments.cumulants import (
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
-from freemoments.errors import NumericError, RegionTooLargeError, ValidationError
+from freemoments.errors import (
+    DomainError,
+    NumericError,
+    RegionTooLargeError,
+    ValidationError,
+)
 from freemoments.measures import (
     Measure,
     cauchy_transform,
@@ -188,19 +193,110 @@ def test_measure_and_callable_pair_sources_agree(mu):
     assert direct.dropped == wrapped.dropped
 
 
-def test_one_transform_evaluation_per_newton_point(monkeypatch):
+def count_evaluations(monkeypatch):
+    """Patch the ray's evaluator so that each (G, G') evaluation is logged."""
     calls = []
-    closed = measures._transform_closed
+    build = rays._evaluator
 
-    def counting(*args):
-        calls.append(args)
-        return closed(*args)
+    def counting_build(mu, dps):
+        evaluate = build(mu, dps)
 
-    monkeypatch.setattr(measures, "_transform_closed", counting)
-    samples = invert_g_on_ray(Measure.semicircle(0, 2))
+        def counting(z):
+            calls.append(z)
+            return evaluate(z)
+
+        return counting
+
+    monkeypatch.setattr(rays, "_evaluator", counting_build)
+    return calls
+
+
+def test_one_transform_evaluation_per_newton_point(monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    for mu, bound in (
+        # R(z) = z: the line through two R values is exact
+        (Measure.semicircle(0, 2), 1.5),
+        (Measure.discrete([(-8, "1/3"), (-2, "1/3"), ("7/2", "1/3")]), 3.2),
+    ):
+        calls.clear()
+        samples = invert_g_on_ray(mu)
+        assert samples.dropped == ()
+        # one evaluation per Newton point, and few points once the seed
+        # extrapolates R from the levels below
+        assert len(calls) < bound * NontangentialRay.levels
+
+
+def test_constants_converted_once_per_ray(monkeypatch):
+    conversions = []
+    to_mpf = measures._to_mpf
+
+    def counting(q):
+        conversions.append(q)
+        return to_mpf(q)
+
+    monkeypatch.setattr(measures, "_to_mpf", counting)
+    monkeypatch.setattr(rays, "_to_mpf", counting)
+    calls = count_evaluations(monkeypatch)
+    mu = Measure.discrete(
+        [(-3, "1/4"), (-1, "1/8"), (0, "1/8"), ("1/2", "1/8"), (2, "1/8"), (5, "1/4")]
+    )
+    samples = invert_g_on_ray(mu)
     assert samples.dropped == ()
-    # a seed and about two Newton steps per grid point, each one evaluation
-    assert len(calls) < 4 * NontangentialRay.levels
+    levels, atoms = NontangentialRay.levels, len(mu.atoms)
+    # the ray's points and radii, the closed form's atoms and weights, and a
+    # few more: none per evaluation
+    assert len(calls) > 2 * levels
+    assert len(conversions) <= 2 * levels + 2 * atoms + 5
+
+
+def standard_semicircle_with_a_hole(lo: int, hi: int):
+    """(G, G') of the standard semicircle raising DomainError near K(z) on
+    the levels lo..hi of the default ray, where |K(z)| ~ 1/|z| = 8 * 2^j."""
+    mu = Measure.semicircle(0, 2)
+    band = (8 * mp.mpf(2) ** (lo - mp.mpf(1) / 2), 8 * mp.mpf(2) ** (hi + mp.mpf(1) / 2))
+
+    def checked(w):
+        if band[0] < abs(w) < band[1]:
+            raise DomainError("inside the hole")
+        return measures._transform(mu, w, 50)
+
+    return (lambda w: checked(w)[0], lambda w: checked(w)[1])
+
+
+def test_level_dropped_mid_ray():
+    dps = 50
+    samples = invert_g_on_ray(standard_semicircle_with_a_hole(20, 22), dps=dps)
+    assert samples.dropped == (20, 21, 22)
+    assert samples.indices == tuple(j for j in range(41) if j not in (20, 21, 22))
+    slack = mp.mpf(10) ** (6 - dps)
+    for z, r, res, stab in zip(
+        samples.points, samples.r_values, samples.residuals, samples.stability
+    ):
+        assert res <= abs(z) * slack
+        # R(z) = z, also on levels 19 and 18, whose seeds carry R from below;
+        # |G'(K)| = |z|^2 / |1 - z^2| here, so the residual moves R by up to
+        # (1 + |z|^2) times its first-order figure residual / |z|^2
+        assert abs(r - z) <= (1 + abs(z) ** 2) * stab
+
+
+def test_evaluator_follows_the_precision_of_each_call():
+    # a closed form left over from the 50-digit run would put 50-digit
+    # constants into the later runs: R off by ~1e-51
+    mu = Measure.semicircle("1/3", "5/7")  # R(z) = 1/3 + (5/14)^2 z
+    invert_g_on_ray(mu, dps=50)
+    at_80 = invert_g_on_ray(mu, dps=80)
+    at_100 = invert_g_on_ray(mu, dps=100)
+    assert at_80.indices == at_100.indices
+    with mp.workdps(100):
+        for z, r, stab, r_100 in zip(
+            at_80.points, at_80.r_values, at_80.stability, at_100.r_values
+        ):
+            exact = mp.mpf(1) / 3 + (mp.mpf(5) / 14) ** 2 * z
+            # the stability figure is first order in the residual: a factor
+            # 2 covers the higher orders on these radii
+            assert abs(r - exact) <= 2 * stab
+            if stab < 1e-71:
+                assert abs(r - r_100) < 1e-70
 
 
 def test_tiny_beta_error_covers_the_rounding_of_k():
