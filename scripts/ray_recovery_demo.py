@@ -2,12 +2,15 @@
 """Recover R-transform Taylor coefficients of a preset measure on a ray.
 
 Prints the retained sample points (radius, R value, certified residual),
-then the fitted coefficients next to the exact free cumulants.
+then the fitted coefficients next to the exact free cumulants.  Exits 1
+when a fitted coefficient is further from its exact cumulant than its
+error figure, or is flagged non-real; 0 otherwise.
 
 Usage: python scripts/ray_recovery_demo.py [--measure NAME] [--order P]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -28,7 +31,7 @@ PRESETS = {
 }
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--measure", choices=sorted(PRESETS), default="semicircle")
     parser.add_argument("--order", type=int, default=6)
@@ -50,13 +53,26 @@ def main() -> None:
         est = estimate_taylor_on_ray(samples, args.order)
         exact = free_cumulants_from_moments(moments(mu, args.order)).values
         print(f"\n{'power':>5}  {'fitted':>24}  {'exact':>12}  {'est. error':>12}")
+        failed = []
         for i in range(args.order):
+            off = abs(est.coefficients[i] - mp.mpf(exact[i].numerator) / exact[i].denominator)
+            flag = ""
+            if est.nonreal[i]:
+                flag = "  non-real"
+            elif off > est.errors[i]:
+                flag = f"  off by {mp.nstr(off, 3)}"
+            if flag:
+                failed.append(i)
             print(
                 f"{i:>5}  {mp.nstr(est.coefficients[i].real, 16):>24}  "
-                f"{str(exact[i]):>12}  {mp.nstr(est.errors[i], 3):>12}"
+                f"{str(exact[i]):>12}  {mp.nstr(est.errors[i], 3):>12}{flag}"
             )
         print(f"\nfit condition number: {mp.nstr(est.condition, 4)}")
+    if failed:
+        print(f"FAIL: powers {failed} miss their exact cumulants", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,13 +25,9 @@ import argparse
 import json
 import math
 import sys
-import traceback
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import mpmath as mp
-
-from .acceptance import format_report, run_suite, suite_report_json
 from .cumulants import (
     CLASSICAL,
     FREE,
@@ -52,13 +48,6 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .levy import (
-    LevyPair,
-    cumulants_from_levy,
-    moments_of_classical_id,
-    moments_of_free_id,
-)
-from .measures import Measure, measure_from_json, moments
 from .noncrossing import (
     NCInterval,
     NCPartition,
@@ -67,20 +56,12 @@ from .noncrossing import (
     kreweras_complement,
     mobius_nc,
 )
-from .rays import (
-    NontangentialRay,
-    estimate_taylor_on_ray,
-    invert_g_on_ray,
-    verify_taylor_cumulants,
-)
-from .rmt import (
-    compare_to_prediction,
-    ensemble_spec_from_json,
-    ensemble_spec_to_json,
-    predicted_moments,
-    sample_trace_moments,
-)
-from .series import r_series_from_moments, support_bound_from_cumulants
+
+# Every subcommand runs the exact layers above; each handler imports the
+# rest of what it runs (measures, series, levy, rays, rmt, acceptance,
+# mpmath), so a spawn loads only its own subcommand's layers.
+if TYPE_CHECKING:
+    from .measures import Measure
 
 _NUMERIC_FAILURES = (NumericError, RegionTooLargeError, BudgetError)
 
@@ -164,15 +145,21 @@ def _blocks_from_json(data, what: str) -> NCPartition:
 
 
 def _num_str(value, digits: int) -> str:
+    import mpmath as mp
+
     return mp.nstr(mp.mpf(value), digits)
 
 
 def _complex_strs(value, digits: int) -> dict:
+    import mpmath as mp
+
     z = mp.mpc(value)
     return {"real": mp.nstr(z.real, digits), "imag": mp.nstr(z.imag, digits)}
 
 
 def _measure_from_file(path: str) -> Measure:
+    from .measures import measure_from_json
+
     return measure_from_json(_load_json_file(path, "measure"))
 
 
@@ -244,6 +231,8 @@ def _run_moments(args) -> tuple[dict, int]:
     if args.measure is not None:
         if args.order is None:
             raise ValidationError("--measure needs --order")
+        from .measures import moments
+
         mu = _measure_from_file(args.measure)
         m = moments(mu, args.order)
         return {"order": args.order, "m": _fractions_to_json(m.values)}, 0
@@ -263,12 +252,16 @@ def _run_freeconv(args) -> tuple[dict, int]:
 
 
 def _run_rseries(args) -> tuple[dict, int]:
+    from .series import r_series_from_moments
+
     m = MomentSequence(_sequence_from_text(args.moments, "--moments"))
     series = r_series_from_moments(m)
     return {"r": _fractions_to_json(series.coeffs)}, 0
 
 
 def _run_support_bound(args) -> tuple[dict, int]:
+    from .series import support_bound_from_cumulants
+
     if args.cumulants is not None:
         k = CumulantSequence(_sequence_from_text(args.cumulants, "--cumulants"))
     else:
@@ -296,6 +289,10 @@ def _taylor_rows(est, digits: int) -> list[dict]:
 
 
 def _run_rtransform(args) -> tuple[dict, int]:
+    import mpmath as mp
+
+    from .rays import NontangentialRay, estimate_taylor_on_ray, invert_g_on_ray
+
     mu = _measure_from_file(args.measure)
     ray = NontangentialRay(alpha=args.alpha, beta=args.beta, tan_theta=args.tilt)
     with mp.workdps(args.dps):
@@ -337,6 +334,13 @@ def _run_rtransform(args) -> tuple[dict, int]:
 
 
 def _run_levy(args) -> tuple[dict, int]:
+    from .levy import (
+        LevyPair,
+        cumulants_from_levy,
+        moments_of_classical_id,
+        moments_of_free_id,
+    )
+
     gamma = as_fraction(args.gamma)
     sigma = _measure_from_file(args.sigma)
     pair = LevyPair(gamma, sigma)
@@ -356,6 +360,14 @@ def _run_levy(args) -> tuple[dict, int]:
 
 
 def _run_simulate(args) -> tuple[dict, int]:
+    from .rmt import (
+        compare_to_prediction,
+        ensemble_spec_from_json,
+        ensemble_spec_to_json,
+        predicted_moments,
+        sample_trace_moments,
+    )
+
     spec_data = _load_json_file(args.spec, "ensemble spec")
     if args.seed is not None:
         if not isinstance(spec_data, dict):
@@ -377,6 +389,8 @@ def _run_simulate(args) -> tuple[dict, int]:
 
 def _run_verify(args) -> tuple[dict, int]:
     if args.suite:
+        from .acceptance import format_report, run_suite, suite_report_json
+
         only = None
         if args.only:
             only = [s for chunk in args.only for s in chunk.split(",") if s]
@@ -388,6 +402,10 @@ def _run_verify(args) -> tuple[dict, int]:
         raise ValidationError("verify needs --measure FILE or --suite")
     if args.order is None:
         raise ValidationError("--measure needs --order")
+    import mpmath as mp
+
+    from .rays import verify_taylor_cumulants
+
     mu = _measure_from_file(args.measure)
     check = verify_taylor_cumulants(mu, args.order, dps=args.dps)
     with mp.workdps(args.dps):
@@ -426,7 +444,15 @@ def _checked(convert, accept, wanted: str, keep_text: bool = False):
     return parse
 
 
-_TOL = _checked(mp.mpf, lambda v: mp.isfinite(v) and v > 0, "a positive number", True)
+def _finite_mpf(text: str):
+    """mpmath's reading of a flag, or None when it is not finite."""
+    import mpmath as mp
+
+    value = mp.mpf(text)
+    return value if mp.isfinite(value) else None
+
+
+_TOL = _checked(_finite_mpf, lambda v: v > 0, "a positive number", True)
 _BUDGET = _checked(float, lambda v: v > 0, "a positive budget (inf allowed)")
 _DPS = _checked(int, lambda v: v >= 1, "a precision of at least 1 digit")
 
@@ -548,6 +574,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         # a defect in the program, not in the input: stdout stays JSON and
         # the traceback goes to stderr
+        import traceback
+
         traceback.print_exc()
         detail = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": "internal", "detail": detail}))

@@ -33,9 +33,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import mpmath as mp
+# mpmath is imported inside the functions that evaluate G or make an mpf:
+# exact moments and the JSON round trip run without it.
+if TYPE_CHECKING:
+    import mpmath as mp
 
 from .cumulants import MomentSequence, as_fraction
 from .errors import (
@@ -179,6 +182,8 @@ class Measure:
 
     def support_radius(self, dps: int = 30):
         """mpf bound R with support inside [-R, R]; None when unbounded."""
+        import mpmath as mp
+
         if self.kind == DISCRETE:
             if not self.atoms:
                 return mp.mpf(0)
@@ -195,6 +200,8 @@ class Measure:
 
 
 def _to_mpf(q: Fraction):
+    import mpmath as mp
+
     return mp.mpf(q.numerator) / q.denominator
 
 
@@ -317,6 +324,8 @@ def _closed_form(mu: Measure):
     2 / (z + 1 - rate + s), like the semicircle's 2 / (zeta + s), and the
     uniform log((z - a) / (z - b)) becomes log1p((b - a) / (z - b)).
     """
+    import mpmath as mp
+
     if mu.kind == DISCRETE:
         atoms = tuple((_to_mpf(t), _to_mpf(w)) for t, w in mu.atoms)
 
@@ -378,6 +387,8 @@ def _evaluator(mu: Measure, dps: int):
     the working precision dps and to be called at it.  The support radius of
     the domain check is converted on the first point off the upper
     half-plane, which the ray inversion rarely reaches."""
+    import mpmath as mp
+
     closed = _closed_form(mu)
     support = functools.cache(lambda: mu.support_radius(dps))
 
@@ -402,6 +413,8 @@ def _evaluator(mu: Measure, dps: int):
 
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
     """(G(z), G'(z)) to roughly dps digits, both reflected for Im z < 0."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         return _evaluator(mu, dps)(z)
 

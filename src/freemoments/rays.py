@@ -25,10 +25,11 @@ the integer weights 7, -14, 8, and the seed 1/z + R often needs no Newton
 step at all: about 1.9 evaluations per grid point over the benchmark's
 laws, 1.1-1.3 on semicircles, where R is linear.  All arithmetic is mpmath
 at a caller-chosen working precision; every kept sample carries a certified
-inversion residual |G(K(z)) - z|, and the stability figure residual / |z|^2
-+ |K(z)| 10^(1 - dps) bounds the error of the R value: what the residual
-induces, plus the rounding of K ~ 1/z, which R = K - 1/z falls below on
-very small radii.
+inversion residual |G(K(z)) - z|, and the stability figure residual /
+|G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R value: what the
+residual induces to first order, through the slope Newton accepted the
+point with, plus the rounding of K ~ 1/z, which R = K - 1/z falls below
+on very small radii.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ def _transform_pair(source):
     raise ValidationError("source must be a Measure or a (G, G') pair of callables")
 
 
-def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf] | None:
+def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpc] | None:
     """Damped Newton on G(w) = z, where transform(w) = (G(w), G'(w)):
-    returns (w, |G(w) - z|) once that is <= target, or None."""
+    returns (w, |G(w) - z|, G'(w)) once that residual is <= target, or
+    None."""
     w = seed
     try:
         g, slope = transform(w)
@@ -141,7 +143,7 @@ def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf] | None:
     floor = mp.mpf(2) ** -40  # the smallest backtracking step tried
     for _ in range(NEWTON_MAX_ITER):
         if abs(fw) <= target:
-            return w, abs(fw)
+            return w, abs(fw), slope
         if slope == 0:
             return None
         dw = fw / slope
@@ -159,7 +161,7 @@ def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf] | None:
             lam /= 2
         else:
             return None
-    return (w, abs(fw)) if abs(fw) <= target else None
+    return (w, abs(fw), slope) if abs(fw) <= target else None
 
 
 def _extrapolate(run) -> mp.mpc:
@@ -199,7 +201,8 @@ def invert_g_on_ray(
         zs = ray.points()
         slack = mp.mpf(10) ** (6 - dps)
         rounding = mp.mpf(10) ** (1 - dps)
-        kept: list[tuple[int, mp.mpc, mp.mpc, mp.mpf]] = []
+        # (level, z, K(z), residual, stability figure)
+        kept: list[tuple[int, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
         dropped: list[int] = []
         run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
         carry = mp.mpc(0)
@@ -212,8 +215,9 @@ def invert_g_on_ray(
                 dropped.append(j)
                 run = []
                 continue
-            w, res = got
-            kept.append((j, z, w, res))
+            w, res, slope = got
+            induced = res / abs(slope) if slope else mp.inf
+            kept.append((j, z, w, res, induced + abs(w) * rounding))
             carry = w - inv_z
             run = [carry] + run[:SEED_DEGREE]
         if not kept:
@@ -221,17 +225,18 @@ def invert_g_on_ray(
                 "no grid point of the ray could be inverted; shrink beta"
             )
         kept.reverse()
+        indices, points, k_values, residuals, stability = zip(*kept)
         radii_exact = ray.radii()
         return RayTransformSamples(
             ray=ray,
             dps=dps,
-            indices=tuple(j for j, _, _, _ in kept),
-            radii=tuple(_to_mpf(radii_exact[j]) for j, _, _, _ in kept),
-            points=tuple(z for _, z, _, _ in kept),
-            k_values=tuple(w for _, _, w, _ in kept),
-            r_values=tuple(w - 1 / z for _, z, w, _ in kept),
-            residuals=tuple(res for _, _, _, res in kept),
-            stability=tuple(res / abs(z) ** 2 + abs(w) * rounding for _, z, w, res in kept),
+            indices=indices,
+            radii=tuple(_to_mpf(radii_exact[j]) for j in indices),
+            points=points,
+            k_values=k_values,
+            r_values=tuple(w - 1 / z for z, w in zip(points, k_values)),
+            residuals=residuals,
+            stability=stability,
             dropped=tuple(sorted(dropped)),
         )
 

@@ -436,49 +436,64 @@ def test_simulate_deterministic_and_seed_override(capsys, gue_spec_file):
 
 
 # Runs in a fresh interpreter, whose sys.modules shows what was imported.
-_NUMPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
 
+HEAVY = ("mpmath", "numpy", "freemoments.acceptance", "freemoments.rays", "freemoments.rmt")
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
 import freemoments
+seen = {"after_import": loaded()}
 from freemoments import cli
 
 def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
-    return code, json.loads(out.getvalue())
+    return [code, json.loads(out.getvalue()), loaded()]
 
-measure, spec = sys.argv[1:]
-seen = {"after_import": "numpy" in sys.modules}
+measure, sigma, spec = sys.argv[1:]
 seen["nc"] = run("nc", "--count", "4")
 seen["rseries"] = run("rseries", "--moments", '["0","1","0","2"]')
+seen["cumulants"] = run("cumulants", "--moments", '["0","1","0","2"]')
+seen["moments"] = run("moments", "--measure", measure, "--order", "4")
+seen["levy"] = run("levy", "--gamma", "1/2", "--sigma", sigma, "--order", "3")
 seen["rtransform"] = run("rtransform", "--measure", measure, "--order", "2")
-seen["before_simulate"] = "numpy" in sys.modules
 seen["simulate"] = run("simulate", "--spec", spec, "--order", "4")
-seen["after_simulate"] = "numpy" in sys.modules
 print(json.dumps(seen))
 """
 
 
-def test_exact_subcommands_do_not_import_numpy(capsys, semicircle_file, gue_spec_file):
+def test_each_subcommand_imports_only_its_layers(
+    capsys, semicircle_file, two_atom_file, gue_spec_file
+):
     src = os.path.dirname(os.path.dirname(freemoments.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, semicircle_file, gue_spec_file],
+        [sys.executable, "-c", _IMPORT_PROBE, semicircle_file, two_atom_file, gue_spec_file],
         capture_output=True, text=True, timeout=120, check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     seen = json.loads(done.stdout)
-    assert seen["after_import"] is False
-    assert seen["nc"] == [0, {"n": 4, "count": 14}]
-    assert seen["rseries"] == [0, {"r": ["0", "1", "0", "0"]}]
-    assert seen["rtransform"][0] == 0
-    assert seen["before_simulate"] is False
-    assert seen["after_simulate"] is True
+    # the package and the exact subcommands load neither mpmath nor numpy,
+    # nor the numeric layers and the acceptance battery
+    assert seen["after_import"] == []
+    assert seen["nc"] == [0, {"n": 4, "count": 14}, []]
+    assert seen["rseries"] == [0, {"r": ["0", "1", "0", "0"]}, []]
+    assert seen["cumulants"] == [0, {"kind": "free", "k": ["0", "1", "0", "0"]}, []]
+    assert seen["moments"] == [0, {"order": 4, "m": ["0", "1", "0", "2"]}, []]
+    code, levy, modules = seen["levy"]
+    assert code == 0 and levy["cumulants"] == ["1/2", "2", "0"] and modules == []
+    # the ray loads mpmath and its own layer, still without numpy
+    code, _, modules = seen["rtransform"]
+    assert code == 0 and modules == ["mpmath", "freemoments.rays"]
+    code, out, modules = seen["simulate"]
+    assert "numpy" in modules and "freemoments.rmt" in modules
     # sampling with numpy imported late gives what this process, which
     # imported numpy up front, gives
-    code, out, _ = run_cli(capsys, "simulate", "--spec", gue_spec_file, "--order", "4")
-    assert seen["simulate"] == [code, json.loads(out)]
+    assert [code, out] == list(run_json(capsys, "simulate", "--spec", gue_spec_file, "--order", "4"))
 
 
 def test_simulate_out_file(capsys, gue_spec_file, tmp_path):
@@ -602,10 +617,10 @@ def test_simulate_huge_order_is_refused_by_the_budget(capsys, gue_spec_file):
 
 
 def test_non_finite_float_never_reaches_stdout(capsys, gue_spec_file, monkeypatch):
-    import freemoments.cli as cli
+    import freemoments.rmt as rmt
 
     rows = [{"within": True, "allowance": math.inf}]
-    monkeypatch.setattr(cli, "compare_to_prediction", lambda estimate, exact: rows)
+    monkeypatch.setattr(rmt, "compare_to_prediction", lambda estimate, exact: rows)
     code, out, _ = run_cli(capsys, "simulate", "--spec", gue_spec_file, "--order", "2")
     assert code == 2
     assert _strict_json(out)["error"] == "internal"

@@ -274,9 +274,25 @@ def test_level_dropped_mid_ray():
     ):
         assert res <= abs(z) * slack
         # R(z) = z, also on levels 19 and 18, whose seeds carry R from below;
-        # |G'(K)| = |z|^2 / |1 - z^2| here, so the residual moves R by up to
-        # (1 + |z|^2) times its first-order figure residual / |z|^2
-        assert abs(r - z) <= (1 + abs(z) ** 2) * stab
+        # |G'(K)| = |z|^2 / |1 - z^2| here, and the figure divides the
+        # residual by it
+        assert abs(r - z) <= stab
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [Measure.marchenko_pastur(2), Measure.discrete([(-8, "1/3"), (-2, "1/3"), ("7/2", "1/3")])],
+    ids=["marchenko-pastur-2", "three-atoms"],
+)
+def test_stability_figure_bounds_r_against_a_higher_precision_run(mu):
+    # |G'(K)| is |z|^2 only to leading order; on these laws the difference
+    # is larger than the margin between the error of R and its figure
+    at_50 = invert_g_on_ray(mu, dps=50)
+    at_80 = invert_g_on_ray(mu, dps=80)
+    assert at_50.dropped == at_80.dropped == ()
+    with mp.workdps(80):
+        for r, stab, r_80 in zip(at_50.r_values, at_50.stability, at_80.r_values):
+            assert abs(r - r_80) <= stab
 
 
 def test_evaluator_follows_the_precision_of_each_call():
