@@ -317,6 +317,7 @@ def _run_rtransform(args) -> tuple[dict, int]:
                 "beta": _exact_str(ray.beta),
                 "tan_theta": _exact_str(ray.tan_theta),
                 "levels": ray.levels,
+                "first_level": ray.first_level,
             },
             "dropped_levels": list(samples.dropped),
             "points": points,
@@ -514,7 +515,11 @@ def _build_parser() -> _Parser:
     rtransform.add_argument("--measure", required=True, metavar="FILE")
     rtransform.add_argument("--order", type=int, required=True)
     rtransform.add_argument("--alpha", default="1", help="ray cone parameter (exact)")
-    rtransform.add_argument("--beta", default="1/8", help="outermost radius (exact)")
+    rtransform.add_argument(
+        "--beta",
+        default="1/8",
+        help="radius of level 0; the ray inverts beta/2^7 down to beta/2^40 (exact)",
+    )
     rtransform.add_argument(
         "--tilt", default="0", help="tangent of the ray angle off vertical (exact)"
     )

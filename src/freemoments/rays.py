@@ -12,10 +12,13 @@ along such a ray (damped Newton with continuation from the smallest radius,
 where K(z) is dominated by 1/z, each radius seeded with R extrapolated from
 the radii below it), and fits a polynomial to the R values to
 estimate the leading Taylor coefficients together with per-coefficient
-error estimates from nested sub-grid fits.  The fit matrix depends only on
-which grid levels were kept, the degree and the precision, never on the
-measure, so its pseudo-inverses are built once per such key and cached;
-every fit after the first is a matrix-vector product.
+error estimates from nested sub-grid fits.  The expansion is read at 0, so
+only radii <= beta/100 are sampled (the levels from
+NontangentialRay.first_level on), and the fit reads every one of them.
+The fit matrix depends only on which grid levels were kept, the degree and
+the precision, never on the measure, so its pseudo-inverses are built once
+per such key and cached; every fit after the first is a matrix-vector
+product.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's closed form is
@@ -51,7 +54,6 @@ from .errors import (
 from .measures import Measure, _evaluator, _to_mpf, moments
 
 NEWTON_MAX_ITER = 80
-FIT_RADIUS_SHRINK = 100  # fit only radii <= beta / this
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 # Degree of the polynomial that extrapolates R to the next radius.  The
 # cubic (15, -70, 120, -64) takes fewer evaluations on discrete laws but no
@@ -67,12 +69,16 @@ SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
 class NontangentialRay:
     """Geometric grid of points t_j * e^{i(theta - pi/2)}, t_j = beta / 2^j,
     j = 0..levels-1, approaching 0 inside the cone |tan theta| <
-    min(alpha, 1/alpha) around the negative imaginary axis."""
+    min(alpha, 1/alpha) around the negative imaginary axis.  The ray is
+    sampled on the levels first_level..levels-1 only, the radii
+    <= beta/100 (2^7 >= 100) that the fit reads; the numbering of the
+    levels starts at beta all the same."""
 
     alpha: Fraction = Fraction(1)
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
     levels: ClassVar[int] = 41
+    first_level: ClassVar[int] = 7
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -140,10 +146,11 @@ def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpc] | None:
     except (DomainError, ValueError, ZeroDivisionError):
         return None
     fw = g - z
+    res = abs(fw)  # of the accepted iterate
     floor = mp.mpf(2) ** -40  # the smallest backtracking step tried
     for _ in range(NEWTON_MAX_ITER):
-        if abs(fw) <= target:
-            return w, abs(fw), slope
+        if res <= target:
+            return w, res, slope
         if slope == 0:
             return None
         dw = fw / slope
@@ -155,13 +162,15 @@ def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpc] | None:
             except (DomainError, ValueError, ZeroDivisionError):
                 lam /= 2
                 continue
-            if abs(g - z) < abs(fw):
-                w, fw, slope = trial, g - z, trial_slope
+            trial_fw = g - z
+            trial_res = abs(trial_fw)
+            if trial_res < res:
+                w, fw, res, slope = trial, trial_fw, trial_res, trial_slope
                 break
             lam /= 2
         else:
             return None
-    return (w, abs(fw), slope) if abs(fw) <= target else None
+    return (w, res, slope) if res <= target else None
 
 
 def _extrapolate(run) -> mp.mpc:
@@ -175,7 +184,8 @@ def _extrapolate(run) -> mp.mpc:
 def invert_g_on_ray(
     source, ray: NontangentialRay | None = None, dps: int = 50
 ) -> RayTransformSamples:
-    """Solve G(w) = z for every grid point z of the ray, smallest radius
+    """Solve G(w) = z for the grid points z of the ray on the levels
+    ray.first_level..ray.levels-1, the radii the fit reads, smallest radius
     first (there K(z) ~ 1/z, so Newton starts essentially converged).  Each
     later radius seeds Newton with 1/z plus R = K - 1/z extrapolated from
     the latest consecutive kept levels (`_extrapolate`); after one kept
@@ -198,16 +208,17 @@ def invert_g_on_ray(
         ray = NontangentialRay()
     with mp.workdps(dps):
         transform = _transform_pair(source)
-        zs = ray.points()
+        radii, d = ray.radii(), ray.direction()
         slack = mp.mpf(10) ** (6 - dps)
         rounding = mp.mpf(10) ** (1 - dps)
-        # (level, z, K(z), residual, stability figure)
-        kept: list[tuple[int, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
+        # (level, radius, z, K(z), residual, stability figure)
+        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
         dropped: list[int] = []
         run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
         carry = mp.mpc(0)
-        for j in range(ray.levels - 1, -1, -1):
-            z = zs[j]
+        for j in range(ray.levels - 1, ray.first_level - 1, -1):
+            t = _to_mpf(radii[j])
+            z = t * d
             inv_z = 1 / z
             seed = inv_z + (_extrapolate(run) if run else carry)
             got = _newton(transform, z, seed, target=abs(z) * slack)
@@ -217,7 +228,7 @@ def invert_g_on_ray(
                 continue
             w, res, slope = got
             induced = res / abs(slope) if slope else mp.inf
-            kept.append((j, z, w, res, induced + abs(w) * rounding))
+            kept.append((j, t, z, w, res, induced + abs(w) * rounding))
             carry = w - inv_z
             run = [carry] + run[:SEED_DEGREE]
         if not kept:
@@ -225,13 +236,12 @@ def invert_g_on_ray(
                 "no grid point of the ray could be inverted; shrink beta"
             )
         kept.reverse()
-        indices, points, k_values, residuals, stability = zip(*kept)
-        radii_exact = ray.radii()
+        indices, radii, points, k_values, residuals, stability = zip(*kept)
         return RayTransformSamples(
             ray=ray,
             dps=dps,
             indices=indices,
-            radii=tuple(_to_mpf(radii_exact[j]) for j in indices),
+            radii=radii,
             points=points,
             k_values=k_values,
             r_values=tuple(w - 1 / z for z, w in zip(points, k_values)),
@@ -310,8 +320,8 @@ def _fit_maps(offsets: tuple[int, ...], degree: int, dps: int):
 
 
 def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstimate:
-    """Fit a polynomial of degree p - 1 + FIT_GUARD to the R values on the
-    sub-grid of radii <= beta/100 and read off the first p
+    """Fit a polynomial of degree p - 1 + FIT_GUARD to every kept R value
+    (the ray samples only radii <= beta/100) and read off the first p
     coefficients.  Requires at least 3 (p + 1) points spanning two decades
     of radius, so each half below holds at least p + 2 points, enough for
     the degree.  Error figures come from refitting on the even- and
@@ -322,21 +332,18 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
     if p < 1:
         raise ValidationError("order p must be >= 1")
     with mp.workdps(samples.dps):
-        cap = _to_mpf(samples.ray.beta) / FIT_RADIUS_SHRINK
-        sel = [i for i, t in enumerate(samples.radii) if t <= cap]
+        n = len(samples.indices)
         degree = p - 1 + FIT_GUARD
-        if len(sel) < 3 * (p + 1):
+        if n < 3 * (p + 1):
             raise ValidationError(
-                f"{len(sel)} points below radius {mp.nstr(cap)} but the fit "
-                f"needs at least {3 * (p + 1)}"
+                f"{n} points kept on the ray but the fit needs at least {3 * (p + 1)}"
             )
-        ts = [samples.radii[i] for i in sel]
+        ts, vals = samples.radii, samples.r_values
         if max(ts) / min(ts) < 100:
             raise ValidationError("fit radii must span at least two decades")
-        vals = [samples.r_values[i] for i in sel]
         t_ref = max(ts)
-        j0 = samples.indices[sel[0]]
-        maps = _fit_maps(tuple(samples.indices[i] - j0 for i in sel), degree, samples.dps)
+        j0 = samples.indices[0]
+        maps = _fit_maps(tuple(j - j0 for j in samples.indices), degree, samples.dps)
         if maps is None:
             raise NumericError(
                 "least-squares matrix is numerically singular; lower the fit "
@@ -352,7 +359,7 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
             max(abs(x_full[m] - x_even[m]), abs(x_full[m] - x_odd[m])) for m in range(p)
         ]
         # sens[m] is the per-coefficient sensitivity to the inversion residuals
-        noise = max(samples.stability[i] for i in sel)
+        noise = max(samples.stability)
 
         d = samples.ray.direction()
         coeffs, imags, errors, nonreal = [], [], [], []
@@ -371,7 +378,7 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
             errors=tuple(errors),
             nonreal=tuple(nonreal),
             condition=condition,
-            points_used=len(sel),
+            points_used=n,
             radius_range=(min(ts), max(ts)),
         )
 

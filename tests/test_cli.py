@@ -345,7 +345,9 @@ def test_rtransform_report(capsys, tmp_path, two_atom_file):
     assert out == ""  # report went to the file, not stdout
     data = json.loads(report.read_text())
     assert data["within_tol"] is True
-    assert len(data["points"]) == 41
+    assert len(data["points"]) == 34
+    assert data["ray"]["levels"] == 41
+    assert data["points"][0]["index"] == data["ray"]["first_level"] == 7
     assert {"index", "radius", "r_value", "residual", "stability"} <= set(
         data["points"][0]
     )

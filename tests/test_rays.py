@@ -46,6 +46,8 @@ def _enough_digits():
 
 # the per-point fields of RayTransformSamples
 POINT_FIELDS = ("indices", "radii", "points", "k_values", "r_values", "residuals", "stability")
+# the ray inverts levels 7..40, the radii <= beta/100 that the fit reads
+INVERTED_LEVELS = NontangentialRay.levels - NontangentialRay.first_level
 
 
 def arcsine_callables():
@@ -61,7 +63,8 @@ def arcsine_callables():
 
 def test_ray_defaults():
     ray = NontangentialRay()
-    assert ray.levels == 41
+    assert ray.levels == 41 and ray.first_level == 7
+    assert 2 ** (ray.first_level - 1) < 100 <= 2**ray.first_level
     radii = ray.radii()
     assert radii[0] == F(1, 8) and radii[1] == F(1, 16)
     assert len(radii) == 41
@@ -100,7 +103,7 @@ def test_tilted_ray_points_stay_in_cone():
 
 def test_dirac_inversion_matches_closed_form():
     samples = invert_g_on_ray(Measure.dirac(3))
-    assert samples.indices == tuple(range(41))
+    assert samples.indices == tuple(range(7, 41))
     assert samples.dropped == ()
     for z, w, r, stab in zip(
         samples.points, samples.k_values, samples.r_values, samples.stability
@@ -148,10 +151,11 @@ def test_radii_are_descending_and_aligned():
 
 
 def test_unreachable_radii_are_dropped():
-    ray = NontangentialRay(beta=2)
+    # level 7, the largest radius inverted, sits at t = 2^8 / 2^7 = 2
+    ray = NontangentialRay(beta=2**8)
     samples = invert_g_on_ray(arcsine_callables(), ray)
-    assert samples.dropped and all(j <= 3 for j in samples.dropped)
-    assert 0 in samples.dropped  # |G| < 1/2 makes t = 2 unreachable
+    assert samples.dropped and all(j <= 10 for j in samples.dropped)
+    assert 7 in samples.dropped  # |G| < 1/2 makes t = 2 unreachable
 
 
 def test_region_too_large():
@@ -160,6 +164,28 @@ def test_region_too_large():
     ray = NontangentialRay(beta=2**40)
     with pytest.raises(RegionTooLargeError):
         invert_g_on_ray(arcsine_callables(), ray)
+
+
+@pytest.mark.parametrize(
+    "ray",
+    [NontangentialRay(), NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2))],
+    ids=["default", "tilted"],
+)
+def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray):
+    targets = []
+    newton = rays._newton
+
+    def recording(transform, z, seed, target):
+        targets.append(z)
+        return newton(transform, z, seed, target)
+
+    monkeypatch.setattr(rays, "_newton", recording)
+    samples = invert_g_on_ray(Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]), ray)
+    assert len(targets) == INVERTED_LEVELS
+    cap = mp.mpf(ray.beta.numerator) / ray.beta.denominator / 100
+    assert max(abs(z) for z in targets) <= cap
+    # every sample is fitted
+    assert estimate_taylor_on_ray(samples, 4).points_used == len(samples.indices)
 
 
 def test_source_validation():
@@ -223,7 +249,7 @@ def test_one_transform_evaluation_per_newton_point(monkeypatch):
         assert samples.dropped == ()
         # one evaluation per Newton point, and few points once the seed
         # extrapolates R from the levels below
-        assert len(calls) < bound * NontangentialRay.levels
+        assert len(calls) < bound * INVERTED_LEVELS
 
 
 def test_constants_converted_once_per_ray(monkeypatch):
@@ -242,7 +268,7 @@ def test_constants_converted_once_per_ray(monkeypatch):
     )
     samples = invert_g_on_ray(mu)
     assert samples.dropped == ()
-    levels, atoms = NontangentialRay.levels, len(mu.atoms)
+    levels, atoms = INVERTED_LEVELS, len(mu.atoms)
     # the ray's points and radii, the closed form's atoms and weights, and a
     # few more: none per evaluation
     assert len(calls) > 2 * levels
@@ -267,7 +293,7 @@ def test_level_dropped_mid_ray():
     dps = 50
     samples = invert_g_on_ray(standard_semicircle_with_a_hole(20, 22), dps=dps)
     assert samples.dropped == (20, 21, 22)
-    assert samples.indices == tuple(j for j in range(41) if j not in (20, 21, 22))
+    assert samples.indices == tuple(j for j in range(7, 41) if j not in (20, 21, 22))
     slack = mp.mpf(10) ** (6 - dps)
     for z, r, res, stab in zip(
         samples.points, samples.r_values, samples.residuals, samples.stability
@@ -434,9 +460,9 @@ def test_fit_validation():
         estimate_taylor_on_ray(samples, 11)  # needs 36 points, only 34 fit
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 0)
-    # the first 13 levels leave 6 fit radii within a factor 32 of each other
+    # the first 6 kept levels are 6 fit radii within a factor 32 of each other
     short = dataclasses.replace(
-        samples, **{field: getattr(samples, field)[:13] for field in POINT_FIELDS}
+        samples, **{field: getattr(samples, field)[:6] for field in POINT_FIELDS}
     )
     with pytest.raises(ValidationError, match="two decades"):
         estimate_taylor_on_ray(short, 1)
