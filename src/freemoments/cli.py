@@ -231,11 +231,15 @@ def _run_moments(args) -> tuple[dict, int]:
     if args.measure is not None:
         if args.order is None:
             raise ValidationError("--measure needs --order")
+        if args.classical:
+            raise ValidationError("--classical applies to --cumulants, not to --measure")
         from .measures import moments
 
         mu = _measure_from_file(args.measure)
         m = moments(mu, args.order)
         return {"order": args.order, "m": _fractions_to_json(m.values)}, 0
+    if args.order is not None:
+        raise ValidationError("--order applies to --measure, not to --cumulants")
     kind = CLASSICAL if args.classical else FREE
     k = CumulantSequence(_sequence_from_text(args.cumulants, "--cumulants"), kind)
     if kind == FREE:
@@ -294,7 +298,7 @@ def _run_rtransform(args) -> tuple[dict, int]:
     from .rays import NontangentialRay, estimate_taylor_on_ray, invert_g_on_ray
 
     mu = _measure_from_file(args.measure)
-    ray = NontangentialRay(alpha=args.alpha, beta=args.beta, tan_theta=args.tilt)
+    ray = NontangentialRay(beta=args.beta, tan_theta=args.tilt)
     with mp.workdps(args.dps):
         samples = invert_g_on_ray(mu, ray, dps=args.dps)
         est = estimate_taylor_on_ray(samples, args.order)
@@ -390,6 +394,8 @@ def _run_simulate(args) -> tuple[dict, int]:
 
 def _run_verify(args) -> tuple[dict, int]:
     if args.suite:
+        if args.order is not None:
+            raise ValidationError("--order applies to --measure, not to --suite")
         from .acceptance import format_report, run_suite, suite_report_json
 
         only = None
@@ -401,6 +407,8 @@ def _run_verify(args) -> tuple[dict, int]:
         return payload, 0 if payload["passed"] else 2
     if args.measure is None:
         raise ValidationError("verify needs --measure FILE or --suite")
+    if args.only is not None:
+        raise ValidationError("--only applies to --suite, not to --measure")
     if args.order is None:
         raise ValidationError("--measure needs --order")
     import mpmath as mp
@@ -514,14 +522,13 @@ def _build_parser() -> _Parser:
     )
     rtransform.add_argument("--measure", required=True, metavar="FILE")
     rtransform.add_argument("--order", type=int, required=True)
-    rtransform.add_argument("--alpha", default="1", help="ray cone parameter (exact)")
     rtransform.add_argument(
         "--beta",
         default="1/8",
         help="radius of level 0; the ray inverts beta/2^7 down to beta/2^40 (exact)",
     )
     rtransform.add_argument(
-        "--tilt", default="0", help="tangent of the ray angle off vertical (exact)"
+        "--tilt", default="0", help="exact tangent of the ray angle off vertical, |tilt| < 1"
     )
     rtransform.add_argument("--dps", type=_DPS, default=50, help="working precision")
     rtransform.add_argument(
@@ -549,11 +556,12 @@ def _build_parser() -> _Parser:
     simulate.set_defaults(run=_run_simulate, out_flag="out")
 
     verify = sub.add_parser("verify", help="coefficient check or acceptance suite")
-    verify.add_argument("--measure", metavar="FILE")
+    mode = verify.add_mutually_exclusive_group()
+    mode.add_argument("--measure", metavar="FILE")
+    mode.add_argument("--suite", action="store_true", help="run all criteria")
     verify.add_argument("--order", type=int)
     verify.add_argument("--dps", type=_DPS, default=50)
     verify.add_argument("--tol", type=_TOL, default="1e-4", help="max coefficient error")
-    verify.add_argument("--suite", action="store_true", help="run all criteria")
     verify.add_argument(
         "--only",
         action="append",

@@ -12,12 +12,13 @@ every shape and free of cancellation for large |z|; the shared terms
 (1/(z - t), or s = sqrt(z - a) sqrt(z - b)), the domain check and the
 reflection serve both components, which ``cauchy_transform`` and
 ``cauchy_transform_derivative`` return.  ``_evaluator`` builds that
-evaluation for one measure at one precision, with the measure's exact
-constants (atoms and weights, center and radius, the Cauchy pole, the
-Marchenko-Pastur edges, the uniform ends) converted to mpf once, so the ray
-inversion pays the conversions once per ray, not per Newton point.  No
-production path integrates numerically; quadrature of the densities lives
-in the test oracles.
+evaluation for one measure at the working precision (the precision of
+``Measure.support_radius`` too), with the measure's exact constants (atoms
+and weights, center and radius, the Cauchy pole, the Marchenko-Pastur
+edges, the uniform ends) converted to mpf once, so the ray inversion pays
+the conversions once per ray, not per Newton point.  No production path
+integrates numerically; quadrature of the densities lives in the test
+oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
@@ -180,8 +181,8 @@ class Measure:
             DENSITY, density=self.density, params=self.params, mass=self.mass * f
         )
 
-    def support_radius(self, dps: int = 30):
-        """mpf bound R with support inside [-R, R]; None when unbounded."""
+    def support_radius(self):
+        """Working-precision mpf R with support inside [-R, R]; None if unbounded."""
         import mpmath as mp
 
         if self.kind == DISCRETE:
@@ -194,8 +195,7 @@ class Measure:
         if self.density == UNIFORM:
             return max(abs(_to_mpf(self.param("a"))), abs(_to_mpf(self.param("b"))))
         if self.density == MARCHENKO_PASTUR:
-            with mp.workdps(dps):
-                return (1 + mp.sqrt(_to_mpf(self.param("rate")))) ** 2
+            return (1 + mp.sqrt(_to_mpf(self.param("rate")))) ** 2
         return None  # cauchy
 
 
@@ -382,15 +382,15 @@ def _closed_form(mu: Measure):
     return marchenko_pastur
 
 
-def _evaluator(mu: Measure, dps: int):
+def _evaluator(mu: Measure):
     """A callable z -> (G(z), G'(z)), both reflected for Im z < 0, built at
-    the working precision dps and to be called at it.  The support radius of
+    the working precision and to be called at it.  The support radius of
     the domain check is converted on the first point off the upper
     half-plane, which the ray inversion rarely reaches."""
     import mpmath as mp
 
     closed = _closed_form(mu)
-    support = functools.cache(lambda: mu.support_radius(dps))
+    support = functools.cache(mu.support_radius)
 
     def evaluate(z):
         zz = mp.mpc(z)
@@ -416,7 +416,7 @@ def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
     import mpmath as mp
 
     with mp.workdps(dps):
-        return _evaluator(mu, dps)(z)
+        return _evaluator(mu)(z)
 
 
 def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:

@@ -68,44 +68,33 @@ SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
 @dataclass(frozen=True)
 class NontangentialRay:
     """Geometric grid of points t_j * e^{i(theta - pi/2)}, t_j = beta / 2^j,
-    j = 0..levels-1, approaching 0 inside the cone |tan theta| <
-    min(alpha, 1/alpha) around the negative imaginary axis.  The ray is
-    sampled on the levels first_level..levels-1 only, the radii
-    <= beta/100 (2^7 >= 100) that the fit reads; the numbering of the
-    levels starts at beta all the same."""
+    approaching 0 inside the cone |tan theta| < alpha = 1 around the
+    negative imaginary axis; one ray samples one direction, so the cone's
+    aperture enters no sample and only bounds the tilt.  The ray is sampled
+    on the levels first_level..levels-1 only, the radii <= beta/100
+    (2^7 >= 100) that the fit reads; the level numbering starts at beta."""
 
-    alpha: Fraction = Fraction(1)
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
+    alpha: ClassVar[Fraction] = Fraction(1)
     levels: ClassVar[int] = 41
     first_level: ClassVar[int] = 7
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
         object.__setattr__(self, "beta", as_fraction(self.beta))
         object.__setattr__(self, "tan_theta", as_fraction(self.tan_theta))
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
         if self.beta <= 0:
             raise ValidationError("beta must be positive")
-        lid = min(self.alpha, 1 / self.alpha)
-        if abs(self.tan_theta) >= lid:
+        if abs(self.tan_theta) >= self.alpha:
             raise ValidationError(
-                f"|tan theta| = {self.tan_theta} leaves the cone (< {lid})"
+                f"|tan theta| = {self.tan_theta} leaves the cone (< {self.alpha})"
             )
-
-    def radii(self) -> list[Fraction]:
-        return [self.beta / 2**j for j in range(self.levels)]
 
     def direction(self) -> mp.mpc:
         """Unit vector e^{i(theta - pi/2)} at the current precision."""
         tau = _to_mpf(self.tan_theta)
         c = 1 / mp.sqrt(1 + tau * tau)
         return mp.mpc(tau * c, -c)
-
-    def points(self) -> list[mp.mpc]:
-        d = self.direction()
-        return [_to_mpf(t) * d for t in self.radii()]
 
 
 @dataclass(frozen=True)
@@ -129,7 +118,7 @@ def _transform_pair(source):
     """One callable w -> (G(w), G'(w)) at the working precision; for a
     Measure its closed form is built here, once."""
     if isinstance(source, Measure):
-        return _evaluator(source, mp.mp.dps)
+        return _evaluator(source)
     if isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source):
         g, gp = source
         return lambda w: (g(w), gp(w))
@@ -208,16 +197,16 @@ def invert_g_on_ray(
         ray = NontangentialRay()
     with mp.workdps(dps):
         transform = _transform_pair(source)
-        radii, d = ray.radii(), ray.direction()
+        d = ray.direction()
         slack = mp.mpf(10) ** (6 - dps)
         rounding = mp.mpf(10) ** (1 - dps)
-        # (level, radius, z, K(z), residual, stability figure)
-        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
+        # (level, radius, z, K(z), R(z), residual, stability figure)
+        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
         dropped: list[int] = []
         run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
         carry = mp.mpc(0)
         for j in range(ray.levels - 1, ray.first_level - 1, -1):
-            t = _to_mpf(radii[j])
+            t = _to_mpf(ray.beta / 2**j)
             z = t * d
             inv_z = 1 / z
             seed = inv_z + (_extrapolate(run) if run else carry)
@@ -228,15 +217,15 @@ def invert_g_on_ray(
                 continue
             w, res, slope = got
             induced = res / abs(slope) if slope else mp.inf
-            kept.append((j, t, z, w, res, induced + abs(w) * rounding))
             carry = w - inv_z
+            kept.append((j, t, z, w, carry, res, induced + abs(w) * rounding))
             run = [carry] + run[:SEED_DEGREE]
         if not kept:
             raise RegionTooLargeError(
                 "no grid point of the ray could be inverted; shrink beta"
             )
         kept.reverse()
-        indices, radii, points, k_values, residuals, stability = zip(*kept)
+        indices, radii, points, k_values, r_values, residuals, stability = zip(*kept)
         return RayTransformSamples(
             ray=ray,
             dps=dps,
@@ -244,7 +233,7 @@ def invert_g_on_ray(
             radii=radii,
             points=points,
             k_values=k_values,
-            r_values=tuple(w - 1 / z for z, w in zip(points, k_values)),
+            r_values=r_values,
             residuals=residuals,
             stability=stability,
             dropped=tuple(sorted(dropped)),

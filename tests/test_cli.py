@@ -413,6 +413,40 @@ def test_rtransform_bad_ray_exits_1(capsys, two_atom_file):
     assert json.loads(out)["error"] == "validation"
 
 
+def test_rtransform_alpha_is_not_a_flag(capsys, two_atom_file):
+    # the cone |tan theta| < 1 is fixed; the echo still prints its alpha
+    code, data = run_json(
+        capsys, "rtransform", "--measure", two_atom_file, "--order", "2", "--alpha", "1"
+    )
+    assert code == 1
+    assert data["error"] == "validation"
+    code, data = run_json(capsys, "rtransform", "--measure", two_atom_file, "--order", "2")
+    assert code == 0
+    assert data["ray"] == {
+        "alpha": "1", "beta": "1/8", "tan_theta": "0", "levels": 41, "first_level": 7
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "--only", "support-bound", "--measure", "@mu",
+         "--order", "2", "--tol", "1e-99"],
+        ["verify", "--suite", "--only", "support-bound", "--order", "2"],
+        ["verify", "--measure", "@mu", "--order", "2", "--only", "support-bound"],
+        ["moments", "--cumulants", "[1,1]", "--order", "5"],
+        ["moments", "--measure", "@mu", "--order", "2", "--classical"],
+    ],
+    ids=["suite-measure", "suite-order", "measure-only", "cumulants-order",
+         "measure-classical"],
+)
+def test_flags_the_mode_would_ignore_exit_1(capsys, two_atom_file, argv):
+    argv = [two_atom_file if a == "@mu" else a for a in argv]
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"] == "validation"
+
+
 @pytest.fixture
 def gue_spec_file(tmp_path):
     spec = MatrixEnsembleSpec(kind="gue", dim=60, trials=6, seed=11)

@@ -87,6 +87,14 @@ def test_support_radius():
     assert abs(r - 4) < mp.mpf(10) ** -20
 
 
+def test_support_radius_follows_the_working_precision():
+    # the Marchenko-Pastur edge is irrational: a radius computed at a fixed
+    # 30 digits would be off by ~1e-30 here
+    with mp.workdps(60):
+        r = Measure.marchenko_pastur(2).support_radius()
+        assert abs(r - (1 + mp.sqrt(2)) ** 2) < mp.mpf(10) ** -55
+
+
 def test_scaled():
     mu = Measure.semicircle(0, 2).scaled(3)
     assert mu.mass == 3
