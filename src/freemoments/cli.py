@@ -179,6 +179,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _run_nc(args) -> tuple[dict, int]:
+    if args.upper is not None and args.mobius is None:
+        raise ValidationError("--upper applies to --mobius only")
     if args.count is not None:
         n = args.count
         if n < 1:
@@ -394,8 +396,9 @@ def _run_simulate(args) -> tuple[dict, int]:
 
 def _run_verify(args) -> tuple[dict, int]:
     if args.suite:
-        if args.order is not None:
-            raise ValidationError("--order applies to --measure, not to --suite")
+        for flag in ("order", "dps", "tol"):
+            if getattr(args, flag) is not None:
+                raise ValidationError(f"--{flag} applies to --measure, not to --suite")
         from .acceptance import format_report, run_suite, suite_report_json
 
         only = None
@@ -415,15 +418,17 @@ def _run_verify(args) -> tuple[dict, int]:
 
     from .rays import verify_taylor_cumulants
 
+    dps = 50 if args.dps is None else args.dps
+    tol = "1e-4" if args.tol is None else args.tol
     mu = _measure_from_file(args.measure)
-    check = verify_taylor_cumulants(mu, args.order, dps=args.dps)
-    with mp.workdps(args.dps):
-        digits = min(args.dps, 30)
-        passed = bool(mp.mpf(check.max_error) <= mp.mpf(args.tol))
+    check = verify_taylor_cumulants(mu, args.order, dps=dps)
+    with mp.workdps(dps):
+        digits = min(dps, 30)
+        passed = bool(mp.mpf(check.max_error) <= mp.mpf(tol))
         payload = {
             "order": check.order,
-            "dps": args.dps,
-            "tol": args.tol,
+            "dps": dps,
+            "tol": tol,
             "exact": _fractions_to_json(check.exact),
             "estimated": [_complex_strs(v, digits) for v in check.estimated],
             "abs_errors": [_num_str(v, digits) for v in check.abs_errors],
@@ -481,7 +486,7 @@ def _build_parser() -> _Parser:
         "--mobius", metavar="BLOCKS", help="Mobius value of [BLOCKS, --upper]"
     )
     nc.add_argument(
-        "--upper", metavar="BLOCKS", help="interval top (default: one block)"
+        "--upper", metavar="BLOCKS", help="with --mobius: interval top (default: one block)"
     )
     nc.set_defaults(run=_run_nc)
 
@@ -560,8 +565,12 @@ def _build_parser() -> _Parser:
     mode.add_argument("--measure", metavar="FILE")
     mode.add_argument("--suite", action="store_true", help="run all criteria")
     verify.add_argument("--order", type=int)
-    verify.add_argument("--dps", type=_DPS, default=50)
-    verify.add_argument("--tol", type=_TOL, default="1e-4", help="max coefficient error")
+    verify.add_argument(
+        "--dps", type=_DPS, help="with --measure: working precision (default 50)"
+    )
+    verify.add_argument(
+        "--tol", type=_TOL, help="with --measure: max coefficient error (default 1e-4)"
+    )
     verify.add_argument(
         "--only",
         action="append",

@@ -276,8 +276,8 @@ def mobius_nc(interval: NCInterval) -> int:
 
 
 def mobius_nc_poset(interval: NCInterval) -> int:
-    """Brute-force Mobius value from the defining relation
-    mu(lower, q) = -sum of mu(lower, r) over lower <= r < q, over NC(n).
+    """Brute-force Mobius value from its defining relation, swept over the
+    members of the interval in NC(n) (`_mobius_sweep`).
 
     Uses only enumeration and refinement.  Exponential; intended as a
     cross-check oracle for mobius_nc.
@@ -289,9 +289,15 @@ def mobius_nc_poset(interval: NCInterval) -> int:
     # a linear extension, finer first: lower is first, upper last, and every
     # r < q comes before q; partitions with as many blocks as q never refine it
     between.sort(key=lambda q: -q.num_blocks)
+    return _mobius_sweep(between)[-1]
+
+
+def _mobius_sweep(above: list[NCPartition]) -> list[int]:
+    """mu(above[0], q) for each q of a finer-first linear extension, from
+    mu(lower, q) = -sum of mu(lower, r) over lower <= r < q."""
     values: list[int] = []
-    for q in between:
+    for q in above:
         # zip stops at q: it pairs each partition before q with its value
-        below = (m for r, m in zip(between, values) if refines(r, q))
+        below = (m for r, m in zip(above, values) if refines(r, q))
         values.append(-sum(below) if values else 1)
-    return values[-1]
+    return values

@@ -44,7 +44,7 @@ from typing import ClassVar
 
 import mpmath as mp
 
-from .cumulants import as_fraction, free_cumulants_from_moments
+from .cumulants import _check_order, as_fraction, free_cumulants_from_moments
 from .errors import (
     DomainError,
     NumericError,
@@ -55,13 +55,10 @@ from .measures import Measure, _evaluator, _to_mpf, moments
 
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
-# Degree of the polynomial that extrapolates R to the next radius.  The
-# cubic (15, -70, 120, -64) takes fewer evaluations on discrete laws but no
-# less time: it amplifies the rounding noise of R 269-fold, so semicircles
-# and Cauchy laws take more.
-SEED_DEGREE = 2
 # SEED_WEIGHTS[n - 1]: the polynomial through n values of R at radii t/2,
-# t/4, ..., t/2^n (newest first), evaluated at t
+# t/4, ..., t/2^n (newest first), evaluated at t; the last row sets the
+# degree.  A cubic row (15, -70, 120, -64) saves evaluations on discrete laws
+# but not time: it amplifies R's rounding noise 269-fold.
 SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
 
 
@@ -100,13 +97,13 @@ class NontangentialRay:
 @dataclass(frozen=True)
 class RayTransformSamples:
     """Retained inversions along a ray: K and R values with certified
-    residuals; `stability[i]` bounds the error of `r_values[i]`."""
+    residuals; `stability[i]` bounds the error of `r_values[i]`.  The i-th
+    grid point is radii[i] * ray.direction() at dps."""
 
     ray: NontangentialRay
     dps: int
     indices: tuple[int, ...]
     radii: tuple
-    points: tuple
     k_values: tuple
     r_values: tuple
     residuals: tuple
@@ -166,7 +163,7 @@ def _extrapolate(run) -> mp.mpc:
     """R at the next radius from its values at the latest consecutive kept
     levels, newest first: the polynomial through them, in powers of the
     radius, which halves from each of those levels to the one before it."""
-    weights = SEED_WEIGHTS[min(len(run), SEED_DEGREE + 1) - 1]
+    weights = SEED_WEIGHTS[min(len(run), len(SEED_WEIGHTS)) - 1]
     return mp.fsum(c * r for c, r in zip(weights, run))
 
 
@@ -200,8 +197,8 @@ def invert_g_on_ray(
         d = ray.direction()
         slack = mp.mpf(10) ** (6 - dps)
         rounding = mp.mpf(10) ** (1 - dps)
-        # (level, radius, z, K(z), R(z), residual, stability figure)
-        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
+        # (level, radius, K(z), R(z), residual, stability figure)
+        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
         dropped: list[int] = []
         run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
         carry = mp.mpc(0)
@@ -218,20 +215,19 @@ def invert_g_on_ray(
             w, res, slope = got
             induced = res / abs(slope) if slope else mp.inf
             carry = w - inv_z
-            kept.append((j, t, z, w, carry, res, induced + abs(w) * rounding))
-            run = [carry] + run[:SEED_DEGREE]
+            kept.append((j, t, w, carry, res, induced + abs(w) * rounding))
+            run = [carry] + run[: len(SEED_WEIGHTS) - 1]
         if not kept:
             raise RegionTooLargeError(
                 "no grid point of the ray could be inverted; shrink beta"
             )
         kept.reverse()
-        indices, radii, points, k_values, r_values, residuals, stability = zip(*kept)
+        indices, radii, k_values, r_values, residuals, stability = zip(*kept)
         return RayTransformSamples(
             ray=ray,
             dps=dps,
             indices=indices,
             radii=radii,
-            points=points,
             k_values=k_values,
             r_values=r_values,
             residuals=residuals,
@@ -250,7 +246,8 @@ class TaylorEstimate:
     coefficients[i] estimates the (i+1)-st free cumulant; errors[i] is an
     empirical error figure (spread between nested sub-grid fits plus the
     propagated inversion residual), and nonreal[i] flags an imaginary part
-    too large to blame on that error."""
+    too large to blame on that error.  The fit reads all len(samples.indices)
+    kept samples."""
 
     order: int
     coefficients: tuple
@@ -258,8 +255,6 @@ class TaylorEstimate:
     errors: tuple
     nonreal: tuple[bool, ...]
     condition: object
-    points_used: int
-    radius_range: tuple
 
 
 def _pseudo_inverse(offsets, degree, eps):
@@ -318,8 +313,7 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
     of the R values with a cached pseudo-inverse (`_fit_maps`); the
     condition number and the sensitivity to the inversion residuals come
     with the full fit's pseudo-inverse from the same cache entry."""
-    if p < 1:
-        raise ValidationError("order p must be >= 1")
+    _check_order(p)
     with mp.workdps(samples.dps):
         n = len(samples.indices)
         degree = p - 1 + FIT_GUARD
@@ -367,8 +361,6 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
             errors=tuple(errors),
             nonreal=tuple(nonreal),
             condition=condition,
-            points_used=n,
-            radius_range=(min(ts), max(ts)),
         )
 
 

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 from .cumulants import (
     MomentSequence,
+    _check_order,
     as_fraction,
     free_convolve,
 )
@@ -129,6 +130,11 @@ class MatrixEnsembleSpec:
                 raise ValidationError("free_sum needs a pair of part specs")
             if any(p.dim != self.dim for p in self.parts):
                 raise ValidationError("free_sum parts must share the parent dim")
+            # each trial of the parent draws both parts from its own generator
+            if any(p.trials != 1 or p.seed != 0 for p in self.parts):
+                raise ValidationError(
+                    "free_sum parts take no trials or seed: the parent's are used"
+                )
         elif self.parts is not None:
             raise ValidationError(f"{self.kind} takes no parts")
 
@@ -311,8 +317,7 @@ def sample_trace_moments(
     estimated operation count of sampling and prediction exceeds the budget
     (default 2e11)."""
     import numpy as np
-    if p < 1:
-        raise ValidationError("order p must be >= 1")
+    _check_order(p)
     cap = DEFAULT_BUDGET if budget is None else float(budget)
     cost = _cost_units(spec, p)
     if cost > cap:

@@ -436,9 +436,14 @@ def test_rtransform_alpha_is_not_a_flag(capsys, two_atom_file):
         ["verify", "--measure", "@mu", "--order", "2", "--only", "support-bound"],
         ["moments", "--cumulants", "[1,1]", "--order", "5"],
         ["moments", "--measure", "@mu", "--order", "2", "--classical"],
+        ["verify", "--suite", "--only", "support-bound", "--tol", "1e-99"],
+        ["verify", "--suite", "--only", "support-bound", "--dps", "3"],
+        ["nc", "--count", "4", "--upper", "[[9]]"],
+        ["nc", "--kreweras", "[[1,3],[2]]", "--upper", "[[1,2,3]]"],
     ],
     ids=["suite-measure", "suite-order", "measure-only", "cumulants-order",
-         "measure-classical"],
+         "measure-classical", "suite-tol", "suite-dps", "count-upper",
+         "kreweras-upper"],
 )
 def test_flags_the_mode_would_ignore_exit_1(capsys, two_atom_file, argv):
     argv = [two_atom_file if a == "@mu" else a for a in argv]

@@ -45,9 +45,16 @@ def _enough_digits():
 
 
 # the per-point fields of RayTransformSamples
-POINT_FIELDS = ("indices", "radii", "points", "k_values", "r_values", "residuals", "stability")
+POINT_FIELDS = ("indices", "radii", "k_values", "r_values", "residuals", "stability")
 # the ray inverts levels 7..40, the radii <= beta/100 that the fit reads
 INVERTED_LEVELS = NontangentialRay.levels - NontangentialRay.first_level
+
+
+def grid_points(samples):
+    """The kept grid points z = radius * direction, at the samples' precision."""
+    with mp.workdps(samples.dps):
+        d = samples.ray.direction()
+        return [t * d for t in samples.radii]
 
 
 def arcsine_callables():
@@ -73,9 +80,8 @@ def test_ray_defaults():
     samples = invert_g_on_ray(Measure.dirac(3), ray)
     assert samples.indices[0] == ray.first_level
     assert samples.radii[0] == mp.ldexp(1, -10)
-    for j, t, z in zip(samples.indices, samples.radii, samples.points):
+    for j, t in zip(samples.indices, samples.radii):
         assert t == mp.ldexp(1, -(j + 3))
-        assert abs(z - t * d) <= mp.mpf(10) ** -45 * t
 
 
 def test_ray_cone_validation():
@@ -93,7 +99,7 @@ def test_ray_cone_validation():
 
 def test_tilted_ray_points_stay_in_cone():
     samples = invert_g_on_ray(Measure.dirac(3), NontangentialRay(tan_theta="1/2"))
-    for z in samples.points:
+    for z in grid_points(samples):
         assert z.imag < 0
         assert abs(z.real) < abs(z.imag)  # alpha = 1 cone
 
@@ -106,7 +112,7 @@ def test_dirac_inversion_matches_closed_form():
     assert samples.indices == tuple(range(7, 41))
     assert samples.dropped == ()
     for z, w, r, stab in zip(
-        samples.points, samples.k_values, samples.r_values, samples.stability
+        grid_points(samples), samples.k_values, samples.r_values, samples.stability
     ):
         # the stability figure bounds the error of K and of R
         assert abs(w - (3 + 1 / z)) <= stab + mp.mpf(10) ** -45
@@ -123,7 +129,7 @@ def test_cauchy_r_is_constant():
 def test_semicircle_r_values_pointwise():
     # R(z) = z for the unit-variance semicircle
     samples = invert_g_on_ray(Measure.semicircle(0, 2))
-    for z, r, stab in zip(samples.points, samples.r_values, samples.stability):
+    for z, r, stab in zip(grid_points(samples), samples.r_values, samples.stability):
         assert abs(r - z) <= stab + mp.mpf(10) ** -40
 
 
@@ -131,13 +137,13 @@ def test_residuals_certified():
     samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=50)
     with mp.workdps(50):
         slack = mp.mpf(10) ** -44
-        for z, res in zip(samples.points, samples.residuals):
+        for z, res in zip(grid_points(samples), samples.residuals):
             assert res <= abs(z) * slack
     # re-evaluated at 10 extra digits, |G(K(z)) - z| certifies the inversion
     with mp.workdps(60):
         fresh = [
             abs(cauchy_transform(Measure.semicircle(0, 2), w, dps=60) - z)
-            for w, z in zip(samples.k_values, samples.points)
+            for w, z in zip(samples.k_values, grid_points(samples))
         ]
     assert max(fresh) < 1e-40
 
@@ -146,7 +152,7 @@ def test_radii_are_descending_and_aligned():
     samples = invert_g_on_ray(Measure.dirac(0))
     assert all(a > b for a, b in zip(samples.radii, samples.radii[1:]))
     with mp.workdps(50):
-        for t, z in zip(samples.radii, samples.points):
+        for t, z in zip(samples.radii, grid_points(samples)):
             assert abs(abs(z) - t) < 1e-45
 
 
@@ -184,8 +190,9 @@ def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray):
     assert len(targets) == INVERTED_LEVELS
     cap = mp.mpf(ray.beta.numerator) / ray.beta.denominator / 100
     assert max(abs(z) for z in targets) <= cap
-    # every sample is fitted
-    assert estimate_taylor_on_ray(samples, 4).points_used == len(samples.indices)
+    # Newton solved for exactly the kept points radius * direction,
+    # smallest radius first
+    assert targets[::-1] == grid_points(samples)
 
 
 def test_source_validation():
@@ -252,6 +259,22 @@ def test_one_transform_evaluation_per_newton_point(monkeypatch):
         assert len(calls) < bound * INVERTED_LEVELS
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_seed_extrapolation_is_exact_on_low_degree_polynomials(n):
+    # the seed table alone sets the degree: n values of R at t/2, ...,
+    # t/2^n, newest first, give R(t) exactly when R has degree below n
+    assert len(rays.SEED_WEIGHTS) == 3
+    t = mp.mpf(2) ** n  # every radius below is a whole number
+    for degree in range(n):
+        coeffs = [mp.mpc(3 - 2 * m, m + 1) for m in range(degree + 1)]
+
+        def r(x):
+            return mp.fsum(c * x**m for m, c in enumerate(coeffs))
+
+        run = [r(t / 2**k) for k in range(1, n + 1)]
+        assert rays._extrapolate(run) == r(t)
+
+
 def test_constants_converted_once_per_ray(monkeypatch):
     conversions = []
     to_mpf = measures._to_mpf
@@ -296,7 +319,7 @@ def test_level_dropped_mid_ray():
     assert samples.indices == tuple(j for j in range(7, 41) if j not in (20, 21, 22))
     slack = mp.mpf(10) ** (6 - dps)
     for z, r, res, stab in zip(
-        samples.points, samples.r_values, samples.residuals, samples.stability
+        grid_points(samples), samples.r_values, samples.residuals, samples.stability
     ):
         assert res <= abs(z) * slack
         # R(z) = z, also on levels 19 and 18, whose seeds carry R from below;
@@ -331,7 +354,7 @@ def test_evaluator_follows_the_precision_of_each_call():
     assert at_80.indices == at_100.indices
     with mp.workdps(100):
         for z, r, stab, r_100 in zip(
-            at_80.points, at_80.r_values, at_80.stability, at_100.r_values
+            grid_points(at_80), at_80.r_values, at_80.stability, at_100.r_values
         ):
             exact = mp.mpf(1) / 3 + (mp.mpf(5) / 14) ** 2 * z
             # the stability figure is first order in the residual: a factor
@@ -471,9 +494,9 @@ def test_fit_validation():
 def test_estimate_metadata():
     samples = invert_g_on_ray(Measure.semicircle(0, 2))
     est = estimate_taylor_on_ray(samples, 4)
-    assert est.points_used == 34
+    assert len(samples.indices) == 34  # the fit reads every kept sample
     assert est.order == 4
-    lo, hi = est.radius_range
+    lo, hi = min(samples.radii), max(samples.radii)
     assert lo < hi <= mp.mpf(1) / 800
     assert est.condition > 1
 
@@ -531,9 +554,9 @@ def test_fit_agrees_with_svd_and_householder_oracles(mu):
     p = 4
     samples = invert_g_on_ray(mu)
     est, (_, _, want) = _assert_matches_oracle(samples, p)
-    t_ref = est.radius_range[1]
+    t_ref = max(samples.radii)
     sel = [i for i, t in enumerate(samples.radii) if t <= t_ref]
-    assert len(sel) == est.points_used
+    assert len(sel) == len(samples.indices)
     # the cached row norms of R^-1 are those of the SVD's V Sigma^-1
     offsets = tuple(samples.indices[i] - samples.indices[sel[0]] for i in sel)
     sens = rays._fit_maps(offsets, p - 1 + FIT_GUARD, samples.dps)[3]
@@ -564,8 +587,8 @@ def test_fit_with_a_dropped_level_matches_oracle():
     holed = dataclasses.replace(
         samples, dropped=(20,), **{field: without(field) for field in POINT_FIELDS}
     )
-    est, _ = _assert_matches_oracle(holed, 4)
-    assert est.points_used == 33
+    _assert_matches_oracle(holed, 4)
+    assert len(holed.indices) == 33
 
 
 def test_fit_cache_is_shared_across_beta_and_direction():

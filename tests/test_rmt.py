@@ -62,6 +62,11 @@ def test_spec_validation():
             dim=10,
             parts=(bernoulli_diag(10), bernoulli_diag(12)),
         )
+    # a free sum's parts are drawn once per trial of the parent, from its
+    # generator: their own trials and seed would be ignored
+    for part in (bernoulli_diag(10, trials=2), bernoulli_diag(10, seed=1)):
+        with pytest.raises(ValidationError, match="trials or seed"):
+            MatrixEnsembleSpec(kind="free_sum", dim=10, parts=(part, bernoulli_diag(10)))
     with pytest.raises(ValidationError):
         MatrixEnsembleSpec(kind="gue", dim=10, scale=0.5)
     # sampling runs in floats
