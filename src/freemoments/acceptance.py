@@ -33,6 +33,7 @@ from .cumulants import (
     MomentSequence,
     free_convolve,
     free_cumulants_from_moments,
+    moments_from_classical_cumulants,
     moments_from_free_cumulants,
 )
 from .errors import FreemomentsError, ValidationError
@@ -41,8 +42,6 @@ from .levy import (
     cumulants_from_levy,
     diagnose_moment_transfer,
     levy_add,
-    moments_of_classical_id,
-    moments_of_free_id,
 )
 from .measures import Measure, moments
 from .noncrossing import (
@@ -65,7 +64,7 @@ from .rmt import (
     predicted_moments,
     sample_trace_moments,
 )
-from .series import r_series_from_moments, support_bound_from_cumulants
+from .series import support_bound_from_cumulants
 
 SUITE_SEED = 20260825
 
@@ -226,8 +225,8 @@ def _criterion_roundtrip() -> tuple[bool, str]:
 
 def _criterion_series() -> tuple[bool, str]:
     """The formal-series route to R coefficients (Lagrange inversion) agrees
-    exactly with the partition-sum oracle and with the production R series,
-    the functional-relation sweep, on the same random sequences."""
+    exactly with the partition-sum oracle and with the production free
+    cumulants, the functional-relation sweep, on the same random sequences."""
     checks = _Checks()
     for i, m in enumerate(_random_moment_sequences(200, 10, SUITE_SEED)):
         series = _lagrange_cumulants(m)
@@ -236,7 +235,7 @@ def _criterion_series() -> tuple[bool, str]:
             f"sequence {i}: series and partition cumulants differ",
         )
         checks.expect(
-            series == r_series_from_moments(m).coeffs,
+            series == free_cumulants_from_moments(m).values,
             f"sequence {i}: series and functional-relation cumulants differ",
         )
     return checks.result(
@@ -250,20 +249,20 @@ def _criterion_pinned() -> tuple[bool, str]:
     m + (r^2/4) z (exact); Cauchy -> constant -i on the ray (numeric)."""
     checks = _Checks()
     a = Fraction(7, 3)
-    dirac = r_series_from_moments(moments(Measure.dirac(a), 8))
+    dirac = free_cumulants_from_moments(moments(Measure.dirac(a), 8))
     checks.expect(
-        dirac.coeffs == (a,) + (Fraction(0),) * 7,
+        dirac.values == (a,) + (Fraction(0),) * 7,
         "point mass: R is not the constant a",
     )
     m, r = Fraction(1, 2), Fraction(3)
-    semi = r_series_from_moments(moments(Measure.semicircle(m, r), 8))
+    semi = free_cumulants_from_moments(moments(Measure.semicircle(m, r), 8))
     checks.expect(
-        semi.coeffs == (m, r * r / 4) + (Fraction(0),) * 6,
+        semi.values == (m, r * r / 4) + (Fraction(0),) * 6,
         "semicircle: R is not m + (r^2/4) z",
     )
-    std = r_series_from_moments(moments(Measure.semicircle(0, 2), 8))
+    std = free_cumulants_from_moments(moments(Measure.semicircle(0, 2), 8))
     checks.expect(
-        std.coeffs == (Fraction(0), Fraction(1)) + (Fraction(0),) * 6,
+        std.values == (Fraction(0), Fraction(1)) + (Fraction(0),) * 6,
         "standard semicircle: R is not z",
     )
     samples = invert_g_on_ray(Measure.cauchy(), dps=50)
@@ -368,40 +367,43 @@ def _criterion_levy_pins() -> tuple[bool, str]:
     checks = _Checks()
     half = Fraction(1, 2)
     poisson = LevyPair(half, Measure.discrete([(1, half)]))
+    free_k = cumulants_from_levy(poisson, 4)
+    classical_k = cumulants_from_levy(poisson, 4, CLASSICAL)
     checks.expect(
-        cumulants_from_levy(poisson, 4).values == (Fraction(1),) * 4,
+        free_k.values == (Fraction(1),) * 4,
         "rate-1 pair: free cumulants are not all 1",
     )
     checks.expect(
-        cumulants_from_levy(poisson, 4, CLASSICAL).values == (Fraction(1),) * 4,
+        classical_k.values == (Fraction(1),) * 4,
         "rate-1 pair: classical cumulants are not all 1",
     )
     checks.expect(
-        moments_of_free_id(poisson, 4).values
+        moments_from_free_cumulants(free_k).values
         == (Fraction(1), Fraction(2), Fraction(5), Fraction(14)),
         "rate-1 pair: free moments are not (1,2,5,14)",
     )
     checks.expect(
-        moments_of_classical_id(poisson, 4).values
+        moments_from_classical_cumulants(classical_k).values
         == (Fraction(1), Fraction(2), Fraction(5), Fraction(15)),
         "rate-1 pair: classical moments are not (1,2,5,15)",
     )
     unit = LevyPair(0, Measure.discrete([(0, 1)]))
     checks.expect(
-        moments_of_free_id(unit, 4).values
+        moments_from_free_cumulants(cumulants_from_levy(unit, 4)).values
         == (Fraction(0), Fraction(1), Fraction(0), Fraction(2)),
         "centered unit pair: free side is not the semicircle",
     )
     checks.expect(
-        moments_of_classical_id(unit, 4).values
+        moments_from_classical_cumulants(cumulants_from_levy(unit, 4, CLASSICAL)).values
         == (Fraction(0), Fraction(1), Fraction(0), Fraction(3)),
         "centered unit pair: classical side is not the Gaussian",
     )
     a = Fraction(5, 3)
     drift = LevyPair(a, Measure.discrete([]))
     checks.expect(
-        moments_of_free_id(drift, 4).values == (a, a**2, a**3, a**4)
-        and moments_of_classical_id(drift, 4).values == (a, a**2, a**3, a**4),
+        moments_from_free_cumulants(cumulants_from_levy(drift, 4)).values
+        == moments_from_classical_cumulants(cumulants_from_levy(drift, 4, CLASSICAL)).values
+        == (a, a**2, a**3, a**4),
         "pure drift: correspondents are not the point mass",
     )
     return checks.result("free Poisson, semicircle/Gaussian, and drift pins exact")
@@ -428,23 +430,25 @@ def _criterion_semigroup() -> tuple[bool, str]:
     for i in range(50):
         a = _random_levy_pair(rng)
         b = _random_levy_pair(rng)
-        ka = cumulants_from_levy(a, order).values
-        kb = cumulants_from_levy(b, order).values
+        cumulants_a = cumulants_from_levy(a, order)
+        cumulants_b = cumulants_from_levy(b, order)
+        ka, kb = cumulants_a.values, cumulants_b.values
         checks.expect(
             all(row["within"] for row in diagnose_moment_transfer(a, order)),
             f"pair {i}: a free-law moment exceeds its Levy growth bound",
         )
-        total = cumulants_from_levy(levy_add(a, b), order).values
+        total = cumulants_from_levy(levy_add(a, b), order)
         checks.expect(
-            total == tuple(x + y for x, y in zip(ka, kb)),
+            total.values == tuple(x + y for x, y in zip(ka, kb)),
             f"pair {i}: addition is not cumulant-additive",
         )
         if i < 10:
             via_moments = free_convolve(
-                moments_of_free_id(a, order), moments_of_free_id(b, order)
+                moments_from_free_cumulants(cumulants_a),
+                moments_from_free_cumulants(cumulants_b),
             )
             checks.expect(
-                via_moments.values == moments_of_free_id(levy_add(a, b), order).values,
+                via_moments.values == moments_from_free_cumulants(total).values,
                 f"pair {i}: pair addition disagrees with free convolution",
             )
         for n in (2, 3, 7):

@@ -10,12 +10,12 @@ One subcommand per pipeline stage:
 - ``simulate``: random-matrix trace-moment estimates vs exact predictions.
 - ``verify``: single-measure coefficient check, or the acceptance battery.
 
-Everything machine-readable is JSON on standard output (or the requested
-output file); progress/status lines go to standard error.  Exact values are
-serialized as "p/q" strings, numeric values as decimal strings together
-with the working precision that produced them.  Exit codes: 0 success, 1
-input/validation problems, 2 numeric failures (non-convergence, budget,
-failed verification) and internal errors, which print
+Every result and every error is JSON on standard output; progress/status
+lines go to standard error.  Exact values are serialized as "p/q" strings,
+numeric values as decimal strings together with the working precision that
+produced them.  Exit codes: 0 success, 1 input/validation problems or a
+standard output closed by its reader, 2 numeric failures (non-convergence,
+budget, failed verification) and internal errors, which print
 {"error": "internal", ...} with the traceback on standard error.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -163,18 +164,6 @@ def _measure_from_file(path: str) -> Measure:
     return measure_from_json(_load_json_file(path, "measure"))
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False)
-    if out_path is None:
-        print(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {out_path}: {exc}") from exc
-
-
 # -------------------------------------------------------------- subcommands
 
 
@@ -258,11 +247,9 @@ def _run_freeconv(args) -> tuple[dict, int]:
 
 
 def _run_rseries(args) -> tuple[dict, int]:
-    from .series import r_series_from_moments
-
+    # R(z) = k_1 + k_2 z + ...: its coefficients are the free cumulants
     m = MomentSequence(_sequence_from_text(args.moments, "--moments"))
-    series = r_series_from_moments(m)
-    return {"r": _fractions_to_json(series.coeffs)}, 0
+    return {"r": _fractions_to_json(free_cumulants_from_moments(m).values)}, 0
 
 
 def _run_support_bound(args) -> tuple[dict, int]:
@@ -341,12 +328,7 @@ def _run_rtransform(args) -> tuple[dict, int]:
 
 
 def _run_levy(args) -> tuple[dict, int]:
-    from .levy import (
-        LevyPair,
-        cumulants_from_levy,
-        moments_of_classical_id,
-        moments_of_free_id,
-    )
+    from .levy import LevyPair, cumulants_from_levy
 
     gamma = as_fraction(args.gamma)
     sigma = _measure_from_file(args.sigma)
@@ -354,9 +336,9 @@ def _run_levy(args) -> tuple[dict, int]:
     kind = CLASSICAL if args.classical else FREE
     k = cumulants_from_levy(pair, args.order, kind)
     if kind == FREE:
-        m = moments_of_free_id(pair, args.order)
+        m = moments_from_free_cumulants(k)
     else:
-        m = moments_of_classical_id(pair, args.order)
+        m = moments_from_classical_cumulants(k)
     return {
         "kind": kind,
         "gamma": _exact_str(gamma),
@@ -491,16 +473,12 @@ def _build_parser() -> _Parser:
     nc.set_defaults(run=_run_nc)
 
     cumulants = sub.add_parser("cumulants", help="cumulants from moments")
-    kind = cumulants.add_mutually_exclusive_group()
-    kind.add_argument("--free", action="store_true", default=True)
-    kind.add_argument("--classical", action="store_true")
+    cumulants.add_argument("--classical", action="store_true", help="default: free")
     cumulants.add_argument("--moments", required=True, metavar="JSON")
     cumulants.set_defaults(run=_run_cumulants)
 
     mom = sub.add_parser("moments", help="moments from cumulants or a measure")
-    kind = mom.add_mutually_exclusive_group()
-    kind.add_argument("--free", action="store_true", default=True)
-    kind.add_argument("--classical", action="store_true")
+    mom.add_argument("--classical", action="store_true", help="default: free")
     source = mom.add_mutually_exclusive_group(required=True)
     source.add_argument("--cumulants", metavar="JSON")
     source.add_argument("--measure", metavar="FILE")
@@ -542,8 +520,7 @@ def _build_parser() -> _Parser:
         metavar="T",
         help="fail (exit 2) when any coefficient error estimate exceeds T",
     )
-    rtransform.add_argument("--report", metavar="FILE", help="write JSON here")
-    rtransform.set_defaults(run=_run_rtransform, out_flag="report")
+    rtransform.set_defaults(run=_run_rtransform)
 
     levy = sub.add_parser("levy", help="cumulant/moment tables of a pair")
     levy.add_argument("--gamma", required=True, help="drift (exact)")
@@ -557,8 +534,7 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--order", type=int, required=True)
     simulate.add_argument("--seed", type=int, help="override the spec seed")
     simulate.add_argument("--budget", type=_BUDGET, help="work budget override")
-    simulate.add_argument("--out", metavar="FILE", help="write JSON here")
-    simulate.set_defaults(run=_run_simulate, out_flag="out")
+    simulate.set_defaults(run=_run_simulate)
 
     verify = sub.add_parser("verify", help="coefficient check or acceptance suite")
     mode = verify.add_mutually_exclusive_group()
@@ -582,17 +558,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _result(argv: Sequence[str] | None) -> tuple[str, int]:
+    """The JSON text of one call, result or error, and its exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         payload, code = args.run(args)
-        out_path = getattr(args, getattr(args, "out_flag", ""), None)
-        _emit(payload, out_path)
-        return code
+        return json.dumps(payload, indent=2, allow_nan=False), code
     except FreemomentsError as exc:
-        print(json.dumps({"error": exc.code, "detail": str(exc)}))
-        return 2 if isinstance(exc, _NUMERIC_FAILURES) else 1
+        text = json.dumps({"error": exc.code, "detail": str(exc)})
+        return text, 2 if isinstance(exc, _NUMERIC_FAILURES) else 1
     except Exception as exc:
         # a defect in the program, not in the input: stdout stays JSON and
         # the traceback goes to stderr
@@ -600,8 +575,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         traceback.print_exc()
         detail = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"error": "internal", "detail": detail}))
-        return 2
+        return json.dumps({"error": "internal", "detail": detail}), 2
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    text, code = _result(argv)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull, so that the
+        # interpreter's exit flush does not raise again
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return 1
+    return code
 
 
 if __name__ == "__main__":

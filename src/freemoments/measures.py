@@ -9,8 +9,8 @@ shift that the random-matrix predictions share.  The Cauchy transform
 G(z) = integral of 1/(z - x) and its derivative come from one evaluation
 of the pair (G(z), G'(z)) in arbitrary precision (mpmath), closed-form for
 every shape and free of cancellation for large |z|; the shared terms
-(1/(z - t), or s = sqrt(z - a) sqrt(z - b)), the domain check and the
-reflection serve both components, which ``cauchy_transform`` and
+(1/(z - t), or s = sqrt(z - a) sqrt(z - b)) and the domain check serve
+both components, which ``cauchy_transform`` and
 ``cauchy_transform_derivative`` return.  ``_evaluator`` builds that
 evaluation for one measure at the working precision (the precision of
 ``Measure.support_radius`` too), with the measure's exact constants (atoms
@@ -22,10 +22,12 @@ oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
-for masses other than 1.  G is defined on the upper half-plane and, for
+for masses other than 1.  G is evaluated on the upper half-plane and, for
 compactly supported measures, also outside the closed disk containing the
-support; every lower-half-plane point is evaluated by the reflection
-G(conj z) = conj G(z).
+support.  Every compact closed form (sums of w / (z - t), principal roots
+sqrt(z - a) sqrt(z - b), log1p(w / (z - b))) is the analytic G on all of
+C minus the support's hull [a, b], so a lower-half-plane point takes the
+same formula as an upper one; G(conj z) = conj G(z) holds bit for bit.
 """
 
 from __future__ import annotations
@@ -316,7 +318,9 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
 def _closed_form(mu: Measure):
     """A callable z -> (G(z), G'(z)) for points that passed the domain check,
     with the exact constants of mu converted to mpf once, at the working
-    precision of this call; _evaluator adds the check and the reflection.
+    precision of this call; _evaluator adds the domain check.  For a
+    compact support each form is analytic off [a, b], so it holds in the
+    lower half-plane too.
 
     The density shapes use forms free of cancellation for large |z| (the ray
     inversion's Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) *
@@ -383,10 +387,11 @@ def _closed_form(mu: Measure):
 
 
 def _evaluator(mu: Measure):
-    """A callable z -> (G(z), G'(z)), both reflected for Im z < 0, built at
-    the working precision and to be called at it.  The support radius of
-    the domain check is converted on the first point off the upper
-    half-plane, which the ray inversion rarely reaches."""
+    """A callable z -> (G(z), G'(z)) with the domain check, built at the
+    working precision and to be called at it.  The check keeps Newton on
+    G's own branch: the upper half-plane, or outside the support disk,
+    whose radius is converted on the first point off the upper half-plane.
+    """
     import mpmath as mp
 
     closed = _closed_form(mu)
@@ -394,25 +399,20 @@ def _evaluator(mu: Measure):
 
     def evaluate(z):
         zz = mp.mpc(z)
-        if zz.imag > 0:
-            return closed(zz)
-        radius = support()
-        if radius is None or abs(zz) <= radius:
-            raise DomainError(
-                f"point {zz} is neither in the upper half-plane nor outside the "
-                "support disk"
-            )
-        if zz.imag < 0:
-            # outside a compact support, G(conj z) = conj G(z)
-            g, gp = closed(mp.conj(zz))
-            return mp.conj(g), mp.conj(gp)
+        if zz.imag <= 0:
+            radius = support()
+            if radius is None or abs(zz) <= radius:
+                raise DomainError(
+                    f"point {zz} is neither in the upper half-plane nor outside "
+                    "the support disk"
+                )
         return closed(zz)
 
     return evaluate
 
 
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
-    """(G(z), G'(z)) to roughly dps digits, both reflected for Im z < 0."""
+    """(G(z), G'(z)) to roughly dps digits."""
     import mpmath as mp
 
     with mp.workdps(dps):

@@ -74,7 +74,7 @@ def test_nc_mobius_top_interval(capsys):
 
 
 def test_cumulants_golden(capsys):
-    code, data = run_json(capsys, "cumulants", "--free", "--moments", "[0,1,0,2]")
+    code, data = run_json(capsys, "cumulants", "--moments", "[0,1,0,2]")
     assert code == 0
     assert data["k"] == ["0", "1", "0", "0"]
 
@@ -190,13 +190,22 @@ def test_levy_tables_both_kinds(capsys, tmp_path):
         # an empty selection runs nothing, so it cannot pass
         ("verify", "--suite", "--only", ""),
         ("verify", "--suite", "--only", ","),
+        # removed flags: free is the default kind, and every result goes to
+        # stdout
+        ("cumulants", "--free", "--moments", "[0,1,0,2]"),
+        ("moments", "--free", "--cumulants", "[0,1,0,2]"),
+        ("rtransform", "--measure", "x.json", "--order", "2", "--report", "F"),
+        ("simulate", "--spec", "x.json", "--order", "2", "--out", "F"),
     ],
 )
-def test_validation_problems_exit_1(capsys, argv):
+def test_validation_problems_exit_1(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     payload = json.loads(out)
     assert set(payload) == {"error", "detail"}
+    assert payload["error"] == "validation"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -318,6 +327,28 @@ def test_internal_error_keeps_json_contract(capsys, monkeypatch):
     assert "Traceback" in err and "simulated defect" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("nc", "--count", "4"), ("nc", "--count", "0")], ids=["result", "error"]
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader of stdout is gone before the JSON is printed, as in
+    # `freemoments ... | head -0`
+    src = os.path.dirname(os.path.dirname(freemoments.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "freemoments.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
 def test_float_literals_rejected(capsys):
     code, data = run_json(capsys, "cumulants", "--moments", "[0, 0.5]")
     assert code == 1
@@ -334,16 +365,12 @@ def test_error_payload_carries_code(capsys):
 # ----------------------------------------------------------- numeric paths
 
 
-def test_rtransform_report(capsys, tmp_path, two_atom_file):
-    report = tmp_path / "report.json"
-    code, out, _ = run_cli(
+def test_rtransform_report(capsys, two_atom_file):
+    code, data = run_json(
         capsys,
-        "rtransform", "--measure", two_atom_file, "--order", "3",
-        "--tol", "1e-8", "--report", str(report),
+        "rtransform", "--measure", two_atom_file, "--order", "3", "--tol", "1e-8",
     )
     assert code == 0
-    assert out == ""  # report went to the file, not stdout
-    data = json.loads(report.read_text())
     assert data["within_tol"] is True
     assert len(data["points"]) == 34
     assert data["ray"]["levels"] == 41
@@ -355,6 +382,7 @@ def test_rtransform_report(capsys, tmp_path, two_atom_file):
     # two-atom measure at +-1: first cumulants are 0, 1, 0
     assert abs(float(coeffs[0]["real"])) < 1e-12
     assert abs(float(coeffs[1]["real"]) - 1) < 1e-12
+    assert abs(float(coeffs[2]["real"])) < 1e-12
     assert not any(row["nonreal"] for row in coeffs)
 
 
@@ -498,6 +526,7 @@ def run(*argv):
 measure, sigma, spec = sys.argv[1:]
 seen["nc"] = run("nc", "--count", "4")
 seen["rseries"] = run("rseries", "--moments", '["0","1","0","2"]')
+seen["rseries_loads_series"] = "freemoments.series" in sys.modules
 seen["cumulants"] = run("cumulants", "--moments", '["0","1","0","2"]')
 seen["moments"] = run("moments", "--measure", measure, "--order", "4")
 seen["levy"] = run("levy", "--gamma", "1/2", "--sigma", sigma, "--order", "3")
@@ -523,6 +552,8 @@ def test_each_subcommand_imports_only_its_layers(
     assert seen["after_import"] == []
     assert seen["nc"] == [0, {"n": 4, "count": 14}, []]
     assert seen["rseries"] == [0, {"r": ["0", "1", "0", "0"]}, []]
+    # rseries prints the free cumulants, without the series layer
+    assert seen["rseries_loads_series"] is False
     assert seen["cumulants"] == [0, {"kind": "free", "k": ["0", "1", "0", "0"]}, []]
     assert seen["moments"] == [0, {"order": 4, "m": ["0", "1", "0", "2"]}, []]
     code, levy, modules = seen["levy"]
@@ -538,15 +569,15 @@ def test_each_subcommand_imports_only_its_layers(
 
 
 def test_simulate_out_file(capsys, gue_spec_file, tmp_path):
+    # the result goes to stdout only; `> FILE` writes it to a file
     out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(
+    code, data = run_json(
         capsys,
         "simulate", "--spec", gue_spec_file, "--order", "2", "--out", str(out_path),
     )
-    assert code == 0
-    assert out == ""
-    data = json.loads(out_path.read_text())
-    assert data["predicted"] == ["0", "1"]
+    assert code == 1
+    assert data["error"] == "validation"
+    assert not out_path.exists()
 
 
 def test_simulate_budget_exit_2(capsys, gue_spec_file):

@@ -195,7 +195,7 @@ def _nc_argv():
 
 def _sequence_argv():
     seq = _SEQUENCE.map(lambda value: [json.dumps(value)])
-    kind = st.lists(st.sampled_from(["--free", "--classical"]), max_size=1)
+    kind = st.sampled_from([[], ["--classical"]])
     return st.one_of(
         st.tuples(st.just(["cumulants"]), kind, st.just(["--moments"]), seq),
         st.tuples(st.just(["moments"]), kind, st.just(["--cumulants"]), seq),

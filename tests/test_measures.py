@@ -273,12 +273,28 @@ CLOSED_FORM_IDS = ["mp1", "mp32", "mp52", "unif-across-0", "unif-right"]
 TRANSFORMS = (cauchy_transform, cauchy_transform_derivative)
 
 
-@pytest.mark.parametrize("mu", CLOSED_FORM_SHAPES, ids=CLOSED_FORM_IDS)
+# every compact shape: the ones above, the semicircle and atoms
+COMPACT_SHAPES = CLOSED_FORM_SHAPES + [
+    Measure.semicircle("1/2", 3, mass="2/3"),
+    Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]),
+]
+COMPACT_IDS = CLOSED_FORM_IDS + ["semicircle", "three-atom"]
+
+
+@pytest.mark.parametrize("mu", COMPACT_SHAPES, ids=COMPACT_IDS)
 def test_closed_form_reflection_outside_support(mu):
+    # a compact closed form is G itself off the support's hull, below the
+    # axis too: it meets G(conj z) = conj G(z) bit for bit, and quadrature,
+    # which knows no branch, pins a density's values there
     r = mu.support_radius()
-    for z in (mp.mpc(r + 1, -1), mp.mpc(-r - 0.5, -2), mp.mpc(0, -r - 1)):
+    tiny = mp.mpf(10) ** -30
+    below = (mp.mpc(r + 1, -1), mp.mpc(-r - 0.5, -2), mp.mpc(0, -r - 1),
+             mp.mpc(r + 0.5, -tiny), mp.mpc(-r - 0.5, -tiny))
+    for z in below:
         for transform in TRANSFORMS:
-            assert close(transform(mu, z), mp.conj(transform(mu, mp.conj(z))), 1e-25)
+            assert transform(mu, z) == mp.conj(transform(mu, mp.conj(z)))
+        if mu.kind == "density":
+            assert close(cauchy_transform(mu, z), cauchy_quad(mu, z, 30), 1e-20)
 
 
 @pytest.mark.parametrize("mu", CLOSED_FORM_SHAPES, ids=CLOSED_FORM_IDS)
@@ -351,7 +367,8 @@ def test_mass_recovered_at_infinity():
 
 
 def test_lower_half_plane_reflection():
-    # compactly supported: G(conj z) = conj G(z), reachable outside the disk
+    # compactly supported: outside the disk the closed form holds below the
+    # axis, where G(conj z) = conj G(z)
     mu = Measure.semicircle(0, 2)
     z = mp.mpc(3, -1)
     assert close(cauchy_transform(mu, z), mp.conj(cauchy_transform(mu, mp.conj(z))), 1e-25)
