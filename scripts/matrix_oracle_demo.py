@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sampled trace moments of the three reference ensembles vs exact values.
 
-Runs a GUE, a square-case Wishart, and a free sum of two Bernoulli
-diagonals in Haar-generic position, and prints sampled means, exact
-predictions, and the acceptance allowance per order.
+Runs a GUE, a square-case Wishart, a free sum of two Bernoulli diagonals
+in Haar-generic position, and a free sum of a three-atom diagonal with
+unequal counts and a GUE, and prints sampled means, exact predictions, and
+the acceptance allowance per order.  The three-atom weights are 1/5, 1/2
+and 3/10, so a dimension that is a multiple of 10 gives exact counts.
 
 Usage: python scripts/matrix_oracle_demo.py [--dim N] [--trials T] [--seed S]
 """
@@ -63,6 +65,18 @@ def main() -> None:
         MatrixEnsembleSpec(
             kind="free_sum", dim=args.dim, trials=args.trials,
             seed=args.seed + 2, parts=(part, part),
+        ),
+        4,
+    )
+    three = MatrixEnsembleSpec(
+        kind="deterministic", dim=args.dim,
+        measure=Measure.discrete([(-1, "1/5"), (0, half), (2, "3/10")]),
+    )
+    show(
+        "free sum of a three-atom diagonal and a GUE",
+        MatrixEnsembleSpec(
+            kind="free_sum", dim=args.dim, trials=args.trials, seed=args.seed + 3,
+            parts=(three, MatrixEnsembleSpec(kind="gue", dim=args.dim)),
         ),
         4,
     )

@@ -90,7 +90,6 @@ _EXPORTS = {
         "compare_to_prediction",
         "ensemble_spec_from_json",
         "ensemble_spec_to_json",
-        "haar_unitary",
         "predicted_moments",
         "sample_matrix",
         "sample_trace_moments",

@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import mpmath as mp
-
 from .cumulants import (
     CLASSICAL,
     CumulantSequence,
@@ -53,18 +51,10 @@ from .noncrossing import (
     mobius_nc,
     refines,
 )
-from .rays import (
-    estimate_taylor_on_ray,
-    invert_g_on_ray,
-    verify_taylor_cumulants,
-)
-from .rmt import (
-    MatrixEnsembleSpec,
-    compare_to_prediction,
-    predicted_moments,
-    sample_trace_moments,
-)
-from .series import support_bound_from_cumulants
+
+# mpmath and the rays, rmt (with numpy) and series layers are imported
+# inside the criteria that run them, so a suite of exact criteria, or a
+# refused one, loads none of them.
 
 SUITE_SEED = 20260825
 
@@ -115,6 +105,8 @@ def _random_moment_sequences(
 
 
 def _fmt(x) -> str:
+    import mpmath as mp
+
     return mp.nstr(mp.mpf(x) if not isinstance(x, (mp.mpf, mp.mpc)) else x, 3)
 
 
@@ -247,6 +239,10 @@ def _criterion_series() -> tuple[bool, str]:
 def _criterion_pinned() -> tuple[bool, str]:
     """Pinned R-transforms: point mass -> constant a, semicircle ->
     m + (r^2/4) z (exact); Cauchy -> constant -i on the ray (numeric)."""
+    import mpmath as mp
+
+    from .rays import invert_g_on_ray
+
     checks = _Checks()
     a = Fraction(7, 3)
     dirac = free_cumulants_from_moments(moments(Measure.dirac(a), 8))
@@ -288,6 +284,10 @@ def _five_atom_measure(seed: int) -> Measure:
 def _criterion_taylor() -> tuple[bool, str]:
     """Numeric Taylor coefficients from the ray match the exact free
     cumulants at order 4 for four reference measures."""
+    import mpmath as mp
+
+    from .rays import verify_taylor_cumulants
+
     half = Fraction(1, 2)
     cases = [
         ("semicircle", Measure.semicircle(0, 2), mp.mpf("1e-5")),
@@ -314,6 +314,10 @@ def _criterion_taylor() -> tuple[bool, str]:
 def _criterion_nonreal() -> tuple[bool, str]:
     """A law without moments yields a decisively non-real constant
     coefficient, and the fit flags it."""
+    import mpmath as mp
+
+    from .rays import estimate_taylor_on_ray, invert_g_on_ray
+
     samples = invert_g_on_ray(Measure.cauchy(), dps=50)
     est = estimate_taylor_on_ray(samples, 2)
     checks = _Checks()
@@ -332,6 +336,10 @@ def _criterion_support() -> tuple[bool, str]:
     semicircle and the rate-1 Marchenko-Pastur law, and both true supports
     sit inside [-16, 16].  The factor-8 conservatism is documented, not
     patched."""
+    import mpmath as mp
+
+    from .series import support_bound_from_cumulants
+
     checks = _Checks()
     semi_k = free_cumulants_from_moments(moments(Measure.semicircle(0, 2), 6))
     mp_k = free_cumulants_from_moments(moments(Measure.marchenko_pastur(1), 6))
@@ -472,6 +480,13 @@ def _criterion_matrices() -> tuple[bool, str]:
     """Monte Carlo trace moments reproduce the exact predictions for the
     three reference ensembles, and the free-sum run statistically separates
     the free prediction from plausible classical-convolution values."""
+    from .rmt import (
+        MatrixEnsembleSpec,
+        compare_to_prediction,
+        predicted_moments,
+        sample_trace_moments,
+    )
+
     checks = _Checks()
     gue = MatrixEnsembleSpec(kind="gue", dim=500, trials=40, seed=SUITE_SEED)
     wishart = MatrixEnsembleSpec(

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -69,7 +70,16 @@ _NUMERIC_FAILURES = (NumericError, RegionTooLargeError, BudgetError)
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports problems through the shared error hierarchy
-    instead of printing usage and exiting on its own."""
+    instead of printing usage and exiting on its own, and that reads every
+    token starting like a negative number as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse before 3.13 takes only -N and -N.N for negative numbers
+        # and any other token that starts with - for an option, such as -1/2
+        # in `--gamma -1/2`; no flag here starts with a digit or a dot, so
+        # the pattern of 3.13 is safe
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise ValidationError(message)

@@ -20,7 +20,9 @@ so order 2 takes no matrix product, order 4 one and order 6 two.  Above
 order 6 (`_HALF_POWER_MAX_ORDER`) the half powers would take three
 products or more, which is what one eigvalsh costs at N >= 600, so there
 they are the eigenvalue power sums.  A free sum rotates its diagonal part
-with one product, which keeps the spectrum of A + U B U^H.
+with one product, which keeps the spectrum of A + U B U^H; a diagonal
+first part draws only the Haar columns that its rotation moves, all but
+those of its last atom.
 
 Only sampling needs numpy, so only the sampling functions import it.
 """
@@ -145,15 +147,27 @@ class MatrixEnsembleSpec:
         return max(m, 1)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phases folded back in (plain QR alone is not Haar)."""
+def _haar_columns(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The first m columns of a Haar unitary: the QR of a complex Ginibre
+    matrix with the R-diagonal phases folded back in (plain QR alone is not
+    Haar).  Gram-Schmidt works column by column, so the first m columns of
+    that Q are the phase-fixed Q of the first m Ginibre columns alone.  All
+    2 n^2 normals are drawn, so the generator ends where an n-column draw
+    leaves it."""
     import numpy as np
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
+    real = rng.standard_normal((n, n))
+    imag = rng.standard_normal((n, n))
+    if m == 0:
+        return np.empty((n, 0), dtype=complex)
+    q, r = np.linalg.qr(real[:, :m] + 1j * imag[:, :m])
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
+
+
+def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar unitary U = V^H, V the n-column draw (V is Haar, so V^H is)."""
+    return _haar_columns(n, n, rng).conj().T
 
 
 def _deterministic_counts(mu: Measure, n: int) -> list[tuple[Fraction, int]]:
@@ -175,14 +189,27 @@ def _deterministic_counts(mu: Measure, n: int) -> list[tuple[Fraction, int]]:
     return counts
 
 
+def _diagonal(spec: MatrixEnsembleSpec) -> np.ndarray:
+    """The diagonal of a deterministic spec before its affine map: one block
+    of equal entries per atom, in the ascending order of the atoms."""
+    import numpy as np
+    counts = _deterministic_counts(spec.measure, spec.dim)
+    return np.concatenate([np.full(c, float(t)) for t, c in counts])
+
+
 def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """One dense complex sample of the ensemble; the draws run part 0,
     part 1, then the Haar unitary U of a free sum.
 
     A free sum A + U B U^H is returned up to a unitary conjugation that
     keeps its spectrum, so that the rotation of a deterministic (diagonal)
-    part takes one product: (U B) U^H + A when B is diagonal, U^H A U + B
-    when only A is, and the literal A + U B U^H when neither is."""
+    part is cheap.  When A is diagonal (B may be too), U^H A U + B: with
+    the atoms in ascending order A = t I + sum_i (a_i - t) e_i e_i^H, t the
+    last atom with a positive count, and the sum runs over the first
+    m = N - count(t) coordinates.  So it takes only the m columns
+    V = U^H[:, :m] that it moves (U = V^H, see _haar_unitary), and one
+    N x m by m x N product.  When only B is diagonal, (U B) U^H + A, one
+    product; when neither is, the literal A + U B U^H."""
     import numpy as np
     n = spec.dim
     if spec.kind == GUE:
@@ -193,18 +220,22 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
         x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
         h = (x @ x.conj().T) / n
     elif spec.kind == DETERMINISTIC:
-        diag = np.concatenate(
-            [np.full(c, float(t)) for t, c in _deterministic_counts(spec.measure, n)]
-        )
-        h = np.diag(diag).astype(complex)
+        h = np.diag(_diagonal(spec)).astype(complex)
+    elif spec.parts[0].kind == DETERMINISTIC:  # free_sum, A diagonal
+        part = spec.parts[0]
+        raw = _diagonal(part)
+        m = int(np.searchsorted(raw, raw[-1]))  # the atoms ascend: raw[m:] is the last block
+        a = float(part.scale) * raw + float(part.shift)
+        b = sample_matrix(spec.parts[1], rng)
+        v = _haar_columns(n, m, rng)
+        h = (v * (a[:m] - a[-1])) @ v.conj().T + b
+        h[np.diag_indices(n)] += a[-1]
     else:  # free_sum
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
-        u = haar_unitary(n, rng)
+        u = _haar_unitary(n, rng)
         if spec.parts[1].kind == DETERMINISTIC:
             h = (u * np.diagonal(b).real) @ u.conj().T + a
-        elif spec.parts[0].kind == DETERMINISTIC:
-            h = (u.conj().T * np.diagonal(a).real) @ u + b
         else:
             h = a + u @ b @ u.conj().T
     if spec.scale != 1 or spec.shift != 0:
@@ -253,9 +284,11 @@ def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
     for the O(N^2) draws, a floor that keeps the budget bounding the time
     and the memory of large N at low orders; per free sum the Haar QR
     (about 16/3 N^3) and the rotation, one product of 4 N^3 when a part is
-    diagonal and two otherwise.  Prediction: p^2 rational multiply-adds per
-    node and p^3 per free sum, weighted by their wall time at orders
-    50-1000."""
+    diagonal and two otherwise.  A diagonal first part factors and rotates
+    only the m < N columns it moves (see sample_matrix), so for it the QR
+    and the product are upper bounds.  Prediction: p^2 rational
+    multiply-adds per node and p^3 per free sum, weighted by their wall
+    time at orders 50-1000."""
     n = spec.dim
     predict = 350_000 * p * p
     if spec.kind != FREE_SUM:
@@ -271,10 +304,12 @@ def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
 
 def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
     """Roughly one unit per float multiply-add, so 4 N^3 per complex
-    product: per trial the sampling and the trace moments (up to order 6
-    the ceil(p/2) - 1 products of the half powers and p inner products of
-    4 N^2; above it one eigendecomposition, weighted at its wall time of
-    about three products, and the N p power sums); the prediction once."""
+    product (an upper bound where a free sum's diagonal first part moves
+    fewer than N columns): per trial the sampling and the trace moments (up
+    to order 6 the ceil(p/2) - 1 products of the half powers and p inner
+    products of 4 N^2; above it one eigendecomposition, weighted at its wall
+    time of about three products, and the N p power sums); the prediction
+    once."""
     sample, predict = _node_units(spec, p)
     n = spec.dim
     if p <= _HALF_POWER_MAX_ORDER:

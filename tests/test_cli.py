@@ -170,6 +170,18 @@ def test_levy_tables_both_kinds(capsys, tmp_path):
     assert data["moments"] == ["1", "2", "5", "15"]
 
 
+def test_levy_takes_a_negative_rational_drift_after_a_space(capsys, tmp_path):
+    # argparse would read -1/2 as an option; both spellings give one result
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(measure_to_json(Measure.discrete([(1, "1/2")]))))
+    spaced = run_json(capsys, "levy", "--gamma", "-1/2", "--sigma", str(sigma), "--order", "3")
+    joined = run_json(capsys, "levy", "--gamma=-1/2", "--sigma", str(sigma), "--order", "3")
+    assert spaced == joined
+    code, data = spaced
+    assert code == 0
+    assert data["gamma"] == "-1/2" and data["cumulants"] == ["0", "1", "1"]
+
+
 # ------------------------------------------------------- validation errors
 
 
@@ -441,6 +453,15 @@ def test_rtransform_bad_ray_exits_1(capsys, two_atom_file):
     assert json.loads(out)["error"] == "validation"
 
 
+def test_rtransform_takes_a_negative_rational_tilt_after_a_space(capsys, two_atom_file):
+    argv = ("rtransform", "--measure", two_atom_file, "--order", "2")
+    spaced = run_json(capsys, *argv, "--tilt", "-1/2")
+    assert spaced == run_json(capsys, *argv, "--tilt=-1/2")
+    code, data = spaced
+    assert code == 0
+    assert data["ray"]["tan_theta"] == "-1/2"
+
+
 def test_rtransform_alpha_is_not_a_flag(capsys, two_atom_file):
     # the cone |tan theta| < 1 is fixed; the echo still prints its alpha
     code, data = run_json(
@@ -530,6 +551,9 @@ seen["rseries_loads_series"] = "freemoments.series" in sys.modules
 seen["cumulants"] = run("cumulants", "--moments", '["0","1","0","2"]')
 seen["moments"] = run("moments", "--measure", measure, "--order", "4")
 seen["levy"] = run("levy", "--gamma", "1/2", "--sigma", sigma, "--order", "3")
+seen["suite"] = run("verify", "--suite", "--only", "levy-correspondents")
+seen["suite_refused"] = run("verify", "--suite", "--only", "no-such-slug")
+seen["suite_loads_series"] = "freemoments.series" in sys.modules
 seen["rtransform"] = run("rtransform", "--measure", measure, "--order", "2")
 seen["simulate"] = run("simulate", "--spec", spec, "--order", "4")
 print(json.dumps(seen))
@@ -558,9 +582,18 @@ def test_each_subcommand_imports_only_its_layers(
     assert seen["moments"] == [0, {"order": 4, "m": ["0", "1", "0", "2"]}, []]
     code, levy, modules = seen["levy"]
     assert code == 0 and levy["cumulants"] == ["1/2", "2", "0"] and modules == []
-    # the ray loads mpmath and its own layer, still without numpy
+    # an exact criterion of the battery, and a refused slug, load the
+    # battery without mpmath, numpy or the rays, rmt and series layers
+    code, suite, modules = seen["suite"]
+    assert code == 0 and suite["passed"] and modules == ["freemoments.acceptance"]
+    code, refused, modules = seen["suite_refused"]
+    assert code == 1 and refused["error"] == "validation"
+    assert modules == ["freemoments.acceptance"]
+    assert seen["suite_loads_series"] is False
+    # the ray loads mpmath and its own layer, still without numpy (the
+    # battery stays loaded from the suite calls above)
     code, _, modules = seen["rtransform"]
-    assert code == 0 and modules == ["mpmath", "freemoments.rays"]
+    assert code == 0 and modules == ["mpmath", "freemoments.acceptance", "freemoments.rays"]
     code, out, modules = seen["simulate"]
     assert "numpy" in modules and "freemoments.rmt" in modules
     # sampling with numpy imported late gives what this process, which

@@ -217,12 +217,16 @@ def test_fuzz_exact_commands(tmp, argv):
     measure=_file(_MEASURE),
     order=_ORDER.map(str),
     gamma=_VALUE.map(str),
+    spaced=st.booleans(),
     classical=st.booleans(),
     levy=st.booleans(),
 )
-def test_fuzz_measure_commands(tmp, measure, order, gamma, classical, levy):
+def test_fuzz_measure_commands(tmp, measure, order, gamma, spaced, classical, levy):
     if levy:
-        argv = ["levy", f"--gamma={gamma}", "--sigma", "@measure", "--order", order]
+        # the drift after a space too, where a negative rational must not
+        # read as an option
+        drift = ["--gamma", gamma] if spaced else [f"--gamma={gamma}"]
+        argv = ["levy", *drift, "--sigma", "@measure", "--order", order]
     else:
         argv = ["moments", "--measure", "@measure", "--order", order]
     if classical:
@@ -254,8 +258,8 @@ def test_fuzz_simulate(tmp, spec, order, seed, budget):
     dps=_mostly(st.sampled_from(["15", "30", "60"]), st.sampled_from(["1", "0", "abc"])),
     tol=st.sampled_from([[], ["--tol", "1e-3"], ["--tol", "1e-40"], ["--tol", "-1"]]),
     ray=st.sampled_from(
-        [[], ["--beta", "1/16"], ["--tilt", "1/2"], ["--tilt", "1"],
-         ["--beta", "0"], ["--alpha", "abc"]]
+        [[], ["--beta", "1/16"], ["--tilt", "1/2"], ["--tilt", "-1/2"], ["--tilt=-1/2"],
+         ["--tilt", "1"], ["--beta", "0"], ["--alpha", "abc"]]
     ),
     command=st.sampled_from(["rtransform", "verify", "suite"]),
 )

@@ -8,7 +8,7 @@ import freemoments
 
 
 def test_every_export_is_its_submodule_attribute():
-    assert len(freemoments.__all__) == len(set(freemoments.__all__)) == 69
+    assert len(freemoments.__all__) == len(set(freemoments.__all__)) == 68
     for name in freemoments.__all__:
         module = importlib.import_module(f"freemoments.{freemoments._SOURCE[name]}")
         assert getattr(freemoments, name) is getattr(module, name), name

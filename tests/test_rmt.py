@@ -15,10 +15,11 @@ from freemoments.rmt import (
     MatrixEnsembleSpec,
     _HALF_POWER_MAX_ORDER,
     _cost_units,
+    _haar_columns,
+    _haar_unitary,
     compare_to_prediction,
     ensemble_spec_from_json,
     ensemble_spec_to_json,
-    haar_unitary,
     predicted_moments,
     sample_matrix,
     sample_trace_moments,
@@ -99,14 +100,26 @@ def test_wishart_columns_rounding():
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(11)
-    u = haar_unitary(40, rng)
+    u = _haar_unitary(40, rng)
     assert np.allclose(u @ u.conj().T, np.eye(40), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 39, 40])
+def test_haar_columns_are_the_leading_columns_of_the_full_draw(m):
+    # Gram-Schmidt works column by column, and both draws take all 2 n^2
+    # normals, so the generators end in the same state
+    full_rng, part_rng = np.random.default_rng(8), np.random.default_rng(8)
+    full = _haar_columns(40, 40, full_rng)
+    part = _haar_columns(40, m, part_rng)
+    assert part.shape == (40, m)
+    np.testing.assert_allclose(part, full[:, :m], rtol=0, atol=1e-12)
+    assert full_rng.standard_normal() == part_rng.standard_normal()
 
 
 def test_haar_trace_statistics():
     # for Haar, E tr U = 0 and E |tr U|^2 = 1 independent of n
     rng = np.random.default_rng(5)
-    traces = np.array([np.trace(haar_unitary(25, rng)) for _ in range(400)])
+    traces = np.array([np.trace(_haar_unitary(25, rng)) for _ in range(400)])
     assert abs(traces.mean()) < 0.15
     assert 0.75 < np.mean(np.abs(traces) ** 2) < 1.3
 
@@ -415,16 +428,31 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
                 assert abs(got - want) <= 1e-12 * max(abs(want), size), (spec.kind, p, t, k)
 
 
+@pytest.mark.filterwarnings("ignore:weights of the deterministic measure")
 @pytest.mark.parametrize("first, second", [
     ("diagonal", "gue"), ("gue", "diagonal"), ("diagonal", "diagonal"), ("gue", "wishart"),
+    ("three-atom", "gue"), ("gue", "three-atom"), ("three-atom", "diagonal"),
+    ("one-atom", "gue"), ("empty-last-atom", "wishart"),
 ])
 def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
-    # rebuilt from the public samplers in the draw order part 0, part 1,
-    # Haar, on the same child generator as the trial
+    # rebuilt from the samplers in the draw order part 0, part 1, Haar, on
+    # the same child generator as the trial.  A diagonal first part rotates
+    # only the columns of the atoms before its last: 20 of 30 for the
+    # counts 5, 15, 10 of the three-atom part (whose map x -> -2x + 1/2
+    # reverses their order), none for one atom, and 15 where the last
+    # atom's weight rounds to the count 0
+    def diagonal(*atoms, **affine):
+        return lambda: MatrixEnsembleSpec(
+            kind="deterministic", dim=30, measure=Measure.discrete(atoms), **affine
+        )
+
     make = {
         "diagonal": lambda: bernoulli_diag(30),
         "gue": lambda: MatrixEnsembleSpec(kind="gue", dim=30),
         "wishart": lambda: MatrixEnsembleSpec(kind="wishart", dim=30, rate="3/2"),
+        "three-atom": diagonal((-2, "1/6"), ("1/2", "1/2"), (3, "1/3"), scale=-2, shift="1/2"),
+        "one-atom": diagonal((5, 1)),
+        "empty-last-atom": diagonal((-1, "1/2"), (1, "1/2"), (2, "1/1000")),
     }
     spec = MatrixEnsembleSpec(
         kind="free_sum", dim=30, trials=3, seed=21, scale="3/2", shift="-1/2",
@@ -435,7 +463,7 @@ def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
         rng = np.random.default_rng(child)
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
-        u = haar_unitary(spec.dim, rng)
+        u = _haar_unitary(spec.dim, rng)
         literal = 1.5 * (a + u @ b @ u.conj().T) - 0.5 * np.eye(spec.dim)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(_trial_matrix(spec, t)), np.linalg.eigvalsh(literal),
