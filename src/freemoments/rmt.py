@@ -20,9 +20,9 @@ so order 2 takes no matrix product, order 4 one and order 6 two.  Above
 order 6 (`_HALF_POWER_MAX_ORDER`) the half powers would take three
 products or more, which is what one eigvalsh costs at N >= 600, so there
 they are the eigenvalue power sums.  A free sum rotates its diagonal part
-with one product, which keeps the spectrum of A + U B U^H; a diagonal
-first part draws only the Haar columns that its rotation moves, all but
-those of its last atom.
+with one product, which keeps the spectrum of A + U B U^H, and draws
+only the Haar columns that the rotation moves, all but those of its last
+atom.
 
 Only sampling needs numpy, so only the sampling functions import it.
 """
@@ -208,8 +208,9 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
     last atom with a positive count, and the sum runs over the first
     m = N - count(t) coordinates.  So it takes only the m columns
     V = U^H[:, :m] that it moves (U = V^H, see _haar_unitary), and one
-    N x m by m x N product.  When only B is diagonal, (U B) U^H + A, one
-    product; when neither is, the literal A + U B U^H."""
+    N x m by m x N product.  When only B is diagonal it is rotated the same
+    way, U^H B U + A, which is A + W B W^H for the Haar unitary W = U^H;
+    when neither is, the literal A + U B U^H."""
     import numpy as np
     n = spec.dim
     if spec.kind == GUE:
@@ -221,23 +222,22 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
         h = (x @ x.conj().T) / n
     elif spec.kind == DETERMINISTIC:
         h = np.diag(_diagonal(spec)).astype(complex)
-    elif spec.parts[0].kind == DETERMINISTIC:  # free_sum, A diagonal
-        part = spec.parts[0]
+    elif DETERMINISTIC in (spec.parts[0].kind, spec.parts[1].kind):  # free_sum, a part diagonal
+        # a diagonal part draws nothing, so the other part's draw comes
+        # before the Haar columns whichever position it holds
+        part, other = spec.parts if spec.parts[0].kind == DETERMINISTIC else spec.parts[::-1]
         raw = _diagonal(part)
         m = int(np.searchsorted(raw, raw[-1]))  # the atoms ascend: raw[m:] is the last block
-        a = float(part.scale) * raw + float(part.shift)
-        b = sample_matrix(spec.parts[1], rng)
+        d = float(part.scale) * raw + float(part.shift)
+        rest = sample_matrix(other, rng)
         v = _haar_columns(n, m, rng)
-        h = (v * (a[:m] - a[-1])) @ v.conj().T + b
-        h[np.diag_indices(n)] += a[-1]
-    else:  # free_sum
+        h = (v * (d[:m] - d[-1])) @ v.conj().T + rest
+        h[np.diag_indices(n)] += d[-1]
+    else:  # free_sum of two dense parts
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
         u = _haar_unitary(n, rng)
-        if spec.parts[1].kind == DETERMINISTIC:
-            h = (u * np.diagonal(b).real) @ u.conj().T + a
-        else:
-            h = a + u @ b @ u.conj().T
+        h = a + u @ b @ u.conj().T
     if spec.scale != 1 or spec.shift != 0:
         h = float(spec.scale) * h + float(spec.shift) * np.eye(n)
     return h
@@ -284,9 +284,9 @@ def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
     for the O(N^2) draws, a floor that keeps the budget bounding the time
     and the memory of large N at low orders; per free sum the Haar QR
     (about 16/3 N^3) and the rotation, one product of 4 N^3 when a part is
-    diagonal and two otherwise.  A diagonal first part factors and rotates
-    only the m < N columns it moves (see sample_matrix), so for it the QR
-    and the product are upper bounds.  Prediction: p^2 rational
+    diagonal and two otherwise.  A diagonal part factors and rotates only
+    the m < N columns it moves (see sample_matrix), so for it the QR and
+    the product are upper bounds.  Prediction: p^2 rational
     multiply-adds per node and p^3 per free sum, weighted by their wall
     time at orders 50-1000."""
     n = spec.dim
@@ -304,8 +304,8 @@ def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
 
 def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
     """Roughly one unit per float multiply-add, so 4 N^3 per complex
-    product (an upper bound where a free sum's diagonal first part moves
-    fewer than N columns): per trial the sampling and the trace moments (up
+    product (an upper bound where a free sum's diagonal part moves fewer
+    than N columns): per trial the sampling and the trace moments (up
     to order 6 the ceil(p/2) - 1 products of the half powers and p inner
     products of 4 N^2; above it one eigendecomposition, weighted at its wall
     time of about three products, and the N p power sums); the prediction

@@ -526,7 +526,7 @@ def test_simulate_deterministic_and_seed_override(capsys, gue_spec_file):
 
 
 # Runs in a fresh interpreter, whose sys.modules shows what was imported.
-_IMPORT_PROBE = """
+_PROBE_HEAD = """
 import contextlib, io, json, sys
 
 HEAVY = ("mpmath", "numpy", "freemoments.acceptance", "freemoments.rays", "freemoments.rmt")
@@ -543,7 +543,9 @@ def run(*argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
     return [code, json.loads(out.getvalue()), loaded()]
+"""
 
+_IMPORT_PROBE = _PROBE_HEAD + """
 measure, sigma, spec = sys.argv[1:]
 seen["nc"] = run("nc", "--count", "4")
 seen["rseries"] = run("rseries", "--moments", '["0","1","0","2"]')
@@ -551,26 +553,36 @@ seen["rseries_loads_series"] = "freemoments.series" in sys.modules
 seen["cumulants"] = run("cumulants", "--moments", '["0","1","0","2"]')
 seen["moments"] = run("moments", "--measure", measure, "--order", "4")
 seen["levy"] = run("levy", "--gamma", "1/2", "--sigma", sigma, "--order", "3")
-seen["suite"] = run("verify", "--suite", "--only", "levy-correspondents")
-seen["suite_refused"] = run("verify", "--suite", "--only", "no-such-slug")
-seen["suite_loads_series"] = "freemoments.series" in sys.modules
 seen["rtransform"] = run("rtransform", "--measure", measure, "--order", "2")
 seen["simulate"] = run("simulate", "--spec", spec, "--order", "4")
 print(json.dumps(seen))
 """
 
+# The battery's probe needs an interpreter of its own: after the calls above
+# mpmath, numpy and the numeric layers are loaded whatever the battery does.
+_SUITE_PROBE = _PROBE_HEAD + """
+seen["suite"] = run("verify", "--suite", "--only", "levy-correspondents")
+seen["suite_refused"] = run("verify", "--suite", "--only", "no-such-slug")
+seen["suite_loads_series"] = "freemoments.series" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def _probe(script, *args):
+    src = os.path.dirname(os.path.dirname(freemoments.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(done.stdout)
+
 
 def test_each_subcommand_imports_only_its_layers(
     capsys, semicircle_file, two_atom_file, gue_spec_file
 ):
-    src = os.path.dirname(os.path.dirname(freemoments.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, semicircle_file, two_atom_file, gue_spec_file],
-        capture_output=True, text=True, timeout=120, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    seen = json.loads(done.stdout)
+    seen = _probe(_IMPORT_PROBE, semicircle_file, two_atom_file, gue_spec_file)
     # the package and the exact subcommands load neither mpmath nor numpy,
     # nor the numeric layers and the acceptance battery
     assert seen["after_import"] == []
@@ -582,23 +594,27 @@ def test_each_subcommand_imports_only_its_layers(
     assert seen["moments"] == [0, {"order": 4, "m": ["0", "1", "0", "2"]}, []]
     code, levy, modules = seen["levy"]
     assert code == 0 and levy["cumulants"] == ["1/2", "2", "0"] and modules == []
-    # an exact criterion of the battery, and a refused slug, load the
-    # battery without mpmath, numpy or the rays, rmt and series layers
+    # the ray loads mpmath and its own layer, still without numpy
+    code, _, modules = seen["rtransform"]
+    assert code == 0 and modules == ["mpmath", "freemoments.rays"]
+    code, out, modules = seen["simulate"]
+    assert "numpy" in modules and "freemoments.rmt" in modules
+    # sampling with numpy imported late gives what this process, which
+    # imported numpy up front, gives
+    assert [code, out] == list(run_json(capsys, "simulate", "--spec", gue_spec_file, "--order", "4"))
+
+
+def test_an_exact_criterion_of_the_battery_imports_no_numeric_layer():
+    # an exact criterion, and a refused slug, load the battery without
+    # mpmath, numpy or the rays, rmt and series layers
+    seen = _probe(_SUITE_PROBE)
+    assert seen["after_import"] == []
     code, suite, modules = seen["suite"]
     assert code == 0 and suite["passed"] and modules == ["freemoments.acceptance"]
     code, refused, modules = seen["suite_refused"]
     assert code == 1 and refused["error"] == "validation"
     assert modules == ["freemoments.acceptance"]
     assert seen["suite_loads_series"] is False
-    # the ray loads mpmath and its own layer, still without numpy (the
-    # battery stays loaded from the suite calls above)
-    code, _, modules = seen["rtransform"]
-    assert code == 0 and modules == ["mpmath", "freemoments.acceptance", "freemoments.rays"]
-    code, out, modules = seen["simulate"]
-    assert "numpy" in modules and "freemoments.rmt" in modules
-    # sampling with numpy imported late gives what this process, which
-    # imported numpy up front, gives
-    assert [code, out] == list(run_json(capsys, "simulate", "--spec", gue_spec_file, "--order", "4"))
 
 
 def test_simulate_out_file(capsys, gue_spec_file, tmp_path):

@@ -432,12 +432,13 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
 @pytest.mark.parametrize("first, second", [
     ("diagonal", "gue"), ("gue", "diagonal"), ("diagonal", "diagonal"), ("gue", "wishart"),
     ("three-atom", "gue"), ("gue", "three-atom"), ("three-atom", "diagonal"),
-    ("one-atom", "gue"), ("empty-last-atom", "wishart"),
+    ("one-atom", "gue"), ("gue", "one-atom"), ("empty-last-atom", "wishart"),
+    ("wishart", "empty-last-atom"),
 ])
 def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
     # rebuilt from the samplers in the draw order part 0, part 1, Haar, on
-    # the same child generator as the trial.  A diagonal first part rotates
-    # only the columns of the atoms before its last: 20 of 30 for the
+    # the same child generator as the trial.  A diagonal part rotates only
+    # the columns of the atoms before its last: 20 of 30 for the
     # counts 5, 15, 10 of the three-atom part (whose map x -> -2x + 1/2
     # reverses their order), none for one atom, and 15 where the last
     # atom's weight rounds to the count 0
@@ -464,6 +465,8 @@ def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
         u = _haar_unitary(spec.dim, rng)
+        if spec.parts[1].kind == "deterministic" and spec.parts[0].kind != "deterministic":
+            u = u.conj().T  # a diagonal second part alone is rotated by U^H, also Haar
         literal = 1.5 * (a + u @ b @ u.conj().T) - 0.5 * np.eye(spec.dim)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(_trial_matrix(spec, t)), np.linalg.eigvalsh(literal),
