@@ -67,6 +67,12 @@ if TYPE_CHECKING:
 
 _NUMERIC_FAILURES = (NumericError, RegionTooLargeError, BudgetError)
 
+# kind -> (cumulants from moments, moments from cumulants)
+_MAPS = {
+    FREE: (free_cumulants_from_moments, moments_from_free_cumulants),
+    CLASSICAL: (classical_cumulants_from_moments, moments_from_classical_cumulants),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports problems through the shared error hierarchy
@@ -221,10 +227,7 @@ def _run_nc(args) -> tuple[dict, int]:
 def _run_cumulants(args) -> tuple[dict, int]:
     kind = CLASSICAL if args.classical else FREE
     m = MomentSequence(_sequence_from_text(args.moments, "--moments"))
-    if kind == FREE:
-        k = free_cumulants_from_moments(m)
-    else:
-        k = classical_cumulants_from_moments(m)
+    k = _MAPS[kind][0](m)
     return {"kind": kind, "k": _fractions_to_json(k.values)}, 0
 
 
@@ -243,10 +246,7 @@ def _run_moments(args) -> tuple[dict, int]:
         raise ValidationError("--order applies to --measure, not to --cumulants")
     kind = CLASSICAL if args.classical else FREE
     k = CumulantSequence(_sequence_from_text(args.cumulants, "--cumulants"), kind)
-    if kind == FREE:
-        m = moments_from_free_cumulants(k)
-    else:
-        m = moments_from_classical_cumulants(k)
+    m = _MAPS[kind][1](k)
     return {"kind": kind, "m": _fractions_to_json(m.values)}, 0
 
 
@@ -345,10 +345,7 @@ def _run_levy(args) -> tuple[dict, int]:
     pair = LevyPair(gamma, sigma)
     kind = CLASSICAL if args.classical else FREE
     k = cumulants_from_levy(pair, args.order, kind)
-    if kind == FREE:
-        m = moments_from_free_cumulants(k)
-    else:
-        m = moments_from_classical_cumulants(k)
+    m = _MAPS[kind][1](k)
     return {
         "kind": kind,
         "gamma": _exact_str(gamma),

@@ -165,11 +165,6 @@ def _haar_columns(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar unitary U = V^H, V the n-column draw (V is Haar, so V^H is)."""
-    return _haar_columns(n, n, rng).conj().T
-
-
 def _deterministic_counts(mu: Measure, n: int) -> list[tuple[Fraction, int]]:
     ideals = [(t, w / mu.mass * n) for t, w in mu.atoms]
     counts = [(t, int(v)) for t, v in ideals]  # int() floors positive values
@@ -207,8 +202,8 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
     the atoms in ascending order A = t I + sum_i (a_i - t) e_i e_i^H, t the
     last atom with a positive count, and the sum runs over the first
     m = N - count(t) coordinates.  So it takes only the m columns
-    V = U^H[:, :m] that it moves (U = V^H, see _haar_unitary), and one
-    N x m by m x N product.  When only B is diagonal it is rotated the same
+    V = U^H[:, :m] that it moves (U^H is the n-column _haar_columns
+    draw), and one N x m by m x N product.  When only B is diagonal it is rotated the same
     way, U^H B U + A, which is A + W B W^H for the Haar unitary W = U^H;
     when neither is, the literal A + U B U^H."""
     import numpy as np
@@ -236,7 +231,7 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
     else:  # free_sum of two dense parts
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
-        u = _haar_unitary(n, rng)
+        u = _haar_columns(n, n, rng).conj().T  # V is Haar, so V^H is
         h = a + u @ b @ u.conj().T
     if spec.scale != 1 or spec.shift != 0:
         h = float(spec.scale) * h + float(spec.shift) * np.eye(n)

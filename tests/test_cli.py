@@ -4,6 +4,7 @@ JSON error payloads, file round trips, and determinism."""
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -42,6 +43,13 @@ def two_atom_file(tmp_path):
     path = tmp_path / "two_atom.json"
     path.write_text(json.dumps(measure_to_json(mu)))
     return str(path)
+
+
+_SEMICIRCLE = {
+    "kind": "density",
+    "name": "semicircle",
+    "params": {"center": "0", "radius": "2"},
+}
 
 
 # ------------------------------------------------------------ exact goldens
@@ -234,6 +242,8 @@ def test_validation_problems_exit_1(capsys, tmp_path, monkeypatch, argv):
         ("simulate", "--spec", "@gue", "--order", "2", "--budget", "nan"),
         ("simulate", "--spec", "@gue", "--order", "2", "--budget", "0"),
         ("simulate", "--spec", "@gue", "--order", "2", "--budget", "-1"),
+        # the cone |tan theta| < 1 is open
+        ("rtransform", "--measure", "@semicircle", "--order", "2", "--tilt", "1"),
         # the suite has no budget flag; the matrix criterion fits the default
         ("verify", "--suite", "--only", "support-bound", "--budget", "1e12"),
     ],
@@ -337,28 +347,6 @@ def test_internal_error_keeps_json_contract(capsys, monkeypatch):
         "detail": "RuntimeError: simulated defect",
     }
     assert "Traceback" in err and "simulated defect" in err
-
-
-@pytest.mark.parametrize(
-    "argv", [("nc", "--count", "4"), ("nc", "--count", "0")], ids=["result", "error"]
-)
-def test_closed_stdout_exits_1_without_traceback(argv):
-    # the reader of stdout is gone before the JSON is printed, as in
-    # `freemoments ... | head -0`
-    src = os.path.dirname(os.path.dirname(freemoments.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "freemoments.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
-    finally:
-        os.close(write_end)
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
 def test_float_literals_rejected(capsys):
@@ -489,10 +477,15 @@ def test_rtransform_alpha_is_not_a_flag(capsys, two_atom_file):
         ["verify", "--suite", "--only", "support-bound", "--dps", "3"],
         ["nc", "--count", "4", "--upper", "[[9]]"],
         ["nc", "--kreweras", "[[1,3],[2]]", "--upper", "[[1,2,3]]"],
+        ["verify", "--suite", "--only", "support-bound", "--measure", "@mu", "--order", "2"],
+        # a given flag is refused even at the --measure path's default
+        ["verify", "--suite", "--only", "support-bound", "--tol", "1e-4"],
+        ["nc", "--count", "4", "--upper", "[[1,2,3,4]]"],
     ],
     ids=["suite-measure", "suite-order", "measure-only", "cumulants-order",
          "measure-classical", "suite-tol", "suite-dps", "count-upper",
-         "kreweras-upper"],
+         "kreweras-upper", "suite-measure-order", "suite-default-tol",
+         "count-valid-upper"],
 )
 def test_flags_the_mode_would_ignore_exit_1(capsys, two_atom_file, argv):
     argv = [two_atom_file if a == "@mu" else a for a in argv]
@@ -523,6 +516,172 @@ def test_simulate_deterministic_and_seed_override(capsys, gue_spec_file):
     assert data["spec"]["seed"] == 12
     assert data["estimate"]["rng"] == "numpy-pcg64"
     assert len(data["comparison"]) == 4
+
+
+# --------------------------------------------------------- fresh processes
+#
+# A spawned test runs the CLI in each way a user starts it, through the
+# `entry` fixture; CI installs the package, so both ways run there.
+
+_SRC = os.path.dirname(os.path.dirname(freemoments.__file__))
+
+
+def _spawn(argv, stdout=subprocess.PIPE, **env):
+    """Run argv in a fresh interpreter that imports this checkout's package,
+    with the variables env added to the environment."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+
+
+@pytest.fixture(params=["module", "script"])
+def entry(request):
+    """`python -m freemoments.cli`, and the `freemoments` script that
+    installing the package puts on PATH.  A missing script skips its tests,
+    except on GitHub Actions: CI installs the package, so there it fails
+    them."""
+    if request.param == "module":
+        return [sys.executable, "-m", "freemoments.cli"]
+    if shutil.which("freemoments") is None:
+        reason = "the `freemoments` script is not on PATH (`pip install -e .` puts it there)"
+        if os.environ.get("GITHUB_ACTIONS") == "true":
+            pytest.fail(reason)
+        pytest.skip(reason)
+    return ["freemoments"]
+
+
+# The JSON files that an argv names as @name.
+_FILES = {
+    "@semicircle": dict(_SEMICIRCLE, mass="1"),
+    "@mass-2": dict(_SEMICIRCLE, mass="2"),
+    "@two-atom": {"kind": "discrete", "atoms": [["-1", "1/2"], ["1", "1/2"]]},
+    "@gue": {"kind": "gue", "dim": 20, "trials": 2, "seed": 3},
+    "@gue-1e200": {"kind": "gue", "dim": 10, "trials": 2, "scale": "1e200"},
+    "@wishart-1e308": {"kind": "wishart", "dim": 10, "trials": 2, "rate": "2", "scale": "1e308"},
+}
+
+
+def _with_files(tmp_path, argv):
+    def path(arg):
+        if arg not in _FILES:
+            return arg
+        file = tmp_path / f"{arg[1:]}.json"
+        file.write_text(json.dumps(_FILES[arg]))
+        return str(file)
+
+    return [path(arg) for arg in argv]
+
+
+@pytest.mark.parametrize(
+    "argv", [("nc", "--count", "4"), ("nc", "--count", "0")], ids=["result", "error"]
+)
+def test_closed_stdout_exits_1_without_traceback(entry, argv):
+    # the reader of stdout is gone before the JSON is printed, as in
+    # `freemoments ... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _spawn([*entry, *argv], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["nc", "--count", "4"], 0, {"n": 4, "count": 14}),
+        (["moments", "--classical", "--cumulants", '["1","1","1","1","1"]'], 0,
+         {"kind": "classical", "m": ["1", "2", "5", "15", "52"]}),
+        (["rtransform", "--measure", "@semicircle", "--order", "2", "--tilt", "1/2"], 0,
+         {"ray": {"alpha": "1", "beta": "1/8", "tan_theta": "1/2", "levels": 41,
+                  "first_level": 7}}),
+        # b_1's error estimate is about 1e26 this close to 0: the ray reports
+        # the tolerance as missed, not as met
+        (["rtransform", "--measure", "@semicircle", "--order", "2", "--beta", "1e-30",
+          "--tol", "1e-4"], 2, {"within_tol": False}),
+        (["rtransform", "--measure", "@mass-2", "--order", "3"], 1, {"error": "validation"}),
+        (["verify", "--measure", "@mass-2", "--order", "3"], 1, {"error": "validation"}),
+        # finite samples, but the stderr of m_1 overflows
+        (["simulate", "--spec", "@gue-1e200", "--order", "1"], 1, {"error": "size-limit"}),
+        # sampled entries past the float range, refused before the eigensolver
+        (["simulate", "--spec", "@wishart-1e308", "--order", "1"], 1, {"error": "size-limit"}),
+    ],
+    ids=["nc-count", "classical-moments", "ray-tilt", "ray-too-small", "rtransform-mass-2",
+         "verify-mass-2", "gue-1e200", "wishart-1e308"],
+)
+def test_each_entry_form_keeps_the_contract(entry, tmp_path, argv, code, expected):
+    # strict JSON on stdout and the exit code; no traceback and no numpy
+    # overflow warning on stderr, which an in-process test cannot see
+    done = _spawn([*entry, *_with_files(tmp_path, argv)])
+    assert done.returncode == code, done.stdout
+    data = _strict_json(done.stdout)
+    assert {key: data.get(key) for key in expected} == expected
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+_HEAVY = {"mpmath", "numpy", "freemoments.acceptance", "freemoments.rays", "freemoments.rmt"}
+
+
+@pytest.fixture(scope="module")
+def pycache_prefix(tmp_path_factory):
+    """The package compiled into a bytecode cache outside the source tree,
+    as an installed package runs from bytecode.  A spawn that leaves the
+    package out caches the libraries it imports there too, so that the
+    tests' spawns need not compile them from source."""
+    prefix = str(tmp_path_factory.mktemp("pycache"))
+    subprocess.run(
+        [sys.executable, "-X", f"pycache_prefix={prefix}", "-m", "compileall", "-q",
+         os.path.dirname(freemoments.__file__)],
+        check=True, timeout=120,
+    )
+    subprocess.run(
+        [sys.executable, "-c", "import argparse, fractions, json, mpmath, numpy"],
+        check=True, timeout=120,
+        env=dict(os.environ, PYTHONPYCACHEPREFIX=prefix, PYTHONDONTWRITEBYTECODE=""),
+    )
+    return prefix
+
+
+@pytest.mark.parametrize(
+    "argv, heavy",
+    [
+        (["nc", "--count", "4"], set()),
+        (["rseries", "--moments", '["0","1","0","2"]'], set()),
+        (["cumulants", "--moments", '["0","1","0","2"]'], set()),
+        (["moments", "--measure", "@semicircle", "--order", "4"], set()),
+        (["levy", "--gamma", "1/2", "--sigma", "@two-atom", "--order", "3"], set()),
+        (["rtransform", "--measure", "@semicircle", "--order", "2"], {"mpmath", "freemoments.rays"}),
+        (["simulate", "--spec", "@gue", "--order", "2"], {"numpy", "freemoments.rmt"}),
+    ],
+    ids=["nc", "rseries", "cumulants", "moments", "levy", "rtransform", "simulate"],
+)
+def test_compiled_subcommands_import_only_their_layers(
+    entry, pycache_prefix, tmp_path, argv, heavy
+):
+    # the exact subcommands load no numeric library; the ray loads mpmath
+    # and its layer without numpy, simulate numpy and its layer
+    # the spawn writes no bytecode, so what it reads is compileall's
+    done = _spawn(
+        [*entry, *_with_files(tmp_path, argv)], PYTHONPYCACHEPREFIX=pycache_prefix,
+        PYTHONDONTWRITEBYTECODE="1", PYTHONPROFILEIMPORTTIME="1", PYTHONVERBOSE="1",
+    )
+    assert done.returncode == 0, done.stdout
+    lines = done.stderr.splitlines()
+    names = {line.split("|")[-1].strip() for line in lines if line.startswith("import time:")}
+    assert "freemoments" in names and names & _HEAVY == heavy
+    # every module of the package ran from the compiled cache, the
+    # cli too (which `-m` runs without an import line)
+    compiled = os.path.join(pycache_prefix, os.path.dirname(freemoments.__file__).lstrip(os.sep))
+    read = {
+        os.path.basename(line.rstrip("'")).split(".")[0]
+        for line in lines if line.startswith(f"# code object from '{compiled}{os.sep}")
+    }
+    ours = {name.rsplit(".", 1)[-1] for name in names if name.startswith("freemoments.")}
+    assert {"__init__", "cli"} | ours <= read
 
 
 # Runs in a fresh interpreter, whose sys.modules shows what was imported.
@@ -569,13 +728,8 @@ print(json.dumps(seen))
 
 
 def _probe(script, *args):
-    src = os.path.dirname(os.path.dirname(freemoments.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, timeout=120, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    done = _spawn([sys.executable, "-c", script, *args])
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
@@ -615,6 +769,7 @@ def test_an_exact_criterion_of_the_battery_imports_no_numeric_layer():
     assert code == 1 and refused["error"] == "validation"
     assert modules == ["freemoments.acceptance"]
     assert seen["suite_loads_series"] is False
+
 
 
 def test_simulate_out_file(capsys, gue_spec_file, tmp_path):
@@ -661,13 +816,6 @@ def test_simulate_past_float_range_is_an_input_error(capsys, tmp_path, spec, err
         code, data = run_json(capsys, "simulate", "--spec", str(path), "--order", "4")
     assert code == 1
     assert data["error"] == error
-
-
-_SEMICIRCLE = {
-    "kind": "density",
-    "name": "semicircle",
-    "params": {"center": "0", "radius": "2"},
-}
 
 
 @pytest.mark.parametrize(
@@ -730,11 +878,14 @@ def test_simulate_sample_past_float_range_is_size_limit(capsys, tmp_path, spec):
     assert _strict_json(out)["error"] == "size-limit"
 
 
-def test_simulate_huge_order_is_refused_by_the_budget(capsys, gue_spec_file):
-    for order in ("100000", str(10**400)):
-        code, data = run_json(capsys, "simulate", "--spec", gue_spec_file, "--order", order)
-        assert code == 2
-        assert data["error"] == "budget"
+def test_simulate_huge_order_is_refused_by_the_budget(capsys, tmp_path, gue_spec_file):
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"kind": "gue", "dim": 10}))
+    for spec in (gue_spec_file, str(small)):
+        for order in ("100000", str(10**400)):
+            code, data = run_json(capsys, "simulate", "--spec", spec, "--order", order)
+            assert code == 2
+            assert data["error"] == "budget"
 
 
 def test_non_finite_float_never_reaches_stdout(capsys, gue_spec_file, monkeypatch):

@@ -16,7 +16,6 @@ from freemoments.rmt import (
     _HALF_POWER_MAX_ORDER,
     _cost_units,
     _haar_columns,
-    _haar_unitary,
     compare_to_prediction,
     ensemble_spec_from_json,
     ensemble_spec_to_json,
@@ -100,7 +99,7 @@ def test_wishart_columns_rounding():
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(11)
-    u = _haar_unitary(40, rng)
+    u = _haar_columns(40, 40, rng)
     assert np.allclose(u @ u.conj().T, np.eye(40), atol=1e-10)
 
 
@@ -119,7 +118,7 @@ def test_haar_columns_are_the_leading_columns_of_the_full_draw(m):
 def test_haar_trace_statistics():
     # for Haar, E tr U = 0 and E |tr U|^2 = 1 independent of n
     rng = np.random.default_rng(5)
-    traces = np.array([np.trace(_haar_unitary(25, rng)) for _ in range(400)])
+    traces = np.array([np.trace(_haar_columns(25, 25, rng)) for _ in range(400)])
     assert abs(traces.mean()) < 0.15
     assert 0.75 < np.mean(np.abs(traces) ** 2) < 1.3
 
@@ -464,7 +463,7 @@ def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
         rng = np.random.default_rng(child)
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
-        u = _haar_unitary(spec.dim, rng)
+        u = _haar_columns(spec.dim, spec.dim, rng).conj().T
         if spec.parts[1].kind == "deterministic" and spec.parts[0].kind != "deterministic":
             u = u.conj().T  # a diagonal second part alone is rotated by U^H, also Haar
         literal = 1.5 * (a + u @ b @ u.conj().T) - 0.5 * np.eye(spec.dim)
