@@ -2,10 +2,16 @@
 """Sampled trace moments of the three reference ensembles vs exact values.
 
 Runs a GUE, a square-case Wishart, a free sum of two Bernoulli diagonals
-in Haar-generic position, and a free sum of a three-atom diagonal with
-unequal counts and a GUE, and prints sampled means, exact predictions, and
-the acceptance allowance per order.  The three-atom weights are 1/5, 1/2
-and 3/10, so a dimension that is a multiple of 10 gives exact counts.
+in Haar-generic position, a free sum of a three-atom diagonal with unequal
+counts and a GUE, and one of the same three-atom diagonal and a Bernoulli
+diagonal, and prints sampled means, exact predictions, and the acceptance
+allowance per order.  The three-atom weights are 1/5, 1/2 and 3/10, so a
+dimension that is a multiple of 10 gives exact counts.
+
+The two diagonal-diagonal sums rotate their first part by the Haar columns
+of its atoms before the last: N/2 of the Bernoulli part, 7N/10 of the
+three-atom part.  The sum with a GUE draws no Haar unitary, since the
+GUE's law is unitarily invariant.
 
 Usage: python scripts/matrix_oracle_demo.py [--dim N] [--trials T] [--seed S]
 """
@@ -77,6 +83,14 @@ def main() -> None:
         MatrixEnsembleSpec(
             kind="free_sum", dim=args.dim, trials=args.trials, seed=args.seed + 3,
             parts=(three, MatrixEnsembleSpec(kind="gue", dim=args.dim)),
+        ),
+        4,
+    )
+    show(
+        "free sum of a three-atom diagonal and a Bernoulli diagonal",
+        MatrixEnsembleSpec(
+            kind="free_sum", dim=args.dim, trials=args.trials, seed=args.seed + 4,
+            parts=(three, part),
         ),
         4,
     )

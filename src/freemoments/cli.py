@@ -298,8 +298,9 @@ def _run_rtransform(args) -> tuple[dict, int]:
 
     mu = _measure_from_file(args.measure)
     ray = NontangentialRay(beta=args.beta, tan_theta=args.tilt)
+    # the ray refuses a precision past its work budget before it sets it
+    samples = invert_g_on_ray(mu, ray, dps=args.dps)
     with mp.workdps(args.dps):
-        samples = invert_g_on_ray(mu, ray, dps=args.dps)
         est = estimate_taylor_on_ray(samples, args.order)
         digits = min(args.dps, 30)
         points = [

@@ -46,6 +46,7 @@ import mpmath as mp
 
 from .cumulants import _check_order, as_fraction, free_cumulants_from_moments
 from .errors import (
+    BudgetError,
     DomainError,
     NumericError,
     RegionTooLargeError,
@@ -60,6 +61,11 @@ FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 # degree.  A cubic row (15, -70, 120, -64) saves evaluations on discrete laws
 # but not time: it amplifies R's rounding noise 269-fold.
 SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
+# The ray's work is refused up front past this many digit products (see
+# _ray_work): about 3200 digits.  On a 2-core machine the costliest closed
+# form, the uniform law's logarithm, takes about 6 s at 3200 digits and
+# 10 s at 4000; at 100000 digits a ray would run for hours.
+_RAY_BUDGET = 7 * 10**8
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,16 @@ def _extrapolate(run) -> mp.mpc:
     return mp.fsum(c * r for c, r in zip(weights, run))
 
 
+def _ray_work(dps: int) -> int:
+    """Estimated digit products of one ray at dps digits: two evaluations
+    of G per sampled level (about 1.9 over the benchmark's laws), each
+    counted as dps^2, the growth of one multiply at that precision.  The
+    wall time grows about that fast: 4.5-fold per doubling of dps from 1600
+    to 3200 digits on the uniform law, 2.9-fold on Marchenko-Pastur."""
+    levels = NontangentialRay.levels - NontangentialRay.first_level
+    return levels * 2 * dps * dps
+
+
 def invert_g_on_ray(
     source, ray: NontangentialRay | None = None, dps: int = 50
 ) -> RayTransformSamples:
@@ -182,13 +198,22 @@ def invert_g_on_ray(
     region where G is invertible and RegionTooLargeError is raised.  A
     measure of mass other than 1 is refused up front: at mass 0 G vanishes
     identically, and at mass c K(z) ~ c/z, so K(z) - 1/z keeps the pole
-    (c - 1)/z and is the R-transform only for a probability measure.
+    (c - 1)/z and is the R-transform only for a probability measure.  So
+    is a precision whose estimated work (`_ray_work`) exceeds the budget,
+    with BudgetError.
     """
     if isinstance(source, Measure) and source.mass == 0:
         raise ValidationError("the zero measure has G = 0, which has no inverse")
     if isinstance(source, Measure) and source.mass != 1:
         raise ValidationError(
             f"the R-transform needs a probability measure, but the mass is {source.mass}"
+        )
+    work = _ray_work(dps)
+    if work > _RAY_BUDGET:
+        shown = f"{work:.2e}" if work < 1e300 else "past 1e300"  # a huge int has no float
+        raise BudgetError(
+            f"a ray at this precision takes an estimated {shown} digit products, "
+            f"past the budget of {_RAY_BUDGET:.2e}; lower the precision"
         )
     if ray is None:
         ray = NontangentialRay()

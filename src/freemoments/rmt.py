@@ -19,10 +19,16 @@ j <= ceil(p/2): tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>,
 so order 2 takes no matrix product, order 4 one and order 6 two.  Above
 order 6 (`_HALF_POWER_MAX_ORDER`) the half powers would take three
 products or more, which is what one eigvalsh costs at N >= 600, so there
-they are the eigenvalue power sums.  A free sum rotates its diagonal part
-with one product, which keeps the spectrum of A + U B U^H, and draws
-only the Haar columns that the rotation moves, all but those of its last
-atom.
+they are the eigenvalue power sums.
+
+A free sum A + U B U^H with a GUE or Wishart part draws no Haar unitary:
+such a part has a unitarily invariant law, so conjugating it by a Haar U
+drawn independently of both parts leaves the pair's law, and with it the
+law of the sum, unchanged at every N (Voiculescu, Invent. Math. 104
+(1991)), and the plain A + B is sampled.  Otherwise a diagonal part is
+rotated with one product, which keeps the spectrum of A + U B U^H, and
+draws only the Haar columns that the rotation moves, all but those of its
+last atom; two nested free sums take a dense Haar unitary.
 
 Only sampling needs numpy, so only the sampling functions import it.
 """
@@ -62,6 +68,8 @@ DETERMINISTIC = "deterministic"
 FREE_SUM = "free_sum"
 
 KINDS = (GUE, WISHART, DETERMINISTIC, FREE_SUM)
+# kinds whose law is unitarily invariant: U H U^H has the law of H for Haar U
+_INVARIANT = (GUE, WISHART)
 
 DEFAULT_BUDGET = 2e11  # rough operation units, see _cost_units
 
@@ -155,14 +163,16 @@ def _haar_columns(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     2 n^2 normals are drawn, so the generator ends where an n-column draw
     leaves it."""
     import numpy as np
-    real = rng.standard_normal((n, n))
-    imag = rng.standard_normal((n, n))
+    g = rng.standard_normal((2, n, n))  # the real parts, then the imaginary
+    x = np.empty((n, m), dtype=complex)
+    x.real, x.imag = g[0, :, :m], g[1, :, :m]
     if m == 0:
-        return np.empty((n, 0), dtype=complex)
-    q, r = np.linalg.qr(real[:, :m] + 1j * imag[:, :m])
+        return x
+    q, r = np.linalg.qr(x)
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 def _deterministic_counts(mu: Measure, n: int) -> list[tuple[Fraction, int]]:
@@ -193,30 +203,46 @@ def _diagonal(spec: MatrixEnsembleSpec) -> np.ndarray:
 
 
 def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One dense complex sample of the ensemble; the draws run part 0,
-    part 1, then the Haar unitary U of a free sum.
+    """One dense complex sample of the ensemble, built in place; the draws
+    run part 0, part 1, then the Haar unitary U of a free sum, if any.
 
-    A free sum A + U B U^H is returned up to a unitary conjugation that
-    keeps its spectrum, so that the rotation of a deterministic (diagonal)
-    part is cheap.  When A is diagonal (B may be too), U^H A U + B: with
-    the atoms in ascending order A = t I + sum_i (a_i - t) e_i e_i^H, t the
-    last atom with a positive count, and the sum runs over the first
-    m = N - count(t) coordinates.  So it takes only the m columns
-    V = U^H[:, :m] that it moves (U^H is the n-column _haar_columns
-    draw), and one N x m by m x N product.  When only B is diagonal it is rotated the same
-    way, U^H B U + A, which is A + W B W^H for the Haar unitary W = U^H;
-    when neither is, the literal A + U B U^H."""
+    A free sum A + U B U^H is returned in law or up to a unitary
+    conjugation that keeps its spectrum:
+    - a GUE or Wishart part (its affine map included) has a unitarily
+      invariant law, so with U independent of both parts the pair
+      (A, U B U^H), or (U^H A U, B), has the law of (A, B): the sum is
+      A + B, with no Haar draw;
+    - otherwise, when A is diagonal (B may be too), U^H A U + B: with the
+      atoms in ascending order A = t I + sum_i (a_i - t) e_i e_i^H, t the
+      last atom with a positive count, and the sum runs over the first
+      m = N - count(t) coordinates.  So it takes only the m columns
+      V = U^H[:, :m] that it moves (U^H is the n-column _haar_columns
+      draw), and one N x m by m x N product.  When only B is diagonal it
+      is rotated the same way, U^H B U + A, which is A + W B W^H for the
+      Haar unitary W = U^H;
+    - two nested free sums take the literal A + U B U^H."""
     import numpy as np
     n = spec.dim
     if spec.kind == GUE:
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (x + x.conj().T) / (2 * math.sqrt(n))
+        g = rng.standard_normal((2, n, n))  # the real parts, then the imaginary
+        h = np.empty((n, n), dtype=complex)
+        np.add(g[0], g[0].T, out=h.real)
+        np.subtract(g[1], g[1].T, out=h.imag)
+        h /= 2 * math.sqrt(n)
     elif spec.kind == WISHART:
         m = spec.wishart_columns()
-        x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
-        h = (x @ x.conj().T) / n
+        g = rng.standard_normal((2, n, m))
+        x = np.empty((n, m), dtype=complex)
+        x.real, x.imag = g
+        x /= math.sqrt(2)
+        h = x @ x.conj().T
+        h /= n
     elif spec.kind == DETERMINISTIC:
-        h = np.diag(_diagonal(spec)).astype(complex)
+        h = np.zeros((n, n), dtype=complex)
+        h[np.diag_indices(n)] = _diagonal(spec)
+    elif any(part.kind in _INVARIANT for part in spec.parts):  # free_sum
+        h = sample_matrix(spec.parts[0], rng)
+        h += sample_matrix(spec.parts[1], rng)
     elif DETERMINISTIC in (spec.parts[0].kind, spec.parts[1].kind):  # free_sum, a part diagonal
         # a diagonal part draws nothing, so the other part's draw comes
         # before the Haar columns whichever position it holds
@@ -226,15 +252,21 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
         d = float(part.scale) * raw + float(part.shift)
         rest = sample_matrix(other, rng)
         v = _haar_columns(n, m, rng)
-        h = (v * (d[:m] - d[-1])) @ v.conj().T + rest
+        vh = v.conj().T
+        v *= d[:m] - d[-1]
+        h = v @ vh
+        h += rest
         h[np.diag_indices(n)] += d[-1]
-    else:  # free_sum of two dense parts
+    else:  # free_sum of two nested free sums
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
         u = _haar_columns(n, n, rng).conj().T  # V is Haar, so V^H is
-        h = a + u @ b @ u.conj().T
-    if spec.scale != 1 or spec.shift != 0:
-        h = float(spec.scale) * h + float(spec.shift) * np.eye(n)
+        h = u @ b @ u.conj().T
+        h += a
+    if spec.scale != 1:
+        h *= float(spec.scale)
+    if spec.shift != 0:
+        h[np.diag_indices(n)] += float(spec.shift)
     return h
 
 
@@ -277,20 +309,24 @@ def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
     """(sampling, prediction) units of one matrix of the spec with its parts.
     Sampling: 4 N^2 max(N, M) per drawn part, the Wishart product X X^H or,
     for the O(N^2) draws, a floor that keeps the budget bounding the time
-    and the memory of large N at low orders; per free sum the Haar QR
-    (about 16/3 N^3) and the rotation, one product of 4 N^3 when a part is
-    diagonal and two otherwise.  A diagonal part factors and rotates only
-    the m < N columns it moves (see sample_matrix), so for it the QR and
-    the product are upper bounds.  Prediction: p^2 rational
-    multiply-adds per node and p^3 per free sum, weighted by their wall
-    time at orders 50-1000."""
+    and the memory of large N at low orders; per free sum with no GUE or
+    Wishart part the Haar QR (about 16/3 N^3) and the rotation, one product
+    of 4 N^3 when a part is diagonal and two otherwise.  A diagonal part
+    factors and rotates only the m < N columns it moves (see
+    sample_matrix), so for it the QR and the product are upper bounds.  A
+    free sum with a GUE or Wishart part draws no Haar unitary and pays for
+    its parts alone.  Prediction: p^2 rational multiply-adds per node and
+    p^3 per free sum, weighted by their wall time at orders 50-1000."""
     n = spec.dim
     predict = 350_000 * p * p
     if spec.kind != FREE_SUM:
         wide = spec.wishart_columns() if spec.kind == WISHART else n
         return 4 * n * n * max(n, wide), predict
-    products = 1 if any(part.kind == DETERMINISTIC for part in spec.parts) else 2
-    sample = 16 * n**3 // 3 + 4 * n**3 * products
+    if any(part.kind in _INVARIANT for part in spec.parts):
+        sample = 0
+    else:
+        products = 1 if any(part.kind == DETERMINISTIC for part in spec.parts) else 2
+        sample = 16 * n**3 // 3 + 4 * n**3 * products
     parts = [_node_units(part, p) for part in spec.parts]
     sample += sum(s for s, _ in parts)
     predict += 20_000 * p**3 + sum(q for _, q in parts)
@@ -300,11 +336,11 @@ def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
 def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
     """Roughly one unit per float multiply-add, so 4 N^3 per complex
     product (an upper bound where a free sum's diagonal part moves fewer
-    than N columns): per trial the sampling and the trace moments (up
-    to order 6 the ceil(p/2) - 1 products of the half powers and p inner
-    products of 4 N^2; above it one eigendecomposition, weighted at its wall
-    time of about three products, and the N p power sums); the prediction
-    once."""
+    than N columns; _node_units says which free sums rotate): per trial
+    the sampling and the trace moments (up to order 6 the ceil(p/2) - 1
+    products of the half powers and p inner products of 4 N^2; above it
+    one eigendecomposition, weighted at its wall time of about three
+    products, and the N p power sums); the prediction once."""
     sample, predict = _node_units(spec, p)
     n = spec.dim
     if p <= _HALF_POWER_MAX_ORDER:

@@ -526,12 +526,12 @@ def test_simulate_deterministic_and_seed_override(capsys, gue_spec_file):
 _SRC = os.path.dirname(os.path.dirname(freemoments.__file__))
 
 
-def _spawn(argv, stdout=subprocess.PIPE, **env):
+def _spawn(argv, stdout=subprocess.PIPE, timeout=120, **env):
     """Run argv in a fresh interpreter that imports this checkout's package,
     with the variables env added to the environment."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
@@ -557,6 +557,7 @@ _FILES = {
     "@semicircle": dict(_SEMICIRCLE, mass="1"),
     "@mass-2": dict(_SEMICIRCLE, mass="2"),
     "@two-atom": {"kind": "discrete", "atoms": [["-1", "1/2"], ["1", "1/2"]]},
+    "@one-atom": {"kind": "discrete", "atoms": [["0", "1"]]},
     "@gue": {"kind": "gue", "dim": 20, "trials": 2, "seed": 3},
     "@gue-1e200": {"kind": "gue", "dim": 10, "trials": 2, "scale": "1e200"},
     "@wishart-1e308": {"kind": "wishart", "dim": 10, "trials": 2, "rate": "2", "scale": "1e308"},
@@ -621,6 +622,20 @@ def test_each_entry_form_keeps_the_contract(entry, tmp_path, argv, code, expecte
     data = _strict_json(done.stdout)
     assert {key: data.get(key) for key in expected} == expected
     assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["rtransform", "verify"])
+@pytest.mark.parametrize("dps", ["100000", str(10**400)], ids=["1e5", "1e400"])
+def test_huge_precision_is_refused_at_once_by_the_budget(tmp_path, command, dps):
+    # a one-atom law at 100000 digits gave no answer within 20 s before the
+    # ray had a work budget; now the estimate refuses it before any
+    # evaluation of G, and 10^400 digits, which mpmath cannot set, alike
+    argv = [command, "--measure", "@one-atom", "--order", "2", "--dps", dps]
+    done = _spawn([sys.executable, "-m", "freemoments.cli", *_with_files(tmp_path, argv)],
+                  timeout=20)
+    assert done.returncode == 2, done.stdout
+    assert _strict_json(done.stdout)["error"] == "budget"
+    assert "Traceback" not in done.stderr
 
 
 _HEAVY = {"mpmath", "numpy", "freemoments.acceptance", "freemoments.rays", "freemoments.rmt"}

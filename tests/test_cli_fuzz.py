@@ -2,11 +2,12 @@
 payloads and flag values, ends in one strict JSON document on stdout with
 exit code 0, 1 or 2, and never in the internal-error payload.
 
-Sizes are bounded on purpose: `--dps`, `levy --order` and `moments --order`
-have no up-front work budget yet, so an unbounded draw could run for
-minutes without finding anything.  Orders stay in -1..8, `nc` sizes at or
-below 9, `simulate` dimensions at or below 6 with at most 3 trials, and
-`--dps` at or below 60.  `verify --suite` is fuzzed only with slugs no
+Sizes are bounded on purpose: `levy --order` and `moments --order` have no
+up-front work budget yet, and the budget of `--dps` still admits about 3200
+digits, seconds per call, so an unbounded draw could run for minutes
+without finding anything.  Orders stay in -1..8, `nc` sizes at or below 9,
+`simulate` dimensions at or below 6 with at most 3 trials, and `--dps` at
+or below 60.  `verify --suite` is fuzzed only with slugs no
 criterion has, since a real criterion takes 0.1-17 s.
 """
 

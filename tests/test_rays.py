@@ -15,6 +15,7 @@ from freemoments.cumulants import (
     moments_from_free_cumulants,
 )
 from freemoments.errors import (
+    BudgetError,
     DomainError,
     NumericError,
     RegionTooLargeError,
@@ -29,6 +30,8 @@ from freemoments.measures import (
 from freemoments.rays import (
     FIT_GUARD,
     NontangentialRay,
+    _RAY_BUDGET,
+    _ray_work,
     estimate_taylor_on_ray,
     invert_g_on_ray,
     verify_taylor_cumulants,
@@ -612,3 +615,34 @@ def test_warm_fit_runs_no_factorisation(monkeypatch):
     samples = invert_g_on_ray(Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]))
     est = estimate_taylor_on_ray(samples, 4)
     assert est.condition > 1
+
+
+def test_ray_work_estimate_accepts_every_working_precision():
+    # the default, the battery's 30 and 50 digits and every precision the
+    # tests, the demos and the benchmark use fit the budget; 100000 digits,
+    # which ran past 20 s on a one-atom law, does not
+    import inspect
+
+    default = inspect.signature(invert_g_on_ray).parameters["dps"].default
+    for dps in (default, 1, 15, 30, 50, 60, 80, 3000):
+        assert _ray_work(dps) <= _RAY_BUDGET
+    assert _ray_work(100_000) > _RAY_BUDGET
+    # two evaluations per sampled level, each growing like dps^2
+    levels = NontangentialRay.levels - NontangentialRay.first_level
+    assert _ray_work(50) == 2 * levels * 50**2
+    assert _ray_work(6400) == 4 * _ray_work(3200)
+
+
+@pytest.mark.parametrize("dps", [100_000, 10**400], ids=["1e5", "1e400"])
+def test_precision_past_the_budget_is_refused_before_any_evaluation(dps):
+    calls = []
+
+    def g(w):
+        calls.append(w)
+        return 1 / w
+
+    with pytest.raises(BudgetError):
+        invert_g_on_ray((g, lambda w: -1 / w**2), dps=dps)
+    with pytest.raises(BudgetError):
+        verify_taylor_cumulants(Measure.discrete([(0, 1)]), 2, dps=dps)
+    assert calls == []

@@ -1,5 +1,6 @@
 """Random-matrix sampling against exact moment predictions."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from freemoments.rmt import (
     MatrixEnsembleSpec,
     _HALF_POWER_MAX_ORDER,
     _cost_units,
+    _diagonal,
     _haar_columns,
     compare_to_prediction,
     ensemble_spec_from_json,
@@ -139,6 +141,72 @@ def test_sample_matrix_is_hermitian():
         assert np.allclose(h, h.conj().T)
 
 
+def _plain_sample(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """sample_matrix as plain expressions with their temporaries: GUE,
+    Wishart, deterministic and diagonal-diagonal free sums (part 0
+    rotated, with the Haar columns of its atoms before the last)."""
+    n = spec.dim
+    if spec.kind == "gue":
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (x + x.conj().T) / (2 * math.sqrt(n))
+    elif spec.kind == "wishart":
+        m = spec.wishart_columns()
+        x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
+        h = (x @ x.conj().T) / n
+    elif spec.kind == "deterministic":
+        h = np.diag(_diagonal(spec)).astype(complex)
+    else:
+        part, other = spec.parts
+        raw = _diagonal(part)
+        m = int(np.searchsorted(raw, raw[-1]))
+        d = float(part.scale) * raw + float(part.shift)
+        rest = _plain_sample(other, rng)
+        real = rng.standard_normal((n, n))
+        imag = rng.standard_normal((n, n))
+        q, r = np.linalg.qr(real[:, :m] + 1j * imag[:, :m])
+        phases = np.diagonal(r).copy()
+        phases[phases == 0] = 1.0
+        v = q * (phases / np.abs(phases))
+        h = (v * (d[:m] - d[-1])) @ v.conj().T + rest
+        h[np.diag_indices(n)] += d[-1]
+    if spec.scale != 1 or spec.shift != 0:
+        h = float(spec.scale) * h + float(spec.shift) * np.eye(n)
+    return h
+
+
+@pytest.mark.filterwarnings("ignore:weights of the deterministic measure")
+@pytest.mark.parametrize("affine", [
+    {}, {"scale": "3/2"}, {"shift": "-1/3"}, {"scale": -2, "shift": "1/2"},
+], ids=["plain", "scale", "shift", "scale-shift"])
+def test_sample_matrix_keeps_the_bits_of_the_plain_expressions(affine):
+    # building in place changes no bit of a sample that draws no Haar
+    # unitary beside an invariant part
+    three = Measure.discrete([(-2, "1/6"), ("1/2", "1/2"), (3, "1/3")])
+    specs = []
+    for dim in (1, 7, 30):
+        diag = MatrixEnsembleSpec(kind="deterministic", dim=dim, measure=three, **affine)
+        specs += [
+            MatrixEnsembleSpec(kind="gue", dim=dim, **affine),
+            bernoulli_diag(dim, **affine),
+            diag,
+            MatrixEnsembleSpec(
+                kind="free_sum", dim=dim, parts=(bernoulli_diag(dim), diag), **affine
+            ),
+            MatrixEnsembleSpec(
+                kind="free_sum", dim=dim, parts=(diag, bernoulli_diag(dim, scale=-1)), **affine
+            ),
+        ]
+        specs += [
+            MatrixEnsembleSpec(kind="wishart", dim=dim, rate=rate, **affine)
+            for rate in ("1/2", 1, "3/2")
+        ]
+    for spec in specs:
+        for seed in (0, 17):
+            got = sample_matrix(spec, np.random.default_rng(seed))
+            want = _plain_sample(spec, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (spec, seed)
+
+
 # -------------------------------------------------------------- reproducibility
 
 
@@ -220,6 +288,35 @@ def test_free_sum_matches_free_convolution():
     assert exact.values == (0, 2, 0, 6)
     report = compare_to_prediction(sample_trace_moments(spec, 4), exact)
     assert all(r["within"] for r in report)
+
+
+@pytest.mark.parametrize("first, second, free_m4, classical_m4", [
+    # free cumulants (0, 1, 0, -1) + (0, 1): m4 = -1 + 2 * 2^2; a
+    # commuting semicircle would give 1 + 6 + 2
+    ("bernoulli", "gue", 7, 9),
+    # (1, 1, 1, 1) + (0, 1, 0, -1): m4 = 0 + 4 + 8 + 12 + 1; commuting
+    # Marchenko-Pastur moments (1, 2, 5, 14) would give 14 + 6 * 2 + 1
+    ("wishart", "bernoulli", 25, 27),
+])
+def test_invariant_free_sum_matches_free_not_classical_convolution(
+    first, second, free_m4, classical_m4
+):
+    # the sum with a GUE or Wishart part is the plain A + B, whose law is
+    # that of A + U B U^H: the free convolution, not the classical one
+    dim = 200
+    make = {
+        "bernoulli": lambda: bernoulli_diag(dim),
+        "gue": lambda: MatrixEnsembleSpec(kind="gue", dim=dim),
+        "wishart": lambda: MatrixEnsembleSpec(kind="wishart", dim=dim, rate=1),
+    }
+    spec = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, trials=24, seed=5, parts=(make[first](), make[second]())
+    )
+    exact = predicted_moments(spec, 4)
+    assert exact[4] == free_m4
+    report = compare_to_prediction(sample_trace_moments(spec, 4), exact)
+    assert all(r["within"] for r in report)
+    assert abs(report[3]["sampled"] - classical_m4) > report[3]["allowance"]
 
 
 def test_affine_prediction_and_sampling_agree():
@@ -357,15 +454,29 @@ def test_trial_rows_are_eigenvalue_power_sums():
 
 
 def test_budget_counts_one_rotation_product_for_a_diagonal_part():
-    # the deterministic and GUE nodes cost the same to draw, so the only
-    # difference is the second product of U B U^H
-    dim, trials = 50, 3
-    gue = MatrixEnsembleSpec(kind="gue", dim=dim)
-    one = MatrixEnsembleSpec(
-        kind="free_sum", dim=dim, trials=trials, parts=(bernoulli_diag(dim), gue)
+    # a diagonal-diagonal sum pays the Haar QR and one rotation product,
+    # two nested sums the QR and two, and a sum with a GUE part neither:
+    # it samples its two parts alone
+    dim, trials, p = 50, 3, 4
+    diag = bernoulli_diag(dim)
+    one = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=trials, parts=(diag, diag))
+    none = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, trials=trials,
+        parts=(diag, MatrixEnsembleSpec(kind="gue", dim=dim)),
     )
-    two = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=trials, parts=(gue, gue))
-    assert _cost_units(two, 4) - _cost_units(one, 4) == trials * 4 * dim**3
+    nested = MatrixEnsembleSpec(kind="free_sum", dim=dim, parts=(diag, diag))
+    two = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=trials, parts=(nested, nested))
+    draw = 4 * dim**3  # one GUE or deterministic node
+    qr, product = 16 * dim**3 // 3, 4 * dim**3
+    trace = product + 4 * dim * dim * p  # one half-power product at order 4
+    predict = 3 * 350_000 * p * p + 20_000 * p**3  # three nodes, one of them a sum
+    assert _cost_units(none, p) == trials * (2 * draw + trace) + predict
+    assert _cost_units(one, p) == trials * (2 * draw + qr + product + trace) + predict
+    inner = 2 * draw + qr + product
+    assert _cost_units(two, p) == (
+        trials * (2 * inner + qr + 2 * product + trace) + 350_000 * p * p
+        + 20_000 * p**3 + 2 * predict
+    )
 
 
 def test_budget_refuses_large_draws_at_low_orders():
@@ -429,18 +540,25 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
 
 @pytest.mark.filterwarnings("ignore:weights of the deterministic measure")
 @pytest.mark.parametrize("first, second", [
+    # a GUE or Wishart partner: the plain sum, no Haar draw
     ("diagonal", "gue"), ("gue", "diagonal"), ("diagonal", "diagonal"), ("gue", "wishart"),
     ("three-atom", "gue"), ("gue", "three-atom"), ("three-atom", "diagonal"),
     ("one-atom", "gue"), ("gue", "one-atom"), ("empty-last-atom", "wishart"),
     ("wishart", "empty-last-atom"),
+    # each rotation case with a partner that is not unitarily invariant
+    ("one-atom", "diagonal"), ("free-sum", "one-atom"), ("empty-last-atom", "diagonal"),
+    ("free-sum", "empty-last-atom"), ("free-sum", "three-atom"), ("free-sum", "diagonal"),
+    ("diagonal", "free-sum"), ("free-sum", "free-sum"),
 ])
 def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
     # rebuilt from the samplers in the draw order part 0, part 1, Haar, on
-    # the same child generator as the trial.  A diagonal part rotates only
-    # the columns of the atoms before its last: 20 of 30 for the
-    # counts 5, 15, 10 of the three-atom part (whose map x -> -2x + 1/2
+    # the same child generator as the trial; a sum with a GUE or Wishart
+    # part draws no Haar unitary and is the literal A + B.  A diagonal part
+    # rotates only the columns of the atoms before its last: 20 of 30 for
+    # the counts 5, 15, 10 of the three-atom part (whose map x -> -2x + 1/2
     # reverses their order), none for one atom, and 15 where the last
-    # atom's weight rounds to the count 0
+    # atom's weight rounds to the count 0.  Two diagonal parts rotate the
+    # first, and two nested sums the second with a dense unitary
     def diagonal(*atoms, **affine):
         return lambda: MatrixEnsembleSpec(
             kind="deterministic", dim=30, measure=Measure.discrete(atoms), **affine
@@ -453,24 +571,70 @@ def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
         "three-atom": diagonal((-2, "1/6"), ("1/2", "1/2"), (3, "1/3"), scale=-2, shift="1/2"),
         "one-atom": diagonal((5, 1)),
         "empty-last-atom": diagonal((-1, "1/2"), (1, "1/2"), (2, "1/1000")),
+        "free-sum": lambda: MatrixEnsembleSpec(
+            kind="free_sum", dim=30, parts=(bernoulli_diag(30), bernoulli_diag(30))
+        ),
     }
     spec = MatrixEnsembleSpec(
         kind="free_sum", dim=30, trials=3, seed=21, scale="3/2", shift="-1/2",
         parts=(make[first](), make[second]()),
     )
+    invariant = any(part.kind in ("gue", "wishart") for part in spec.parts)
     for t in range(spec.trials):
         child = np.random.SeedSequence(spec.seed).spawn(spec.trials)[t]
         rng = np.random.default_rng(child)
         a = sample_matrix(spec.parts[0], rng)
         b = sample_matrix(spec.parts[1], rng)
-        u = _haar_columns(spec.dim, spec.dim, rng).conj().T
-        if spec.parts[1].kind == "deterministic" and spec.parts[0].kind != "deterministic":
-            u = u.conj().T  # a diagonal second part alone is rotated by U^H, also Haar
-        literal = 1.5 * (a + u @ b @ u.conj().T) - 0.5 * np.eye(spec.dim)
+        if invariant:
+            total = a + b
+        else:
+            u = _haar_columns(spec.dim, spec.dim, rng).conj().T
+            if spec.parts[1].kind == "deterministic" and spec.parts[0].kind != "deterministic":
+                u = u.conj().T  # a diagonal second part alone is rotated by U^H, also Haar
+            total = a + u @ b @ u.conj().T
+        literal = 1.5 * total - 0.5 * np.eye(spec.dim)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(_trial_matrix(spec, t)), np.linalg.eigvalsh(literal),
             rtol=0, atol=1e-10,
         )
+
+
+@pytest.mark.parametrize("parts", [
+    ("deterministic", "gue"), ("gue", "deterministic"), ("wishart", "gue"),
+    ("free_sum", "wishart"), ("wishart", "free_sum"),
+], ids="-".join)
+def test_an_invariant_free_sum_draws_no_haar_unitary(parts, monkeypatch):
+    # U B U^H with Haar U independent of A has the law of B for GUE and
+    # Wishart B (and likewise for A), so the sum is the plain A + B: it
+    # draws no Haar columns beyond those of a nested part, and the
+    # generator ends where the two parts alone leave it
+    import freemoments.rmt as rmt
+
+    drawn = []
+
+    def counted(n, m, rng):
+        drawn.append(m)
+        return _haar_columns(n, m, rng)
+
+    monkeypatch.setattr(rmt, "_haar_columns", counted)
+    dim = 12
+    make = {
+        "deterministic": lambda: bernoulli_diag(dim, scale=3, shift="1/2"),
+        "gue": lambda: MatrixEnsembleSpec(kind="gue", dim=dim, scale="1/2"),
+        "wishart": lambda: MatrixEnsembleSpec(kind="wishart", dim=dim, rate="1/2", shift=-1),
+        "free_sum": lambda: MatrixEnsembleSpec(
+            kind="free_sum", dim=dim, parts=(bernoulli_diag(dim), bernoulli_diag(dim))
+        ),
+    }
+    spec = MatrixEnsembleSpec(kind="free_sum", dim=dim, parts=tuple(make[k]() for k in parts))
+    rng, parts_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = sample_matrix(spec.parts[0], parts_rng) + sample_matrix(spec.parts[1], parts_rng)
+    by_parts = len(drawn)
+    assert by_parts == parts.count("free_sum")
+    got = sample_matrix(spec, rng)
+    assert len(drawn) == 2 * by_parts
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == parts_rng.bit_generator.state
 
 
 def test_size_limit_path_does_not_warn():
