@@ -103,6 +103,8 @@ def _load_json_text(text: str, what: str):
 
     try:
         return json.loads(text, parse_float=reject_float)
+    except RecursionError as exc:
+        raise ValidationError(f"{what}: JSON nested too deeply") from exc
     except ValueError as exc:
         # JSONDecodeError, or an integer literal longer than the
         # interpreter's int/str conversion limit
@@ -370,7 +372,10 @@ def _run_simulate(args) -> tuple[dict, int]:
         if not isinstance(spec_data, dict):
             raise ValidationError("ensemble spec must be a JSON object")
         spec_data = dict(spec_data, seed=args.seed)
-    spec = ensemble_spec_from_json(spec_data)
+    try:
+        spec = ensemble_spec_from_json(spec_data)
+    except RecursionError as exc:
+        raise ValidationError("ensemble spec: free sums nested too deeply") from exc
     estimate = sample_trace_moments(spec, args.order, budget=args.budget)
     exact = predicted_moments(spec, args.order)
     rows = compare_to_prediction(estimate, exact)

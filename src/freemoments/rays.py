@@ -10,15 +10,16 @@ around the negative imaginary axis.  Its Taylor coefficients at 0 are the
 free cumulants of mu.  This module samples K on a geometric grid of radii
 along such a ray (damped Newton with continuation from the smallest radius,
 where K(z) is dominated by 1/z, each radius seeded with R extrapolated from
-the radii below it), and fits a polynomial to the R values to
-estimate the leading Taylor coefficients together with per-coefficient
-error estimates from nested sub-grid fits.  The expansion is read at 0, so
-only radii <= beta/100 are sampled (the levels from
-NontangentialRay.first_level on), and the fit reads every one of them.
-The fit matrix depends only on which grid levels were kept, the degree and
-the precision, never on the measure, so its pseudo-inverses are built once
-per such key and cached; every fit after the first is a matrix-vector
-product.
+the radii below it), and fits a polynomial to the R values to estimate the
+leading Taylor coefficients.  Each error figure is twice the coefficient's
+gap to a check fit with two more powers (a law with no odd cumulants skips
+one; the factor 2 covers the power after them) plus the propagated
+inversion error.  The expansion is read at 0, so only radii <= beta/100 are
+sampled (the levels from NontangentialRay.first_level on), and the fit
+reads every one of them.  The fit matrix depends only on which grid levels
+were kept, the degree and the precision, never on the measure, so both
+pseudo-inverses come from one QR per such key and are cached; every fit
+after the first is two matrix-vector products.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's closed form is
@@ -56,6 +57,7 @@ from .measures import Measure, _evaluator, _to_mpf, moments
 
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
+CHECK_DEGREES = 2  # powers the check fit adds (estimate_taylor_on_ray)
 # SEED_WEIGHTS[n - 1]: the polynomial through n values of R at radii t/2,
 # t/4, ..., t/2^n (newest first), evaluated at t; the last row sets the
 # degree.  A cubic row (15, -70, 120, -64) saves evaluations on discrete laws
@@ -205,9 +207,11 @@ def invert_g_on_ray(
     if isinstance(source, Measure) and source.mass == 0:
         raise ValidationError("the zero measure has G = 0, which has no inverse")
     if isinstance(source, Measure) and source.mass != 1:
-        raise ValidationError(
-            f"the R-transform needs a probability measure, but the mass is {source.mass}"
-        )
+        try:
+            shown = f", but the mass is {source.mass}"
+        except ValueError:  # more digits than the interpreter prints
+            shown = ""
+        raise ValidationError(f"the R-transform needs a probability measure{shown}")
     work = _ray_work(dps)
     if work > _RAY_BUDGET:
         shown = f"{work:.2e}" if work < 1e300 else "past 1e300"  # a huge int has no float
@@ -268,11 +272,11 @@ def invert_g_on_ray(
 class TaylorEstimate:
     """Leading Taylor coefficients of R at 0 fitted on ray samples.
 
-    coefficients[i] estimates the (i+1)-st free cumulant; errors[i] is an
-    empirical error figure (spread between nested sub-grid fits plus the
-    propagated inversion residual), and nonreal[i] flags an imaginary part
-    too large to blame on that error.  The fit reads all len(samples.indices)
-    kept samples."""
+    coefficients[i] estimates the (i+1)-st free cumulant; errors[i] is
+    twice its gap to a check fit with two more powers plus the propagated
+    inversion residual (see estimate_taylor_on_ray), and nonreal[i] flags
+    an imaginary part too large to blame on that error.  The fit reads
+    every kept sample."""
 
     order: int
     coefficients: tuple
@@ -282,62 +286,63 @@ class TaylorEstimate:
     condition: object
 
 
-def _pseudo_inverse(offsets, degree, eps):
-    """One skinny QR of a[i, m] = 2^(-offsets[i] m), a = QR: returns the
-    rows of the pseudo-inverse R^-1 Q^T together with R and R^-1, or None
-    when some r_mm^2 <= eps."""
-    a = mp.matrix([[mp.ldexp(1, -o * m) for m in range(degree + 1)] for o in offsets])
-    q, r = mp.qr(a, mode="skinny")
-    if any(r[m, m] ** 2 <= eps for m in range(degree + 1)):
-        return None
-    r_inv = mp.inverse(r)
+def _pseudo_inverse(q_rows, r, cols):
+    """The rows of R^-1 Q^T, the pseudo-inverse of the leading `cols`
+    columns of a = QR (rows q_rows of Q), and that block's R^-1."""
+    r_inv = mp.inverse(r[:cols, :cols])
+    inv_rows = r_inv.tolist()
     # R^-1 is upper triangular: row m of R^-1 Q^T sums over k >= m only
-    inv_rows, q_rows = r_inv.tolist(), q.tolist()
     rows = tuple(
         tuple(mp.fdot(inv_rows[m][m:], q_row[m:]) for q_row in q_rows)
-        for m in range(degree + 1)
+        for m in range(cols)
     )
-    return rows, r, r_inv
+    return rows, r_inv
 
 
 @lru_cache(maxsize=32)
 def _fit_maps(offsets: tuple[int, ...], degree: int, dps: int):
-    """The fit as linear maps, built once per (offsets, degree, dps).
+    """The fit and its check fit as linear maps, built once per (offsets,
+    degree, dps) from one skinny QR of a[i, m] = 2^(-offsets[i] m) with
+    m <= degree + CHECK_DEGREES.
 
     The fit radii are t_i = beta / 2^j_i, so t_i / t_ref = 2^-(j_i - j_0)
     with offsets[i] = j_i - j_0: the matrix depends neither on the measure
-    nor on beta or the direction.  Returns the pseudo-inverses of the full
-    row set and of its even- and odd-indexed halves, then, for the full
-    set, the row norms of R^-1 (Q has orthonormal columns, so they are
-    those of the pseudo-inverse) and the condition number (a has the
-    singular values of R).  Returns None when any of the three row sets is
-    numerically singular at dps."""
+    nor on beta or the direction.  Householder QR factors column by column,
+    so the fit's QR is the leading (degree + 1)-block of this one, bit for
+    bit, and the check fit takes all of it.  Returns both pseudo-inverses,
+    then, for the fit, the row norms of R^-1 (those of its pseudo-inverse,
+    as Q has orthonormal columns) and the condition number (a has the
+    singular values of R).  None when a is numerically singular at dps."""
+    cols, wide = degree + 1, degree + 1 + CHECK_DEGREES
     with mp.workdps(dps):
         eps = +mp.eps  # fixed at dps: mp.eps follows the working precision
         with mp.extradps(10):
-            full = _pseudo_inverse(offsets, degree, eps)
-            even = _pseudo_inverse(offsets[0::2], degree, eps)
-            odd = _pseudo_inverse(offsets[1::2], degree, eps)
-            if full is None or even is None or odd is None:
+            a = mp.matrix([[mp.ldexp(1, -o * m) for m in range(wide)] for o in offsets])
+            q, r = mp.qr(a, mode="skinny")
+            if any(r[m, m] ** 2 <= eps for m in range(wide)):
                 return None
-            rows, r, r_inv = full
-            sens = tuple(mp.norm(r_inv[m, :]) for m in range(degree + 1))
-            sv = mp.svd_r(r, compute_uv=False)
-            smin, smax = min(sv), max(sv)
-            condition = mp.inf if smin == 0 else smax / smin
-    return rows, even[0], odd[0], sens, condition
+            q_rows = q.tolist()
+            rows, r_inv = _pseudo_inverse(q_rows, r, cols)
+            check = _pseudo_inverse(q_rows, r, wide)[0]
+            sens = tuple(mp.norm(r_inv[m, :]) for m in range(cols))
+            sv = mp.svd_r(r[:cols, :cols], compute_uv=False)
+            condition = max(sv) / min(sv) if min(sv) else mp.inf
+    return rows, check, sens, condition
 
 
 def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstimate:
-    """Fit a polynomial of degree p - 1 + FIT_GUARD to every kept R value
-    (the ray samples only radii <= beta/100) and read off the first p
-    coefficients.  Requires at least 3 (p + 1) points spanning two decades
-    of radius, so each half below holds at least p + 2 points, enough for
-    the degree.  Error figures come from refitting on the even- and
-    odd-indexed halves of the grid.  Each of the three fits is one product
-    of the R values with a cached pseudo-inverse (`_fit_maps`); the
-    condition number and the sensitivity to the inversion residuals come
-    with the full fit's pseudo-inverse from the same cache entry."""
+    """Fit a polynomial of degree d = p - 1 + FIT_GUARD to every kept R
+    value (the ray samples only radii <= beta/100) and read off the first p
+    coefficients.  Requires 3 (p + 1) points, more than the check fit's
+    d + 1 + CHECK_DEGREES unknowns, over two decades of radius, for the
+    powers to part.  errors[m] is 2 |fit - check| + sens[m] * noise, scaled
+    to b_m: the check fit reads the same points with the powers d + 1 and
+    d + 2 added, so the gap is what they do to the fit.  It adds two, as a
+    law whose odd cumulants vanish skips a power; the factor 2 covers the
+    next omitted power, which the check fit leaves in.  noise is the
+    largest stability figure, sens[m] the row norm of the fit's
+    pseudo-inverse.  Each fit is one product of the R values with a cached
+    pseudo-inverse (`_fit_maps`), which brings the condition number too."""
     _check_order(p)
     with mp.workdps(samples.dps):
         n = len(samples.indices)
@@ -357,24 +362,19 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
                 "least-squares matrix is numerically singular; lower the fit "
                 "degree or raise the working precision"
             )
-        full, even, odd, sens, condition = maps
+        fit, check, sens, condition = maps
         # only the first p coefficients are read off
         with mp.extradps(10):
-            x_full = [mp.fdot(row, vals) for row in full[:p]]
-            x_even = [mp.fdot(row, vals[0::2]) for row in even[:p]]
-            x_odd = [mp.fdot(row, vals[1::2]) for row in odd[:p]]
-        spreads = [
-            max(abs(x_full[m] - x_even[m]), abs(x_full[m] - x_odd[m])) for m in range(p)
-        ]
-        # sens[m] is the per-coefficient sensitivity to the inversion residuals
+            x_fit = [mp.fdot(row, vals) for row in fit[:p]]
+            x_check = [mp.fdot(row, vals) for row in check[:p]]
         noise = max(samples.stability)
 
         d = samples.ray.direction()
         coeffs, imags, errors, nonreal = [], [], [], []
         for m in range(p):
             unscale = d**-m * t_ref**-m
-            c = x_full[m] * unscale
-            err = (spreads[m] + sens[m] * noise) * abs(unscale)
+            c = x_fit[m] * unscale
+            err = (2 * abs(x_fit[m] - x_check[m]) + sens[m] * noise) * abs(unscale)
             coeffs.append(c.real)
             imags.append(c.imag)
             errors.append(err)

@@ -417,18 +417,87 @@ def test_zero_measure_on_the_ray_exits_1(capsys, tmp_path, command, mu):
 @pytest.mark.parametrize("command", ["rtransform", "verify"])
 @pytest.mark.parametrize(
     "mu",
-    [Measure.semicircle(0, 2, mass=2), Measure.discrete([(0, "1/2")])],
-    ids=["mass-2-semicircle", "half-mass-atom"],
+    [
+        Measure.semicircle(0, 2, mass=2),
+        Measure.discrete([(0, "1/2")]),
+        # each weight prints, but the mass has about 6000 digits, more than
+        # the interpreter prints
+        Measure.discrete([(0, Fraction(1, 10**3000 + 7)), (1, Fraction(1, 10**3000 + 9))]),
+    ],
+    ids=["mass-2-semicircle", "half-mass-atom", "unprintable-mass"],
 )
 def test_non_probability_measure_on_the_ray_exits_1(capsys, tmp_path, command, mu):
     # K(z) - 1/z keeps the pole (mass - 1)/z: the fit would report garbage
     # (k_2 ~ 1e16 for the mass-2 semicircle) or a misleading point count
     path = tmp_path / "mass.json"
     path.write_text(json.dumps(measure_to_json(mu)))
-    code, data = run_json(capsys, command, "--measure", str(path), "--order", "3")
+    code, out, err = run_cli(capsys, command, "--measure", str(path), "--order", "3")
+    data = json.loads(out)
     assert code == 1
     assert data["error"] == "validation"
     assert "probability measure" in data["detail"]
+    assert "Traceback" not in err
+
+
+def _nested_free_sums(depth: int) -> dict:
+    """`depth` free sums, each of the next one and a GUE part."""
+    spec: dict = {"kind": "gue", "dim": 2}
+    for _ in range(depth):
+        spec = {"kind": "free_sum", "dim": 2, "parts": [spec, {"kind": "gue", "dim": 2}]}
+    return spec
+
+
+def _nested_free_sums_text(depth: int) -> str:
+    """The same spec as JSON text, which json.dumps cannot write when deep."""
+    gue = '{"kind": "gue", "dim": 2}'
+    text = gue
+    for _ in range(depth):
+        text = '{"kind": "free_sum", "dim": 2, "parts": [' + text + ", " + gue + "]}"
+    return text
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (["cumulants", "--moments", "[" * 2000], None, None),
+        (
+            ["rtransform", "--measure", "@", "--order", "2"],
+            "atoms.json",
+            '{"kind": "discrete", "atoms": ' + "[" * 2000 + "]" * 2000 + "}",
+        ),
+        (["simulate", "--spec", "@", "--order", "1"], "spec.json", _nested_free_sums_text(490)),
+        (["simulate", "--spec", "@", "--order", "1"], "spec.json", _nested_free_sums_text(2000)),
+    ],
+    ids=["moments", "measure-atoms", "free-sums-490", "free-sums-2000"],
+)
+def test_deeply_nested_json_is_a_validation_error(capsys, tmp_path, argv, name, text):
+    # the JSON decoder, or on Python 3.13 the spec builder, runs out of
+    # stack on these; the call must not
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(text)
+        argv = [str(path) if a == "@" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert "Traceback" not in err
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
+def test_deeply_nested_free_sums_are_a_validation_error(capsys, monkeypatch, tmp_path):
+    # Python 3.13's JSON decoder nests deeper than the interpreter's stack,
+    # so there the spec builder, which recurses into each free sum, is the
+    # first to run out of it; hand it an already decoded spec to see that
+    # here too
+    from freemoments import cli
+
+    monkeypatch.setattr(cli, "_load_json_file", lambda path, what: _nested_free_sums(2000))
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "unread.json"),
+                             "--order", "1")
+    assert "Traceback" not in err
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "validation"
+    assert "free sums nested too deeply" in data["detail"]
 
 
 def test_rtransform_bad_ray_exits_1(capsys, two_atom_file):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -381,8 +382,13 @@ def test_tiny_beta_error_covers_the_rounding_of_k():
 
 @pytest.mark.parametrize(
     "mu",
-    [Measure.semicircle(0, 2, mass=2), Measure.discrete([(0, "1/2")])],
-    ids=["mass-2-semicircle", "half-mass-atom"],
+    [
+        Measure.semicircle(0, 2, mass=2),
+        Measure.discrete([(0, "1/2")]),
+        # a mass of about 6000 digits, more than the interpreter prints
+        Measure.discrete([(0, F(1, 10**3000 + 7)), (1, F(1, 10**3000 + 9))]),
+    ],
+    ids=["mass-2-semicircle", "half-mass-atom", "unprintable-mass"],
 )
 def test_non_probability_measure_is_refused(mu):
     # at mass c, K(z) ~ c/z and K(z) - 1/z keeps the pole (c - 1)/z
@@ -504,9 +510,10 @@ def test_estimate_metadata():
     assert est.condition > 1
 
 
-@pytest.mark.parametrize("dps, p", [(10, 4), (15, 5), (20, 8), (25, 6)])
+@pytest.mark.parametrize("dps, p", [(10, 4), (15, 5), (20, 8), (25, 7)])
 def test_singular_fit_raises_numeric_error(dps, p):
-    # a fit degree the working precision cannot resolve
+    # a fit degree, with the check fit's two more powers, that the working
+    # precision cannot resolve
     samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=dps)
     with pytest.raises(NumericError, match="numerically singular"):
         estimate_taylor_on_ray(samples, p)
@@ -562,7 +569,7 @@ def test_fit_agrees_with_svd_and_householder_oracles(mu):
     assert len(sel) == len(samples.indices)
     # the cached row norms of R^-1 are those of the SVD's V Sigma^-1
     offsets = tuple(samples.indices[i] - samples.indices[sel[0]] for i in sel)
-    sens = rays._fit_maps(offsets, p - 1 + FIT_GUARD, samples.dps)[3]
+    sens = rays._fit_maps(offsets, p - 1 + FIT_GUARD, samples.dps)[2]
     for got, ref in zip(sens, want):
         assert abs(got - ref) <= mp.mpf("1e-20") * ref
 
@@ -615,6 +622,92 @@ def test_warm_fit_runs_no_factorisation(monkeypatch):
     samples = invert_g_on_ray(Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]))
     est = estimate_taylor_on_ray(samples, 4)
     assert est.condition > 1
+
+
+def test_cold_fit_factorises_once(monkeypatch):
+    # the fit is the leading block of the check fit's QR
+    samples = invert_g_on_ray(Measure.semicircle(0, 2))
+    widths = []
+    qr = mp.qr
+
+    def counting(a, *args, **kwargs):
+        widths.append(a.cols)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "qr", counting)
+    rays._fit_maps.cache_clear()
+    estimate_taylor_on_ray(samples, 4)
+    assert widths == [4 + FIT_GUARD + rays.CHECK_DEGREES]
+
+
+# ----------------------------------------------------- error figure coverage
+
+# the presets of scripts/ray_recovery_demo.py
+DEMO_PRESETS = {
+    "semicircle": Measure.semicircle(0, 2),
+    "marchenko-pastur": Measure.marchenko_pastur(2),
+    "uniform": Measure.uniform(-1, 1),
+    "two-atom": Measure.discrete([(-1, "1/2"), (1, "1/2")]),
+}
+
+
+@pytest.fixture(scope="module")
+def random_law_fits():
+    """60 laws of 2-6 atoms on the 1/4 grid in [-8, 8], weights k / sum(k)
+    with k in 1..9, as (law, ray samples at dps 50, order p in 4..6)."""
+    rng = random.Random(20261018)
+    fits = []
+    for _ in range(60):
+        atoms = rng.sample(range(-32, 33), rng.randint(2, 6))
+        ks = [rng.randint(1, 9) for _ in atoms]
+        p = rng.randint(4, 6)
+        mu = Measure.discrete([(F(a, 4), F(k, sum(ks))) for a, k in zip(atoms, ks)])
+        fits.append((mu, invert_g_on_ray(mu, dps=50), p))
+    return fits
+
+
+@pytest.fixture(scope="module")
+def preset_samples():
+    return [(mu, invert_g_on_ray(mu, dps=50)) for mu in DEMO_PRESETS.values()]
+
+
+def figure_misses(fits):
+    """(p, m, |fitted - exact| / figure) of each coefficient whose error
+    figure misses its exact free cumulant, or which is flagged non-real,
+    over (law, samples, p) triples."""
+    misses = []
+    for mu, samples, p in fits:
+        est = estimate_taylor_on_ray(samples, p)
+        exact = free_cumulants_from_moments(moments(mu, p)).values
+        for m, (c, err, k) in enumerate(zip(est.coefficients, est.errors, exact)):
+            off = abs(c - mp.mpf(k.numerator) / k.denominator)
+            if off > err or est.nonreal[m]:
+                misses.append((p, m, off / err))
+    return misses
+
+
+def test_error_figures_cover_random_atomic_laws(random_law_fits):
+    assert sum(p for _, _, p in random_law_fits) == 307
+    assert figure_misses(random_law_fits) == []
+
+
+@pytest.mark.parametrize("orders", [range(2, 7), (9, 10)], ids=["orders-2-6", "orders-9-10"])
+def test_error_figures_cover_the_demo_presets(preset_samples, orders):
+    # orders 9 and 10 need the check fit's 13 powers to resolve at dps 50
+    assert figure_misses([(mu, s, p) for mu, s in preset_samples for p in orders]) == []
+
+
+def test_a_check_fit_one_power_wider_misses(monkeypatch, random_law_fits, preset_samples):
+    # a law whose odd cumulants vanish skips a power, and a check fit with
+    # only the next one does not see the power after it
+    presets = [(mu, s, p) for mu, s in preset_samples for p in range(2, 7)]
+    rays._fit_maps.cache_clear()  # its key does not hold CHECK_DEGREES
+    monkeypatch.setattr(rays, "CHECK_DEGREES", 1)
+    try:
+        misses = figure_misses(random_law_fits + presets)
+    finally:
+        rays._fit_maps.cache_clear()
+    assert misses
 
 
 def test_ray_work_estimate_accepts_every_working_precision():
