@@ -22,6 +22,7 @@ budget, failed verification) and internal errors, which print
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -94,6 +95,11 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------------- helpers
 
 
+# JSON input nests at most this many brackets outside strings, checked before decoding
+JSON_MAX_DEPTH = 32
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
 def _load_json_text(text: str, what: str):
     def reject_float(literal: str):
         raise ValidationError(
@@ -101,10 +107,12 @@ def _load_json_text(text: str, what: str):
             'write integers or "p/q" strings'
         )
 
+    brackets = re.findall(r"[][{}]", _JSON_STRING.sub("", text))
+    depths = itertools.accumulate(1 if b in "[{" else -1 for b in brackets)
+    if max(depths, default=0) > JSON_MAX_DEPTH:
+        raise ValidationError(f"{what}: JSON nested deeper than {JSON_MAX_DEPTH} brackets")
     try:
         return json.loads(text, parse_float=reject_float)
-    except RecursionError as exc:
-        raise ValidationError(f"{what}: JSON nested too deeply") from exc
     except ValueError as exc:
         # JSONDecodeError, or an integer literal longer than the
         # interpreter's int/str conversion limit
@@ -372,10 +380,7 @@ def _run_simulate(args) -> tuple[dict, int]:
         if not isinstance(spec_data, dict):
             raise ValidationError("ensemble spec must be a JSON object")
         spec_data = dict(spec_data, seed=args.seed)
-    try:
-        spec = ensemble_spec_from_json(spec_data)
-    except RecursionError as exc:
-        raise ValidationError("ensemble spec: free sums nested too deeply") from exc
+    spec = ensemble_spec_from_json(spec_data)
     estimate = sample_trace_moments(spec, args.order, budget=args.budget)
     exact = predicted_moments(spec, args.order)
     rows = compare_to_prediction(estimate, exact)

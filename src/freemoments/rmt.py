@@ -21,20 +21,18 @@ order 6 (`_HALF_POWER_MAX_ORDER`) the half powers would take three
 products or more, which is what one eigvalsh costs at N >= 600, so there
 they are the eigenvalue power sums.
 
-A free sum A + U B U^H with a GUE or Wishart part draws no Haar unitary:
-such a part has a unitarily invariant law, so conjugating it by a Haar U
-drawn independently of both parts leaves the pair's law, and with it the
-law of the sum, unchanged at every N (Voiculescu, Invent. Math. 104
-(1991)), and the plain A + B is sampled.  Otherwise a diagonal part is
-rotated with one product, which keeps the spectrum of A + U B U^H, and
-draws only the Haar columns that the rotation moves, all but those of its
-last atom; two nested free sums take a dense Haar unitary.
+A free sum is the sum of its GUE, Wishart and diagonal leaves, nested sums
+flattened, with every diagonal leaf but the last rotated by its own Haar
+unitary.  Independent Haar unitaries compose to independent Haar unitaries
+and GUE and Wishart laws are unitarily invariant, so this is the law of the
+nested A + U B U^H at every N (Voiculescu, Invent. Math. 104 (1991)).
 
 Only sampling needs numpy, so only the sampling functions import it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -68,8 +66,6 @@ DETERMINISTIC = "deterministic"
 FREE_SUM = "free_sum"
 
 KINDS = (GUE, WISHART, DETERMINISTIC, FREE_SUM)
-# kinds whose law is unitarily invariant: U H U^H has the law of H for Haar U
-_INVARIANT = (GUE, WISHART)
 
 DEFAULT_BUDGET = 2e11  # rough operation units, see _cost_units
 
@@ -134,17 +130,20 @@ class MatrixEnsembleSpec:
         if self.kind == FREE_SUM:
             if (
                 not isinstance(self.parts, tuple)
-                or len(self.parts) != 2
+                or len(self.parts) < 2
                 or not all(isinstance(p, MatrixEnsembleSpec) for p in self.parts)
             ):
-                raise ValidationError("free_sum needs a pair of part specs")
+                raise ValidationError("free_sum needs two or more part specs")
             if any(p.dim != self.dim for p in self.parts):
                 raise ValidationError("free_sum parts must share the parent dim")
-            # each trial of the parent draws both parts from its own generator
+            # each trial of the parent draws all parts from its own generator
             if any(p.trials != 1 or p.seed != 0 for p in self.parts):
                 raise ValidationError(
                     "free_sum parts take no trials or seed: the parent's are used"
                 )
+            for _, scale, shift in _leaves(self):
+                _require_float_range(scale, "a leaf's scale through its free sums")
+                _require_float_range(shift, "a leaf's shift through its free sums")
         elif self.parts is not None:
             raise ValidationError(f"{self.kind} takes no parts")
 
@@ -153,6 +152,22 @@ class MatrixEnsembleSpec:
         assert self.rate is not None
         m = int((2 * self.rate * self.dim + 1) // 2)
         return max(m, 1)
+
+
+def _leaves(spec: MatrixEnsembleSpec) -> list[tuple[MatrixEnsembleSpec, Fraction, Fraction]]:
+    """The GUE, Wishart and diagonal parts of a spec in order, each with the
+    map x -> scale * x + shift of the free sums below the spec folded in: a
+    nested sum's scale multiplies its leaves' maps, its shift goes to its
+    last leaf.  Any other spec is its own leaf; its own map is left out."""
+    if spec.kind != FREE_SUM:
+        return [(spec, Fraction(1), Fraction(0))]
+    leaves = []
+    for part in spec.parts:
+        inner = [(leaf, part.scale * s, part.scale * c) for leaf, s, c in _leaves(part)]
+        leaf, s, c = inner[-1]
+        inner[-1] = (leaf, s, c + part.shift)
+        leaves += inner
+    return leaves
 
 
 def _haar_columns(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -202,72 +217,68 @@ def _diagonal(spec: MatrixEnsembleSpec) -> np.ndarray:
     return np.concatenate([np.full(c, float(t)) for t, c in counts])
 
 
-def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One dense complex sample of the ensemble, built in place; the draws
-    run part 0, part 1, then the Haar unitary U of a free sum, if any.
-
-    A free sum A + U B U^H is returned in law or up to a unitary
-    conjugation that keeps its spectrum:
-    - a GUE or Wishart part (its affine map included) has a unitarily
-      invariant law, so with U independent of both parts the pair
-      (A, U B U^H), or (U^H A U, B), has the law of (A, B): the sum is
-      A + B, with no Haar draw;
-    - otherwise, when A is diagonal (B may be too), U^H A U + B: with the
-      atoms in ascending order A = t I + sum_i (a_i - t) e_i e_i^H, t the
-      last atom with a positive count, and the sum runs over the first
-      m = N - count(t) coordinates.  So it takes only the m columns
-      V = U^H[:, :m] that it moves (U^H is the n-column _haar_columns
-      draw), and one N x m by m x N product.  When only B is diagonal it
-      is rotated the same way, U^H B U + A, which is A + W B W^H for the
-      Haar unitary W = U^H;
-    - two nested free sums take the literal A + U B U^H."""
+def _mapped(h: np.ndarray, scale: Fraction, shift: Fraction) -> np.ndarray:
+    """h under the map x -> scale * x + shift, in place."""
     import numpy as np
-    n = spec.dim
-    if spec.kind == GUE:
+    if scale != 1:
+        h *= float(scale)
+    if shift != 0:
+        h[np.diag_indices(len(h))] += float(shift)
+    return h
+
+
+def _leaf_matrix(leaf: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One dense complex sample of a GUE, Wishart or diagonal leaf, unmapped."""
+    import numpy as np
+    n = leaf.dim
+    if leaf.kind == GUE:
         g = rng.standard_normal((2, n, n))  # the real parts, then the imaginary
         h = np.empty((n, n), dtype=complex)
         np.add(g[0], g[0].T, out=h.real)
         np.subtract(g[1], g[1].T, out=h.imag)
         h /= 2 * math.sqrt(n)
-    elif spec.kind == WISHART:
-        m = spec.wishart_columns()
+    elif leaf.kind == WISHART:
+        m = leaf.wishart_columns()
         g = rng.standard_normal((2, n, m))
         x = np.empty((n, m), dtype=complex)
         x.real, x.imag = g
         x /= math.sqrt(2)
         h = x @ x.conj().T
         h /= n
-    elif spec.kind == DETERMINISTIC:
+    else:
         h = np.zeros((n, n), dtype=complex)
-        h[np.diag_indices(n)] = _diagonal(spec)
-    elif any(part.kind in _INVARIANT for part in spec.parts):  # free_sum
-        h = sample_matrix(spec.parts[0], rng)
-        h += sample_matrix(spec.parts[1], rng)
-    elif DETERMINISTIC in (spec.parts[0].kind, spec.parts[1].kind):  # free_sum, a part diagonal
-        # a diagonal part draws nothing, so the other part's draw comes
-        # before the Haar columns whichever position it holds
-        part, other = spec.parts if spec.parts[0].kind == DETERMINISTIC else spec.parts[::-1]
-        raw = _diagonal(part)
+        h[np.diag_indices(n)] = _diagonal(leaf)
+    return h
+
+
+def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One dense complex sample of the ensemble, built in place: its leaves
+    (see _leaves), the unrotated ones in order, then the rotated ones, then
+    the spec's own map.  Every diagonal leaf D but the last is rotated as
+    U^H D U, D = t I + sum_i (a_i - t) e_i e_i^H with t its last atom of
+    positive count (the atoms ascend), so only over the m = N - count(t)
+    columns of U^H that it moves, with one N x m by m x N product."""
+    import numpy as np
+    leaves = _leaves(spec)
+    diagonal = [i for i, (leaf, _, _) in enumerate(leaves) if leaf.kind == DETERMINISTIC]
+    rotated = diagonal[:-1]  # by position: a spec may hold one part twice
+    terms = (_mapped(_leaf_matrix(leaf, rng), s, c)
+             for i, (leaf, s, c) in enumerate(leaves) if i not in rotated)
+    h = next(terms)
+    for term in terms:
+        h += term
+    for leaf, scale, shift in (leaves[i] for i in rotated):
+        raw = _diagonal(leaf)
         m = int(np.searchsorted(raw, raw[-1]))  # the atoms ascend: raw[m:] is the last block
-        d = float(part.scale) * raw + float(part.shift)
-        rest = sample_matrix(other, rng)
-        v = _haar_columns(n, m, rng)
+        d = float(scale) * raw + float(shift)
+        v = _haar_columns(spec.dim, m, rng)
         vh = v.conj().T
         v *= d[:m] - d[-1]
-        h = v @ vh
-        h += rest
-        h[np.diag_indices(n)] += d[-1]
-    else:  # free_sum of two nested free sums
-        a = sample_matrix(spec.parts[0], rng)
-        b = sample_matrix(spec.parts[1], rng)
-        u = _haar_columns(n, n, rng).conj().T  # V is Haar, so V^H is
-        h = u @ b @ u.conj().T
-        h += a
-    if spec.scale != 1:
-        h *= float(spec.scale)
-    if spec.shift != 0:
-        h[np.diag_indices(n)] += float(spec.shift)
-    return h
+        rotation = v @ vh
+        rotation += h  # into the product: h may be an np.zeros with pages never written
+        h = rotation
+        h[np.diag_indices(spec.dim)] += d[-1]
+    return _mapped(h, spec.scale, spec.shift)
 
 
 @dataclass(frozen=True)
@@ -305,48 +316,28 @@ class MomentEstimate:
         }
 
 
-def _node_units(spec: MatrixEnsembleSpec, p: int) -> tuple[int, int]:
-    """(sampling, prediction) units of one matrix of the spec with its parts.
-    Sampling: 4 N^2 max(N, M) per drawn part, the Wishart product X X^H or,
-    for the O(N^2) draws, a floor that keeps the budget bounding the time
-    and the memory of large N at low orders; per free sum with no GUE or
-    Wishart part the Haar QR (about 16/3 N^3) and the rotation, one product
-    of 4 N^3 when a part is diagonal and two otherwise.  A diagonal part
-    factors and rotates only the m < N columns it moves (see
-    sample_matrix), so for it the QR and the product are upper bounds.  A
-    free sum with a GUE or Wishart part draws no Haar unitary and pays for
-    its parts alone.  Prediction: p^2 rational multiply-adds per node and
-    p^3 per free sum, weighted by their wall time at orders 50-1000."""
-    n = spec.dim
-    predict = 350_000 * p * p
-    if spec.kind != FREE_SUM:
-        wide = spec.wishart_columns() if spec.kind == WISHART else n
-        return 4 * n * n * max(n, wide), predict
-    if any(part.kind in _INVARIANT for part in spec.parts):
-        sample = 0
-    else:
-        products = 1 if any(part.kind == DETERMINISTIC for part in spec.parts) else 2
-        sample = 16 * n**3 // 3 + 4 * n**3 * products
-    parts = [_node_units(part, p) for part in spec.parts]
-    sample += sum(s for s, _ in parts)
-    predict += 20_000 * p**3 + sum(q for _, q in parts)
-    return sample, predict
-
-
 def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
-    """Roughly one unit per float multiply-add, so 4 N^3 per complex
-    product (an upper bound where a free sum's diagonal part moves fewer
-    than N columns; _node_units says which free sums rotate): per trial
-    the sampling and the trace moments (up to order 6 the ceil(p/2) - 1
-    products of the half powers and p inner products of 4 N^2; above it
-    one eigendecomposition, weighted at its wall time of about three
-    products, and the N p power sums); the prediction once."""
-    sample, predict = _node_units(spec, p)
+    """Roughly one unit per float multiply-add, 4 N^3 per complex product.
+    Per trial: 4 N^2 max(N, M) per leaf (see _leaves), the Wishart X X^H or
+    a floor bounding the time and memory of large N at low orders; per
+    rotated leaf the Haar QR (about 16/3 N^3) and one product at all N
+    columns; the trace moments, up to order 6 ceil(p/2) - 1 half-power
+    products and p inner products of 4 N^2, above it one eigendecomposition
+    at about three products' wall time and N p power sums.  Once, the
+    prediction: p^2 rational multiply-adds per leaf and for the spec's map,
+    p^3 per free convolution, weighted by their time at orders 50-1000."""
     n = spec.dim
+    leaves = [leaf for leaf, _, _ in _leaves(spec)]
+    rotated = max(sum(leaf.kind == DETERMINISTIC for leaf in leaves) - 1, 0)
+    wide = [leaf.wishart_columns() if leaf.kind == WISHART else n for leaf in leaves]
+    sample = sum(4 * n * n * max(n, m) for m in wide)
+    sample += rotated * (16 * n**3 // 3 + 4 * n**3)
     if p <= _HALF_POWER_MAX_ORDER:
         trace = 4 * n**3 * ((p + 1) // 2 - 1) + 4 * n * n * p
     else:
         trace = 12 * n**3 + n * p
+    predict = 350_000 * p * p * (len(leaves) + (spec.kind == FREE_SUM))
+    predict += 20_000 * p**3 * (len(leaves) - 1)
     return spec.trials * (sample + trace) + predict
 
 
@@ -409,21 +400,25 @@ def sample_trace_moments(
 
 def predicted_moments(spec: MatrixEnsembleSpec, p: int) -> MomentSequence:
     """Exact limiting moments (dim -> infinity at fixed shape) of the
-    ensemble's spectral law, as rationals."""
-    if spec.kind == GUE:
-        base = moments(Measure.semicircle(0, 2), p).values
-    elif spec.kind == WISHART:
-        # the Narayana formula holds at every positive rate, also below 1,
-        # where the law has an atom at 0 and Measure rejects it
-        base = _mp_moments(Fraction(spec.wishart_columns(), spec.dim), p)
-    elif spec.kind == DETERMINISTIC:
-        mass = spec.measure.mass
-        base = tuple(v / mass for v in moments(spec.measure, p).values)
-    else:
-        a = predicted_moments(spec.parts[0], p)
-        b = predicted_moments(spec.parts[1], p)
-        base = free_convolve(a, b).values
-    return MomentSequence(_affine_moments(base, spec.scale, spec.shift))
+    ensemble's spectral law, as rationals: the free additive convolution
+    of its leaves' laws (see _leaves) under the spec's own map."""
+
+    def leaf_moments(leaf: MatrixEnsembleSpec, scale: Fraction, shift: Fraction):
+        if leaf.kind == GUE:
+            base = moments(Measure.semicircle(0, 2), p).values
+        elif leaf.kind == WISHART:
+            # the Narayana formula holds at every positive rate, also below
+            # 1, where the law has an atom at 0 and Measure rejects it
+            base = _mp_moments(Fraction(leaf.wishart_columns(), leaf.dim), p)
+        else:
+            mass = leaf.measure.mass
+            base = tuple(v / mass for v in moments(leaf.measure, p).values)
+        if (scale, shift) != (1, 0):  # most leaves are unmapped
+            base = _affine_moments(base, scale, shift)
+        return MomentSequence(base)
+
+    total = functools.reduce(free_convolve, (leaf_moments(*leaf) for leaf in _leaves(spec)))
+    return MomentSequence(_affine_moments(total.values, spec.scale, spec.shift))
 
 
 def compare_to_prediction(estimate: MomentEstimate, exact: MomentSequence) -> list[dict]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import freemoments
-from freemoments.cli import main
+from freemoments.cli import JSON_MAX_DEPTH, main
 from freemoments.measures import Measure, measure_to_json
 from freemoments.noncrossing import catalan
 from freemoments.rmt import MatrixEnsembleSpec, ensemble_spec_to_json
@@ -439,16 +439,9 @@ def test_non_probability_measure_on_the_ray_exits_1(capsys, tmp_path, command, m
     assert "Traceback" not in err
 
 
-def _nested_free_sums(depth: int) -> dict:
-    """`depth` free sums, each of the next one and a GUE part."""
-    spec: dict = {"kind": "gue", "dim": 2}
-    for _ in range(depth):
-        spec = {"kind": "free_sum", "dim": 2, "parts": [spec, {"kind": "gue", "dim": 2}]}
-    return spec
-
-
 def _nested_free_sums_text(depth: int) -> str:
-    """The same spec as JSON text, which json.dumps cannot write when deep."""
+    """`depth` free sums, each of the next one and a GUE part, as JSON text
+    (which json.dumps cannot write when deep): 2 depth + 1 brackets deep."""
     gue = '{"kind": "gue", "dim": 2}'
     text = gue
     for _ in range(depth):
@@ -471,8 +464,7 @@ def _nested_free_sums_text(depth: int) -> str:
     ids=["moments", "measure-atoms", "free-sums-490", "free-sums-2000"],
 )
 def test_deeply_nested_json_is_a_validation_error(capsys, tmp_path, argv, name, text):
-    # the JSON decoder, or on Python 3.13 the spec builder, runs out of
-    # stack on these; the call must not
+    # refused on the text, before the decoder or the spec builder recurses
     if name is not None:
         path = tmp_path / name
         path.write_text(text)
@@ -480,24 +472,40 @@ def test_deeply_nested_json_is_a_validation_error(capsys, tmp_path, argv, name, 
     code, out, err = run_cli(capsys, *argv)
     assert "Traceback" not in err
     assert code == 1
-    assert json.loads(out)["error"] == "validation"
-
-
-def test_deeply_nested_free_sums_are_a_validation_error(capsys, monkeypatch, tmp_path):
-    # Python 3.13's JSON decoder nests deeper than the interpreter's stack,
-    # so there the spec builder, which recurses into each free sum, is the
-    # first to run out of it; hand it an already decoded spec to see that
-    # here too
-    from freemoments import cli
-
-    monkeypatch.setattr(cli, "_load_json_file", lambda path, what: _nested_free_sums(2000))
-    code, out, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "unread.json"),
-                             "--order", "1")
-    assert "Traceback" not in err
-    assert code == 1
     data = json.loads(out)
     assert data["error"] == "validation"
-    assert "free sums nested too deeply" in data["detail"]
+    assert data["detail"].endswith("JSON nested deeper than 32 brackets")
+
+
+def test_json_nesting_limit_is_32_brackets_outside_strings(capsys):
+    # 32 brackets decode (and the nested lists are refused as no numbers),
+    # 33 are refused before decoding; brackets in a string do not count
+    def detail(text: str) -> str:
+        code, data = run_json(capsys, "cumulants", "--moments", text)
+        assert code == 1 and data["error"] == "validation"
+        return data["detail"]
+
+    limit = "--moments: JSON nested deeper than 32 brackets"
+    assert JSON_MAX_DEPTH == 32
+    assert detail("[" * 32 + "]" * 32) != limit
+    assert detail("[" * 33 + "]" * 33) == limit
+    assert detail('["' + "[" * 40 + '"]') != limit
+    assert detail('["\\"' + "{" * 40 + '"]') != limit  # an escaped quote stays in the string
+    assert detail('["\\\\", ' + "[" * 33 + "]" * 33 + "]") == limit  # an escaped backslash
+
+
+@pytest.mark.parametrize("depth, code", [(15, 0), (16, 1)], ids=["31-brackets", "33-brackets"])
+def test_nesting_limit_is_the_same_in_both_entry_forms(capsys, entry, tmp_path, depth, code):
+    # a fresh process and cli.main under pytest have different stacks; the
+    # stated limit gives both the same answer
+    path = tmp_path / "spec.json"
+    path.write_text(_nested_free_sums_text(depth))
+    argv = ["simulate", "--spec", str(path), "--order", "2"]
+    done = _spawn([*entry, *argv])
+    in_code, in_out, _ = run_cli(capsys, *argv)
+    assert done.returncode == in_code == code, done.stdout
+    assert _strict_json(done.stdout) == json.loads(in_out)
+    assert "Traceback" not in done.stderr
 
 
 def test_rtransform_bad_ray_exits_1(capsys, two_atom_file):

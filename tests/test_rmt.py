@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from freemoments.cumulants import MomentSequence
+from freemoments.cumulants import MomentSequence, free_convolve
 from freemoments.errors import BudgetError, SizeLimitError, ValidationError
 from freemoments.levy import LevyPair, moments_of_free_id
-from freemoments.measures import Measure
+from freemoments.measures import Measure, _affine_moments
 from freemoments.rmt import (
     DEFAULT_BUDGET,
     MatrixEnsembleSpec,
@@ -80,6 +80,14 @@ def test_spec_validation():
         MatrixEnsembleSpec(
             kind="deterministic", dim=4, measure=Measure.discrete([("1e400", 1)])
         )
+    with pytest.raises(ValidationError, match="two or more"):
+        MatrixEnsembleSpec(kind="free_sum", dim=10, parts=(bernoulli_diag(10),))
+    # a nested sum's map folds into its leaves, which must stay floats too
+    big = MatrixEnsembleSpec(
+        kind="free_sum", dim=4, scale="1e200", parts=(bernoulli_diag(4, scale="1e200"),) * 2
+    )
+    with pytest.raises(ValidationError, match="past the float range"):
+        MatrixEnsembleSpec(kind="free_sum", dim=4, parts=(big, bernoulli_diag(4)))
 
 
 def test_compare_rejects_prediction_past_float_range():
@@ -195,6 +203,8 @@ def test_sample_matrix_keeps_the_bits_of_the_plain_expressions(affine):
             MatrixEnsembleSpec(
                 kind="free_sum", dim=dim, parts=(diag, bernoulli_diag(dim, scale=-1)), **affine
             ),
+            # one part object twice: the first position is still the rotated one
+            MatrixEnsembleSpec(kind="free_sum", dim=dim, parts=(diag, diag), **affine),
         ]
         specs += [
             MatrixEnsembleSpec(kind="wishart", dim=dim, rate=rate, **affine)
@@ -288,6 +298,69 @@ def test_free_sum_matches_free_convolution():
     assert exact.values == (0, 2, 0, 6)
     report = compare_to_prediction(sample_trace_moments(spec, 4), exact)
     assert all(r["within"] for r in report)
+
+
+def _pairwise_moments(spec: MatrixEnsembleSpec, p: int) -> MomentSequence:
+    """The prediction of a pair free sum by its definition, recursively:
+    the free cumulants of the parts add, then the sum's map applies."""
+    if spec.kind != "free_sum":
+        return predicted_moments(spec, p)
+    total = free_convolve(*(_pairwise_moments(part, p) for part in spec.parts))
+    return MomentSequence(_affine_moments(total.values, spec.scale, spec.shift))
+
+
+def test_a_free_sum_of_three_parts_is_the_nested_sum():
+    # both have the same leaves with the same maps, so the same samples,
+    # the same exact prediction and the same cost
+    dim = 20
+    a = bernoulli_diag(dim, scale="1/2")
+    b = MatrixEnsembleSpec(kind="gue", dim=dim, shift=1)
+    c = MatrixEnsembleSpec(
+        kind="deterministic", dim=dim, measure=Measure.discrete([(-2, "1/4"), (3, "3/4")])
+    )
+    flat = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=2, seed=4, parts=(a, b, c))
+    nested = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, trials=2, seed=4,
+        parts=(MatrixEnsembleSpec(kind="free_sum", dim=dim, parts=(a, b)), c),
+    )
+    for p in (1, 4, 7):
+        assert predicted_moments(flat, p) == predicted_moments(nested, p)
+        assert _cost_units(flat, p) == _cost_units(nested, p)
+    assert np.array_equal(
+        sample_matrix(flat, np.random.default_rng(9)),
+        sample_matrix(nested, np.random.default_rng(9)),
+    )
+    assert ensemble_spec_from_json(ensemble_spec_to_json(flat)) == flat
+    # with maps on every level, nested sums fold theirs into their leaves
+    mapped = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, scale="-3/2", shift="1/3",
+        parts=(MatrixEnsembleSpec(kind="free_sum", dim=dim, scale="1/2", shift=-1,
+                                  parts=(a, b)), c),
+    )
+    for p in (1, 4, 7):
+        assert predicted_moments(mapped, p) == _pairwise_moments(mapped, p)
+
+
+def test_nested_free_sum_matches_free_convolution():
+    # ((Bernoulli + three-atom) / 2 + 1) + (Bernoulli + GUE - 2): four
+    # leaves, two of them rotated, with the inner maps folded in
+    dim = 200
+    three = MatrixEnsembleSpec(
+        kind="deterministic", dim=dim,
+        measure=Measure.discrete([(-2, "1/4"), ("1/2", "1/2"), (3, "1/4")]),
+    )
+    left = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, scale="1/2", shift=1, parts=(bernoulli_diag(dim), three)
+    )
+    right = MatrixEnsembleSpec(
+        kind="free_sum", dim=dim, shift=-2,
+        parts=(bernoulli_diag(dim), MatrixEnsembleSpec(kind="gue", dim=dim)),
+    )
+    spec = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=40, seed=8, parts=(left, right))
+    exact = predicted_moments(spec, 6)
+    assert exact == _pairwise_moments(spec, 6)
+    report = compare_to_prediction(sample_trace_moments(spec, 6), exact)
+    assert all(r["within"] for r in report), report
 
 
 @pytest.mark.parametrize("first, second, free_m4, classical_m4", [
@@ -455,8 +528,9 @@ def test_trial_rows_are_eigenvalue_power_sums():
 
 def test_budget_counts_one_rotation_product_for_a_diagonal_part():
     # a diagonal-diagonal sum pays the Haar QR and one rotation product,
-    # two nested sums the QR and two, and a sum with a GUE part neither:
-    # it samples its two parts alone
+    # a sum with a GUE part neither: it samples its two parts alone.  Two
+    # nested sums are four leaves, three of them rotated, and their
+    # prediction is five nodes and three free convolutions
     dim, trials, p = 50, 3, 4
     diag = bernoulli_diag(dim)
     one = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=trials, parts=(diag, diag))
@@ -472,10 +546,9 @@ def test_budget_counts_one_rotation_product_for_a_diagonal_part():
     predict = 3 * 350_000 * p * p + 20_000 * p**3  # three nodes, one of them a sum
     assert _cost_units(none, p) == trials * (2 * draw + trace) + predict
     assert _cost_units(one, p) == trials * (2 * draw + qr + product + trace) + predict
-    inner = 2 * draw + qr + product
     assert _cost_units(two, p) == (
-        trials * (2 * inner + qr + 2 * product + trace) + 350_000 * p * p
-        + 20_000 * p**3 + 2 * predict
+        trials * (4 * draw + 3 * (qr + product) + trace) + 5 * 350_000 * p * p
+        + 3 * 20_000 * p**3
     )
 
 
@@ -538,6 +611,20 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
                 assert abs(got - want) <= 1e-12 * max(abs(want), size), (spec.kind, p, t, k)
 
 
+def _literal_sum(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """A free sum of leaves and of nested sums without a map, built
+    literally in the draw order of sample_matrix: the unrotated leaves in
+    order, then U D U^H with a dense Haar U for each diagonal leaf D but
+    the last, then the spec's map."""
+    leaves = [leaf for part in spec.parts for leaf in (part.parts or (part,))]
+    rotated = [i for i, leaf in enumerate(leaves) if leaf.kind == "deterministic"][:-1]
+    total = sum(sample_matrix(leaf, rng) for i, leaf in enumerate(leaves) if i not in rotated)
+    for i in rotated:
+        u = _haar_columns(spec.dim, spec.dim, rng)
+        total = total + u @ sample_matrix(leaves[i], rng) @ u.conj().T
+    return float(spec.scale) * total + float(spec.shift) * np.eye(spec.dim)
+
+
 @pytest.mark.filterwarnings("ignore:weights of the deterministic measure")
 @pytest.mark.parametrize("first, second", [
     # a GUE or Wishart partner: the plain sum, no Haar draw
@@ -551,14 +638,13 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
     ("diagonal", "free-sum"), ("free-sum", "free-sum"),
 ])
 def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
-    # rebuilt from the samplers in the draw order part 0, part 1, Haar, on
-    # the same child generator as the trial; a sum with a GUE or Wishart
-    # part draws no Haar unitary and is the literal A + B.  A diagonal part
-    # rotates only the columns of the atoms before its last: 20 of 30 for
-    # the counts 5, 15, 10 of the three-atom part (whose map x -> -2x + 1/2
-    # reverses their order), none for one atom, and 15 where the last
-    # atom's weight rounds to the count 0.  Two diagonal parts rotate the
-    # first, and two nested sums the second with a dense unitary
+    # rebuilt from the samplers on the same child generator as the trial:
+    # a sum with a GUE or Wishart part and one diagonal part draws no Haar
+    # unitary and is the literal A + B.  A rotated diagonal part moves only
+    # the columns of the atoms before its last: 20 of 30 for the counts 5,
+    # 15, 10 of the three-atom part (whose map x -> -2x + 1/2 reverses their
+    # order), none for one atom, and 15 where the last atom's weight rounds
+    # to the count 0.  A nested sum (Bernoulli + Bernoulli) is two leaves
     def diagonal(*atoms, **affine):
         return lambda: MatrixEnsembleSpec(
             kind="deterministic", dim=30, measure=Measure.discrete(atoms), **affine
@@ -579,20 +665,9 @@ def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
         kind="free_sum", dim=30, trials=3, seed=21, scale="3/2", shift="-1/2",
         parts=(make[first](), make[second]()),
     )
-    invariant = any(part.kind in ("gue", "wishart") for part in spec.parts)
     for t in range(spec.trials):
         child = np.random.SeedSequence(spec.seed).spawn(spec.trials)[t]
-        rng = np.random.default_rng(child)
-        a = sample_matrix(spec.parts[0], rng)
-        b = sample_matrix(spec.parts[1], rng)
-        if invariant:
-            total = a + b
-        else:
-            u = _haar_columns(spec.dim, spec.dim, rng).conj().T
-            if spec.parts[1].kind == "deterministic" and spec.parts[0].kind != "deterministic":
-                u = u.conj().T  # a diagonal second part alone is rotated by U^H, also Haar
-            total = a + u @ b @ u.conj().T
-        literal = 1.5 * total - 0.5 * np.eye(spec.dim)
+        literal = _literal_sum(spec, np.random.default_rng(child))
         np.testing.assert_allclose(
             np.linalg.eigvalsh(_trial_matrix(spec, t)), np.linalg.eigvalsh(literal),
             rtol=0, atol=1e-10,
@@ -606,8 +681,8 @@ def test_free_sum_has_the_spectrum_of_the_literal_rotation(first, second):
 def test_an_invariant_free_sum_draws_no_haar_unitary(parts, monkeypatch):
     # U B U^H with Haar U independent of A has the law of B for GUE and
     # Wishart B (and likewise for A), so the sum is the plain A + B: it
-    # draws no Haar columns beyond those of a nested part, and the
-    # generator ends where the two parts alone leave it
+    # draws no Haar columns beyond those of a nested part's rotated leaf,
+    # and the generator ends where the literal sum leaves it
     import freemoments.rmt as rmt
 
     drawn = []
@@ -627,14 +702,15 @@ def test_an_invariant_free_sum_draws_no_haar_unitary(parts, monkeypatch):
         ),
     }
     spec = MatrixEnsembleSpec(kind="free_sum", dim=dim, parts=tuple(make[k]() for k in parts))
-    rng, parts_rng = np.random.default_rng(5), np.random.default_rng(5)
-    want = sample_matrix(spec.parts[0], parts_rng) + sample_matrix(spec.parts[1], parts_rng)
-    by_parts = len(drawn)
-    assert by_parts == parts.count("free_sum")
+    rng, literal_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = _literal_sum(spec, literal_rng)
     got = sample_matrix(spec, rng)
-    assert len(drawn) == 2 * by_parts
-    assert np.array_equal(got, want)
-    assert rng.bit_generator.state == parts_rng.bit_generator.state
+    assert len(drawn) == parts.count("free_sum")
+    if "free_sum" in parts:  # the literal rotates its leaf with a dense unitary
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(got, want)
+    assert rng.bit_generator.state == literal_rng.bit_generator.state
 
 
 def test_size_limit_path_does_not_warn():
