@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Recover R-transform Taylor coefficients of a preset measure on a ray.
 
-Prints the retained sample points (radius, R value, certified residual),
-then the fitted coefficients next to the exact free cumulants.  Exits 1
-when a fitted coefficient is further from its exact cumulant than its
-error figure, or is flagged non-real; 0 otherwise.
+Prints the retained sample points (radius, R value, certified residual) of
+the ray inverted for the order, 21 levels up to order 6 and 34 above, then
+the fitted coefficients next to the exact free cumulants.  Exits 1 when a
+fitted coefficient is further from its exact cumulant than its error
+figure, or is flagged non-real; 0 otherwise.
 
 Usage: python scripts/ray_recovery_demo.py [--measure NAME] [--order P]
 """
@@ -39,7 +40,7 @@ def main() -> int:
     args = parser.parse_args()
 
     mu = PRESETS[args.measure]()
-    samples = invert_g_on_ray(mu, dps=args.dps)
+    samples = invert_g_on_ray(mu, dps=args.dps, p=args.order)
     with mp.workdps(args.dps):
         print(f"{args.measure}: {len(samples.indices)} ray points kept, "
               f"{len(samples.dropped)} dropped")

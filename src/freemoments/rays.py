@@ -16,10 +16,11 @@ gap to a check fit with two more powers (a law with no odd cumulants skips
 one; the factor 2 covers the power after them) plus the propagated
 inversion error.  The expansion is read at 0, so only radii <= beta/100 are
 sampled (the levels from NontangentialRay.first_level on), and the fit
-reads every one of them.  The fit matrix depends only on which grid levels
-were kept, the degree and the precision, never on the measure, so both
-pseudo-inverses come from one QR per such key and are cached; every fit
-after the first is two matrix-vector products.
+reads every one of them: the 21 levels 7-27 for a fit of order <= 6, all
+34 levels 7-40 above it (invert_g_on_ray).  The fit matrix depends only on
+which grid levels were kept, the degree and the precision, never on the
+measure, so both pseudo-inverses come from one QR per such key and are
+cached; every fit after the first is two matrix-vector products.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's closed form is
@@ -27,13 +28,13 @@ built once per ray, at the ray's precision.  The radii double from level to
 level, so the quadratic through R at t/2, t/4 and t/8 predicts R(t) with
 the integer weights 7, -14, 8, and the seed 1/z + R often needs no Newton
 step at all: about 1.9 evaluations per grid point over the benchmark's
-laws, 1.1-1.3 on semicircles, where R is linear.  All arithmetic is mpmath
-at a caller-chosen working precision; every kept sample carries a certified
-inversion residual |G(K(z)) - z|, and the stability figure residual /
-|G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R value: what the
-residual induces to first order, through the slope Newton accepted the
-point with, plus the rounding of K ~ 1/z, which R = K - 1/z falls below
-on very small radii.
+laws on 21 levels, 1.4 on semicircles, where R is linear.  All arithmetic
+is mpmath at a caller-chosen working precision; every kept sample carries
+a certified inversion residual |G(K(z)) - z|, and the stability figure
+residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
+value: what the residual induces to first order, through the slope Newton
+accepted the point with, plus the rounding of K ~ 1/z, which R = K - 1/z
+falls below on very small radii.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from .measures import Measure, _evaluator, _to_mpf, moments
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 CHECK_DEGREES = 2  # powers the check fit adds (estimate_taylor_on_ray)
+# A ray for a fit of order p <= SHORT_RAY_ORDER keeps 3 (SHORT_RAY_ORDER + 1)
+# = 21 levels, 7-27 unless one drops; a higher order keeps all of 7-40.
+SHORT_RAY_ORDER = 6
 # SEED_WEIGHTS[n - 1]: the polynomial through n values of R at radii t/2,
 # t/4, ..., t/2^n (newest first), evaluated at t; the last row sets the
 # degree.  A cubic row (15, -70, 120, -64) saves evaluations on discrete laws
@@ -76,8 +80,9 @@ class NontangentialRay:
     approaching 0 inside the cone |tan theta| < alpha = 1 around the
     negative imaginary axis; one ray samples one direction, so the cone's
     aperture enters no sample and only bounds the tilt.  The ray is sampled
-    on the levels first_level..levels-1 only, the radii <= beta/100
-    (2^7 >= 100) that the fit reads; the level numbering starts at beta."""
+    on the levels first_level..levels-1 (7-40) at most, the radii <=
+    beta/100 (2^7 >= 100) that the fit reads; a fit of order <= 6 reads only
+    21 of them (invert_g_on_ray).  The level numbering starts at beta."""
 
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
@@ -177,33 +182,40 @@ def _extrapolate(run) -> mp.mpc:
 
 def _ray_work(dps: int) -> int:
     """Estimated digit products of one ray at dps digits: two evaluations
-    of G per sampled level (about 1.9 over the benchmark's laws), each
-    counted as dps^2, the growth of one multiply at that precision.  The
-    wall time grows about that fast: 4.5-fold per doubling of dps from 1600
-    to 3200 digits on the uniform law, 2.9-fold on Marchenko-Pastur."""
+    of G (about 1.9 over the benchmark's laws) for each of the 34 levels
+    7-40, the most a ray samples, each counted as dps^2, the growth of one
+    multiply at that precision.  The wall time grows about that fast:
+    4.5-fold per doubling of dps from 1600 to 3200 digits on the uniform
+    law, 2.9-fold on Marchenko-Pastur."""
     levels = NontangentialRay.levels - NontangentialRay.first_level
     return levels * 2 * dps * dps
 
 
 def invert_g_on_ray(
-    source, ray: NontangentialRay | None = None, dps: int = 50
+    source, ray: NontangentialRay | None = None, dps: int = 50, p: int = 6
 ) -> RayTransformSamples:
-    """Solve G(w) = z for the grid points z of the ray on the levels
-    ray.first_level..ray.levels-1, the radii the fit reads, smallest radius
-    first (there K(z) ~ 1/z, so Newton starts essentially converged).  Each
-    later radius seeds Newton with 1/z plus R = K - 1/z extrapolated from
-    the latest consecutive kept levels (`_extrapolate`); after one kept
-    level, or right after a dropped one, the last R is carried as it is.
+    """Solve G(w) = z for the grid points z of the ray that a fit of order
+    p reads, smallest radius first (there K(z) ~ 1/z, so Newton starts
+    essentially converged).  For p <= SHORT_RAY_ORDER those are the 21
+    levels 7-27, 3 (6 + 1) points, the fewest an order-6 fit takes: the
+    deeper levels carry R = K - 1/z only to the rounding |K| 10^(1-dps) of
+    K ~ 1/z and shrink no error.  For p above it they are all the levels
+    ray.first_level..ray.levels-1, 7-40.  Each later radius seeds Newton
+    with 1/z plus R extrapolated from the latest consecutive kept levels
+    (`_extrapolate`); after one kept level, or right after a dropped one,
+    the last R is carried as it is.
 
     Points where Newton cannot reach the residual target |z| * 10^(6-dps)
-    are dropped; if every point fails the ray does not fit inside the
-    region where G is invertible and RegionTooLargeError is raised.  A
-    measure of mass other than 1 is refused up front: at mass 0 G vanishes
-    identically, and at mass c K(z) ~ c/z, so K(z) - 1/z keeps the pole
-    (c - 1)/z and is the R-transform only for a probability measure.  So
-    is a precision whose estimated work (`_ray_work`) exceeds the budget,
-    with BudgetError.
+    are dropped, and each is made up by the next deeper level, up to level
+    40, seeded with R of the deepest kept level.  If every point fails the
+    ray does not fit inside the region where G is invertible and
+    RegionTooLargeError is raised.  A measure of mass other than 1 is
+    refused up front: at mass 0 G vanishes identically, and at mass c
+    K(z) ~ c/z, so K(z) - 1/z keeps the pole (c - 1)/z and is the
+    R-transform only for a probability measure.  So is a precision whose
+    estimated work (`_ray_work`) exceeds the budget, with BudgetError.
     """
+    _check_order(p)
     if isinstance(source, Measure) and source.mass == 0:
         raise ValidationError("the zero measure has G = 0, which has no inverse")
     if isinstance(source, Measure) and source.mass != 1:
@@ -221,36 +233,56 @@ def invert_g_on_ray(
         )
     if ray is None:
         ray = NontangentialRay()
+    if p <= SHORT_RAY_ORDER:
+        count = 3 * (SHORT_RAY_ORDER + 1)  # levels to keep
+    else:
+        count = ray.levels - ray.first_level
+    top = ray.first_level + count  # the shallowest level tried only after a drop
     with mp.workdps(dps):
         transform = _transform_pair(source)
         d = ray.direction()
         slack = mp.mpf(10) ** (6 - dps)
         rounding = mp.mpf(10) ** (1 - dps)
-        # (level, radius, K(z), R(z), residual, stability figure)
-        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
         dropped: list[int] = []
-        run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
-        carry = mp.mpc(0)
-        for j in range(ray.levels - 1, ray.first_level - 1, -1):
+
+        def invert(j, r_seed):
+            """(level, radius, K(z), R(z), residual, stability figure) of
+            level j, Newton seeded with 1/z + r_seed; None if dropped."""
             t = _to_mpf(ray.beta / 2**j)
             z = t * d
             inv_z = 1 / z
-            seed = inv_z + (_extrapolate(run) if run else carry)
-            got = _newton(transform, z, seed, target=abs(z) * slack)
+            got = _newton(transform, z, inv_z + r_seed, target=abs(z) * slack)
             if got is None:
                 dropped.append(j)
-                run = []
-                continue
+                return None
             w, res, slope = got
             induced = res / abs(slope) if slope else mp.inf
-            carry = w - inv_z
-            kept.append((j, t, w, carry, res, induced + abs(w) * rounding))
+            return j, t, w, w - inv_z, res, induced + abs(w) * rounding
+
+        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
+        run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
+        carry = mp.mpc(0)
+        for j in range(top - 1, ray.first_level - 1, -1):
+            point = invert(j, _extrapolate(run) if run else carry)
+            if point is None:
+                run = []
+                continue
+            kept.append(point)
+            carry = point[3]
             run = [carry] + run[: len(SEED_WEIGHTS) - 1]
+        kept.reverse()
+        # each dropped level is made up by the next deeper one, seeded with
+        # R of the deepest kept level
+        for j in range(top, ray.levels):
+            if len(kept) == count:
+                break
+            point = invert(j, kept[-1][3] if kept else mp.mpc(0))
+            if point is not None:
+                kept.append(point)
         if not kept:
             raise RegionTooLargeError(
                 "no grid point of the ray could be inverted; shrink beta"
             )
-        kept.reverse()
         indices, radii, k_values, r_values, residuals, stability = zip(*kept)
         return RayTransformSamples(
             ray=ray,
@@ -348,8 +380,11 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
         n = len(samples.indices)
         degree = p - 1 + FIT_GUARD
         if n < 3 * (p + 1):
+            # a ray inverted for a lower order left its deepest levels untried
+            deepest = max(samples.indices + samples.dropped, default=samples.ray.levels - 1)
+            hint = "" if deepest == samples.ray.levels - 1 else f"; invert the ray with p={p}"
             raise ValidationError(
-                f"{n} points kept on the ray but the fit needs at least {3 * (p + 1)}"
+                f"{n} points kept on the ray but the fit needs at least {3 * (p + 1)}{hint}"
             )
         ts, vals = samples.radii, samples.r_values
         if max(ts) / min(ts) < 100:
@@ -409,7 +444,7 @@ def verify_taylor_cumulants(mu: Measure, p: int, dps: int = 50) -> TaylorCheck:
     """End-to-end check that the fitted ray coefficients reproduce the free
     cumulants computed exactly from the moments of mu."""
     exact = free_cumulants_from_moments(moments(mu, p)).values
-    samples = invert_g_on_ray(mu, dps=dps)
+    samples = invert_g_on_ray(mu, dps=dps, p=p)
     est = estimate_taylor_on_ray(samples, p)
     with mp.workdps(dps):
         exact_f = [_to_mpf(v) for v in exact]

@@ -372,7 +372,7 @@ def test_rtransform_report(capsys, two_atom_file):
     )
     assert code == 0
     assert data["within_tol"] is True
-    assert len(data["points"]) == 34
+    assert len(data["points"]) == 21  # levels 7..27, all an order <= 6 reads
     assert data["ray"]["levels"] == 41
     assert data["points"][0]["index"] == data["ray"]["first_level"] == 7
     assert {"index", "radius", "r_value", "residual", "stability"} <= set(
@@ -384,6 +384,19 @@ def test_rtransform_report(capsys, two_atom_file):
     assert abs(float(coeffs[1]["real"]) - 1) < 1e-12
     assert abs(float(coeffs[2]["real"])) < 1e-12
     assert not any(row["nonreal"] for row in coeffs)
+
+
+def test_order_above_6_inverts_every_level(capsys, two_atom_file):
+    # a ray inverted for order 6 keeps 21 points, too few for an order-8 fit
+    code, data = run_json(capsys, "rtransform", "--measure", two_atom_file, "--order", "8")
+    assert code == 0
+    assert [point["index"] for point in data["points"]] == list(range(7, 41))
+    assert len(data["coefficients"]) == 8
+    # k_8 = -5 comes out within 1e-2
+    code, data = run_json(
+        capsys, "verify", "--measure", two_atom_file, "--order", "8", "--tol", "1e-2"
+    )
+    assert code == 0 and data["passed"] is True
 
 
 def test_rtransform_tol_failure_exits_2(capsys, two_atom_file):

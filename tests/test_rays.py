@@ -50,8 +50,8 @@ def _enough_digits():
 
 # the per-point fields of RayTransformSamples
 POINT_FIELDS = ("indices", "radii", "k_values", "r_values", "residuals", "stability")
-# the ray inverts levels 7..40, the radii <= beta/100 that the fit reads
-INVERTED_LEVELS = NontangentialRay.levels - NontangentialRay.first_level
+# the radii <= beta/100 that a fit of order <= 6 reads, levels 7..27
+INVERTED_LEVELS = 3 * (rays.SHORT_RAY_ORDER + 1)
 
 
 def grid_points(samples):
@@ -113,8 +113,10 @@ def test_tilted_ray_points_stay_in_cone():
 
 def test_dirac_inversion_matches_closed_form():
     samples = invert_g_on_ray(Measure.dirac(3))
-    assert samples.indices == tuple(range(7, 41))
+    assert samples.indices == tuple(range(7, 28))
     assert samples.dropped == ()
+    # a fit of order 7 or more reads every level
+    assert invert_g_on_ray(Measure.dirac(3), p=7).indices == tuple(range(7, 41))
     for z, w, r, stab in zip(
         grid_points(samples), samples.k_values, samples.r_values, samples.stability
     ):
@@ -302,10 +304,9 @@ def test_constants_converted_once_per_ray(monkeypatch):
     assert len(conversions) <= 2 * levels + 2 * atoms + 5
 
 
-def standard_semicircle_with_a_hole(lo: int, hi: int):
-    """(G, G') of the standard semicircle raising DomainError near K(z) on
-    the levels lo..hi of the default ray, where |K(z)| ~ 1/|z| = 8 * 2^j."""
-    mu = Measure.semicircle(0, 2)
+def with_a_hole(mu, lo: int, hi: int):
+    """(G, G') of mu raising DomainError near K(z) on the levels lo..hi of
+    the default ray, where |K(z)| ~ 1/|z| = 8 * 2^j."""
     band = (8 * mp.mpf(2) ** (lo - mp.mpf(1) / 2), 8 * mp.mpf(2) ** (hi + mp.mpf(1) / 2))
 
     def checked(w):
@@ -318,9 +319,11 @@ def standard_semicircle_with_a_hole(lo: int, hi: int):
 
 def test_level_dropped_mid_ray():
     dps = 50
-    samples = invert_g_on_ray(standard_semicircle_with_a_hole(20, 22), dps=dps)
+    samples = invert_g_on_ray(with_a_hole(Measure.semicircle(0, 2), 20, 22), dps=dps)
     assert samples.dropped == (20, 21, 22)
-    assert samples.indices == tuple(j for j in range(7, 41) if j not in (20, 21, 22))
+    # the three levels past 27 make up for the dropped ones
+    assert samples.indices == tuple(j for j in range(7, 31) if j not in (20, 21, 22))
+    assert len(samples.indices) == INVERTED_LEVELS
     slack = mp.mpf(10) ** (6 - dps)
     for z, r, res, stab in zip(
         grid_points(samples), samples.r_values, samples.residuals, samples.stability
@@ -330,6 +333,22 @@ def test_level_dropped_mid_ray():
         # |G'(K)| = |z|^2 / |1 - z^2| here, and the figure divides the
         # residual by it
         assert abs(r - z) <= stab
+
+
+def test_a_level_made_up_deeper_is_seeded_with_the_deepest_r(monkeypatch):
+    # R = 3 for the point mass at 3, so each deeper level's seed is 1/z + 3
+    seeds = {}
+    newton = rays._newton
+
+    def recording(transform, z, seed, target):
+        seeds[z] = seed
+        return newton(transform, z, seed, target)
+
+    monkeypatch.setattr(rays, "_newton", recording)
+    samples = invert_g_on_ray(with_a_hole(Measure.dirac(3), 20, 22))
+    assert samples.indices[-3:] == (28, 29, 30)
+    for z in grid_points(samples)[-3:]:
+        assert abs(seeds[z] - 1 / z - 3) < 1e-40
 
 
 @pytest.mark.parametrize(
@@ -489,7 +508,13 @@ def test_nonreal_flag_fires_for_complex_data():
 def test_fit_validation():
     samples = invert_g_on_ray(Measure.dirac(0))
     with pytest.raises(ValidationError):
-        estimate_taylor_on_ray(samples, 11)  # needs 36 points, only 34 fit
+        estimate_taylor_on_ray(samples, 11)  # needs 36 points, only 21 fit
+    with pytest.raises(ValidationError, match="invert the ray with p=7"):
+        estimate_taylor_on_ray(samples, 7)  # the ray read 7..27 only
+    full = invert_g_on_ray(Measure.dirac(0), p=11)
+    with pytest.raises(ValidationError) as refused:
+        estimate_taylor_on_ray(full, 11)  # all 34 levels, still too few
+    assert "invert" not in str(refused.value)
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 0)
     # the first 6 kept levels are 6 fit radii within a factor 32 of each other
@@ -503,7 +528,7 @@ def test_fit_validation():
 def test_estimate_metadata():
     samples = invert_g_on_ray(Measure.semicircle(0, 2))
     est = estimate_taylor_on_ray(samples, 4)
-    assert len(samples.indices) == 34  # the fit reads every kept sample
+    assert len(samples.indices) == 21  # the fit reads every kept sample
     assert est.order == 4
     lo, hi = min(samples.radii), max(samples.radii)
     assert lo < hi <= mp.mpf(1) / 800
@@ -514,7 +539,7 @@ def test_estimate_metadata():
 def test_singular_fit_raises_numeric_error(dps, p):
     # a fit degree, with the check fit's two more powers, that the working
     # precision cannot resolve
-    samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=dps)
+    samples = invert_g_on_ray(Measure.semicircle(0, 2), dps=dps, p=p)
     with pytest.raises(NumericError, match="numerically singular"):
         estimate_taylor_on_ray(samples, p)
     # the cached verdict raises again on the same key
@@ -598,7 +623,7 @@ def test_fit_with_a_dropped_level_matches_oracle():
         samples, dropped=(20,), **{field: without(field) for field in POINT_FIELDS}
     )
     _assert_matches_oracle(holed, 4)
-    assert len(holed.indices) == 33
+    assert len(holed.indices) == 20
 
 
 def test_fit_cache_is_shared_across_beta_and_direction():
@@ -662,13 +687,18 @@ def random_law_fits():
         ks = [rng.randint(1, 9) for _ in atoms]
         p = rng.randint(4, 6)
         mu = Measure.discrete([(F(a, 4), F(k, sum(ks))) for a, k in zip(atoms, ks)])
-        fits.append((mu, invert_g_on_ray(mu, dps=50), p))
+        fits.append((mu, invert_g_on_ray(mu, dps=50, p=p), p))
     return fits
 
 
 @pytest.fixture(scope="module")
 def preset_samples():
-    return [(mu, invert_g_on_ray(mu, dps=50)) for mu in DEMO_PRESETS.values()]
+    """The presets' ray samples at dps 50 for a fit of order <= 6 ("short",
+    21 levels) and of a higher order ("full", 34 levels)."""
+    return {
+        ray: [(mu, invert_g_on_ray(mu, dps=50, p=p)) for mu in DEMO_PRESETS.values()]
+        for ray, p in (("short", 6), ("full", 7))
+    }
 
 
 def figure_misses(fits):
@@ -691,20 +721,39 @@ def test_error_figures_cover_random_atomic_laws(random_law_fits):
     assert figure_misses(random_law_fits) == []
 
 
-@pytest.mark.parametrize("orders", [range(2, 7), (9, 10)], ids=["orders-2-6", "orders-9-10"])
-def test_error_figures_cover_the_demo_presets(preset_samples, orders):
+@pytest.mark.parametrize(
+    "orders, ray", [(range(2, 7), "short"), ((9, 10), "full")], ids=["orders-2-6", "orders-9-10"]
+)
+def test_error_figures_cover_the_demo_presets(preset_samples, orders, ray):
     # orders 9 and 10 need the check fit's 13 powers to resolve at dps 50
-    assert figure_misses([(mu, s, p) for mu, s in preset_samples for p in orders]) == []
+    fits = [(mu, s, p) for mu, s in preset_samples[ray] for p in orders]
+    assert figure_misses(fits) == []
 
 
-def test_a_check_fit_one_power_wider_misses(monkeypatch, random_law_fits, preset_samples):
+@pytest.mark.parametrize(
+    "mu, ray, orders",
+    [
+        # b_0 sits at the rounding floor of the stability figure, about 3e-37
+        (Measure.dirac(3), NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2)), range(2, 7)),
+        # fitted on all 34 levels, b_3 misses its figure 1.6-fold
+        (Measure.uniform(F(11, 4), F(13, 4)), NontangentialRay(), (4,)),
+    ],
+    ids=["dirac-tilted-ray", "uniform-window-order-4"],
+)
+def test_error_figures_cover_hard_cases(mu, ray, orders):
+    samples = invert_g_on_ray(mu, ray, dps=50)
+    assert figure_misses([(mu, samples, p) for p in orders]) == []
+
+
+def test_a_check_fit_one_power_wider_misses(monkeypatch, preset_samples):
     # a law whose odd cumulants vanish skips a power, and a check fit with
-    # only the next one does not see the power after it
-    presets = [(mu, s, p) for mu, s in preset_samples for p in range(2, 7)]
+    # only the next one does not see the power after it; on the 21-level ray
+    # this misses nothing, on all 34 levels a preset's b_5 at order 6
+    presets = [(mu, s, p) for mu, s in preset_samples["full"] for p in range(2, 7)]
     rays._fit_maps.cache_clear()  # its key does not hold CHECK_DEGREES
     monkeypatch.setattr(rays, "CHECK_DEGREES", 1)
     try:
-        misses = figure_misses(random_law_fits + presets)
+        misses = figure_misses(presets)
     finally:
         rays._fit_maps.cache_clear()
     assert misses
