@@ -5,8 +5,9 @@ Runs a GUE, a square-case Wishart, a free sum of two Bernoulli diagonals
 in Haar-generic position, a free sum of a three-atom diagonal with unequal
 counts and a GUE, and one of the same three-atom diagonal and a Bernoulli
 diagonal, and prints sampled means, exact predictions, and the acceptance
-allowance per order.  The three-atom weights are 1/5, 1/2 and 3/10, so a
-dimension that is a multiple of 10 gives exact counts.
+allowance per order; exits 1 if any order is outside its allowance.  The
+three-atom weights are 1/5, 1/2 and 3/10, so a dimension that is a
+multiple of 10 gives exact counts.
 
 The two diagonal-diagonal sums rotate their first part by the Haar columns
 of its atoms before the last: N/2 of the Bernoulli part, 7N/10 of the
@@ -17,6 +18,7 @@ Usage: python scripts/matrix_oracle_demo.py [--dim N] [--trials T] [--seed S]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from freemoments import (
@@ -28,7 +30,8 @@ from freemoments import (
 )
 
 
-def show(label: str, spec: MatrixEnsembleSpec, order: int) -> None:
+def show(label: str, spec: MatrixEnsembleSpec, order: int) -> int:
+    """Print the comparison; return the number of orders outside."""
     estimate = sample_trace_moments(spec, order)
     rows = compare_to_prediction(estimate, predicted_moments(spec, order))
     print(f"\n{label} (dim={spec.dim}, trials={spec.trials}, seed={spec.seed})")
@@ -39,21 +42,22 @@ def show(label: str, spec: MatrixEnsembleSpec, order: int) -> None:
             f"{row['order']:>2}  {row['sampled']:>12.6f}  {row['predicted']:>8.4f}  "
             f"{abs(row['difference']):>10.2e}  {row['allowance']:>10.2e}{flag}"
         )
+    return sum(not row["within"] for row in rows)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dim", type=int, default=300)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    show(
+    outside = show(
         "GUE -> semicircle(0,2)",
         MatrixEnsembleSpec(kind="gue", dim=args.dim, trials=args.trials, seed=args.seed),
         6,
     )
-    show(
+    outside += show(
         "Wishart rate 1 -> Marchenko-Pastur(1)",
         MatrixEnsembleSpec(
             kind="wishart", dim=args.dim, trials=args.trials,
@@ -66,7 +70,7 @@ def main() -> None:
     part = MatrixEnsembleSpec(
         kind="deterministic", dim=args.dim, trials=1, seed=0, measure=bernoulli
     )
-    show(
+    outside += show(
         "free sum of two Bernoulli diagonals -> arcsine-type moments",
         MatrixEnsembleSpec(
             kind="free_sum", dim=args.dim, trials=args.trials,
@@ -78,7 +82,7 @@ def main() -> None:
         kind="deterministic", dim=args.dim,
         measure=Measure.discrete([(-1, "1/5"), (0, half), (2, "3/10")]),
     )
-    show(
+    outside += show(
         "free sum of a three-atom diagonal and a GUE",
         MatrixEnsembleSpec(
             kind="free_sum", dim=args.dim, trials=args.trials, seed=args.seed + 3,
@@ -86,7 +90,7 @@ def main() -> None:
         ),
         4,
     )
-    show(
+    outside += show(
         "free sum of a three-atom diagonal and a Bernoulli diagonal",
         MatrixEnsembleSpec(
             kind="free_sum", dim=args.dim, trials=args.trials, seed=args.seed + 4,
@@ -94,7 +98,11 @@ def main() -> None:
         ),
         4,
     )
+    if outside:
+        print(f"FAIL: {outside} orders outside their allowance", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -526,7 +526,11 @@ def _build_parser() -> _Parser:
     rtransform.add_argument(
         "--beta",
         default="1/8",
-        help="radius of level 0; the ray inverts beta/2^7 down to beta/2^40 (exact)",
+        help=(
+            "radius of level 0 (exact); the ray inverts beta/2^7 down to beta/2^27 at "
+            "--order <= 6, deeper only to replace dropped levels, and down to "
+            "beta/2^40 above"
+        ),
     )
     rtransform.add_argument(
         "--tilt", default="0", help="exact tangent of the ray angle off vertical, |tilt| < 1"

@@ -280,6 +280,8 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
     does not straddle zero."""
     if p < 0:
         raise ValidationError("p must be >= 0")
+    if p == 0:
+        return ()
     if mu.kind == DISCRETE:
         return tuple(
             sum((w * abs(t) ** k for t, w in mu.atoms), Fraction(0))

@@ -16,10 +16,8 @@ plus a 5 k^2 / N term for the finite-dimension bias.
 
 The trace moments tr(H^k)/N, k <= p, come from the half powers H^j,
 j <= ceil(p/2): tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>,
-so order 2 takes no matrix product, order 4 one and order 6 two.  Above
-order 6 (`_HALF_POWER_MAX_ORDER`) the half powers would take three
-products or more, which is what one eigvalsh costs at N >= 600, so there
-they are the eigenvalue power sums.
+so order p takes ceil(p/2) - 1 matrix products (none at order 2, one at
+order 4, two at order 6) and holds two powers at a time.
 
 A free sum is the sum of its GUE, Wishart and diagonal leaves, nested sums
 flattened, with every diagonal leaf but the last rotated by its own Haar
@@ -321,48 +319,37 @@ def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
     Per trial: 4 N^2 max(N, M) per leaf (see _leaves), the Wishart X X^H or
     a floor bounding the time and memory of large N at low orders; per
     rotated leaf the Haar QR (about 16/3 N^3) and one product at all N
-    columns; the trace moments, up to order 6 ceil(p/2) - 1 half-power
-    products and p inner products of 4 N^2, above it one eigendecomposition
-    at about three products' wall time and N p power sums.  Once, the
-    prediction: p^2 rational multiply-adds per leaf and for the spec's map,
-    p^3 per free convolution, weighted by their time at orders 50-1000."""
+    columns; the trace moments, ceil(p/2) - 1 half-power products and p
+    inner products of 4 N^2.  Once, the prediction: p^2 rational
+    multiply-adds per leaf and for the spec's map, p^3 per free
+    convolution, weighted by their time at orders 50-1000."""
     n = spec.dim
     leaves = [leaf for leaf, _, _ in _leaves(spec)]
     rotated = max(sum(leaf.kind == DETERMINISTIC for leaf in leaves) - 1, 0)
     wide = [leaf.wishart_columns() if leaf.kind == WISHART else n for leaf in leaves]
     sample = sum(4 * n * n * max(n, m) for m in wide)
     sample += rotated * (16 * n**3 // 3 + 4 * n**3)
-    if p <= _HALF_POWER_MAX_ORDER:
-        trace = 4 * n**3 * ((p + 1) // 2 - 1) + 4 * n * n * p
-    else:
-        trace = 12 * n**3 + n * p
+    trace = 4 * n**3 * ((p + 1) // 2 - 1) + 4 * n * n * p
     predict = 350_000 * p * p * (len(leaves) + (spec.kind == FREE_SUM))
     predict += 20_000 * p**3 * (len(leaves) - 1)
     return spec.trials * (sample + trace) + predict
 
 
-# Up to this order the trace moments come from the half powers H^j,
-# j <= ceil(p/2), which take at most two products; order 7 or 8 would take
-# three, and one eigvalsh costs 9.3, 4.4, 3.8, 2.9 and 2.8 products at
-# N = 50, 150, 400, 600 and 1000 (complex, one BLAS thread).
-_HALF_POWER_MAX_ORDER = 6
-
-
 def _trace_moments(h: np.ndarray, p: int) -> list[float]:
-    """tr(H^k)/N, k = 1..p, of a Hermitian H.  Up to order 6 from the half
-    powers: tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>;
-    above it as the mean k-th power of the eigenvalues."""
+    """tr(H^k)/N, k = 1..p, of a Hermitian H from the half powers:
+    tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>.  Only H^j
+    and H^(j+1) are held, so at most three N x N arrays are alive."""
     import numpy as np
     n = h.shape[0]
-    if p > _HALF_POWER_MAX_ORDER:
-        eig = np.linalg.eigvalsh(h)
-        return (eig[:, None] ** np.arange(1, p + 1)).mean(axis=0).tolist()
-    powers = [h]  # powers[j - 1] = H^j
-    while len(powers) < (p + 1) // 2:
-        powers.append(h @ powers[-1])
     sums = [np.trace(h).real]
+    low = high = h
     for k in range(2, p + 1):
-        sums.append(np.vdot(powers[k // 2 - 1], powers[(k + 1) // 2 - 1]).real)
+        if k % 2:  # k = 2j + 1: H^(j+1) = H H^j
+            high = h @ low
+            sums.append(np.vdot(low, high).real)
+        else:  # k = 2j: H^j is the last power made
+            low = high
+            sums.append(np.vdot(low, low).real)
     return [float(s) / n for s in sums]
 
 
@@ -370,7 +357,7 @@ def sample_trace_moments(
     spec: MatrixEnsembleSpec, p: int, budget: float | None = None
 ) -> MomentEstimate:
     """Run the trials and collect tr(H^k)/N per trial (see _trace_moments:
-    half powers up to order 6, eigenvalues above).  Refuses up front if the
+    ceil(p/2) - 1 half-power products).  Refuses up front if the
     estimated operation count of sampling and prediction exceeds the budget
     (default 2e11)."""
     import numpy as np

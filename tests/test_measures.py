@@ -145,9 +145,12 @@ def test_discrete_moments():
 
 
 def test_cauchy_moments_do_not_exist():
-    with pytest.raises(MomentDoesNotExistError):
-        moments(Measure.cauchy(), 1)
-    assert moments(Measure.cauchy(), 0).p == 0
+    # no moment of order >= 1 exists, and the empty prefix of order 0 does
+    for f in (moments, absolute_moments):
+        with pytest.raises(MomentDoesNotExistError):
+            f(Measure.cauchy(), 1)
+    assert moments(Measure.cauchy(), 0).values == ()
+    assert absolute_moments(Measure.cauchy(), 0) == ()
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,10 @@ from freemoments.measures import Measure, _affine_moments
 from freemoments.rmt import (
     DEFAULT_BUDGET,
     MatrixEnsembleSpec,
-    _HALF_POWER_MAX_ORDER,
     _cost_units,
     _diagonal,
     _haar_columns,
+    _trace_moments,
     compare_to_prediction,
     ensemble_spec_from_json,
     ensemble_spec_to_json,
@@ -562,14 +562,16 @@ def test_budget_refuses_large_draws_at_low_orders():
             sample_trace_moments(spec, 2)
 
 
-def test_budget_weighs_the_eigendecomposition_at_three_products():
-    # order 7 trades the two half-power products of order 6 for one
-    # eigvalsh, whose wall time is about three products
+def test_budget_adds_one_product_per_odd_order():
+    # order 2j + 1 makes the half power H^(j+1), one product, and both
+    # steps add one inner product of 4 N^2 and the prediction's growth
     dim, trials = 50, 3
     spec = MatrixEnsembleSpec(kind="gue", dim=dim, trials=trials)
-    step = _cost_units(spec, 7) - _cost_units(spec, 6)
-    predict = 350_000 * (7**2 - 6**2)
-    assert step - predict == trials * (4 * dim**3 + dim * 7 - 4 * dim * dim * 6)
+    for p in range(2, 13):
+        step = _cost_units(spec, p) - _cost_units(spec, p - 1)
+        predict = 350_000 * (p**2 - (p - 1) ** 2)
+        product = 4 * dim**3 if p % 2 else 0
+        assert step - predict == trials * (product + 4 * dim * dim), p
 
 
 _ROUTE_SPECS = [
@@ -598,9 +600,8 @@ _ROUTE_SPECS = [
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_both_trace_routes_are_eigenvalue_power_sums(p):
-    # orders up to _HALF_POWER_MAX_ORDER come from half powers, the rest
-    # from the eigenvalues; both must give the eigenvalue power sums
-    assert 1 < _HALF_POWER_MAX_ORDER < 12
+    # the even orders are the norms ||H^j||_F^2, the odd ones the inner
+    # products Re <H^j, H^(j+1)>; both must give the eigenvalue power sums
     for spec in _ROUTE_SPECS:
         est = sample_trace_moments(spec, p)
         for t, row in enumerate(est.per_trial):
@@ -609,6 +610,45 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
                 want = np.mean(eig**k)
                 size = np.mean(np.abs(eig) ** k)  # tr|H|^k / N, the rounding scale
                 assert abs(got - want) <= 1e-12 * max(abs(want), size), (spec.kind, p, t, k)
+
+
+def test_low_orders_keep_the_bits_of_a_list_of_half_powers():
+    # up to order 6 the two held powers take the products and the inner
+    # products of a list of all half powers H^j, j <= ceil(p/2), in the
+    # same order, so every trial moment keeps its bits
+    def listed(h, p):
+        powers = [h]  # powers[j - 1] = H^j
+        while len(powers) < (p + 1) // 2:
+            powers.append(h @ powers[-1])
+        sums = [np.trace(h).real]
+        for k in range(2, p + 1):
+            sums.append(np.vdot(powers[k // 2 - 1], powers[(k + 1) // 2 - 1]).real)
+        return tuple(float(s) / h.shape[0] for s in sums)
+
+    for spec in _ROUTE_SPECS:
+        for p in range(1, 7):
+            est = sample_trace_moments(spec, p)
+            for t, row in enumerate(est.per_trial):
+                assert row == listed(_trial_matrix(spec, t), p), (spec.kind, p, t)
+
+
+class _CountedProducts(np.ndarray):
+    """An array that counts the products `a @ b` it is the left factor of;
+    every power made from it is one too."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_order_p_takes_ceil_half_p_minus_one_products(p, monkeypatch):
+    h = _trial_matrix(_ROUTE_SPECS[0], 0)
+    monkeypatch.setattr(_CountedProducts, "products", 0)
+    _trace_moments(h.view(_CountedProducts), p)
+    assert _CountedProducts.products == (p + 1) // 2 - 1
 
 
 def _literal_sum(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
