@@ -36,6 +36,7 @@ from .cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    _check_order,
     as_fraction,
     classical_cumulants_from_moments,
     free_convolve,
@@ -304,12 +305,19 @@ def _taylor_rows(est, digits: int) -> list[dict]:
 def _run_rtransform(args) -> tuple[dict, int]:
     import mpmath as mp
 
-    from .rays import NontangentialRay, estimate_taylor_on_ray, invert_g_on_ray
+    from .rays import (
+        SHORT_RAY_ORDER,
+        NontangentialRay,
+        estimate_taylor_on_ray,
+        invert_g_on_ray,
+    )
 
     mu = _measure_from_file(args.measure)
     ray = NontangentialRay(beta=args.beta, tan_theta=args.tilt)
-    # the ray refuses a precision past its work budget before it sets it
-    samples = invert_g_on_ray(mu, ray, dps=args.dps, p=args.order)
+    _check_order(args.order)
+    # the report lists the ray of order 6 (21 levels) up to that order; the
+    # ray refuses a precision past its work budget before it sets it
+    samples = invert_g_on_ray(mu, ray, dps=args.dps, p=max(args.order, SHORT_RAY_ORDER))
     with mp.workdps(args.dps):
         est = estimate_taylor_on_ray(samples, args.order)
         digits = min(args.dps, 30)

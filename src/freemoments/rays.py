@@ -16,11 +16,13 @@ gap to a check fit with two more powers (a law with no odd cumulants skips
 one; the factor 2 covers the power after them) plus the propagated
 inversion error.  The expansion is read at 0, so only radii <= beta/100 are
 sampled (the levels from NontangentialRay.first_level on), and the fit
-reads every one of them: the 21 levels 7-27 for a fit of order <= 6, all
-34 levels 7-40 above it (invert_g_on_ray).  The fit matrix depends only on
-which grid levels were kept, the degree and the precision, never on the
-measure, so both pseudo-inverses come from one QR per such key and are
-cached; every fit after the first is two matrix-vector products.
+reads every one of them: for a fit of order p <= 6 the 3 (p + 1) levels
+from 7 on, but at least the 8 levels 7-14 that span two decades (7-27 at
+p = 6), all 34 levels 7-40 above it (invert_g_on_ray).  The fit matrix
+depends only on which grid levels were kept, the degree and the
+precision, never on the measure, so both pseudo-inverses come from one QR
+per such key and are cached; every fit after the first is two
+matrix-vector products.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's closed form is
@@ -28,7 +30,8 @@ built once per ray, at the ray's precision.  The radii double from level to
 level, so the quadratic through R at t/2, t/4 and t/8 predicts R(t) with
 the integer weights 7, -14, 8, and the seed 1/z + R often needs no Newton
 step at all: about 1.9 evaluations per grid point over the benchmark's
-laws on 21 levels, 1.4 on semicircles, where R is linear.  All arithmetic
+laws on 21 levels, 2.0 on the 15 of its order-4 fits (the first levels
+take the most), 1.4 on semicircles, where R is linear.  All arithmetic
 is mpmath at a caller-chosen working precision; every kept sample carries
 a certified inversion residual |G(K(z)) - z|, and the stability figure
 residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
@@ -59,8 +62,9 @@ from .measures import Measure, _evaluator, _to_mpf, moments
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 CHECK_DEGREES = 2  # powers the check fit adds (estimate_taylor_on_ray)
-# A ray for a fit of order p <= SHORT_RAY_ORDER keeps 3 (SHORT_RAY_ORDER + 1)
-# = 21 levels, 7-27 unless one drops; a higher order keeps all of 7-40.
+# A ray for a fit of order p <= SHORT_RAY_ORDER keeps max(3 (p + 1), 8)
+# levels, 7-27 at p = 6 unless one drops; a higher order keeps all of 7-40.
+# rtransform reports the ray of order SHORT_RAY_ORDER up to that order.
 SHORT_RAY_ORDER = 6
 # SEED_WEIGHTS[n - 1]: the polynomial through n values of R at radii t/2,
 # t/4, ..., t/2^n (newest first), evaluated at t; the last row sets the
@@ -81,8 +85,9 @@ class NontangentialRay:
     negative imaginary axis; one ray samples one direction, so the cone's
     aperture enters no sample and only bounds the tilt.  The ray is sampled
     on the levels first_level..levels-1 (7-40) at most, the radii <=
-    beta/100 (2^7 >= 100) that the fit reads; a fit of order <= 6 reads only
-    21 of them (invert_g_on_ray).  The level numbering starts at beta."""
+    beta/100 (2^7 >= 100) that the fit reads; a fit of order p <= 6 reads
+    only 3 (p + 1) of them, at least 8 (invert_g_on_ray).  The level
+    numbering starts at beta."""
 
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
@@ -183,7 +188,8 @@ def _extrapolate(run) -> mp.mpc:
 def _ray_work(dps: int) -> int:
     """Estimated digit products of one ray at dps digits: two evaluations
     of G (about 1.9 over the benchmark's laws) for each of the 34 levels
-    7-40, the most a ray samples, each counted as dps^2, the growth of one
+    7-40, the most a ray samples at any order (an upper bound for a ray of
+    order <= 6, which keeps 8-21), each counted as dps^2, the growth of one
     multiply at that precision.  The wall time grows about that fast:
     4.5-fold per doubling of dps from 1600 to 3200 digits on the uniform
     law, 2.9-fold on Marchenko-Pastur."""
@@ -196,8 +202,10 @@ def invert_g_on_ray(
 ) -> RayTransformSamples:
     """Solve G(w) = z for the grid points z of the ray that a fit of order
     p reads, smallest radius first (there K(z) ~ 1/z, so Newton starts
-    essentially converged).  For p <= SHORT_RAY_ORDER those are the 21
-    levels 7-27, 3 (6 + 1) points, the fewest an order-6 fit takes: the
+    essentially converged).  For p <= SHORT_RAY_ORDER those are the
+    3 (p + 1) levels from ray.first_level on, the fewest an order-p fit
+    takes (7-27 at p = 6), but at least first_level + 1 = 8, levels 7-14,
+    whose radii span the two decades the fit demands (2^7 >= 100): the
     deeper levels carry R = K - 1/z only to the rounding |K| 10^(1-dps) of
     K ~ 1/z and shrink no error.  For p above it they are all the levels
     ray.first_level..ray.levels-1, 7-40.  Each later radius seeds Newton
@@ -234,7 +242,7 @@ def invert_g_on_ray(
     if ray is None:
         ray = NontangentialRay()
     if p <= SHORT_RAY_ORDER:
-        count = 3 * (SHORT_RAY_ORDER + 1)  # levels to keep
+        count = max(3 * (p + 1), ray.first_level + 1)  # levels to keep
     else:
         count = ray.levels - ray.first_level
     top = ray.first_level + count  # the shallowest level tried only after a drop

@@ -386,6 +386,41 @@ def test_rtransform_report(capsys, two_atom_file):
     assert not any(row["nonreal"] for row in coeffs)
 
 
+@pytest.mark.parametrize("order", [1, 2, 4, 6])
+def test_rtransform_reports_the_default_ray_up_to_order_6(capsys, tmp_path, order):
+    # a fit of order p inverts only 3 (p + 1) levels, but the report keeps
+    # the 21 of invert_g_on_ray's default order, bit for bit
+    import mpmath as mp
+
+    from freemoments.cli import _complex_strs, _num_str, _taylor_rows
+    from freemoments.rays import estimate_taylor_on_ray, invert_g_on_ray
+
+    mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
+    path = tmp_path / "three_atom.json"
+    path.write_text(json.dumps(measure_to_json(mu)))
+    code, data = run_json(capsys, "rtransform", "--measure", str(path), "--order", str(order))
+    assert code == 0
+    samples = invert_g_on_ray(mu, dps=50)
+    with mp.workdps(50):
+        points = [
+            {
+                "index": j,
+                "radius": _num_str(t, 30),
+                "r_value": _complex_strs(r, 30),
+                "residual": _num_str(res, 30),
+                "stability": _num_str(stab, 30),
+            }
+            for j, t, r, res, stab in zip(
+                samples.indices, samples.radii, samples.r_values,
+                samples.residuals, samples.stability,
+            )
+        ]
+        rows = _taylor_rows(estimate_taylor_on_ray(samples, order), 30)
+    assert len(points) == 21
+    assert data["points"] == points
+    assert data["coefficients"] == rows
+
+
 def test_order_above_6_inverts_every_level(capsys, two_atom_file):
     # a ray inverted for order 6 keeps 21 points, too few for an order-8 fit
     code, data = run_json(capsys, "rtransform", "--measure", two_atom_file, "--order", "8")

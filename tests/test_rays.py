@@ -50,8 +50,11 @@ def _enough_digits():
 
 # the per-point fields of RayTransformSamples
 POINT_FIELDS = ("indices", "radii", "k_values", "r_values", "residuals", "stability")
-# the radii <= beta/100 that a fit of order <= 6 reads, levels 7..27
+# the radii <= beta/100 that a fit of the default order 6 reads, levels 7..27
 INVERTED_LEVELS = 3 * (rays.SHORT_RAY_ORDER + 1)
+# levels a ray inverts for a fit of order p: 3 (p + 1) up to order 6, but
+# the 8 levels 7..14 at least, whose radii span two decades; 7..40 above
+LEVELS_AT_ORDER = {1: 8, 2: 9, 3: 12, 4: 15, 5: 18, 6: 21, 7: 34}
 
 
 def grid_points(samples):
@@ -178,12 +181,21 @@ def test_region_too_large():
         invert_g_on_ray(arcsine_callables(), ray)
 
 
+RAYS = {
+    "default": NontangentialRay(),
+    "tilted": NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2)),
+}
+# order 6 is the default, which the ids "default" and "tilted" run
+EXPLICIT_ORDERS = [p for p in LEVELS_AT_ORDER if p != 6]
+
+
 @pytest.mark.parametrize(
-    "ray",
-    [NontangentialRay(), NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2))],
-    ids=["default", "tilted"],
+    "ray, p",
+    [(ray, None) for ray in RAYS.values()]
+    + [(ray, p) for p in EXPLICIT_ORDERS for ray in RAYS.values()],
+    ids=list(RAYS) + [f"{name}-p{p}" for p in EXPLICIT_ORDERS for name in RAYS],
 )
-def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray):
+def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray, p):
     targets = []
     newton = rays._newton
 
@@ -192,8 +204,10 @@ def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray):
         return newton(transform, z, seed, target)
 
     monkeypatch.setattr(rays, "_newton", recording)
-    samples = invert_g_on_ray(Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]), ray)
-    assert len(targets) == INVERTED_LEVELS
+    mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
+    samples = invert_g_on_ray(mu, ray) if p is None else invert_g_on_ray(mu, ray, p=p)
+    assert len(targets) == LEVELS_AT_ORDER[6 if p is None else p]
+    assert samples.dropped == () and samples.indices[0] == ray.first_level
     cap = mp.mpf(ray.beta.numerator) / ray.beta.denominator / 100
     assert max(abs(z) for z in targets) <= cap
     # Newton solved for exactly the kept points radius * direction,
@@ -517,6 +531,11 @@ def test_fit_validation():
     assert "invert" not in str(refused.value)
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 0)
+    # a ray inverted for order 2 keeps 9 levels, 7..15, too few for order 4
+    low = invert_g_on_ray(Measure.dirac(0), p=2)
+    assert low.indices == tuple(range(7, 16))
+    with pytest.raises(ValidationError, match="invert the ray with p=4"):
+        estimate_taylor_on_ray(low, 4)
     # the first 6 kept levels are 6 fit radii within a factor 32 of each other
     short = dataclasses.replace(
         samples, **{field: getattr(samples, field)[:6] for field in POINT_FIELDS}
@@ -676,28 +695,35 @@ DEMO_PRESETS = {
 }
 
 
-@pytest.fixture(scope="module")
-def random_law_fits():
-    """60 laws of 2-6 atoms on the 1/4 grid in [-8, 8], weights k / sum(k)
-    with k in 1..9, as (law, ray samples at dps 50, order p in 4..6)."""
-    rng = random.Random(20261018)
+def random_atomic_fits(seed, count, low, high):
+    """`count` laws of 2-6 atoms on the 1/4 grid in [-8, 8], weights
+    k / sum(k) with k in 1..9, drawn from Random(seed), as (law, ray samples
+    at dps 50 inverted for the order p, order p in low..high)."""
+    rng = random.Random(seed)
     fits = []
-    for _ in range(60):
+    for _ in range(count):
         atoms = rng.sample(range(-32, 33), rng.randint(2, 6))
         ks = [rng.randint(1, 9) for _ in atoms]
-        p = rng.randint(4, 6)
+        p = rng.randint(low, high)
         mu = Measure.discrete([(F(a, 4), F(k, sum(ks))) for a, k in zip(atoms, ks)])
         fits.append((mu, invert_g_on_ray(mu, dps=50, p=p), p))
     return fits
 
 
 @pytest.fixture(scope="module")
+def random_law_fits():
+    """60 random atomic laws (`random_atomic_fits`) at orders 4..6."""
+    return random_atomic_fits(20261018, 60, 4, 6)
+
+
+@pytest.fixture(scope="module")
 def preset_samples():
-    """The presets' ray samples at dps 50 for a fit of order <= 6 ("short",
-    21 levels) and of a higher order ("full", 34 levels)."""
+    """The presets' ray samples at dps 50 by the order p the ray was
+    inverted for: 3 (p + 1) levels but at least 8 for p = 1..6, all 34
+    levels at p = 7."""
     return {
-        ray: [(mu, invert_g_on_ray(mu, dps=50, p=p)) for mu in DEMO_PRESETS.values()]
-        for ray, p in (("short", 6), ("full", 7))
+        p: [(mu, invert_g_on_ray(mu, dps=50, p=p)) for mu in DEMO_PRESETS.values()]
+        for p in LEVELS_AT_ORDER
     }
 
 
@@ -721,12 +747,22 @@ def test_error_figures_cover_random_atomic_laws(random_law_fits):
     assert figure_misses(random_law_fits) == []
 
 
+def test_error_figures_cover_random_atomic_laws_at_low_orders():
+    # rays of 8, 9 and 12 levels, each fitted at the order it was inverted for
+    fits = random_atomic_fits(20261020, 30, 1, 3)
+    assert {p for _, _, p in fits} == {1, 2, 3}
+    assert figure_misses(fits) == []
+
+
 @pytest.mark.parametrize(
-    "orders, ray", [(range(2, 7), "short"), ((9, 10), "full")], ids=["orders-2-6", "orders-9-10"]
+    "inverted_at, orders",
+    [(6, range(2, 7)), (7, (9, 10)), (None, range(1, 7))],
+    ids=["orders-2-6", "orders-9-10", "per-order"],
 )
-def test_error_figures_cover_the_demo_presets(preset_samples, orders, ray):
-    # orders 9 and 10 need the check fit's 13 powers to resolve at dps 50
-    fits = [(mu, s, p) for mu, s in preset_samples[ray] for p in orders]
+def test_error_figures_cover_the_demo_presets(preset_samples, inverted_at, orders):
+    # orders 9 and 10 need the check fit's 13 powers to resolve at dps 50;
+    # "per-order" fits each order on the ray inverted for it
+    fits = [(mu, s, p) for p in orders for mu, s in preset_samples[inverted_at or p]]
     assert figure_misses(fits) == []
 
 
@@ -749,7 +785,7 @@ def test_a_check_fit_one_power_wider_misses(monkeypatch, preset_samples):
     # a law whose odd cumulants vanish skips a power, and a check fit with
     # only the next one does not see the power after it; on the 21-level ray
     # this misses nothing, on all 34 levels a preset's b_5 at order 6
-    presets = [(mu, s, p) for mu, s in preset_samples["full"] for p in range(2, 7)]
+    presets = [(mu, s, p) for mu, s in preset_samples[7] for p in range(2, 7)]
     rays._fit_maps.cache_clear()  # its key does not hold CHECK_DEGREES
     monkeypatch.setattr(rays, "CHECK_DEGREES", 1)
     try:
