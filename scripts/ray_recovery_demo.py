@@ -7,7 +7,7 @@ order 6 and 34 above, then the fitted coefficients next to the exact free
 cumulants.  Exits 1 when a fitted coefficient is further from its exact
 cumulant than its error figure, or is flagged non-real; 0 otherwise.
 
-Usage: python scripts/ray_recovery_demo.py [--measure NAME] [--order P]
+Usage: python scripts/ray_recovery_demo.py [--measure NAME] [--order P] [--dps D]
 """
 
 import argparse

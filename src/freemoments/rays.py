@@ -29,25 +29,32 @@ the slope that came with the point it accepted; a measure's closed form is
 built once per ray, at the ray's precision.  The radii double from level to
 level, so the quadratic through R at t/2, t/4 and t/8 predicts R(t) with
 the integer weights 7, -14, 8, and the seed 1/z + R often needs no Newton
-step at all: about 1.9 evaluations per grid point over the benchmark's
-laws on 21 levels, 2.0 on the 15 of its order-4 fits (the first levels
-take the most), 1.4 on semicircles, where R is linear.  All arithmetic
+step at all.  The last step at a level is mostly not evaluated: the
+curvature bound |G''(w)| <= 2 / (Im w)^3 of a probability law on the real
+line certifies it from the point it starts at (`_step_certificate`).
+That takes about 1.5 evaluations per grid point over the benchmark's laws
+on the 15 levels of its order-4 fits, 1.3 on 21 levels (the first levels
+take the most) and 1.2 on semicircles, where R is linear; 2.1, 1.9 and
+1.4 with every last step evaluated.  All arithmetic
 is mpmath at a caller-chosen working precision; every kept sample carries
-a certified inversion residual |G(K(z)) - z|, and the stability figure
-residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
-value: what the residual induces to first order, through the slope Newton
-accepted the point with, plus the rounding of K ~ 1/z, which R = K - 1/z
-falls below on very small radii.
+a certified upper bound on its inversion residual |G(K(z)) - z|, and the
+stability figure residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the
+error of the R value: what the residual induces to first order, through a
+lower bound on the slope at the point, plus the rounding of K ~ 1/z, which
+R = K - 1/z falls below on very small radii.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar
 
 import mpmath as mp
+from mpmath.libmp import to_float
 
 from .cumulants import _check_order, as_fraction, free_cumulants_from_moments
 from .errors import (
@@ -71,6 +78,13 @@ SHORT_RAY_ORDER = 6
 # degree.  A cubic row (15, -70, 120, -64) saves evaluations on discrete laws
 # but not time: it amplifies R's rounding noise 269-fold.
 SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
+# |G''(w)| <= _CURVATURE / (Im w)^3 for every probability law on the real
+# line; Newton's last step at a level is accepted on it (_step_certificate)
+_CURVATURE = 2.0
+# covers the rounding of the few float operations _step_certificate makes
+_FLOAT_MARGIN = 1e-12
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_BACKTRACK_FLOOR = mp.mpf(2) ** -40  # the smallest damped step Newton tries
 # The ray's work is refused up front past this many digit products (see
 # _ray_work): about 3200 digits.  On a 2-core machine the costliest closed
 # form, the uniform law's logarithm, takes about 6 s at 3200 digits and
@@ -140,10 +154,53 @@ def _transform_pair(source):
     raise ValidationError("source must be a Measure or a (G, G') pair of callables")
 
 
-def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpc] | None:
-    """Damped Newton on G(w) = z, where transform(w) = (G(w), G'(w)):
-    returns (w, |G(w) - z|, G'(w)) once that residual is <= target, or
-    None."""
+def _step_certificate(w, dw, res, slope, target, eps):
+    """(step, residual, slope) of the full Newton step step = w - dw from
+    the evaluated point w, with res = |G(w) - z| and slope = G'(w) there:
+    an upper bound on |G(step) - z| and a lower bound on |G'(step)|, as mpf,
+    or None when the residual bound exceeds target.  target and eps, the
+    rounding unit 10^(1-dps), are floats.
+
+    For a probability law on the real line |G'(v)| <= 1/(Im v)^2 and
+    |G''(v)| <= _CURVATURE/(Im v)^3, and Im v >= m = min(Im w, Im step) on
+    the segment from w to step, so Taylor's remainder gives
+        |G(step) - z| <= |dw|^2/m^3 + res eps + |step| eps/m^2,
+        |G'(step)| >= |G'(w)| - 2 |dw|/m^3,
+    where the eps terms bound the rounding of dw and of step.  The bounds
+    are worked out in floats, read off mpmath's (sign, mantissa, exponent)
+    tuples.  Every operand and partial result must be a normal float: then
+    each carries a relative error below 1e-14, which _FLOAT_MARGIN covers.
+    Anything that underflows or overflows (radii below ~1e-100, or a slope
+    past the float range) certifies nothing, and G is evaluated instead."""
+    step = w - dw
+    m = min(to_float(w._mpc_[1]), to_float(step._mpc_[1]))
+    adw = math.hypot(*map(to_float, dw._mpc_))
+    m3 = m * m * m
+    q = adw / m3
+    curvature = _CURVATURE / 2 * adw * q
+    rounding_dw = to_float(res._mpf_) * eps
+    step_eps = math.hypot(*map(to_float, step._mpc_)) * eps
+    rounding_step = step_eps / (m * m)
+    bound = (curvature + rounding_dw + rounding_step) * (1 + _FLOAT_MARGIN)
+    if not bound <= target:
+        return None
+    down = 1 - _FLOAT_MARGIN
+    aslope = math.hypot(*map(to_float, slope._mpc_))
+    lower = (aslope * down - _CURVATURE * q * (1 + _FLOAT_MARGIN)) * down
+    partials = (adw, m3, q, curvature, rounding_dw, step_eps, rounding_step, lower)
+    if not (_FLOAT_MIN <= min(partials) and lower < math.inf):
+        return None
+    return step, mp.mpf(bound), mp.mpf(lower)
+
+
+def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpf] | None:
+    """Damped Newton on G(w) = z, where transform(w) = (G(w), G'(w)) of a
+    probability law: returns (w, residual, slope) once the residual, a
+    bound on |G(w) - z|, is <= target, or None; slope bounds |G'(w)| from
+    below.  At an evaluated point they are |G(w) - z| and |G'(w)| as
+    computed.  A full step that `_step_certificate` bounds within target is
+    returned with its bounds, unevaluated; past about 300 digits, where
+    the rounding unit underflows a float, every point is evaluated."""
     w = seed
     try:
         g, slope = transform(w)
@@ -151,15 +208,21 @@ def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpc] | None:
         return None
     fw = g - z
     res = abs(fw)  # of the accepted iterate
-    floor = mp.mpf(2) ** -40  # the smallest backtracking step tried
+    eps = 10.0 ** (1 - mp.mp.dps)
+    target_f = to_float(target._mpf_) * (1 - _FLOAT_MARGIN)
+    certify = _FLOAT_MIN <= min(eps, target_f) and target_f < math.inf
     for _ in range(NEWTON_MAX_ITER):
         if res <= target:
-            return w, res, slope
+            return w, res, abs(slope)
         if slope == 0:
             return None
         dw = fw / slope
+        if certify:
+            certified = _step_certificate(w, dw, res, slope, target_f, eps)
+            if certified is not None:
+                return certified
         lam = mp.mpf(1)
-        while lam > floor:
+        while lam > _BACKTRACK_FLOOR:
             trial = w - lam * dw
             try:
                 g, trial_slope = transform(trial)
@@ -174,7 +237,7 @@ def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpc] | None:
             lam /= 2
         else:
             return None
-    return (w, res, slope) if res <= target else None
+    return (w, res, abs(slope)) if res <= target else None
 
 
 def _extrapolate(run) -> mp.mpc:
@@ -187,12 +250,15 @@ def _extrapolate(run) -> mp.mpc:
 
 def _ray_work(dps: int) -> int:
     """Estimated digit products of one ray at dps digits: two evaluations
-    of G (about 1.9 over the benchmark's laws) for each of the 34 levels
-    7-40, the most a ray samples at any order (an upper bound for a ray of
-    order <= 6, which keeps 8-21), each counted as dps^2, the growth of one
-    multiply at that precision.  The wall time grows about that fast:
-    4.5-fold per doubling of dps from 1600 to 3200 digits on the uniform
-    law, 2.9-fold on Marchenko-Pastur."""
+    of G for each of the 34 levels 7-40, the most a ray samples at any
+    order, each counted as dps^2, the growth of one multiply at that
+    precision.  The level count is an upper bound (a ray of order <= 6
+    keeps 8-21), and at 50 digits so is the evaluation count: Newton takes
+    about 1.5 per level over the benchmark's laws.  More digits take more
+    Newton steps, about 5 per level at 400 digits, where _step_certificate
+    certifies nothing.  The wall time grows about like dps^2: 4.5-fold per
+    doubling of dps from 1600 to 3200 digits on the uniform law, 2.9-fold
+    on Marchenko-Pastur."""
     levels = NontangentialRay.levels - NontangentialRay.first_level
     return levels * 2 * dps * dps
 
@@ -249,22 +315,27 @@ def invert_g_on_ray(
     with mp.workdps(dps):
         transform = _transform_pair(source)
         d = ray.direction()
-        slack = mp.mpf(10) ** (6 - dps)
+        beta = _to_mpf(ray.beta)
         rounding = mp.mpf(10) ** (1 - dps)
+        # the residual target |z| 10^(6-dps), less the rounding of G that the
+        # reported residual adds
+        slack = mp.mpf(10) ** (6 - dps) - rounding
         dropped: list[int] = []
 
         def invert(j, r_seed):
             """(level, radius, K(z), R(z), residual, stability figure) of
             level j, Newton seeded with 1/z + r_seed; None if dropped."""
-            t = _to_mpf(ray.beta / 2**j)
+            t = mp.ldexp(beta, -j)
             z = t * d
             inv_z = 1 / z
-            got = _newton(transform, z, inv_z + r_seed, target=abs(z) * slack)
+            size = abs(z)
+            got = _newton(transform, z, inv_z + r_seed, target=size * slack)
             if got is None:
                 dropped.append(j)
                 return None
             w, res, slope = got
-            induced = res / abs(slope) if slope else mp.inf
+            res += size * rounding  # the rounding of G(w), which Newton takes as exact
+            induced = res / slope if slope else mp.inf
             return j, t, w, w - inv_z, res, induced + abs(w) * rounding
 
         kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []

@@ -157,6 +157,122 @@ def test_residuals_certified():
     assert max(fresh) < 1e-40
 
 
+def count_evaluations(monkeypatch):
+    """Patch the ray's (G, G') builder so that each evaluation, of a
+    measure or of a pair of callables, is logged with its point."""
+    calls = []
+    build = rays._transform_pair
+
+    def counting_build(source):
+        evaluate = build(source)
+
+        def counting(w):
+            calls.append(w)
+            return evaluate(w)
+
+        return counting
+
+    monkeypatch.setattr(rays, "_transform_pair", counting_build)
+    return calls
+
+
+def smooth_law_pair():
+    """(G, G') of the density 2 / (pi (1 + x^2)^2), a probability law given
+    only by its transform G(w) = 1/(w + i) + i/(w + i)^2."""
+    i = mp.mpc(0, 1)
+    return (
+        lambda w: 1 / (w + i) + i / (w + i) ** 2,
+        lambda w: -1 / (w + i) ** 2 - 2 * i / (w + i) ** 3,
+    )
+
+
+def fresh_residuals(source, samples):
+    """|G(K(z)) - z| of each kept point, G evaluated at 20 more digits."""
+    zs = grid_points(samples)
+    with mp.workdps(samples.dps + 20):
+        transform = rays._transform_pair(source)
+        return [abs(transform(w)[0] - z) for z, w in zip(zs, samples.k_values)]
+
+
+CERTIFIED_SOURCES = {
+    "six-atom": Measure.discrete(
+        [(-3, "1/4"), (-1, "1/8"), (0, "1/8"), ("1/2", "1/8"), (2, "1/8"), (5, "1/4")]
+    ),
+    "uniform": Measure.uniform(-1, 1),
+    "marchenko-pastur": Measure.marchenko_pastur(2),
+    "semicircle": Measure.semicircle("1/2", 3),
+    "cauchy": Measure.cauchy(),
+    "smooth-law-pair": smooth_law_pair(),
+}
+CERTIFIED_RAYS = (
+    NontangentialRay(),
+    NontangentialRay(beta=F(1, 5), tan_theta=F(1, 2)),
+    NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2)),
+)
+
+
+@pytest.mark.parametrize("source", CERTIFIED_SOURCES.values(), ids=CERTIFIED_SOURCES.keys())
+def test_reported_residual_bounds_the_inversion_error(monkeypatch, source):
+    # Newton's last step at a level is accepted on the curvature bound
+    # |G''(w)| <= 2 / (Im w)^3 without evaluating G there: re-evaluated at 20
+    # more digits, |G(K(z)) - z| must stay within the residual reported for
+    # it, as at the evaluated points, and the residual within the target
+    evaluated = count_evaluations(monkeypatch)
+    unevaluated = 0
+    for ray in CERTIFIED_RAYS:
+        for p in (2, 4, 6, 10):
+            evaluated.clear()
+            samples = invert_g_on_ray(source, ray, dps=50, p=p)
+            unevaluated += sum(w not in evaluated for w in samples.k_values)
+            fresh = fresh_residuals(source, samples)
+            with mp.workdps(70):
+                for z, res, true in zip(grid_points(samples), samples.residuals, fresh):
+                    assert true <= res <= abs(z) * mp.mpf(10) ** -44
+    assert unevaluated > 0
+
+
+TWO_ATOMS = Measure.discrete([(-1, "1/2"), (1, "1/2")])
+
+
+@pytest.mark.parametrize(
+    "beta, dps, in_range",
+    [("1/8", 50, True), ("1e-150", 50, False), ("1e-200", 50, False), ("1/8", 400, False)],
+    ids=["in-range", "beta-1e-150", "beta-1e-200", "dps-400"],
+)
+def test_newton_step_is_certified_only_inside_the_float_range(monkeypatch, beta, dps, in_range):
+    # from a seed 1e-30 off K(z), one full step reaches the target; the
+    # float decision certifies it at 50 digits on z = -i/800, but at |z| =
+    # 1e-152 (Im w)^3 ~ 1e456 overflows, at |z| = 1e-202 |G'(w)| ~ |z|^2
+    # underflows too, and at 400 digits the rounding unit 1e-399 does: G
+    # must be evaluated at the point returned
+    evaluated = count_evaluations(monkeypatch)
+    with mp.workdps(dps):
+        z = mp.mpc(0, -1) * measures._to_mpf(F(beta) / 100)
+        transform = rays._transform_pair(TWO_ATOMS)
+        seed = (1 / z + z) * (1 + mp.mpf(10) ** -30)
+        w, res, _ = rays._newton(transform, z, seed, abs(z) * mp.mpf(10) ** (6 - dps))
+        assert (w not in evaluated) == in_range
+        g_rounding = abs(z) * mp.mpf(10) ** (1 - dps)  # added by invert_g_on_ray
+    with mp.workdps(dps + 20):
+        assert abs(rays._transform_pair(TWO_ATOMS)(w)[0] - z) <= res + g_rounding
+
+
+@pytest.mark.parametrize(
+    "ray, dps, p",
+    [(NontangentialRay(beta="1e-200"), 50, 4), (NontangentialRay(), 400, 2)],
+    ids=["beta-1e-200", "dps-400"],
+)
+def test_rays_outside_the_float_range_evaluate_every_point(monkeypatch, ray, dps, p):
+    evaluated = count_evaluations(monkeypatch)
+    samples = invert_g_on_ray(TWO_ATOMS, ray, dps=dps, p=p)
+    assert samples.dropped == ()
+    assert all(w in evaluated for w in samples.k_values)
+    fresh = fresh_residuals(TWO_ATOMS, samples)
+    with mp.workdps(dps + 20):
+        for true, res in zip(fresh, samples.residuals):
+            assert true <= res
+
+
 def test_radii_are_descending_and_aligned():
     samples = invert_g_on_ray(Measure.dirac(0))
     assert all(a > b for a, b in zip(samples.radii, samples.radii[1:]))
@@ -246,36 +362,20 @@ def test_measure_and_callable_pair_sources_agree(mu):
     assert direct.dropped == wrapped.dropped
 
 
-def count_evaluations(monkeypatch):
-    """Patch the ray's evaluator so that each (G, G') evaluation is logged."""
-    calls = []
-    build = rays._evaluator
-
-    def counting_build(mu):
-        evaluate = build(mu)
-
-        def counting(z):
-            calls.append(z)
-            return evaluate(z)
-
-        return counting
-
-    monkeypatch.setattr(rays, "_evaluator", counting_build)
-    return calls
-
-
 def test_one_transform_evaluation_per_newton_point(monkeypatch):
     calls = count_evaluations(monkeypatch)
     for mu, bound in (
-        # R(z) = z: the line through two R values is exact
-        (Measure.semicircle(0, 2), 1.5),
-        (Measure.discrete([(-8, "1/3"), (-2, "1/3"), ("7/2", "1/3")]), 3.2),
+        # R(z) = z: the line through two R values is exact; 23 evaluations
+        (Measure.semicircle(0, 2), 1.15),
+        # 35 evaluations, 56 when the last step at each level was evaluated
+        (Measure.discrete([(-8, "1/3"), (-2, "1/3"), ("7/2", "1/3")]), 1.75),
     ):
         calls.clear()
         samples = invert_g_on_ray(mu)
         assert samples.dropped == ()
-        # one evaluation per Newton point, and few points once the seed
-        # extrapolates R from the levels below
+        # one evaluation per Newton point, few points once the seed
+        # extrapolates R from the levels below, and none at the step that
+        # the curvature bound accepts
         assert len(calls) < bound * INVERTED_LEVELS
 
 
@@ -311,11 +411,11 @@ def test_constants_converted_once_per_ray(monkeypatch):
     )
     samples = invert_g_on_ray(mu)
     assert samples.dropped == ()
-    levels, atoms = INVERTED_LEVELS, len(mu.atoms)
-    # the ray's points and radii, the closed form's atoms and weights, and a
-    # few more: none per evaluation
-    assert len(calls) > 2 * levels
-    assert len(conversions) <= 2 * levels + 2 * atoms + 5
+    allowed = 2 * len(mu.atoms) + 2
+    # the closed form's atoms and weights, and the ray's beta and tilt: none
+    # per level or per evaluation, of which there are more than that
+    assert len(calls) > allowed and len(samples.indices) > allowed
+    assert len(conversions) <= allowed
 
 
 def with_a_hole(mu, lo: int, hi: int):
@@ -767,17 +867,20 @@ def test_error_figures_cover_the_demo_presets(preset_samples, inverted_at, order
 
 
 @pytest.mark.parametrize(
-    "mu, ray, orders",
+    "mu, ray, inverted_at, orders",
     [
         # b_0 sits at the rounding floor of the stability figure, about 3e-37
-        (Measure.dirac(3), NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2)), range(2, 7)),
+        (Measure.dirac(3), RAYS["tilted"], 6, range(2, 7)),
+        # on all 34 levels b_0 missed its figure 1.24-1.29-fold until the
+        # residual carried the rounding of G
+        (Measure.dirac(3), RAYS["tilted"], 7, range(7, 11)),
         # fitted on all 34 levels, b_3 misses its figure 1.6-fold
-        (Measure.uniform(F(11, 4), F(13, 4)), NontangentialRay(), (4,)),
+        (Measure.uniform(F(11, 4), F(13, 4)), NontangentialRay(), 6, (4,)),
     ],
-    ids=["dirac-tilted-ray", "uniform-window-order-4"],
+    ids=["dirac-tilted-ray", "dirac-tilted-ray-orders-7-10", "uniform-window-order-4"],
 )
-def test_error_figures_cover_hard_cases(mu, ray, orders):
-    samples = invert_g_on_ray(mu, ray, dps=50)
+def test_error_figures_cover_hard_cases(mu, ray, inverted_at, orders):
+    samples = invert_g_on_ray(mu, ray, dps=50, p=inverted_at)
     assert figure_misses([(mu, samples, p) for p in orders]) == []
 
 
