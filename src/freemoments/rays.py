@@ -168,14 +168,20 @@ def _step_certificate(w, dw, res, slope, target, eps):
         |G'(step)| >= |G'(w)| - 2 |dw|/m^3,
     where the eps terms bound the rounding of dw and of step.  The bounds
     are worked out in floats, read off mpmath's (sign, mantissa, exponent)
-    tuples.  Every operand and partial result must be a normal float: then
-    each carries a relative error below 1e-14, which _FLOAT_MARGIN covers.
-    Anything that underflows or overflows (radii below ~1e-100, or a slope
-    past the float range) certifies nothing, and G is evaluated instead."""
+    tuples: in mpmath at the working precision they cost 3-4 times as much
+    and give back most of the time the skipped evaluation saves.  Every
+    operand and partial result must be a normal float: then each carries a
+    relative error below 1e-14, which _FLOAT_MARGIN covers.  Anything that
+    underflows or overflows (radii below ~1e-100 or above ~1e100, or a
+    slope past the float range) certifies nothing, and G is evaluated
+    instead; m^3 is checked first, so that no division by an underflowed
+    m^3 or m^2 is tried."""
     step = w - dw
     m = min(to_float(w._mpc_[1]), to_float(step._mpc_[1]))
-    adw = math.hypot(*map(to_float, dw._mpc_))
     m3 = m * m * m
+    if not _FLOAT_MIN <= m3 < math.inf:  # then m^2 is a normal float too
+        return None
+    adw = math.hypot(*map(to_float, dw._mpc_))
     q = adw / m3
     curvature = _CURVATURE / 2 * adw * q
     rounding_dw = to_float(res._mpf_) * eps
@@ -187,7 +193,7 @@ def _step_certificate(w, dw, res, slope, target, eps):
     down = 1 - _FLOAT_MARGIN
     aslope = math.hypot(*map(to_float, slope._mpc_))
     lower = (aslope * down - _CURVATURE * q * (1 + _FLOAT_MARGIN)) * down
-    partials = (adw, m3, q, curvature, rounding_dw, step_eps, rounding_step, lower)
+    partials = (adw, q, curvature, rounding_dw, step_eps, rounding_step, lower)
     if not (_FLOAT_MIN <= min(partials) and lower < math.inf):
         return None
     return step, mp.mpf(bound), mp.mpf(lower)
@@ -286,8 +292,12 @@ def invert_g_on_ray(
     RegionTooLargeError is raised.  A measure of mass other than 1 is
     refused up front: at mass 0 G vanishes identically, and at mass c
     K(z) ~ c/z, so K(z) - 1/z keeps the pole (c - 1)/z and is the
-    R-transform only for a probability measure.  So is a precision whose
-    estimated work (`_ray_work`) exceeds the budget, with BudgetError.
+    R-transform only for a probability measure.  A (G, G') pair of
+    callables cannot be checked, but must be the Cauchy transform of a
+    probability law on the real line too: the residuals of the points
+    accepted on the curvature bound (`_step_certificate`) are certified
+    only then.  A precision whose estimated work (`_ray_work`) exceeds the
+    budget is refused with BudgetError.
     """
     _check_order(p)
     if isinstance(source, Measure) and source.mass == 0:

@@ -231,46 +231,36 @@ def test_reported_residual_bounds_the_inversion_error(monkeypatch, source):
     assert unevaluated > 0
 
 
-TWO_ATOMS = Measure.discrete([(-1, "1/2"), (1, "1/2")])
-
-
 @pytest.mark.parametrize(
     "beta, dps, in_range",
-    [("1/8", 50, True), ("1e-150", 50, False), ("1e-200", 50, False), ("1/8", 400, False)],
-    ids=["in-range", "beta-1e-150", "beta-1e-200", "dps-400"],
+    [
+        ("1/8", 50, True),
+        ("1e-150", 50, False),
+        ("1e-200", 50, False),
+        ("1e120", 50, False),
+        ("1/8", 400, False),
+    ],
+    ids=["in-range", "beta-1e-150", "beta-1e-200", "beta-1e120", "dps-400"],
 )
 def test_newton_step_is_certified_only_inside_the_float_range(monkeypatch, beta, dps, in_range):
-    # from a seed 1e-30 off K(z), one full step reaches the target; the
-    # float decision certifies it at 50 digits on z = -i/800, but at |z| =
-    # 1e-152 (Im w)^3 ~ 1e456 overflows, at |z| = 1e-202 |G'(w)| ~ |z|^2
-    # underflows too, and at 400 digits the rounding unit 1e-399 does: G
-    # must be evaluated at the point returned
+    # K(z) = 1/z for the Dirac law at 0; from a seed 1e-30 off it one full
+    # step reaches the target.  The float decision certifies that step at 50
+    # digits on z = -i/800, but at |z| = 1e-152 (Im w)^3 ~ 1e456 overflows,
+    # at |z| = 1e-202 the slope |z|^2 underflows too, at |z| = 1e118 (Im
+    # w)^3 ~ 1e-354 underflows, and at 400 digits the rounding unit 1e-399
+    # does: G must be evaluated at the point returned, and no division by
+    # an underflowed float may be tried
     evaluated = count_evaluations(monkeypatch)
+    dirac = Measure.dirac(0)
     with mp.workdps(dps):
         z = mp.mpc(0, -1) * measures._to_mpf(F(beta) / 100)
-        transform = rays._transform_pair(TWO_ATOMS)
-        seed = (1 / z + z) * (1 + mp.mpf(10) ** -30)
+        transform = rays._transform_pair(dirac)
+        seed = (1 + mp.mpf(10) ** -30) / z
         w, res, _ = rays._newton(transform, z, seed, abs(z) * mp.mpf(10) ** (6 - dps))
         assert (w not in evaluated) == in_range
         g_rounding = abs(z) * mp.mpf(10) ** (1 - dps)  # added by invert_g_on_ray
     with mp.workdps(dps + 20):
-        assert abs(rays._transform_pair(TWO_ATOMS)(w)[0] - z) <= res + g_rounding
-
-
-@pytest.mark.parametrize(
-    "ray, dps, p",
-    [(NontangentialRay(beta="1e-200"), 50, 4), (NontangentialRay(), 400, 2)],
-    ids=["beta-1e-200", "dps-400"],
-)
-def test_rays_outside_the_float_range_evaluate_every_point(monkeypatch, ray, dps, p):
-    evaluated = count_evaluations(monkeypatch)
-    samples = invert_g_on_ray(TWO_ATOMS, ray, dps=dps, p=p)
-    assert samples.dropped == ()
-    assert all(w in evaluated for w in samples.k_values)
-    fresh = fresh_residuals(TWO_ATOMS, samples)
-    with mp.workdps(dps + 20):
-        for true, res in zip(fresh, samples.residuals):
-            assert true <= res
+        assert abs(rays._transform_pair(dirac)(w)[0] - z) <= res + g_rounding
 
 
 def test_radii_are_descending_and_aligned():
