@@ -342,6 +342,7 @@ def _run_rtransform(args) -> tuple[dict, int]:
                 "first_level": ray.first_level,
             },
             "dropped_levels": list(samples.dropped),
+            "levels_tried": len(samples.indices) + len(samples.dropped),
             "points": points,
             "coefficients": _taylor_rows(est, digits),
             "condition": _num_str(est.condition, digits),
@@ -357,12 +358,14 @@ def _run_rtransform(args) -> tuple[dict, int]:
 
 
 def _run_levy(args) -> tuple[dict, int]:
-    from .levy import LevyPair, cumulants_from_levy
+    from .levy import LevyPair, _check_levy_budget, cumulants_from_levy
 
     gamma = as_fraction(args.gamma)
     sigma = _measure_from_file(args.sigma)
     pair = LevyPair(gamma, sigma)
     kind = CLASSICAL if args.classical else FREE
+    _check_order(args.order)
+    _check_levy_budget(pair, args.order, kind)
     k = cumulants_from_levy(pair, args.order, kind)
     m = _MAPS[kind][1](k)
     return {

@@ -32,29 +32,36 @@ the integer weights 7, -14, 8, and the seed 1/z + R often needs no Newton
 step at all.  The last step at a level is mostly not evaluated: the
 curvature bound |G''(w)| <= 2 / (Im w)^3 of a probability law on the real
 line certifies it from the point it starts at (`_step_certificate`).
-That takes about 1.5 evaluations per grid point over the benchmark's laws
-on the 15 levels of its order-4 fits, 1.3 on 21 levels (the first levels
-take the most) and 1.2 on semicircles, where R is linear; 2.1, 1.9 and
-1.4 with every last step evaluated.  All arithmetic
-is mpmath at a caller-chosen working precision; every kept sample carries
-a certified upper bound on its inversion residual |G(K(z)) - z|, and the
-stability figure residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the
-error of the R value: what the residual induces to first order, through a
-lower bound on the slope at the point, plus the rounding of K ~ 1/z, which
-R = K - 1/z falls below on very small radii.
+At 50 digits that takes about 1.5 evaluations per grid point over the
+benchmark's laws on the 15 levels of its order-4 fits, 1.3 on 21 levels
+(the first levels take the most) and 1.2 on the 15 levels of semicircles,
+where R is linear; 2.1, 1.9 and 1.5 with every last step evaluated.  At
+400 digits it takes 3.2 on the 15 levels, 5.1 on discrete laws and 1.6 on
+semicircles, against 3.8, 6.1 and 1.9.
+
+Everything but the evaluations of G runs in fixed point: each level's
+Newton loop, its certificate and the seeds are Python ints scaled by a
+binary exponent of the level (`_fixed_transform`), which round in a known
+direction, so every bound is rounded the safe way at any radius and any
+precision.  G, G' and the fit are mpmath at a caller-chosen working
+precision.  Every kept sample carries a certified upper bound on its
+inversion residual |G(K(z)) - z|, and the stability figure
+residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
+value: what the residual induces to first order, through a lower bound on
+the slope at the point, plus the rounding of K ~ 1/z, which R = K - 1/z
+falls below on very small radii.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar
 
 import mpmath as mp
-from mpmath.libmp import to_float
+from mpmath.libmp import from_man_exp
 
 from .cumulants import _check_order, as_fraction, free_cumulants_from_moments
 from .errors import (
@@ -80,11 +87,14 @@ SHORT_RAY_ORDER = 6
 SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
 # |G''(w)| <= _CURVATURE / (Im w)^3 for every probability law on the real
 # line; Newton's last step at a level is accepted on it (_step_certificate)
-_CURVATURE = 2.0
-# covers the rounding of the few float operations _step_certificate makes
-_FLOAT_MARGIN = 1e-12
-_FLOAT_MIN = sys.float_info.min  # the smallest normal float
-_BACKTRACK_FLOOR = mp.mpf(2) ** -40  # the smallest damped step Newton tries
+_CURVATURE = 2
+# Newton runs each level in fixed point with this many bits past mp.prec
+_GUARD_BITS = 20
+# |G(w) - z| exceeds the distance of the floored G(w) and z by less than this
+# many units of the fixed point: each floor moves it by less than sqrt 2
+_FLOOR_SLACK = 3
+_BACKTRACK_HALVINGS = 40  # the smallest damped step Newton tries is dw / 2^39
+_EVALUATION_ERRORS = (DomainError, ValueError, ZeroDivisionError)
 # The ray's work is refused up front past this many digit products (see
 # _ray_work): about 3200 digits.  On a 2-core machine the costliest closed
 # form, the uniform law's logarithm, takes about 6 s at 3200 digits and
@@ -154,104 +164,180 @@ def _transform_pair(source):
     raise ValidationError("source must be a Measure or a (G, G') pair of callables")
 
 
-def _step_certificate(w, dw, res, slope, target, eps):
-    """(step, residual, slope) of the full Newton step step = w - dw from
-    the evaluated point w, with res = |G(w) - z| and slope = G'(w) there:
-    an upper bound on |G(step) - z| and a lower bound on |G'(step)|, as mpf,
-    or None when the residual bound exceeds target.  target and eps, the
-    rounding unit 10^(1-dps), are floats.
+def _fixed(x, shift: int, cap: float = math.inf) -> int:
+    """floor(x 2^shift) of an mpf tuple x.  ValueError when x is not finite
+    or the result reaches 2^cap."""
+    sign, man, exp, bc = x
+    if not man:
+        if bc:  # inf or nan
+            raise ValueError("the transform returned a value that is not finite")
+        return 0
+    exp += shift
+    if exp + bc > cap:
+        raise ValueError("the transform returned a value far off the level's scale")
+    if sign:
+        man = -man
+    return man << exp if exp >= 0 else man >> -exp
 
-    For a probability law on the real line |G'(v)| <= 1/(Im v)^2 and
-    |G''(v)| <= _CURVATURE/(Im v)^3, and Im v >= m = min(Im w, Im step) on
-    the segment from w to step, so Taylor's remainder gives
-        |G(step) - z| <= |dw|^2/m^3 + res eps + |step| eps/m^2,
-        |G'(step)| >= |G'(w)| - 2 |dw|/m^3,
-    where the eps terms bound the rounding of dw and of step.  The bounds
-    are worked out in floats, read off mpmath's (sign, mantissa, exponent)
-    tuples: in mpmath at the working precision they cost 3-4 times as much
-    and give back most of the time the skipped evaluation saves.  Every
-    operand and partial result must be a normal float: then each carries a
-    relative error below 1e-14, which _FLOAT_MARGIN covers.  Anything that
-    underflows or overflows (radii below ~1e-100 or above ~1e100, or a
-    slope past the float range) certifies nothing, and G is evaluated
-    instead; m^3 is checked first, so that no division by an underflowed
-    m^3 or m^2 is tried."""
-    step = w - dw
-    m = min(to_float(w._mpc_[1]), to_float(step._mpc_[1]))
+
+def _fixed_pair(x, shift: int, cap: float = math.inf) -> tuple[int, int]:
+    """floor(x 2^shift) of the real and imaginary part of a number."""
+    re, im = getattr(x, "_mpc_", None) or mp.mpc(x)._mpc_
+    return _fixed(re, shift, cap), _fixed(im, shift, cap)
+
+
+def _unfixed(n: int, shift: int) -> mp.mpf:
+    """n 2^-shift as an mpf, exactly."""
+    return mp.mp.make_mpf(from_man_exp(n, -shift))
+
+
+def _unfixed_pair(pair: tuple[int, int], shift: int) -> mp.mpc:
+    """(re + i im) 2^-shift as an mpc, exactly."""
+    re, im = pair
+    return mp.mp.make_mpc((from_man_exp(re, -shift), from_man_exp(im, -shift)))
+
+
+def _abs_up(re: int, im: int) -> int:
+    """|re + i im| rounded up."""
+    square = re * re + im * im
+    root = math.isqrt(square)
+    return root if root * root == square else root + 1
+
+
+def _div_up(a: int, b: int) -> int:
+    """a / b rounded up, for b > 0."""
+    return -(-a // b)
+
+
+def _fixed_transform(transform, e: int, bits: int):
+    """evaluate(wr, wi) -> (G_r, G_i, G'_r, G'_i): transform, which gives
+    (G(w), G'(w)), in the fixed point of a ray level of binary exponent e.
+    The point w = (wr + i wi) 2^-(bits + e) goes to transform as an mpc,
+    exactly; G and G' come back floored to ints of 2^(e - bits) and
+    2^(2e - bits).  On a level of radius about 2^e, K ~ 1/z, G ~ z and
+    G' ~ -z^2, so the point and the four values are ints of about `bits`
+    bits.  A value of G or G' past 2^(2 bits) times its scale raises
+    ValueError, as a point off G's domain raises DomainError: Newton takes
+    no step from such a point."""
+    exp = -bits - e
+    g_shift, s_shift = bits - e, bits - 2 * e
+    cap = 3 * bits
+    make_mpc = mp.mp.make_mpc
+
+    def evaluate(wr, wi):
+        g, s = transform(make_mpc((from_man_exp(wr, exp), from_man_exp(wi, exp))))
+        return (*_fixed_pair(g, g_shift, cap), *_fixed_pair(s, s_shift, cap))
+
+    return evaluate
+
+
+def _step_certificate(w, dw, f, s, target: int, bits: int):
+    """(step, residual, slope) of the full Newton step step = w - dw from the
+    evaluated point w, with f = G(w) - z and s = G'(w) there as floored:
+    an upper bound on |G(step) - z| and a lower bound on |G'(step)|, or None
+    when the residual bound exceeds target or the slope bound is not
+    positive.  All are ints of a level's fixed point (`_fixed_transform`).
+
+    For a probability law on the real line |G''(v)| <= _CURVATURE/(Im v)^3,
+    and Im v >= m = min(Im w, Im step) on the segment from w to step, so
+    Taylor's remainder gives
+        |G(step) - z| <= |f - s dw| + |dw|^2/m^3 + the floors' error,
+        |G'(step)| >= |s| - the floor's error - 2 |dw|/m^3.
+    f - s dw is exact in ints; each floor of G, z and G' is off by less
+    than sqrt 2 units.  Each term is rounded up, and the slope bound's
+    leading term down, so both bounds hold for the floored G and G' at w
+    taken as exact, at any radius and any precision; the rounding of G
+    itself is added by invert_g_on_ray, as at an evaluated point."""
+    wr, wi = w
+    dr, di = dw
+    fr, fi = f
+    sr, si = s
+    step = (wr - dr, wi - di)
+    m = min(wi, step[1])
+    if m <= 0:
+        return None
     m3 = m * m * m
-    if not _FLOAT_MIN <= m3 < math.inf:  # then m^2 is a normal float too
+    adw = _abs_up(dr, di)
+    # |dw|^2/m^3 and |f - s dw|, whose ints carry 2^(2 bits), in units 2^-bits
+    curvature = _div_up(_CURVATURE * adw * adw << 2 * bits, 2 * m3)
+    linear = _abs_up((fr << bits) - (sr * dr - si * di), (fi << bits) - (sr * di + si * dr))
+    floors = _FLOOR_SLACK + _div_up(2 * adw, 1 << bits)  # of G and z, and of G' times dw
+    bound = curvature + _div_up(linear, 1 << bits) + floors
+    if bound > target:
         return None
-    adw = math.hypot(*map(to_float, dw._mpc_))
-    q = adw / m3
-    curvature = _CURVATURE / 2 * adw * q
-    rounding_dw = to_float(res._mpf_) * eps
-    step_eps = math.hypot(*map(to_float, step._mpc_)) * eps
-    rounding_step = step_eps / (m * m)
-    bound = (curvature + rounding_dw + rounding_step) * (1 + _FLOAT_MARGIN)
-    if not bound <= target:
+    lower = math.isqrt(sr * sr + si * si) - 2 - _div_up(_CURVATURE * adw << 3 * bits, m3)
+    if lower <= 0:
         return None
-    down = 1 - _FLOAT_MARGIN
-    aslope = math.hypot(*map(to_float, slope._mpc_))
-    lower = (aslope * down - _CURVATURE * q * (1 + _FLOAT_MARGIN)) * down
-    partials = (adw, q, curvature, rounding_dw, step_eps, rounding_step, lower)
-    if not (_FLOAT_MIN <= min(partials) and lower < math.inf):
-        return None
-    return step, mp.mpf(bound), mp.mpf(lower)
+    return step, bound, lower
 
 
-def _newton(transform, z, seed, target) -> tuple[mp.mpc, mp.mpf, mp.mpf] | None:
-    """Damped Newton on G(w) = z, where transform(w) = (G(w), G'(w)) of a
-    probability law: returns (w, residual, slope) once the residual, a
-    bound on |G(w) - z|, is <= target, or None; slope bounds |G'(w)| from
-    below.  At an evaluated point they are |G(w) - z| and |G'(w)| as
-    computed.  A full step that `_step_certificate` bounds within target is
-    returned with its bounds, unevaluated; past about 300 digits, where
-    the rounding unit underflows a float, every point is evaluated."""
-    w = seed
+def _newton(evaluate, z, seed, target: int, bits: int):
+    """Damped Newton on G(w) = z in a ray level's fixed point: evaluate(w)
+    gives G(w) and G'(w) of a probability law as four ints
+    (`_fixed_transform`), z and seed are int pairs, and target is in units
+    of 2^-bits of G's scale.  Returns (w, residual, slope) once the
+    residual, an upper bound on |G(w) - z|, is <= target, or None; slope
+    bounds |G'(w)| from below.  At an evaluated point they are the floored
+    |G(w) - z| and |G'(w)| with the floors' error added.  A full step that
+    `_step_certificate` bounds within target is returned with its bounds,
+    unevaluated, at any radius and precision: over the benchmark's laws a
+    level takes about 1.5 evaluations at 50 digits and 3.2 at 400, where
+    the seed is further from a smaller target.  The
+    step dw = (G(w) - z) / G'(w) is floored; a damped trial point
+    w - dw / 2^k is evaluated wherever it lands, so its rounding costs
+    nothing."""
+    zr, zi = z
+    wr, wi = seed
     try:
-        g, slope = transform(w)
-    except (DomainError, ValueError, ZeroDivisionError):
+        gr, gi, sr, si = evaluate(wr, wi)
+    except _EVALUATION_ERRORS:
         return None
-    fw = g - z
-    res = abs(fw)  # of the accepted iterate
-    eps = 10.0 ** (1 - mp.mp.dps)
-    target_f = to_float(target._mpf_) * (1 - _FLOAT_MARGIN)
-    certify = _FLOAT_MIN <= min(eps, target_f) and target_f < math.inf
+    fr, fi = gr - zr, gi - zi
+    res = _abs_up(fr, fi) + _FLOOR_SLACK
     for _ in range(NEWTON_MAX_ITER):
         if res <= target:
-            return w, res, abs(slope)
-        if slope == 0:
+            break
+        den = sr * sr + si * si
+        if not den:
             return None
-        dw = fw / slope
-        if certify:
-            certified = _step_certificate(w, dw, res, slope, target_f, eps)
-            if certified is not None:
-                return certified
-        lam = mp.mpf(1)
-        while lam > _BACKTRACK_FLOOR:
-            trial = w - lam * dw
+        dr = ((fr * sr + fi * si) << bits) // den
+        di = ((fi * sr - fr * si) << bits) // den
+        certified = _step_certificate((wr, wi), (dr, di), (fr, fi), (sr, si), target, bits)
+        if certified is not None:
+            return certified
+        for halvings in range(_BACKTRACK_HALVINGS):
+            tr, ti = wr - (dr >> halvings), wi - (di >> halvings)
             try:
-                g, trial_slope = transform(trial)
-            except (DomainError, ValueError, ZeroDivisionError):
-                lam /= 2
+                gr, gi, trial_sr, trial_si = evaluate(tr, ti)
+            except _EVALUATION_ERRORS:
                 continue
-            trial_fw = g - z
-            trial_res = abs(trial_fw)
+            trial_res = _abs_up(gr - zr, gi - zi) + _FLOOR_SLACK
             if trial_res < res:
-                w, fw, res, slope = trial, trial_fw, trial_res, trial_slope
+                wr, wi, fr, fi, sr, si, res = tr, ti, gr - zr, gi - zi, trial_sr, trial_si, trial_res
                 break
-            lam /= 2
         else:
             return None
-    return (w, res, abs(slope)) if res <= target else None
+    if res > target:
+        return None
+    return (wr, wi), res, max(math.isqrt(sr * sr + si * si) - 2, 0)
 
 
-def _extrapolate(run) -> mp.mpc:
+def _extrapolate(run) -> tuple[int, int]:
     """R at the next radius from its values at the latest consecutive kept
-    levels, newest first: the polynomial through them, in powers of the
-    radius, which halves from each of those levels to the one before it."""
+    levels, newest first, as int pairs of the next level's fixed point:
+    the polynomial through them, in powers of the radius, which halves from
+    each of those levels to the one before it."""
     weights = SEED_WEIGHTS[min(len(run), len(SEED_WEIGHTS)) - 1]
-    return mp.fsum(c * r for c, r in zip(weights, run))
+    return (
+        sum(c * re for c, (re, _) in zip(weights, run)),
+        sum(c * im for c, (_, im) in zip(weights, run)),
+    )
+
+
+def _rescale(pair: tuple[int, int], shift: int) -> tuple[int, int]:
+    """An int pair times 2^shift, floored."""
+    re, im = pair
+    return (re << shift, im << shift) if shift >= 0 else (re >> -shift, im >> -shift)
 
 
 def _ray_work(dps: int) -> int:
@@ -261,10 +347,10 @@ def _ray_work(dps: int) -> int:
     precision.  The level count is an upper bound (a ray of order <= 6
     keeps 8-21), and at 50 digits so is the evaluation count: Newton takes
     about 1.5 per level over the benchmark's laws.  More digits take more
-    Newton steps, about 5 per level at 400 digits, where _step_certificate
-    certifies nothing.  The wall time grows about like dps^2: 4.5-fold per
-    doubling of dps from 1600 to 3200 digits on the uniform law, 2.9-fold
-    on Marchenko-Pastur."""
+    Newton steps: at 400 digits 3.2 per level over those laws, 4.8-5.1 on
+    discrete, uniform and Marchenko-Pastur laws.  The wall time grows about
+    like dps^2: 4.5-fold per doubling of dps from 1600 to 3200 digits on
+    the uniform law, 2.9-fold on Marchenko-Pastur."""
     levels = NontangentialRay.levels - NontangentialRay.first_level
     return levels * 2 * dps * dps
 
@@ -284,6 +370,15 @@ def invert_g_on_ray(
     with 1/z plus R extrapolated from the latest consecutive kept levels
     (`_extrapolate`); after one kept level, or right after a dropped one,
     the last R is carried as it is.
+
+    Each level runs in fixed point (`_fixed_transform`): level j has the
+    binary exponent e = mag(beta) - j, and K, R and 1/z are ints of
+    2^-(e + bits), z and G of 2^(e - bits) and G' of 2^(2e - bits), with
+    bits = mp.prec + _GUARD_BITS.  z = beta d / 2^j is the same int pair
+    on every level, and so are 1/z, the residual target and the rounding
+    of G; R's ints double from one level to the next shallower one, so the
+    seeds are exact.  A kept point's K, R, residual and stability figure
+    become mpmath numbers once, exactly.
 
     Points where Newton cannot reach the residual target |z| * 10^(6-dps)
     are dropped, and each is made up by the next deeper level, up to level
@@ -324,40 +419,67 @@ def invert_g_on_ray(
     top = ray.first_level + count  # the shallowest level tried only after a drop
     with mp.workdps(dps):
         transform = _transform_pair(source)
-        d = ray.direction()
+        bits = mp.mp.prec + _GUARD_BITS
         beta = _to_mpf(ray.beta)
+        e0 = mp.mag(beta)  # level j has the binary exponent e0 - j
+        z0 = beta * ray.direction()  # level j's grid point is z0 / 2^j
+        size = abs(z0)
         rounding = mp.mpf(10) ** (1 - dps)
-        # the residual target |z| 10^(6-dps), less the rounding of G that the
-        # reported residual adds
-        slack = mp.mpf(10) ** (6 - dps) - rounding
+        z = zr, zi = _fixed_pair(z0, bits - e0)
+        square = zr * zr + zi * zi
+        inv_r, inv_i = (zr << 2 * bits) // square, (-zi << 2 * bits) // square
+        # the rounding of G, |z| 10^(1-dps), rounded up, and the residual
+        # target |z| 10^(6-dps) less it, rounded down
+        g_rounding = -_fixed((-size * rounding)._mpf_, bits - e0)
+        target = _fixed((size * mp.mpf(10) ** (6 - dps))._mpf_, bits - e0) - g_rounding
+        k_rounding = -_fixed((-rounding)._mpf_, bits)  # the relative rounding of K
         dropped: list[int] = []
 
         def invert(j, r_seed):
-            """(level, radius, K(z), R(z), residual, stability figure) of
-            level j, Newton seeded with 1/z + r_seed; None if dropped."""
-            t = mp.ldexp(beta, -j)
-            z = t * d
-            inv_z = 1 / z
-            size = abs(z)
-            got = _newton(transform, z, inv_z + r_seed, target=size * slack)
+            """(level, radius, K(z), R(z), residual, stability figure, R as
+            an int pair) of level j, Newton seeded with 1/z + r_seed, an int
+            pair of the level's fixed point; None if dropped."""
+            e = e0 - j
+            seed = (inv_r + r_seed[0], inv_i + r_seed[1])
+            got = _newton(_fixed_transform(transform, e, bits), z, seed, target, bits)
             if got is None:
                 dropped.append(j)
                 return None
             w, res, slope = got
-            res += size * rounding  # the rounding of G(w), which Newton takes as exact
-            induced = res / slope if slope else mp.inf
-            return j, t, w, w - inv_z, res, induced + abs(w) * rounding
+            res += g_rounding  # the rounding of G(w), which Newton takes as exact
+            r = (w[0] - inv_r, w[1] - inv_i)
+            k_shift = bits + e
+            if slope:
+                # what the residual induces to first order, the rounding of
+                # K and the floor of 1/z
+                induced = _div_up(res << bits, slope)
+                stability = _unfixed(
+                    induced + _div_up(_abs_up(*w) * k_rounding, 1 << bits) + 2, k_shift
+                )
+            else:
+                stability = mp.inf
+            return (
+                j,
+                mp.ldexp(beta, -j),
+                _unfixed_pair(w, k_shift),
+                _unfixed_pair(r, k_shift),
+                _unfixed(res, bits - e),
+                stability,
+                r,
+            )
 
-        kept: list[tuple[int, mp.mpf, mp.mpc, mp.mpc, mp.mpf, mp.mpf]] = []
-        run: list[mp.mpc] = []  # R on the latest consecutive kept levels, newest first
-        carry = mp.mpc(0)
+        kept: list[tuple] = []
+        run: list[tuple[int, int]] = []  # R on the latest consecutive kept levels, newest first
+        carry, carry_level = (0, 0), top
         for j in range(top - 1, ray.first_level - 1, -1):
-            point = invert(j, _extrapolate(run) if run else carry)
+            # one level up the unit of K halves, and R's ints double
+            run = [(re << 1, im << 1) for re, im in run]
+            point = invert(j, _extrapolate(run) if run else _rescale(carry, carry_level - j))
             if point is None:
                 run = []
                 continue
             kept.append(point)
-            carry = point[3]
+            carry, carry_level = point[-1], j
             run = [carry] + run[: len(SEED_WEIGHTS) - 1]
         kept.reverse()
         # each dropped level is made up by the next deeper one, seeded with
@@ -365,14 +487,15 @@ def invert_g_on_ray(
         for j in range(top, ray.levels):
             if len(kept) == count:
                 break
-            point = invert(j, kept[-1][3] if kept else mp.mpc(0))
+            seed = _rescale(kept[-1][-1], kept[-1][0] - j) if kept else (0, 0)
+            point = invert(j, seed)
             if point is not None:
                 kept.append(point)
         if not kept:
             raise RegionTooLargeError(
                 "no grid point of the ray could be inverted; shrink beta"
             )
-        indices, radii, k_values, r_values, residuals, stability = zip(*kept)
+        indices, radii, k_values, r_values, residuals, stability, _ = zip(*kept)
         return RayTransformSamples(
             ray=ray,
             dps=dps,

@@ -190,6 +190,27 @@ def test_levy_takes_a_negative_rational_drift_after_a_space(capsys, tmp_path):
     assert data["gamma"] == "-1/2" and data["cumulants"] == ["0", "1", "1"]
 
 
+def test_levy_order_past_the_budget_is_refused_before_any_moment(capsys, tmp_path, monkeypatch):
+    # order 200 of this pair took 37 s; the estimate from the sizes of the
+    # input refuses it before any cumulant or moment is taken
+    from freemoments import levy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cumulant was computed")
+
+    monkeypatch.setattr(levy, "cumulants_from_levy", refuse)
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps({"kind": "discrete", "atoms": [["1/3", "1/7"], ["-5/11", "2/13"]]}))
+    for order in ("200", str(10**400)):
+        code, data = run_json(
+            capsys, "levy", "--gamma", "1/3", "--sigma", str(sigma), "--order", order
+        )
+        assert code == 2 and data["error"] == "budget"
+    # a bad order is still a validation error
+    code, data = run_json(capsys, "levy", "--gamma", "1/3", "--sigma", str(sigma), "--order", "0")
+    assert code == 1 and data["error"] == "validation"
+
+
 # ------------------------------------------------------- validation errors
 
 
@@ -373,7 +394,8 @@ def test_rtransform_report(capsys, two_atom_file):
     assert code == 0
     assert data["within_tol"] is True
     assert len(data["points"]) == 21  # levels 7..27, all an order <= 6 reads
-    assert data["ray"]["levels"] == 41
+    assert data["ray"]["levels"] == 41  # the ray's grid, not the levels tried
+    assert data["levels_tried"] == 21 and data["dropped_levels"] == []
     assert data["points"][0]["index"] == data["ray"]["first_level"] == 7
     assert {"index", "radius", "r_value", "residual", "stability"} <= set(
         data["points"][0]
@@ -426,6 +448,7 @@ def test_order_above_6_inverts_every_level(capsys, two_atom_file):
     code, data = run_json(capsys, "rtransform", "--measure", two_atom_file, "--order", "8")
     assert code == 0
     assert [point["index"] for point in data["points"]] == list(range(7, 41))
+    assert data["levels_tried"] == 34
     assert len(data["coefficients"]) == 8
     # k_8 = -5 comes out within 1e-2
     code, data = run_json(

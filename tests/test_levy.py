@@ -10,13 +10,18 @@ from freemoments.cumulants import (
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
+from freemoments.cumulants import CLASSICAL
 from freemoments.errors import (
+    BudgetError,
     MomentDoesNotExistError,
     UnsupportedOperationError,
     ValidationError,
 )
 from freemoments.levy import (
+    _LEVY_BUDGET,
     LevyPair,
+    _levy_work,
+    _check_levy_budget,
     cumulants_from_levy,
     diagnose_moment_transfer,
     dilate_levy,
@@ -260,3 +265,31 @@ def test_self_convolution_power():
     doubled = levy_add(p, p)
     m = moments_of_free_id(doubled, 4)
     assert m.values == (0, 1, 0, 2)
+
+
+def test_levy_budget_refuses_by_its_estimate():
+    # the free moments of this pair took 2.2 s at order 100 and 37 s at
+    # order 200; the estimate reads only the order and the input's sizes
+    slow = pair(F(1, 3), [(F(1, 3), F(1, 7)), (F(-5, 11), F(2, 13))])
+    assert _levy_work(slow, 100) <= _LEVY_BUDGET < _levy_work(slow, 200)
+    _check_levy_budget(slow, 100)
+    with pytest.raises(BudgetError, match="lower the order"):
+        _check_levy_budget(slow, 200)
+    with pytest.raises(BudgetError, match="past 1e300"):
+        _check_levy_budget(slow, 10**400)
+    # the classical sweep is p^2 products: order 200 fits
+    _check_levy_budget(slow, 200, CLASSICAL)
+    # p^3/6 products of about p h / 64 words, h = 3 + 3 + 7 bits of the atoms
+    assert _levy_work(slow, 128) == 128**3 // 6 * (1 + 2 * 13)
+    # wider atoms make each product longer
+    wide = pair(F(1, 3), [(F(12345678901, 98765432107), F(1, 7)), (F(-5, 11), F(2, 13))])
+    assert _levy_work(wide, 100) > _LEVY_BUDGET
+
+
+def test_levy_budget_admits_the_orders_the_command_line_runs():
+    # jump measures of up to three atoms in [-8, 8] with denominators up to
+    # 4, as the benchmark's levy calls draw them, at orders 3-8
+    widest = pair(F(-6, 7), [(F(-7, 3), F(7, 8)), (F(5, 3), F(8, 7)), (F(-5, 4), F(5, 7))])
+    for p in range(3, 9):
+        for kind in ("free", CLASSICAL):
+            assert _levy_work(widest, p, kind) < _LEVY_BUDGET // 1000

@@ -208,6 +208,8 @@ CERTIFIED_RAYS = (
     NontangentialRay(),
     NontangentialRay(beta=F(1, 5), tan_theta=F(1, 2)),
     NontangentialRay(beta=F(1, 5), tan_theta=F(-1, 2)),
+    # radii of 1e-152 and below, where (Im K)^3 ~ 1e456 is past any float
+    NontangentialRay(beta="1e-150"),
 )
 
 
@@ -216,51 +218,126 @@ def test_reported_residual_bounds_the_inversion_error(monkeypatch, source):
     # Newton's last step at a level is accepted on the curvature bound
     # |G''(w)| <= 2 / (Im w)^3 without evaluating G there: re-evaluated at 20
     # more digits, |G(K(z)) - z| must stay within the residual reported for
-    # it, as at the evaluated points, and the residual within the target
+    # it, as at the evaluated points, and the residual within the target;
+    # at 400 digits too, where the rounding unit is past any float
     evaluated = count_evaluations(monkeypatch)
-    unevaluated = 0
-    for ray in CERTIFIED_RAYS:
-        for p in (2, 4, 6, 10):
-            evaluated.clear()
-            samples = invert_g_on_ray(source, ray, dps=50, p=p)
-            unevaluated += sum(w not in evaluated for w in samples.k_values)
-            fresh = fresh_residuals(source, samples)
-            with mp.workdps(70):
-                for z, res, true in zip(grid_points(samples), samples.residuals, fresh):
-                    assert true <= res <= abs(z) * mp.mpf(10) ** -44
-    assert unevaluated > 0
+    runs = [(ray, p, 50) for ray in CERTIFIED_RAYS for p in (2, 4, 6, 10)]
+    runs.append((NontangentialRay(), 4, 400))
+    unevaluated = {50: 0, 400: 0}
+    for ray, p, dps in runs:
+        evaluated.clear()
+        samples = invert_g_on_ray(source, ray, dps=dps, p=p)
+        unevaluated[dps] += sum(w not in evaluated for w in samples.k_values)
+        fresh = fresh_residuals(source, samples)
+        with mp.workdps(dps + 20):
+            for z, res, true in zip(grid_points(samples), samples.residuals, fresh):
+                assert true <= res <= abs(z) * mp.mpf(10) ** (6 - dps)
+    assert unevaluated[50] > 0 and unevaluated[400] > 0
 
 
 @pytest.mark.parametrize(
-    "beta, dps, in_range",
-    [
-        ("1/8", 50, True),
-        ("1e-150", 50, False),
-        ("1e-200", 50, False),
-        ("1e120", 50, False),
-        ("1/8", 400, False),
-    ],
+    "beta, dps",
+    [("1/8", 50), ("1e-150", 50), ("1e-200", 50), ("1e120", 50), ("1/8", 400)],
     ids=["in-range", "beta-1e-150", "beta-1e-200", "beta-1e120", "dps-400"],
 )
-def test_newton_step_is_certified_only_inside_the_float_range(monkeypatch, beta, dps, in_range):
-    # K(z) = 1/z for the Dirac law at 0; from a seed 1e-30 off it one full
-    # step reaches the target.  The float decision certifies that step at 50
-    # digits on z = -i/800, but at |z| = 1e-152 (Im w)^3 ~ 1e456 overflows,
-    # at |z| = 1e-202 the slope |z|^2 underflows too, at |z| = 1e118 (Im
-    # w)^3 ~ 1e-354 underflows, and at 400 digits the rounding unit 1e-399
-    # does: G must be evaluated at the point returned, and no division by
-    # an underflowed float may be tried
+def test_newton_step_is_certified_only_inside_the_float_range(monkeypatch, beta, dps):
+    # K(z) = 1/z for the Dirac law at 0; from a seed 1e-30 off one full
+    # step reaches the target at 50 digits, and the fourth at 400.  Worked
+    # out in floats, the certificate held only inside the float range, which
+    # names the test: at |z| = 1e-152 (Im w)^3 ~ 1e456 overflows a float, at
+    # |z| = 1e-202 the slope |z|^2 underflows too, at |z| = 1e118 (Im w)^3 ~
+    # 1e-354 underflows, and at 400 digits the rounding unit 1e-399 does.
+    # In the fixed point of the level every one of them is an int of about
+    # mp.prec bits: the last step is certified in all five cases, so G is
+    # not evaluated at the point returned, and its residual still bounds
+    # |G(K) - z| at 20 more digits
     evaluated = count_evaluations(monkeypatch)
     dirac = Measure.dirac(0)
     with mp.workdps(dps):
         z = mp.mpc(0, -1) * measures._to_mpf(F(beta) / 100)
-        transform = rays._transform_pair(dirac)
-        seed = (1 + mp.mpf(10) ** -30) / z
-        w, res, _ = rays._newton(transform, z, seed, abs(z) * mp.mpf(10) ** (6 - dps))
-        assert (w not in evaluated) == in_range
+        e, bits = mp.mag(z), mp.mp.prec + rays._GUARD_BITS
+        evaluate = rays._fixed_transform(rays._transform_pair(dirac), e, bits)
+        seed = rays._fixed_pair((1 + mp.mpf(10) ** -30) / z, bits + e)
+        target = rays._fixed((abs(z) * mp.mpf(10) ** (6 - dps))._mpf_, bits - e)
+        w, res, _ = rays._newton(evaluate, rays._fixed_pair(z, bits - e), seed, target, bits)
+        k = rays._unfixed_pair(w, bits + e)
+        assert len(evaluated) == (1 if dps == 50 else 4) and k not in evaluated
         g_rounding = abs(z) * mp.mpf(10) ** (1 - dps)  # added by invert_g_on_ray
+        bound = rays._unfixed(res, bits - e) + g_rounding
     with mp.workdps(dps + 20):
-        assert abs(rays._transform_pair(dirac)(w)[0] - z) <= res + g_rounding
+        assert abs(rays._transform_pair(dirac)(k)[0] - z) <= bound
+
+
+def test_certificate_rounds_each_bound_the_safe_way():
+    # at 6 fraction bits every rounding of _step_certificate shows.  With
+    # f, s, dw and m = min(Im w, Im(w - dw)) the reals its ints stand for
+    # (units u = 2^-bits) and C = _CURVATURE, each bound must lie on its
+    # safe side of the real value of its formula,
+    #   residual >= |f - s dw| + (C/2) |dw|^2 / m^3 + (3 + 2 |dw|) u,
+    #   slope <= |s| - 2 u - C |dw| / m^3,
+    # and within a few units of it once |dw| is rounded up to whole units
+    bits, unit = 6, mp.mpf(2) ** -6
+    rng = random.Random(7)
+    checked = 0
+
+    def bounds(f, s, dw, adw, m):
+        curvature = mp.mpf(rays._CURVATURE)
+        linear = abs(mp.mpc(*f) * unit - mp.mpc(*s) * unit * mp.mpc(*dw) * unit)
+        residual = linear + curvature / 2 * adw**2 / m**3 + (rays._FLOOR_SLACK + 2 * adw) * unit
+        return residual, abs(mp.mpc(*s)) * unit - 2 * unit - curvature * adw / m**3
+
+    with mp.workdps(60):
+        for _ in range(400):
+            w = (rng.randint(-300, 300), rng.randint(40, 600))
+            # |dw| is a whole number on the axes: then only the other
+            # roundings remain
+            dw = (rng.randint(-20, 20), rng.choice([0, rng.randint(-20, 20)]))
+            f = (rng.randint(-90, 90), rng.randint(-90, 90))
+            s = (rng.randint(-300, 300), rng.randint(-300, 300))
+            got = rays._step_certificate(w, dw, f, s, 10**9, bits)
+            m = min(w[1], w[1] - dw[1]) * unit
+            adw = abs(mp.mpc(*dw)) * unit
+            residual, slope = bounds(f, s, dw, adw, m)
+            if got is None:
+                assert slope <= 0
+                continue
+            _, res, lower = got
+            assert residual <= res * unit and lower * unit <= slope
+            residual, slope = bounds(f, s, dw, mp.ceil(adw / unit) * unit, m)
+            assert res * unit <= residual + 3 * unit and slope - 2 * unit <= lower * unit
+            checked += 1
+    assert checked > 200
+
+
+EDGE_LAWS = (
+    Measure.discrete([(-1, "1/2"), (1, "1/2")]),
+    Measure.semicircle(0, 2),
+    Measure.uniform(-1, 1),
+)
+
+
+def test_rays_from_beta_1e_320_to_1e320_keep_only_points_within_target():
+    # beta = 10^k for k = -320..320 in steps of 40 at 15, 50 and 305 digits,
+    # on two tilts and three laws, is 306 rays and takes about 10 s; this
+    # samples each (k, dps) once, with the law and the tilt turning so that
+    # every pair of them meets every precision: 51 rays in about 2 s.  Each
+    # raises RegionTooLargeError, where beta is too large for G to reach the
+    # grid points, or keeps only points within the residual target
+    outcomes = {"inverted": 0, "too-large": 0}
+    for i, k in enumerate(range(-320, 321, 40)):
+        for j, dps in enumerate((15, 50, 305)):
+            mu = EDGE_LAWS[(i + j) % 3]
+            ray = NontangentialRay(beta=F(10) ** k, tan_theta=(F(0), F(-1, 2))[i % 2])
+            try:
+                samples = invert_g_on_ray(mu, ray, dps=dps, p=2)
+            except RegionTooLargeError:
+                outcomes["too-large"] += 1
+                continue
+            outcomes["inverted"] += 1
+            with mp.workdps(dps):
+                for z, res in zip(grid_points(samples), samples.residuals):
+                    assert res <= abs(z) * mp.mpf(10) ** (6 - dps)
+    assert outcomes["inverted"] > 20 and outcomes["too-large"] > 20
 
 
 def test_radii_are_descending_and_aligned():
@@ -302,23 +379,25 @@ EXPLICIT_ORDERS = [p for p in LEVELS_AT_ORDER if p != 6]
     ids=list(RAYS) + [f"{name}-p{p}" for p in EXPLICIT_ORDERS for name in RAYS],
 )
 def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray, p):
-    targets = []
-    newton = rays._newton
+    # Newton runs once per level, in the fixed point of the level's binary
+    # exponent mag(beta) - j
+    exponents = []
+    fixed_transform = rays._fixed_transform
 
-    def recording(transform, z, seed, target):
-        targets.append(z)
-        return newton(transform, z, seed, target)
+    def recording(transform, e, bits):
+        exponents.append(e)
+        return fixed_transform(transform, e, bits)
 
-    monkeypatch.setattr(rays, "_newton", recording)
+    monkeypatch.setattr(rays, "_fixed_transform", recording)
     mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
     samples = invert_g_on_ray(mu, ray) if p is None else invert_g_on_ray(mu, ray, p=p)
-    assert len(targets) == LEVELS_AT_ORDER[6 if p is None else p]
+    assert len(exponents) == LEVELS_AT_ORDER[6 if p is None else p]
     assert samples.dropped == () and samples.indices[0] == ray.first_level
-    cap = mp.mpf(ray.beta.numerator) / ray.beta.denominator / 100
-    assert max(abs(z) for z in targets) <= cap
-    # Newton solved for exactly the kept points radius * direction,
-    # smallest radius first
-    assert targets[::-1] == grid_points(samples)
+    beta = mp.mpf(ray.beta.numerator) / ray.beta.denominator
+    levels = [mp.mag(beta) - e for e in exponents]
+    assert max(mp.ldexp(beta, -j) for j in levels) <= beta / 100
+    # Newton solved for exactly the kept levels, smallest radius first
+    assert levels[::-1] == list(samples.indices)
 
 
 def test_source_validation():
@@ -372,16 +451,20 @@ def test_one_transform_evaluation_per_newton_point(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_seed_extrapolation_is_exact_on_low_degree_polynomials(n):
     # the seed table alone sets the degree: n values of R at t/2, ...,
-    # t/2^n, newest first, give R(t) exactly when R has degree below n
+    # t/2^n, newest first, give R(t) exactly when R has degree below n;
+    # R is an int pair, as in a level's fixed point
     assert len(rays.SEED_WEIGHTS) == 3
-    t = mp.mpf(2) ** n  # every radius below is a whole number
+    t = 2**n  # every radius below is a whole number
     for degree in range(n):
-        coeffs = [mp.mpc(3 - 2 * m, m + 1) for m in range(degree + 1)]
+        coeffs = [(3 - 2 * m, m + 1) for m in range(degree + 1)]
 
         def r(x):
-            return mp.fsum(c * x**m for m, c in enumerate(coeffs))
+            return (
+                sum(a * x**m for m, (a, _) in enumerate(coeffs)),
+                sum(b * x**m for m, (_, b) in enumerate(coeffs)),
+            )
 
-        run = [r(t / 2**k) for k in range(1, n + 1)]
+        run = [r(t // 2**k) for k in range(1, n + 1)]
         assert rays._extrapolate(run) == r(t)
 
 
@@ -440,19 +523,21 @@ def test_level_dropped_mid_ray():
 
 
 def test_a_level_made_up_deeper_is_seeded_with_the_deepest_r(monkeypatch):
-    # R = 3 for the point mass at 3, so each deeper level's seed is 1/z + 3
-    seeds = {}
+    # R = 3 for the point mass at 3, so each deeper level's seed is 1/z + 3;
+    # the first point each Newton call evaluates is its seed
+    calls = count_evaluations(monkeypatch)
+    seeds = []
     newton = rays._newton
 
-    def recording(transform, z, seed, target):
-        seeds[z] = seed
-        return newton(transform, z, seed, target)
+    def recording(*args):
+        seeds.append(len(calls))
+        return newton(*args)
 
     monkeypatch.setattr(rays, "_newton", recording)
     samples = invert_g_on_ray(with_a_hole(Measure.dirac(3), 20, 22))
     assert samples.indices[-3:] == (28, 29, 30)
-    for z in grid_points(samples)[-3:]:
-        assert abs(seeds[z] - 1 / z - 3) < 1e-40
+    for z, first in zip(grid_points(samples)[-3:], seeds[-3:]):
+        assert abs(calls[first] - 1 / z - 3) < 1e-40
 
 
 @pytest.mark.parametrize(
