@@ -2,10 +2,10 @@
 """Recover R-transform Taylor coefficients of a preset measure on a ray.
 
 Prints the retained sample points (radius, R value, certified residual) of
-the ray inverted for the order P, 3 (P + 1) levels but at least 8 up to
-order 6 and 34 above, then the fitted coefficients next to the exact free
-cumulants.  Exits 1 when a fitted coefficient is further from its exact
-cumulant than its error figure, or is flagged non-real; 0 otherwise.
+the ray inverted for the order P, 3 (P + 1) levels but at least 8 and at
+most 34, then the fitted coefficients next to the exact free cumulants.
+Exits 1 when a fitted coefficient is further from its exact cumulant than
+its error figure, or is flagged non-real; 0 otherwise.
 
 Usage: python scripts/ray_recovery_demo.py [--measure NAME] [--order P] [--dps D]
 """

@@ -248,9 +248,11 @@ def _run_moments(args) -> tuple[dict, int]:
             raise ValidationError("--measure needs --order")
         if args.classical:
             raise ValidationError("--classical applies to --cumulants, not to --measure")
+        from .levy import _check_budget, _moments_work
         from .measures import moments
 
         mu = _measure_from_file(args.measure)
+        _check_budget(_moments_work(mu, args.order), args.order)
         m = moments(mu, args.order)
         return {"order": args.order, "m": _fractions_to_json(m.values)}, 0
     if args.order is not None:
@@ -306,7 +308,7 @@ def _run_rtransform(args) -> tuple[dict, int]:
     import mpmath as mp
 
     from .rays import (
-        SHORT_RAY_ORDER,
+        DEFAULT_ORDER,
         NontangentialRay,
         estimate_taylor_on_ray,
         invert_g_on_ray,
@@ -315,9 +317,9 @@ def _run_rtransform(args) -> tuple[dict, int]:
     mu = _measure_from_file(args.measure)
     ray = NontangentialRay(beta=args.beta, tan_theta=args.tilt)
     _check_order(args.order)
-    # the report lists the ray of order 6 (21 levels) up to that order; the
-    # ray refuses a precision past its work budget before it sets it
-    samples = invert_g_on_ray(mu, ray, dps=args.dps, p=max(args.order, SHORT_RAY_ORDER))
+    # up to the default order the report lists the default ray, whose fit
+    # perfbench matches to 25 digits: a per-order ray moves b_m by ~8e-14
+    samples = invert_g_on_ray(mu, ray, dps=args.dps, p=max(args.order, DEFAULT_ORDER))
     with mp.workdps(args.dps):
         est = estimate_taylor_on_ray(samples, args.order)
         digits = min(args.dps, 30)
@@ -358,14 +360,14 @@ def _run_rtransform(args) -> tuple[dict, int]:
 
 
 def _run_levy(args) -> tuple[dict, int]:
-    from .levy import LevyPair, _check_levy_budget, cumulants_from_levy
+    from .levy import LevyPair, _check_budget, _levy_work, cumulants_from_levy
 
     gamma = as_fraction(args.gamma)
     sigma = _measure_from_file(args.sigma)
     pair = LevyPair(gamma, sigma)
     kind = CLASSICAL if args.classical else FREE
     _check_order(args.order)
-    _check_levy_budget(pair, args.order, kind)
+    _check_budget(_levy_work(pair, args.order, kind), args.order)
     k = cumulants_from_levy(pair, args.order, kind)
     m = _MAPS[kind][1](k)
     return {
@@ -538,9 +540,9 @@ def _build_parser() -> _Parser:
         "--beta",
         default="1/8",
         help=(
-            "radius of level 0 (exact); the ray inverts beta/2^7 down to beta/2^27 at "
-            "--order <= 6, deeper only to replace dropped levels, and down to "
-            "beta/2^40 above"
+            "radius of level 0 (exact); the ray inverts the 3 (order + 1) levels "
+            "from beta/2^7 on (beta/2^7 down to beta/2^27 at --order <= 6), deeper "
+            "only to replace dropped levels, and never past beta/2^40"
         ),
     )
     rtransform.add_argument(

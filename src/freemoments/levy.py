@@ -37,18 +37,23 @@ from .errors import BudgetError, UnsupportedOperationError, ValidationError
 from .measures import (
     DENSITY,
     DISCRETE,
+    MARCHENKO_PASTUR,
+    SEMICIRCLE,
+    UNIFORM,
     Measure,
     absolute_moments,
     moments,
 )
 
 
-# The moment tables of a pair are refused up front past this many word
-# products (_levy_work), about 5 s.  On a 2-core machine the free sweep
-# took 0.43-0.63 s per million of them from order 50 to 150 on four inputs,
-# the classical one about 0.5: for sigma = (1/7) delta_(1/3) +
-# (2/13) delta_(-5/11) and gamma = 1/3, free order 100 is 3.5 million
-# (2.2 s) and order 200, which took 37 s, 55 million.
+# The moment tables of a pair, and the moments of a measure, are refused
+# up front past this many word products (_levy_work, _moments_work), about
+# 5 s.  On a 2-core machine the free sweep took 0.43-0.63 s per million of
+# them from order 50 to 150 on four inputs, the classical one about 0.5:
+# for sigma = (1/7) delta_(1/3) + (2/13) delta_(-5/11) and gamma = 1/3,
+# free order 100 is 3.5 million (2.2 s) and order 200, which took 37 s, 55
+# million; the moments of the semicircle (1/3, 5/7), 5.1 million at order
+# 300, took 1.1 s.
 _LEVY_BUDGET = 10**7
 
 
@@ -86,25 +91,31 @@ def _exact_bits(q: Fraction) -> int:
 
 def _levy_work(pair: LevyPair, p: int, kind: str = FREE) -> int:
     """Estimated word products of the cumulants and moments of order <= p
-    of the law of the pair.  The free sweep takes about p^3/6 products of
-    Fractions, each counted as its size in 64-bit words, which the sweep's
-    time follows up to at least 8000 bits; the classical one p^2/2, each
-    with a binomial of up to p bits more, counted twice.
-    The largest is about p h bits: m_p holds the p-th powers of sigma's
-    atoms (or of its density's parameters), whose denominators multiply,
-    so h sums their bits, plus 3 for the growth of the counting factors
-    (Catalan numbers and binomials).  From the sizes of the input alone,
-    before any moment is taken."""
-    numbers = [t for t, _ in pair.sigma.atoms] + [v for _, v in pair.sigma.params]
+    of the law of the pair (`_moments_work`): p^3/6 for the free sweep, p^2
+    for the classical one, whose p^2/2 carry a binomial of up to p bits."""
+    return _moments_work(pair.sigma, p, p**3 // 6 if kind == FREE else p * p)
+
+
+def _moments_work(mu: Measure, p: int, products: int | None = None) -> int:
+    """Estimated word products of `products` products of Fractions over
+    mu's moments of order <= p, by default those of the moments alone: p^2
+    for the semicircle's binomial and Marchenko-Pastur's Narayana sums, p
+    per atom, p for a uniform window, none for the Cauchy law.  Each counts
+    as its size in 64-bit words, which the time follows up to 8000 bits at
+    least: about p h bits at most, as m_p holds the p-th powers of mu's
+    atoms (or density parameters), whose denominators multiply, so h sums
+    their bits, plus 3 for the counting factors (Catalan numbers and
+    binomials).  From the input's sizes alone."""
+    by_kind = {SEMICIRCLE: p * p, MARCHENKO_PASTUR: p * p, UNIFORM: p}
+    products = by_kind.get(mu.density, p * len(mu.atoms)) if products is None else products
+    numbers = [t for t, _ in mu.atoms] + [v for _, v in mu.params]
     h = 3 + sum(_exact_bits(x) for x in numbers)
-    products = p**3 // 6 if kind == FREE else p * p
     return products * (1 + p * h // 64)
 
 
-def _check_levy_budget(pair: LevyPair, p: int, kind: str = FREE) -> None:
-    """BudgetError when the moment tables of order <= p take more than
-    _LEVY_BUDGET word products (`_levy_work`)."""
-    work = _levy_work(pair, p, kind)
+def _check_budget(work: int, p: int) -> None:
+    """BudgetError when the moments of order <= p take an estimated `work`
+    word products (`_levy_work`, `_moments_work`), past _LEVY_BUDGET."""
     if work > _LEVY_BUDGET:
         shown = f"{work:.2e}" if work < 1e300 else "past 1e300"  # a huge int has no float
         raise BudgetError(

@@ -13,16 +13,16 @@ where K(z) is dominated by 1/z, each radius seeded with R extrapolated from
 the radii below it), and fits a polynomial to the R values to estimate the
 leading Taylor coefficients.  Each error figure is twice the coefficient's
 gap to a check fit with two more powers (a law with no odd cumulants skips
-one; the factor 2 covers the power after them) plus the propagated
-inversion error.  The expansion is read at 0, so only radii <= beta/100 are
-sampled (the levels from NontangentialRay.first_level on), and the fit
-reads every one of them: for a fit of order p <= 6 the 3 (p + 1) levels
-from 7 on, but at least the 8 levels 7-14 that span two decades (7-27 at
-p = 6), all 34 levels 7-40 above it (invert_g_on_ray).  The fit matrix
-depends only on which grid levels were kept, the degree and the
-precision, never on the measure, so both pseudo-inverses come from one QR
-per such key and are cached; every fit after the first is two
-matrix-vector products.
+one; the factor 2 covers the power after them) plus what the samples'
+stability figures move the fit and that gap by.  The expansion is read at
+0, so only radii <= beta/100 are sampled (the levels from
+NontangentialRay.first_level on), and the fit reads every one of them: for
+a fit of order p the 3 (p + 1) levels from 7 on, but at least the 8 levels
+7-14 that span two decades and at most the 34 levels 7-40
+(invert_g_on_ray).  The fit matrix depends only on which grid levels were
+kept, the degree and the precision, never on the measure, so both
+pseudo-inverses come from one QR per such key and are cached; every fit
+after the first is three matrix-vector products.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's closed form is
@@ -76,10 +76,8 @@ from .measures import Measure, _evaluator, _to_mpf, moments
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
 CHECK_DEGREES = 2  # powers the check fit adds (estimate_taylor_on_ray)
-# A ray for a fit of order p <= SHORT_RAY_ORDER keeps max(3 (p + 1), 8)
-# levels, 7-27 at p = 6 unless one drops; a higher order keeps all of 7-40.
-# rtransform reports the ray of order SHORT_RAY_ORDER up to that order.
-SHORT_RAY_ORDER = 6
+# the order a ray is inverted for unless told otherwise: 21 levels, 7-27
+DEFAULT_ORDER = 6
 # SEED_WEIGHTS[n - 1]: the polynomial through n values of R at radii t/2,
 # t/4, ..., t/2^n (newest first), evaluated at t; the last row sets the
 # degree.  A cubic row (15, -70, 120, -64) saves evaluations on discrete laws
@@ -109,9 +107,9 @@ class NontangentialRay:
     negative imaginary axis; one ray samples one direction, so the cone's
     aperture enters no sample and only bounds the tilt.  The ray is sampled
     on the levels first_level..levels-1 (7-40) at most, the radii <=
-    beta/100 (2^7 >= 100) that the fit reads; a fit of order p <= 6 reads
-    only 3 (p + 1) of them, at least 8 (invert_g_on_ray).  The level
-    numbering starts at beta."""
+    beta/100 (2^7 >= 100) that the fit reads; a fit of order p reads
+    3 (p + 1) of them, at least 8 (invert_g_on_ray).  The level numbering
+    starts at beta."""
 
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
@@ -280,12 +278,9 @@ def _newton(evaluate, z, seed, target: int, bits: int):
     bounds |G'(w)| from below.  At an evaluated point they are the floored
     |G(w) - z| and |G'(w)| with the floors' error added.  A full step that
     `_step_certificate` bounds within target is returned with its bounds,
-    unevaluated, at any radius and precision: over the benchmark's laws a
-    level takes about 1.5 evaluations at 50 digits and 3.2 at 400, where
-    the seed is further from a smaller target.  The
-    step dw = (G(w) - z) / G'(w) is floored; a damped trial point
-    w - dw / 2^k is evaluated wherever it lands, so its rounding costs
-    nothing."""
+    unevaluated, at any radius and precision.  The step dw = (G(w) - z) /
+    G'(w) is floored; a damped trial point w - dw / 2^k is evaluated
+    wherever it lands, so its rounding costs nothing."""
     zr, zi = z
     wr, wi = seed
     try:
@@ -344,32 +339,28 @@ def _ray_work(dps: int) -> int:
     """Estimated digit products of one ray at dps digits: two evaluations
     of G for each of the 34 levels 7-40, the most a ray samples at any
     order, each counted as dps^2, the growth of one multiply at that
-    precision.  The level count is an upper bound (a ray of order <= 6
-    keeps 8-21), and at 50 digits so is the evaluation count: Newton takes
-    about 1.5 per level over the benchmark's laws.  More digits take more
-    Newton steps: at 400 digits 3.2 per level over those laws, 4.8-5.1 on
-    discrete, uniform and Marchenko-Pastur laws.  The wall time grows about
-    like dps^2: 4.5-fold per doubling of dps from 1600 to 3200 digits on
-    the uniform law, 2.9-fold on Marchenko-Pastur."""
+    precision.  The level count is an upper bound, and at 50 digits so is
+    the evaluation count (see the module docstring); at 400 digits Newton
+    takes 3.2-5.1 per level.  The wall time grows about like dps^2:
+    4.5-fold per doubling of dps from 1600 to 3200 digits on the uniform
+    law, 2.9-fold on Marchenko-Pastur."""
     levels = NontangentialRay.levels - NontangentialRay.first_level
     return levels * 2 * dps * dps
 
 
 def invert_g_on_ray(
-    source, ray: NontangentialRay | None = None, dps: int = 50, p: int = 6
+    source, ray: NontangentialRay | None = None, dps: int = 50, p: int = DEFAULT_ORDER
 ) -> RayTransformSamples:
     """Solve G(w) = z for the grid points z of the ray that a fit of order
     p reads, smallest radius first (there K(z) ~ 1/z, so Newton starts
-    essentially converged).  For p <= SHORT_RAY_ORDER those are the
-    3 (p + 1) levels from ray.first_level on, the fewest an order-p fit
-    takes (7-27 at p = 6), but at least first_level + 1 = 8, levels 7-14,
-    whose radii span the two decades the fit demands (2^7 >= 100): the
-    deeper levels carry R = K - 1/z only to the rounding |K| 10^(1-dps) of
-    K ~ 1/z and shrink no error.  For p above it they are all the levels
-    ray.first_level..ray.levels-1, 7-40.  Each later radius seeds Newton
-    with 1/z plus R extrapolated from the latest consecutive kept levels
-    (`_extrapolate`); after one kept level, or right after a dropped one,
-    the last R is carried as it is.
+    essentially converged): the 3 (p + 1) levels from ray.first_level on,
+    the fewest an order-p fit takes (7-27 at p = 6), but at least 8, levels
+    7-14, whose radii span the two decades the fit demands, and at most all
+    34 of 7-40, too few above order 10.  Deeper levels carry R = K - 1/z
+    only to the rounding |K| 10^(1-dps) of K ~ 1/z and shrink no error.
+    Each later radius seeds Newton with 1/z plus R extrapolated from the
+    latest consecutive kept levels (`_extrapolate`); after one kept level,
+    or right after a dropped one, the last R is carried as it is.
 
     Each level runs in fixed point (`_fixed_transform`): level j has the
     binary exponent e = mag(beta) - j, and K, R and 1/z are ints of
@@ -412,10 +403,7 @@ def invert_g_on_ray(
         )
     if ray is None:
         ray = NontangentialRay()
-    if p <= SHORT_RAY_ORDER:
-        count = max(3 * (p + 1), ray.first_level + 1)  # levels to keep
-    else:
-        count = ray.levels - ray.first_level
+    count = min(max(3 * (p + 1), ray.first_level + 1), ray.levels - ray.first_level)  # levels kept
     top = ray.first_level + count  # the shallowest level tried only after a drop
     with mp.workdps(dps):
         transform = _transform_pair(source)
@@ -517,10 +505,10 @@ class TaylorEstimate:
     """Leading Taylor coefficients of R at 0 fitted on ray samples.
 
     coefficients[i] estimates the (i+1)-st free cumulant; errors[i] is
-    twice its gap to a check fit with two more powers plus the propagated
-    inversion residual (see estimate_taylor_on_ray), and nonreal[i] flags
-    an imaginary part too large to blame on that error.  The fit reads
-    every kept sample."""
+    twice its gap to a check fit with two more powers plus what the
+    samples' stability figures can move the fit and that gap by (see
+    estimate_taylor_on_ray), and nonreal[i] flags an imaginary part too
+    large to blame on that error.  The fit reads every kept sample."""
 
     order: int
     coefficients: tuple
@@ -528,19 +516,6 @@ class TaylorEstimate:
     errors: tuple
     nonreal: tuple[bool, ...]
     condition: object
-
-
-def _pseudo_inverse(q_rows, r, cols):
-    """The rows of R^-1 Q^T, the pseudo-inverse of the leading `cols`
-    columns of a = QR (rows q_rows of Q), and that block's R^-1."""
-    r_inv = mp.inverse(r[:cols, :cols])
-    inv_rows = r_inv.tolist()
-    # R^-1 is upper triangular: row m of R^-1 Q^T sums over k >= m only
-    rows = tuple(
-        tuple(mp.fdot(inv_rows[m][m:], q_row[m:]) for q_row in q_rows)
-        for m in range(cols)
-    )
-    return rows, r_inv
 
 
 @lru_cache(maxsize=32)
@@ -554,9 +529,9 @@ def _fit_maps(offsets: tuple[int, ...], degree: int, dps: int):
     nor on beta or the direction.  Householder QR factors column by column,
     so the fit's QR is the leading (degree + 1)-block of this one, bit for
     bit, and the check fit takes all of it.  Returns both pseudo-inverses,
-    then, for the fit, the row norms of R^-1 (those of its pseudo-inverse,
-    as Q has orthonormal columns) and the condition number (a has the
-    singular values of R).  None when a is numerically singular at dps."""
+    the error figure's weights (estimate_taylor_on_ray) and the fit's
+    condition number (a has the singular values of R).  None when a is
+    numerically singular at dps."""
     cols, wide = degree + 1, degree + 1 + CHECK_DEGREES
     with mp.workdps(dps):
         eps = +mp.eps  # fixed at dps: mp.eps follows the working precision
@@ -565,13 +540,20 @@ def _fit_maps(offsets: tuple[int, ...], degree: int, dps: int):
             q, r = mp.qr(a, mode="skinny")
             if any(r[m, m] ** 2 <= eps for m in range(wide)):
                 return None
-            q_rows = q.tolist()
-            rows, r_inv = _pseudo_inverse(q_rows, r, cols)
-            check = _pseudo_inverse(q_rows, r, wide)[0]
-            sens = tuple(mp.norm(r_inv[m, :]) for m in range(cols))
+            # R^-1 is upper triangular and its leading n-block inverts that
+            # of R: row m of the n columns' R^-1 Q^T sums over m..n-1 only
+            inv, q_rows = mp.inverse(r).tolist(), q.tolist()
+            rows, check = (
+                tuple(tuple(mp.fdot(inv[m][m:n], q[m:n]) for q in q_rows) for m in range(n))
+                for n in (cols, wide)
+            )
+            weights = tuple(
+                tuple(2 * abs(f - c) + abs(f) for f, c in zip(fit_row, check_row))
+                for fit_row, check_row in zip(rows, check)
+            )
             sv = mp.svd_r(r[:cols, :cols], compute_uv=False)
             condition = max(sv) / min(sv) if min(sv) else mp.inf
-    return rows, check, sens, condition
+    return rows, check, weights, condition
 
 
 def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstimate:
@@ -579,14 +561,18 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
     value (the ray samples only radii <= beta/100) and read off the first p
     coefficients.  Requires 3 (p + 1) points, more than the check fit's
     d + 1 + CHECK_DEGREES unknowns, over two decades of radius, for the
-    powers to part.  errors[m] is 2 |fit - check| + sens[m] * noise, scaled
-    to b_m: the check fit reads the same points with the powers d + 1 and
-    d + 2 added, so the gap is what they do to the fit.  It adds two, as a
-    law whose odd cumulants vanish skips a power; the factor 2 covers the
-    next omitted power, which the check fit leaves in.  noise is the
-    largest stability figure, sens[m] the row norm of the fit's
-    pseudo-inverse.  Each fit is one product of the R values with a cached
-    pseudo-inverse (`_fit_maps`), which brings the condition number too."""
+    powers to part.  The check fit reads the same points with the powers
+    d + 1 and d + 2 added, so its gap to the fit is what they do to the
+    fit.  It adds two, as a law whose odd cumulants vanish skips a power;
+    the factor 2 on the gap covers the next omitted power, which the check
+    fit leaves in.  The fits read r_i = R(t_i) + delta_i, |delta_i| <=
+    stab_i: the fit's error is at most twice the gap on exact R values
+    plus sum_i |fit[m, i]| stab_i, and that gap is off the one on r by at
+    most sum_i |fit[m, i] - check[m, i]| stab_i, which the check fit's
+    wider pseudo-inverse makes far larger.  So errors[m] is
+    2 |x_fit[m] - x_check[m]| + sum_i w[m, i] stab_i, scaled to b_m, with
+    w[m, i] = 2 |fit[m, i] - check[m, i]| + |fit[m, i]|.  Each product is
+    with a map cached in `_fit_maps`, which brings the condition number."""
     _check_order(p)
     with mp.workdps(samples.dps):
         n = len(samples.indices)
@@ -609,19 +595,19 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
                 "least-squares matrix is numerically singular; lower the fit "
                 "degree or raise the working precision"
             )
-        fit, check, sens, condition = maps
+        fit, check, weights, condition = maps
         # only the first p coefficients are read off
         with mp.extradps(10):
             x_fit = [mp.fdot(row, vals) for row in fit[:p]]
             x_check = [mp.fdot(row, vals) for row in check[:p]]
-        noise = max(samples.stability)
+            noise = [mp.fdot(row, samples.stability) for row in weights[:p]]
 
         d = samples.ray.direction()
         coeffs, imags, errors, nonreal = [], [], [], []
         for m in range(p):
             unscale = d**-m * t_ref**-m
             c = x_fit[m] * unscale
-            err = (2 * abs(x_fit[m] - x_check[m]) + sens[m] * noise) * abs(unscale)
+            err = (2 * abs(x_fit[m] - x_check[m]) + noise[m]) * abs(unscale)
             coeffs.append(c.real)
             imags.append(c.imag)
             errors.append(err)
@@ -654,10 +640,10 @@ class TaylorCheck:
 
 def verify_taylor_cumulants(mu: Measure, p: int, dps: int = 50) -> TaylorCheck:
     """End-to-end check that the fitted ray coefficients reproduce the free
-    cumulants computed exactly from the moments of mu."""
-    exact = free_cumulants_from_moments(moments(mu, p)).values
+    cumulants of mu, taken exactly once the fit has accepted the order."""
     samples = invert_g_on_ray(mu, dps=dps, p=p)
     est = estimate_taylor_on_ray(samples, p)
+    exact = free_cumulants_from_moments(moments(mu, p)).values
     with mp.workdps(dps):
         exact_f = [_to_mpf(v) for v in exact]
         errs = tuple(abs(e - x) for e, x in zip(est.coefficients, exact_f))

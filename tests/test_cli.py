@@ -113,6 +113,24 @@ def test_moments_from_measure_file(capsys, semicircle_file):
     assert data["m"] == ["0", "1", "0", "2", "0", "5"]
 
 
+def test_moments_order_past_the_budget_is_refused_before_any_moment(
+    capsys, semicircle_file, monkeypatch
+):
+    # the semicircle's moments took 4 s at order 500; the estimate from the
+    # order, the kind and the sizes of the input refuses it before any moment
+    from freemoments import measures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moment was computed")
+
+    monkeypatch.setattr(measures, "moments", refuse)
+    for order in ("500", str(10**400)):
+        code, data = run_json(
+            capsys, "moments", "--measure", semicircle_file, "--order", order
+        )
+        assert code == 2 and data["error"] == "budget"
+
+
 def test_freeconv_bernoulli_self_sum(capsys):
     code, data = run_json(capsys, "freeconv", "--a", "[0,1,0,1]", "--b", "[0,1,0,1]")
     assert code == 0
@@ -443,12 +461,13 @@ def test_rtransform_reports_the_default_ray_up_to_order_6(capsys, tmp_path, orde
     assert data["coefficients"] == rows
 
 
-def test_order_above_6_inverts_every_level(capsys, two_atom_file):
-    # a ray inverted for order 6 keeps 21 points, too few for an order-8 fit
+def test_order_above_6_inverts_the_levels_its_fit_reads(capsys, two_atom_file):
+    # a ray inverted for order 6 keeps 21 points, too few for an order-8
+    # fit, which reads 3 (8 + 1) = 27
     code, data = run_json(capsys, "rtransform", "--measure", two_atom_file, "--order", "8")
     assert code == 0
-    assert [point["index"] for point in data["points"]] == list(range(7, 41))
-    assert data["levels_tried"] == 34
+    assert [point["index"] for point in data["points"]] == list(range(7, 34))
+    assert data["levels_tried"] == 27
     assert len(data["coefficients"]) == 8
     # k_8 = -5 comes out within 1e-2
     code, data = run_json(

@@ -2,10 +2,10 @@
 payloads and flag values, ends in one strict JSON document on stdout with
 exit code 0, 1 or 2, and never in the internal-error payload.
 
-Sizes are bounded on purpose: `moments --order` has no up-front work
-budget yet, the budget of `levy --order` admits seconds per call, and the
-budget of `--dps` still admits about 3200 digits, seconds per call, so an
-unbounded draw could run for minutes without finding anything.  Orders stay in -1..8, `nc` sizes at or below 9,
+Sizes are bounded on purpose: the budgets of `moments --measure --order`
+and `levy --order` admit seconds per call, and the budget of `--dps` still
+admits about 3200 digits, seconds per call, so an unbounded draw could run
+for minutes without finding anything.  Orders stay in -1..8, `nc` sizes at or below 9,
 `simulate` dimensions at or below 6 with at most 3 trials, and `--dps` at
 or below 60.  `verify --suite` is fuzzed only with slugs no
 criterion has, since a real criterion takes 0.1-17 s.

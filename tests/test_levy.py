@@ -20,8 +20,9 @@ from freemoments.errors import (
 from freemoments.levy import (
     _LEVY_BUDGET,
     LevyPair,
+    _check_budget,
     _levy_work,
-    _check_levy_budget,
+    _moments_work,
     cumulants_from_levy,
     diagnose_moment_transfer,
     dilate_levy,
@@ -272,13 +273,13 @@ def test_levy_budget_refuses_by_its_estimate():
     # order 200; the estimate reads only the order and the input's sizes
     slow = pair(F(1, 3), [(F(1, 3), F(1, 7)), (F(-5, 11), F(2, 13))])
     assert _levy_work(slow, 100) <= _LEVY_BUDGET < _levy_work(slow, 200)
-    _check_levy_budget(slow, 100)
+    _check_budget(_levy_work(slow, 100), 100)
     with pytest.raises(BudgetError, match="lower the order"):
-        _check_levy_budget(slow, 200)
+        _check_budget(_levy_work(slow, 200), 200)
     with pytest.raises(BudgetError, match="past 1e300"):
-        _check_levy_budget(slow, 10**400)
+        _check_budget(_levy_work(slow, 10**400), 10**400)
     # the classical sweep is p^2 products: order 200 fits
-    _check_levy_budget(slow, 200, CLASSICAL)
+    _check_budget(_levy_work(slow, 200, CLASSICAL), 200)
     # p^3/6 products of about p h / 64 words, h = 3 + 3 + 7 bits of the atoms
     assert _levy_work(slow, 128) == 128**3 // 6 * (1 + 2 * 13)
     # wider atoms make each product longer
@@ -293,3 +294,38 @@ def test_levy_budget_admits_the_orders_the_command_line_runs():
     for p in range(3, 9):
         for kind in ("free", CLASSICAL):
             assert _levy_work(widest, p, kind) < _LEVY_BUDGET // 1000
+
+
+def test_moments_budget_refuses_by_its_estimate():
+    # the moments of the semicircle (1/3, 5/7) took 4.0 s at order 500 and
+    # 23 s at order 1000, those of Marchenko-Pastur (3/2) 1.9 and 20 s; a
+    # uniform window and a two-atom law take at most 0.04 s at order 1000.
+    # The estimate reads only the order, the kind and the input's sizes
+    semicircle = Measure.semicircle(F(1, 3), F(5, 7))
+    marchenko_pastur = Measure.marchenko_pastur(F(3, 2))
+    for mu in (semicircle, marchenko_pastur):
+        _check_budget(_moments_work(mu, 300), 300)
+        for p in (500, 1000):
+            with pytest.raises(BudgetError, match="lower the order"):
+                _check_budget(_moments_work(mu, p), p)
+        with pytest.raises(BudgetError, match="past 1e300"):
+            _check_budget(_moments_work(mu, 10**400), 10**400)
+    for mu in (Measure.uniform(-1, 1), Measure.discrete([(-1, F(1, 2)), (1, F(1, 2))])):
+        _check_budget(_moments_work(mu, 1000), 1000)
+    # p^2 products of about p h / 64 words, h = 3 + 3 + 6 bits of 1/3 and 5/7
+    assert _moments_work(semicircle, 128) == 128**2 * (1 + 2 * 12)
+    # p products per atom, p for a uniform window; the Cauchy law has none
+    assert _moments_work(Measure.discrete([(-1, F(1, 2)), (1, F(1, 2))]), 64) == 2 * 64 * 8
+    assert _moments_work(Measure.uniform(-1, 1), 64) == 64 * 8
+    assert _moments_work(Measure.cauchy(), 10**6) == 0
+
+
+def test_moments_budget_admits_the_orders_the_command_line_runs():
+    # the benchmark's moments --measure calls run orders 3-10
+    for mu in (
+        Measure.semicircle(F(-7, 3), F(13, 4)),
+        Measure.marchenko_pastur(F(13, 4)),
+        Measure.uniform(F(-7, 3), F(13, 4)),
+        Measure.discrete([(F(-7, 3), F(7, 23)), (F(5, 3), F(8, 23)), (F(-5, 4), F(8, 23))]),
+    ):
+        assert _moments_work(mu, 10) < _LEVY_BUDGET // 1000
