@@ -2,8 +2,8 @@
 """Recover R-transform Taylor coefficients of a preset measure on a ray.
 
 Prints the retained sample points (radius, R value, certified residual) of
-the ray inverted for the order P, 3 (P + 1) levels but at least 8 and at
-most 34, then the fitted coefficients next to the exact free cumulants.
+the ray inverted for the order P, 1-10: 3 (P + 1) levels but at least 8,
+then the fitted coefficients next to the exact free cumulants.
 Exits 1 when a fitted coefficient is further from its exact cumulant than
 its error figure, or is flagged non-real; 0 otherwise.
 
@@ -35,7 +35,7 @@ PRESETS = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--measure", choices=sorted(PRESETS), default="semicircle")
-    parser.add_argument("--order", type=int, default=6)
+    parser.add_argument("--order", type=int, choices=range(1, 11), default=6, metavar="1-10")
     parser.add_argument("--dps", type=int, default=50)
     args = parser.parse_args()
 

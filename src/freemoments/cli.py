@@ -252,6 +252,7 @@ def _run_moments(args) -> tuple[dict, int]:
         from .measures import moments
 
         mu = _measure_from_file(args.measure)
+        _check_order(args.order)
         _check_budget(_moments_work(mu, args.order), args.order)
         m = moments(mu, args.order)
         return {"order": args.order, "m": _fractions_to_json(m.values)}, 0
@@ -535,7 +536,7 @@ def _build_parser() -> _Parser:
         "rtransform", help="numeric Taylor coefficients on a ray"
     )
     rtransform.add_argument("--measure", required=True, metavar="FILE")
-    rtransform.add_argument("--order", type=int, required=True)
+    rtransform.add_argument("--order", type=int, required=True, help="order of the fit, 1-10")
     rtransform.add_argument(
         "--beta",
         default="1/8",

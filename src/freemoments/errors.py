@@ -63,3 +63,13 @@ class BudgetError(FreemomentsError):
     """Requested computation exceeds the configured work budget."""
 
     code = "budget"
+
+
+def _check_work(work, budget, what: str, unit: str, remedy: str) -> None:
+    """BudgetError when the estimated `work` exceeds `budget`, before the
+    work: every work budget of the package is checked here."""
+    if work > budget:
+        shown = f"{work:.2e}" if work < 1e300 else "past 1e300"  # a huge int has no float
+        raise BudgetError(
+            f"{what} an estimated {shown} {unit}, past the budget of {budget:.2e}; {remedy}"
+        )

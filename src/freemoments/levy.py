@@ -33,7 +33,7 @@ from .cumulants import (
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
 )
-from .errors import BudgetError, UnsupportedOperationError, ValidationError
+from .errors import UnsupportedOperationError, ValidationError, _check_work
 from .measures import (
     DENSITY,
     DISCRETE,
@@ -114,14 +114,10 @@ def _moments_work(mu: Measure, p: int, products: int | None = None) -> int:
 
 
 def _check_budget(work: int, p: int) -> None:
-    """BudgetError when the moments of order <= p take an estimated `work`
-    word products (`_levy_work`, `_moments_work`), past _LEVY_BUDGET."""
-    if work > _LEVY_BUDGET:
-        shown = f"{work:.2e}" if work < 1e300 else "past 1e300"  # a huge int has no float
-        raise BudgetError(
-            f"the moments of order {p} take an estimated {shown} word products, "
-            f"past the budget of {_LEVY_BUDGET:.2e}; lower the order"
-        )
+    """The budget of `_levy_work` and `_moments_work`, for order p."""
+    _check_work(
+        work, _LEVY_BUDGET, f"the moments of order {p} take", "word products", "lower the order"
+    )
 
 
 def moments_of_free_id(pair: LevyPair, p: int) -> MomentSequence:

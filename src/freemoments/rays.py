@@ -15,14 +15,12 @@ leading Taylor coefficients.  Each error figure is twice the coefficient's
 gap to a check fit with two more powers (a law with no odd cumulants skips
 one; the factor 2 covers the power after them) plus what the samples'
 stability figures move the fit and that gap by.  The expansion is read at
-0, so only radii <= beta/100 are sampled (the levels from
-NontangentialRay.first_level on), and the fit reads every one of them: for
-a fit of order p the 3 (p + 1) levels from 7 on, but at least the 8 levels
-7-14 that span two decades and at most the 34 levels 7-40
-(invert_g_on_ray).  The fit matrix depends only on which grid levels were
-kept, the degree and the precision, never on the measure, so both
-pseudo-inverses come from one QR per such key and are cached; every fit
-after the first is three matrix-vector products.
+0, so only radii <= beta/100 are sampled, and the fit reads every one of
+them: 3 (p + 1) levels for a fit of order p, which the ray's 34 levels
+hold up to order 10 (invert_g_on_ray).  The fit matrix depends only on
+which grid levels were kept, the degree and the precision, never on the
+measure, so both pseudo-inverses come from one QR per such key and are
+cached; every fit after the first is three matrix-vector products.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's closed form is
@@ -65,11 +63,11 @@ from mpmath.libmp import from_man_exp
 
 from .cumulants import _check_order, as_fraction, free_cumulants_from_moments
 from .errors import (
-    BudgetError,
     DomainError,
     NumericError,
     RegionTooLargeError,
     ValidationError,
+    _check_work,
 )
 from .measures import Measure, _evaluator, _to_mpf, moments
 
@@ -107,9 +105,8 @@ class NontangentialRay:
     negative imaginary axis; one ray samples one direction, so the cone's
     aperture enters no sample and only bounds the tilt.  The ray is sampled
     on the levels first_level..levels-1 (7-40) at most, the radii <=
-    beta/100 (2^7 >= 100) that the fit reads; a fit of order p reads
-    3 (p + 1) of them, at least 8 (invert_g_on_ray).  The level numbering
-    starts at beta."""
+    beta/100 (2^7 >= 100) that the fit reads: 3 (p + 1) of them, at least
+    8, for a fit of order p <= 10 (invert_g_on_ray).  Levels count from beta."""
 
     beta: Fraction = Fraction(1, 8)
     tan_theta: Fraction = Fraction(0)
@@ -136,15 +133,14 @@ class NontangentialRay:
 
 @dataclass(frozen=True)
 class RayTransformSamples:
-    """Retained inversions along a ray: K and R values with certified
-    residuals; `stability[i]` bounds the error of `r_values[i]`.  The i-th
-    grid point is radii[i] * ray.direction() at dps."""
+    """Retained inversions along a ray: R values with certified residuals;
+    `stability[i]` bounds the error of `r_values[i]`.  The i-th grid point
+    is z = radii[i] * ray.direction() at dps, and K(z) = R(z) + 1/z."""
 
     ray: NontangentialRay
     dps: int
     indices: tuple[int, ...]
     radii: tuple
-    k_values: tuple
     r_values: tuple
     residuals: tuple
     stability: tuple
@@ -335,17 +331,24 @@ def _rescale(pair: tuple[int, int], shift: int) -> tuple[int, int]:
     return (re << shift, im << shift) if shift >= 0 else (re >> -shift, im >> -shift)
 
 
+def _check_ray_order(p: int) -> None:
+    """ValidationError unless the ray's 34 levels hold an order-p fit's 3 (p + 1)."""
+    _check_order(p)
+    if 3 * (p + 1) > NontangentialRay.levels - NontangentialRay.first_level:
+        raise ValidationError(
+            "the order must be at most 10: a fit reads 3 (order + 1) of the ray's 34 levels"
+        )
+
+
 def _ray_work(dps: int) -> int:
     """Estimated digit products of one ray at dps digits: two evaluations
-    of G for each of the 34 levels 7-40, the most a ray samples at any
-    order, each counted as dps^2, the growth of one multiply at that
-    precision.  The level count is an upper bound, and at 50 digits so is
-    the evaluation count (see the module docstring); at 400 digits Newton
-    takes 3.2-5.1 per level.  The wall time grows about like dps^2:
-    4.5-fold per doubling of dps from 1600 to 3200 digits on the uniform
-    law, 2.9-fold on Marchenko-Pastur."""
-    levels = NontangentialRay.levels - NontangentialRay.first_level
-    return levels * 2 * dps * dps
+    of G, each counted as dps^2, the growth of one multiply at that
+    precision, for each of the 34 levels 7-40, the most a ray tries.  Both
+    counts are upper bounds at 50 digits (see the module docstring); at 400
+    digits Newton takes 3.2-5.1 evaluations per level.  The wall time grows
+    about like dps^2: 4.5-fold per doubling of dps from 1600 to 3200 digits
+    on the uniform law, 2.9-fold on Marchenko-Pastur."""
+    return 2 * (NontangentialRay.levels - NontangentialRay.first_level) * dps * dps
 
 
 def invert_g_on_ray(
@@ -355,12 +358,12 @@ def invert_g_on_ray(
     p reads, smallest radius first (there K(z) ~ 1/z, so Newton starts
     essentially converged): the 3 (p + 1) levels from ray.first_level on,
     the fewest an order-p fit takes (7-27 at p = 6), but at least 8, levels
-    7-14, whose radii span the two decades the fit demands, and at most all
-    34 of 7-40, too few above order 10.  Deeper levels carry R = K - 1/z
-    only to the rounding |K| 10^(1-dps) of K ~ 1/z and shrink no error.
-    Each later radius seeds Newton with 1/z plus R extrapolated from the
-    latest consecutive kept levels (`_extrapolate`); after one kept level,
-    or right after a dropped one, the last R is carried as it is.
+    7-14, whose radii span the two decades the fit demands.  Deeper levels
+    carry R = K - 1/z only to the rounding |K| 10^(1-dps) of K ~ 1/z and
+    shrink no error.  Each later radius seeds Newton with 1/z plus R
+    extrapolated from the latest consecutive kept levels (`_extrapolate`);
+    after one kept level, or right after a dropped one, the last R is
+    carried as it is.
 
     Each level runs in fixed point (`_fixed_transform`): level j has the
     binary exponent e = mag(beta) - j, and K, R and 1/z are ints of
@@ -368,24 +371,25 @@ def invert_g_on_ray(
     bits = mp.prec + _GUARD_BITS.  z = beta d / 2^j is the same int pair
     on every level, and so are 1/z, the residual target and the rounding
     of G; R's ints double from one level to the next shallower one, so the
-    seeds are exact.  A kept point's K, R, residual and stability figure
+    seeds are exact.  A kept point's R, residual and stability figure
     become mpmath numbers once, exactly.
 
     Points where Newton cannot reach the residual target |z| * 10^(6-dps)
     are dropped, and each is made up by the next deeper level, up to level
     40, seeded with R of the deepest kept level.  If every point fails the
     ray does not fit inside the region where G is invertible and
-    RegionTooLargeError is raised.  A measure of mass other than 1 is
-    refused up front: at mass 0 G vanishes identically, and at mass c
-    K(z) ~ c/z, so K(z) - 1/z keeps the pole (c - 1)/z and is the
-    R-transform only for a probability measure.  A (G, G') pair of
-    callables cannot be checked, but must be the Cauchy transform of a
-    probability law on the real line too: the residuals of the points
-    accepted on the curvature bound (`_step_certificate`) are certified
-    only then.  A precision whose estimated work (`_ray_work`) exceeds the
-    budget is refused with BudgetError.
+    RegionTooLargeError is raised.
+
+    Refused before any evaluation of G, in this order: an order past 10
+    (`_check_ray_order`); a measure of mass other than 1, as at mass 0 G
+    vanishes identically and at mass c K(z) ~ c/z, so K(z) - 1/z keeps the
+    pole (c - 1)/z; and, with BudgetError, a precision whose estimated work
+    (`_ray_work`) exceeds the budget.  A (G, G') pair of callables cannot
+    be checked, but must be the Cauchy transform of a probability law on
+    the real line too: the residuals of the points accepted on the
+    curvature bound (`_step_certificate`) are certified only then.
     """
-    _check_order(p)
+    _check_ray_order(p)
     if isinstance(source, Measure) and source.mass == 0:
         raise ValidationError("the zero measure has G = 0, which has no inverse")
     if isinstance(source, Measure) and source.mass != 1:
@@ -394,16 +398,11 @@ def invert_g_on_ray(
         except ValueError:  # more digits than the interpreter prints
             shown = ""
         raise ValidationError(f"the R-transform needs a probability measure{shown}")
-    work = _ray_work(dps)
-    if work > _RAY_BUDGET:
-        shown = f"{work:.2e}" if work < 1e300 else "past 1e300"  # a huge int has no float
-        raise BudgetError(
-            f"a ray at this precision takes an estimated {shown} digit products, "
-            f"past the budget of {_RAY_BUDGET:.2e}; lower the precision"
-        )
+    what = "a ray at this precision takes"
+    _check_work(_ray_work(dps), _RAY_BUDGET, what, "digit products", "lower the precision")
     if ray is None:
         ray = NontangentialRay()
-    count = min(max(3 * (p + 1), ray.first_level + 1), ray.levels - ray.first_level)  # levels kept
+    count = max(3 * (p + 1), ray.first_level + 1)  # levels kept
     top = ray.first_level + count  # the shallowest level tried only after a drop
     with mp.workdps(dps):
         transform = _transform_pair(source)
@@ -424,8 +423,8 @@ def invert_g_on_ray(
         dropped: list[int] = []
 
         def invert(j, r_seed):
-            """(level, radius, K(z), R(z), residual, stability figure, R as
-            an int pair) of level j, Newton seeded with 1/z + r_seed, an int
+            """(level, radius, R(z), residual, stability figure, R as an
+            int pair) of level j, Newton seeded with 1/z + r_seed, an int
             pair of the level's fixed point; None if dropped."""
             e = e0 - j
             seed = (inv_r + r_seed[0], inv_i + r_seed[1])
@@ -449,7 +448,6 @@ def invert_g_on_ray(
             return (
                 j,
                 mp.ldexp(beta, -j),
-                _unfixed_pair(w, k_shift),
                 _unfixed_pair(r, k_shift),
                 _unfixed(res, bits - e),
                 stability,
@@ -483,13 +481,12 @@ def invert_g_on_ray(
             raise RegionTooLargeError(
                 "no grid point of the ray could be inverted; shrink beta"
             )
-        indices, radii, k_values, r_values, residuals, stability, _ = zip(*kept)
+        indices, radii, r_values, residuals, stability, _ = zip(*kept)
         return RayTransformSamples(
             ray=ray,
             dps=dps,
             indices=indices,
             radii=radii,
-            k_values=k_values,
             r_values=r_values,
             residuals=residuals,
             stability=stability,
@@ -573,7 +570,7 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
     2 |x_fit[m] - x_check[m]| + sum_i w[m, i] stab_i, scaled to b_m, with
     w[m, i] = 2 |fit[m, i] - check[m, i]| + |fit[m, i]|.  Each product is
     with a map cached in `_fit_maps`, which brings the condition number."""
-    _check_order(p)
+    _check_ray_order(p)
     with mp.workdps(samples.dps):
         n = len(samples.indices)
         degree = p - 1 + FIT_GUARD

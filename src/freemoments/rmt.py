@@ -48,7 +48,7 @@ from .cumulants import (
     as_fraction,
     free_convolve,
 )
-from .errors import BudgetError, SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, _check_work
 from .measures import (
     Measure,
     _affine_moments,
@@ -363,13 +363,8 @@ def sample_trace_moments(
     import numpy as np
     _check_order(p)
     cap = DEFAULT_BUDGET if budget is None else float(budget)
-    cost = _cost_units(spec, p)
-    if cost > cap:
-        shown = f"{cost:.2e}" if cost < 1e300 else "past 1e300"  # a huge int has no float
-        raise BudgetError(
-            f"estimated cost {shown} exceeds budget {cap:.2e}; "
-            "raise `budget` explicitly to run this"
-        )
+    what, remedy = "the trials and the prediction take", "raise `budget` explicitly to run this"
+    _check_work(_cost_units(spec, p), cap, what, "operation units", remedy)
     rows = []
     # entries and sums past the float range are refused below and by
     # compare_to_prediction, so numpy need not warn about them

@@ -4,6 +4,7 @@ JSON error payloads, file round trips, and determinism."""
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1131,3 +1132,108 @@ def test_verify_suite_negative_control_named_failure(capsys, corrupt_semicircle)
     assert taylor["passed"] is False
     assert "semicircle" in taylor["detail"]
     assert "FAIL taylor-recovery" in err
+
+
+# --------------------------------------------------- refusals before any work
+#
+# Whatever the input decides is refused before any work: an invalid order
+# with "validation" and exit 1, an estimate past a work budget with
+# "budget" and exit 2, in that order.
+
+_LAWS = {
+    "two-atom": Measure.discrete([(-1, "1/2"), (1, "1/2")]),
+    "uniform": Measure.uniform(-1, 1),
+    "semicircle": Measure.semicircle(0, 2),
+    "cauchy": Measure.cauchy(),
+}
+
+
+def _law_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(measure_to_json(_LAWS[name])))
+    return str(path)
+
+
+@pytest.mark.parametrize("law", _LAWS)
+@pytest.mark.parametrize("order", [-1, -(10**4), -(10**12), -(10**400)],
+                         ids=["-1", "-1e4", "-1e12", "-1e400"])
+def test_negative_moment_orders_are_validation_errors(capsys, tmp_path, law, order):
+    # the order is checked before the work is estimated: the estimate of a
+    # negative order of a discrete or uniform law once read as a budget
+    code, data = run_json(
+        capsys, "moments", "--measure", _law_file(tmp_path, law), "--order", str(order)
+    )
+    assert code == 1 and data["error"] == "validation"
+
+
+# every budget's detail: what takes the work, the estimate, the budget and
+# the remedy (errors._check_work)
+_BUDGET_DETAIL = re.compile(
+    r"\S.* takes? an estimated (\d\.\d\de\+\d+|past 1e300) [a-z ]+, "
+    r"past the budget of \d\.\d\de\+\d+; \S.*"
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the guarded work ran")
+
+
+@pytest.mark.parametrize(
+    "argv, guarded",
+    [
+        ("rtransform --measure @one-atom --order 2 --dps", "rays._transform_pair"),
+        ("verify --measure @one-atom --order 2 --dps", "rays._transform_pair"),
+        ("levy --gamma=1/3 --sigma @two-atom --order", "levy.cumulants_from_levy"),
+        ("moments --measure @semicircle --order", "measures.moments"),
+        ("simulate --spec @gue --order", "rmt.sample_matrix"),
+    ],
+    ids=["rtransform-dps", "verify-dps", "levy-order", "moments-order", "simulate-order"],
+)
+@pytest.mark.parametrize("size", ["100000", str(10**400)], ids=["1e5", "1e400"])
+def test_every_budget_refuses_through_the_one_check(
+    capsys, tmp_path, monkeypatch, argv, guarded, size
+):
+    import importlib
+
+    module, name = guarded.split(".")
+    monkeypatch.setattr(importlib.import_module(f"freemoments.{module}"), name, _refuse)
+    code, data = run_json(capsys, *_with_files(tmp_path, [*argv.split(), size]))
+    assert code == 2 and data["error"] == "budget", data
+    assert _BUDGET_DETAIL.fullmatch(data["detail"]), data["detail"]
+    assert ("past 1e300" in data["detail"]) == (size != "100000")
+
+
+def test_budget_error_is_raised_only_by_the_one_check():
+    # a new budget goes through errors._check_work, not a copy of it
+    package = os.path.dirname(freemoments.__file__)
+    raising = [
+        name
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py")
+        and "BudgetError(" in open(os.path.join(package, name), encoding="utf-8").read()
+    ]
+    assert raising == ["errors.py"]
+
+
+@pytest.mark.parametrize("command", ["rtransform", "verify"])
+@pytest.mark.parametrize("order", ["11", str(10**400)], ids=["11", "1e400"])
+def test_an_order_past_the_ray_is_refused_before_any_evaluation(
+    capsys, tmp_path, monkeypatch, command, order
+):
+    # an order-p fit reads 3 (p + 1) levels and the ray has 34: order 11 of
+    # the uniform law at 3200 digits inverted all 34 before the fit refused it
+    from freemoments import rays
+
+    calls = []
+    build = rays._transform_pair
+
+    def counting_build(source):
+        evaluate = build(source)
+        return lambda w: calls.append(w) or evaluate(w)
+
+    monkeypatch.setattr(rays, "_transform_pair", counting_build)
+    argv = [command, "--measure", _law_file(tmp_path, "uniform"), "--order", order]
+    code, data = run_json(capsys, *argv, "--dps", "3200")
+    assert code == 1 and data["error"] == "validation"
+    assert "at most 10" in data["detail"]
+    assert calls == []

@@ -49,12 +49,13 @@ def _enough_digits():
 
 
 # the per-point fields of RayTransformSamples
-POINT_FIELDS = ("indices", "radii", "k_values", "r_values", "residuals", "stability")
+POINT_FIELDS = ("indices", "radii", "r_values", "residuals", "stability")
 # the radii <= beta/100 that a fit of the default order 6 reads, levels 7..27
 INVERTED_LEVELS = 3 * (rays.DEFAULT_ORDER + 1)
 # levels a ray inverts for a fit of order p: 3 (p + 1), but the 8 levels
-# 7..14 at least, whose radii span two decades, and the 34 levels 7..40 at most
-LEVELS_AT_ORDER = {1: 8, 2: 9, 3: 12, 4: 15, 5: 18, 6: 21, 7: 24, 10: 33, 11: 34}
+# 7..14 at least, whose radii span two decades; none at order 11, whose 36
+# levels the 34 levels 7..40 cannot hold, so the ray refuses it up front
+LEVELS_AT_ORDER = {1: 8, 2: 9, 3: 12, 4: 15, 5: 18, 6: 21, 7: 24, 10: 33, 11: 0}
 
 
 def grid_points(samples):
@@ -62,6 +63,14 @@ def grid_points(samples):
     with mp.workdps(samples.dps):
         d = samples.ray.direction()
         return [t * d for t in samples.radii]
+
+
+def k_values(samples, extra=0):
+    """K(z) = R(z) + 1/z at the kept grid points, `extra` digits past the
+    samples' precision."""
+    zs = grid_points(samples)
+    with mp.workdps(samples.dps + extra):
+        return [r + 1 / z for z, r in zip(zs, samples.r_values)]
 
 
 def arcsine_callables():
@@ -118,14 +127,12 @@ def test_dirac_inversion_matches_closed_form():
     samples = invert_g_on_ray(Measure.dirac(3))
     assert samples.indices == tuple(range(7, 28))
     assert samples.dropped == ()
-    # a fit of order p reads 3 (p + 1) levels, up to all 34 levels 7..40
+    # a fit of order p reads 3 (p + 1) levels, 33 of the 34 levels 7..40 at
+    # order 10
     assert invert_g_on_ray(Measure.dirac(3), p=7).indices == tuple(range(7, 31))
-    assert invert_g_on_ray(Measure.dirac(3), p=11).indices == tuple(range(7, 41))
-    for z, w, r, stab in zip(
-        grid_points(samples), samples.k_values, samples.r_values, samples.stability
-    ):
-        # the stability figure bounds the error of K and of R
-        assert abs(w - (3 + 1 / z)) <= stab + mp.mpf(10) ** -45
+    assert invert_g_on_ray(Measure.dirac(3), p=10).indices == tuple(range(7, 40))
+    for r, stab in zip(samples.r_values, samples.stability):
+        # the stability figure bounds the error of R = K - 1/z
         assert abs(r - 3) <= stab + mp.mpf(10) ** -45
 
 
@@ -153,7 +160,7 @@ def test_residuals_certified():
     with mp.workdps(60):
         fresh = [
             abs(cauchy_transform(Measure.semicircle(0, 2), w, dps=60) - z)
-            for w, z in zip(samples.k_values, grid_points(samples))
+            for w, z in zip(k_values(samples, 10), grid_points(samples))
         ]
     assert max(fresh) < 1e-40
 
@@ -190,9 +197,10 @@ def smooth_law_pair():
 def fresh_residuals(source, samples):
     """|G(K(z)) - z| of each kept point, G evaluated at 20 more digits."""
     zs = grid_points(samples)
+    ks = k_values(samples, 20)
     with mp.workdps(samples.dps + 20):
         transform = rays._transform_pair(source)
-        return [abs(transform(w)[0] - z) for z, w in zip(zs, samples.k_values)]
+        return [abs(transform(w)[0] - z) for z, w in zip(zs, ks)]
 
 
 CERTIFIED_SOURCES = {
@@ -220,15 +228,24 @@ def test_reported_residual_bounds_the_inversion_error(monkeypatch, source):
     # |G''(w)| <= 2 / (Im w)^3 without evaluating G there: re-evaluated at 20
     # more digits, |G(K(z)) - z| must stay within the residual reported for
     # it, as at the evaluated points, and the residual within the target;
-    # at 400 digits too, where the rounding unit is past any float
-    evaluated = count_evaluations(monkeypatch)
+    # at 400 digits too, where the rounding unit is past any float.  Newton
+    # returns each certified step at once, unevaluated
+    certified = []
+    step_certificate = rays._step_certificate
+
+    def recording(*args):
+        step = step_certificate(*args)
+        certified.append(step is not None)
+        return step
+
+    monkeypatch.setattr(rays, "_step_certificate", recording)
     runs = [(ray, p, 50) for ray in CERTIFIED_RAYS for p in (2, 4, 6, 10)]
     runs.append((NontangentialRay(), 4, 400))
     unevaluated = {50: 0, 400: 0}
     for ray, p, dps in runs:
-        evaluated.clear()
+        certified.clear()
         samples = invert_g_on_ray(source, ray, dps=dps, p=p)
-        unevaluated[dps] += sum(w not in evaluated for w in samples.k_values)
+        unevaluated[dps] += sum(certified)
         fresh = fresh_residuals(source, samples)
         with mp.workdps(dps + 20):
             for z, res, true in zip(grid_points(samples), samples.residuals, fresh):
@@ -391,6 +408,11 @@ def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray, p):
 
     monkeypatch.setattr(rays, "_fixed_transform", recording)
     mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
+    if not LEVELS_AT_ORDER[6 if p is None else p]:
+        with pytest.raises(ValidationError, match="at most 10"):
+            invert_g_on_ray(mu, ray, p=p)
+        assert exponents == []
+        return
     samples = invert_g_on_ray(mu, ray) if p is None else invert_g_on_ray(mu, ray, p=p)
     assert len(exponents) == LEVELS_AT_ORDER[6 if p is None else p]
     assert samples.dropped == () and samples.indices[0] == ray.first_level
@@ -585,7 +607,7 @@ def test_tiny_beta_error_covers_the_rounding_of_k():
     samples = invert_g_on_ray(Measure.semicircle(0, 2), ray)
     est = estimate_taylor_on_ray(samples, 2)
     assert abs(est.coefficients[1] - 1) <= est.errors[1]
-    for w, stab in zip(samples.k_values, samples.stability):
+    for w, stab in zip(k_values(samples), samples.stability):
         assert stab >= abs(w) * mp.mpf(10) ** -49
 
 
@@ -697,14 +719,21 @@ def test_nonreal_flag_fires_for_complex_data():
 
 def test_fit_validation():
     samples = invert_g_on_ray(Measure.dirac(0))
-    with pytest.raises(ValidationError):
-        estimate_taylor_on_ray(samples, 11)  # needs 36 points, only 21 fit
+    for p in (11, 10**400):
+        # 3 (p + 1) levels, more than the ray's 34, whatever it kept
+        with pytest.raises(ValidationError, match="at most 10"):
+            estimate_taylor_on_ray(samples, p)
     with pytest.raises(ValidationError, match="invert the ray with p=7"):
         estimate_taylor_on_ray(samples, 7)  # the ray read 7..27 only
-    full = invert_g_on_ray(Measure.dirac(0), p=11)
-    assert full.indices == tuple(range(7, 41))
+    full = invert_g_on_ray(Measure.dirac(0), p=10)
+    assert full.indices == tuple(range(7, 40))
+    # level 39 dropped and level 40, which makes it up, dropped too: the
+    # ray tried every level, so no order would do better
+    tried = dataclasses.replace(
+        full, dropped=(39, 40), **{field: getattr(full, field)[:-1] for field in POINT_FIELDS}
+    )
     with pytest.raises(ValidationError) as refused:
-        estimate_taylor_on_ray(full, 11)  # all 34 levels, still too few
+        estimate_taylor_on_ray(tried, 10)
     assert "invert" not in str(refused.value)
     with pytest.raises(ValidationError):
         estimate_taylor_on_ray(samples, 0)
@@ -723,13 +752,16 @@ def test_fit_validation():
 
 def test_verify_refuses_an_order_past_the_ray_before_any_moment(monkeypatch):
     # order 200 of this semicircle took 20 s of exact moments and cumulants
-    # before the fit refused it: 34 levels are too few above order 10
+    # before the fit refused it: 34 levels are too few above order 10.  The
+    # ray refuses it before it evaluates G
     def refuse(*args, **kwargs):
         raise AssertionError("a moment was computed")
 
     monkeypatch.setattr(rays, "moments", refuse)
-    with pytest.raises(ValidationError, match="needs at least 603"):
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(ValidationError, match="at most 10"):
         verify_taylor_cumulants(Measure.semicircle(F(1, 3), F(5, 7)), 200)
+    assert calls == []
 
 
 def test_estimate_metadata():
