@@ -37,6 +37,8 @@ from .cumulants import (
     CumulantSequence,
     MomentSequence,
     _check_order,
+    _check_sweeps,
+    _exact_bits,
     as_fraction,
     classical_cumulants_from_moments,
     free_convolve,
@@ -238,6 +240,7 @@ def _run_nc(args) -> tuple[dict, int]:
 def _run_cumulants(args) -> tuple[dict, int]:
     kind = CLASSICAL if args.classical else FREE
     m = MomentSequence(_sequence_from_text(args.moments, "--moments"))
+    _check_sweeps(m.values, kind)
     k = _MAPS[kind][0](m)
     return {"kind": kind, "k": _fractions_to_json(k.values)}, 0
 
@@ -260,6 +263,7 @@ def _run_moments(args) -> tuple[dict, int]:
         raise ValidationError("--order applies to --measure, not to --cumulants")
     kind = CLASSICAL if args.classical else FREE
     k = CumulantSequence(_sequence_from_text(args.cumulants, "--cumulants"), kind)
+    _check_sweeps(k.values, kind)
     m = _MAPS[kind][1](k)
     return {"kind": kind, "m": _fractions_to_json(m.values)}, 0
 
@@ -267,12 +271,16 @@ def _run_moments(args) -> tuple[dict, int]:
 def _run_freeconv(args) -> tuple[dict, int]:
     a = MomentSequence(_sequence_from_text(args.a, "--a"))
     b = MomentSequence(_sequence_from_text(args.b, "--b"))
+    # the cumulants of a and of b, then the moments of their sum, each term
+    # as wide as the wider of a's and b's
+    _check_sweeps([max(x, y, key=_exact_bits) for x, y in zip(a.values, b.values)], sweeps=3)
     return {"m": _fractions_to_json(free_convolve(a, b).values)}, 0
 
 
 def _run_rseries(args) -> tuple[dict, int]:
     # R(z) = k_1 + k_2 z + ...: its coefficients are the free cumulants
     m = MomentSequence(_sequence_from_text(args.moments, "--moments"))
+    _check_sweeps(m.values)
     return {"r": _fractions_to_json(free_cumulants_from_moments(m).values)}, 0
 
 
@@ -283,6 +291,7 @@ def _run_support_bound(args) -> tuple[dict, int]:
         k = CumulantSequence(_sequence_from_text(args.cumulants, "--cumulants"))
     else:
         m = MomentSequence(_sequence_from_text(args.moments, "--moments"))
+        _check_sweeps(m.values)
         k = free_cumulants_from_moments(m)
     bound = support_bound_from_cumulants(k)
     return {

@@ -28,7 +28,9 @@ from .cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    _WORD_BUDGET,
     _check_order,
+    _exact_bits,
     as_fraction,
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
@@ -44,17 +46,6 @@ from .measures import (
     absolute_moments,
     moments,
 )
-
-
-# The moment tables of a pair, and the moments of a measure, are refused
-# up front past this many word products (_levy_work, _moments_work), about
-# 5 s.  On a 2-core machine the free sweep took 0.43-0.63 s per million of
-# them from order 50 to 150 on four inputs, the classical one about 0.5:
-# for sigma = (1/7) delta_(1/3) + (2/13) delta_(-5/11) and gamma = 1/3,
-# free order 100 is 3.5 million (2.2 s) and order 200, which took 37 s, 55
-# million; the moments of the semicircle (1/3, 5/7), 5.1 million at order
-# 300, took 1.1 s.
-_LEVY_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -85,10 +76,6 @@ def cumulants_from_levy(pair: LevyPair, p: int, kind: str = FREE) -> CumulantSeq
     return CumulantSequence(_canonical_cumulants(pair.gamma, m), kind=kind)
 
 
-def _exact_bits(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
-
-
 def _levy_work(pair: LevyPair, p: int, kind: str = FREE) -> int:
     """Estimated word products of the cumulants and moments of order <= p
     of the law of the pair (`_moments_work`): p^3/6 for the free sweep, p^2
@@ -116,7 +103,7 @@ def _moments_work(mu: Measure, p: int, products: int | None = None) -> int:
 def _check_budget(work: int, p: int) -> None:
     """The budget of `_levy_work` and `_moments_work`, for order p."""
     _check_work(
-        work, _LEVY_BUDGET, f"the moments of order {p} take", "word products", "lower the order"
+        work, _WORD_BUDGET, f"the moments of order {p} take", "word products", "lower the order"
     )
 
 

@@ -7,16 +7,20 @@ or decimal strings; never floats).  Moments are exact rationals computed from
 closed recurrences and, for the semicircle, the affine map x -> scale * x +
 shift that the random-matrix predictions share.  The Cauchy transform
 G(z) = integral of 1/(z - x) and its derivative come from one evaluation
-of the pair (G(z), G'(z)) in arbitrary precision (mpmath), closed-form for
-every shape and free of cancellation for large |z|; the shared terms
-(1/(z - t), or s = sqrt(z - a) sqrt(z - b)) and the domain check serve
-both components, which ``cauchy_transform`` and
-``cauchy_transform_derivative`` return.  ``_evaluator`` builds that
-evaluation for one measure at the working precision (the precision of
-``Measure.support_radius`` too), with the measure's exact constants (atoms
-and weights, center and radius, the Cauchy pole, the Marchenko-Pastur
-edges, the uniform ends) converted to mpf once, so the ray inversion pays
-the conversions once per ray, not per Newton point.  No production path
+of the pair (G(z), G'(z)), closed-form for every shape and free of
+cancellation for large |z|; the shared terms (1/(z - t), or s =
+sqrt(z - a) sqrt(z - b)) and the domain check serve both components,
+which ``cauchy_transform`` and ``cauchy_transform_derivative`` return.
+A discrete or Cauchy law is a sum of weight / (z - pole), rational in its
+data: ``_rational_form`` evaluates it in ints, from the exact numerators
+and denominators, within a unit of a fixed point that the ray inversion
+chooses per level and ``cauchy_transform`` from |z|.  The semicircle,
+Marchenko-Pastur and uniform laws take roots and logarithms in arbitrary
+precision (mpmath): ``_evaluator`` builds their evaluation at the working
+precision (the precision of ``Measure.support_radius`` too), with the
+exact constants (center and radius, the Marchenko-Pastur edges, the
+uniform ends) converted to mpf once, so the ray inversion pays the
+conversions once per ray, not per Newton point.  No production path
 integrates numerically; quadrature of the densities lives in the test
 oracles.
 
@@ -51,6 +55,10 @@ from .errors import (
     ValidationError,
 )
 from .noncrossing import catalan
+
+# cauchy_transform evaluates a discrete or Cauchy law with this many bits
+# past the working precision (_transform)
+_GUARD_BITS = 20
 
 DISCRETE = "discrete"
 DENSITY = "density"
@@ -317,44 +325,108 @@ def absolute_moments(mu: Measure, p: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------- Cauchy transform
 
 
-def _closed_form(mu: Measure):
-    """A callable z -> (G(z), G'(z)) for points that passed the domain check,
-    with the exact constants of mu converted to mpf once, at the working
-    precision of this call; _evaluator adds the domain check.  For a
-    compact support each form is analytic off [a, b], so it holds in the
-    lower half-plane too.
+def _poles(mu: Measure):
+    """The terms of G(z) = sum of (c/d) / (z - (P_re + i P_im)/q) of a
+    discrete law (one per atom) or a Cauchy law (its pole center - i scale),
+    as int tuples (c, d, P_re, P_im, q) with c, d, q > 0, and the radius of
+    the support disk (None for the Cauchy law); None for the other shapes."""
+    if mu.kind == DISCRETE:
+        terms = [(w.numerator, w.denominator, t.numerator, 0, t.denominator) for t, w in mu.atoms]
+        return terms, max((abs(t) for t, _ in mu.atoms), default=Fraction(0))
+    if mu.density != CAUCHY:
+        return None
+    center, scale, mass = mu.param("center"), mu.param("scale"), mu.mass
+    q = center.denominator * scale.denominator
+    pole = (center.numerator * scale.denominator, -scale.numerator * center.denominator, q)
+    return [(mass.numerator, mass.denominator, *pole)], None
 
-    The density shapes use forms free of cancellation for large |z| (the ray
-    inversion's Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) *
-    sqrt(z - b) ~ z, the Marchenko-Pastur (z + 1 - rate - s) / (2z) becomes
+
+def _toward_zero(x: int, d: int = 1, shift: int = 0) -> int:
+    """x / (d 2^shift) rounded toward 0, for d > 0 and shift >= 0: odd in x,
+    so that G(conj z) = conj G(z) holds bit for bit."""
+    q = abs(x) if d == 1 else abs(x) // d
+    q >>= shift
+    return q if x >= 0 else -q
+
+
+def _rational_form(mu: Measure):
+    """level(e, bits) -> evaluate(wr, wi), the exact (G, G') of a discrete
+    or Cauchy law in ints, or None for the other shapes.
+
+    At a level of binary exponent e (`rays._fixed_transform`) the point is
+    w = (wr + i wi) 2^-s, s = bits + e, and evaluate returns G and G' as
+    ints of 2^(e - bits) and 2^(2e - bits), each within one unit of the
+    exact value, as a floor is.  Each term (c/d) / (w - P/q) takes one
+    reciprocal r = q 2^u conj(N) / |N|^2 of the Gaussian int N = (w - P/q)
+    q 2^u, u = max(s, 0), rounded toward 0 in units 2^-(bits - e + g), and
+    G' takes -(c/d) r^2, whose error grows with |r| 2^-e ~ |w| / |w - P/q|:
+    the guard bits g grow with it.  The terms are summed 2^h times finer
+    than the result, which keeps their errors, below 1 + (c/d) / 2 units
+    each, under half a unit, and rounded once.
+
+    The domain check is exact: Im w > 0, or |w| greater than the support
+    radius; a point on an atom fails it."""
+    found = _poles(mu)
+    if found is None:
+        return None
+    terms, radius = found
+    # 2^(h - 1) > n + mass, which bounds the terms' errors
+    h = (len(terms) + math.ceil(mu.mass)).bit_length() + 1
+    half = 1 << (h - 1)
+
+    def level(e: int, bits: int):
+        s = bits + e
+        up, down = max(s, 0), max(-s, 0)
+        # N = W q 2^down - P 2^up, with W = wr + i wi
+        scaled = [(c, d, pr << up, pi << up, q << down, q) for c, d, pr, pi, q in terms]
+        if radius is not None:
+            # |w| > radius  <=>  |W|^2 (den 2^down)^2 > (num 2^up)^2
+            inner = (radius.numerator << up) ** 2
+            outer = (radius.denominator << down) ** 2
+
+        def evaluate(wr: int, wi: int):
+            if not (wi > 0 or (radius is not None and (wr * wr + wi * wi) * outer > inner)):
+                raise DomainError(
+                    "the point is neither in the upper half-plane nor outside the support disk"
+                )
+            gr = gi = sr = si = 0
+            for c, d, pr, pi, qw, q in scaled:
+                nr, ni = wr * qw - pr, wi * qw - pi
+                size = max(abs(nr), abs(ni)).bit_length()
+                # |r| 2^-e < 2^grow, as |N| >= 2^(size - 1)
+                grow = q.bit_length() + up - size + 1 - e
+                g = h + 3 + max(grow, 0)
+                k = bits - e + g  # r in units 2^-k
+                # the floor of inv moves r by a quarter unit at most
+                inv = (q << (up + k + size + 2)) // (nr * nr + ni * ni)
+                rr, ri = _toward_zero(nr * inv, 1, size + 2), _toward_zero(-ni * inv, 1, size + 2)
+                gr += _toward_zero(c * rr, d, g - h)
+                gi += _toward_zero(c * ri, d, g - h)
+                sr -= _toward_zero(c * (rr + ri) * (rr - ri), d, bits + 2 * g - h)
+                si -= _toward_zero(2 * c * rr * ri, d, bits + 2 * g - h)
+            return tuple(_toward_zero(x + (half if x >= 0 else -half), 1, h) for x in (gr, gi, sr, si))
+
+        return evaluate
+
+    return level
+
+
+def _closed_form(mu: Measure):
+    """A callable z -> (G(z), G'(z)) of a semicircle, Marchenko-Pastur or
+    uniform law for points that passed the domain check, with the exact
+    constants of mu converted to mpf once, at the working precision of this
+    call; _evaluator adds the domain check.  Each form is analytic off the
+    support [a, b], so it holds in the lower half-plane too.
+
+    The forms are free of cancellation for large |z| (the ray inversion's
+    Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) * sqrt(z - b)
+    ~ z, the Marchenko-Pastur (z + 1 - rate - s) / (2z) becomes
     2 / (z + 1 - rate + s), like the semicircle's 2 / (zeta + s), and the
     uniform log((z - a) / (z - b)) becomes log1p((b - a) / (z - b)).
     """
     import mpmath as mp
 
-    if mu.kind == DISCRETE:
-        atoms = tuple((_to_mpf(t), _to_mpf(w)) for t, w in mu.atoms)
-
-        def discrete(z):
-            g = gp = mp.mpc(0)
-            for t, w in atoms:
-                inv = 1 / (z - t)
-                term = w * inv
-                g += term
-                gp -= term * inv
-            return g, gp
-
-        return discrete
     mass = _to_mpf(mu.mass)
-    if mu.density == CAUCHY:
-        pole = mp.mpc(_to_mpf(mu.param("center")), -_to_mpf(mu.param("scale")))
-
-        def cauchy(z):
-            inv = 1 / (z - pole)
-            g = mass * inv
-            return g, -g * inv
-
-        return cauchy
     if mu.density == UNIFORM:
         a, b = mu.param("a"), mu.param("b")
         lo, hi, width = _to_mpf(a), _to_mpf(b), _to_mpf(b - a)
@@ -389,10 +461,11 @@ def _closed_form(mu: Measure):
 
 
 def _evaluator(mu: Measure):
-    """A callable z -> (G(z), G'(z)) with the domain check, built at the
-    working precision and to be called at it.  The check keeps Newton on
-    G's own branch: the upper half-plane, or outside the support disk,
-    whose radius is converted on the first point off the upper half-plane.
+    """A callable z -> (G(z), G'(z)) of a semicircle, Marchenko-Pastur or
+    uniform law with the domain check, built at the working precision and
+    to be called at it.  The check keeps Newton on G's own branch: the upper
+    half-plane, or outside the support disk, whose radius is converted on
+    the first point off the upper half-plane.
     """
     import mpmath as mp
 
@@ -401,24 +474,46 @@ def _evaluator(mu: Measure):
 
     def evaluate(z):
         zz = mp.mpc(z)
-        if zz.imag <= 0:
-            radius = support()
-            if radius is None or abs(zz) <= radius:
-                raise DomainError(
-                    f"point {zz} is neither in the upper half-plane nor outside "
-                    "the support disk"
-                )
+        if zz.imag <= 0 and abs(zz) <= support():
+            raise DomainError(
+                f"point {zz} is neither in the upper half-plane nor outside "
+                "the support disk"
+            )
         return closed(zz)
 
     return evaluate
 
 
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
-    """(G(z), G'(z)) to roughly dps digits."""
+    """(G(z), G'(z)) to roughly dps digits.  A discrete or Cauchy law takes
+    its int form (`_rational_form`) in the fixed point of a level at |z|,
+    e = -mag(z), where G ~ 1/z is an int of about `bits` bits: _GUARD_BITS
+    past the precision, and as many more as a pole lies farther out than z
+    or the mass lies below 1.  z goes in rounded to that fixed point, its
+    imaginary part away from 0, so it stays on its side of the axis."""
     import mpmath as mp
 
     with mp.workdps(dps):
-        return _evaluator(mu)(z)
+        found = _poles(mu)
+        if found is None:
+            return _evaluator(mu)(z)
+        z = mp.mpc(z)
+        if not mp.isfinite(z):
+            raise DomainError(f"point {z} is not finite")
+        e = -int(mp.mag(z)) if z else 0
+        reach = max(
+            (max(abs(pr), abs(pi)).bit_length() - q.bit_length() + 1 for _, _, pr, pi, q in found[0]),
+            default=0,
+        )
+        light = mu.mass.denominator.bit_length() - mu.mass.numerator.bit_length() + 1
+        bits = mp.mp.prec + _GUARD_BITS + max(reach + e, 0) + max(light, 0)
+        y = mp.ldexp(z.imag, bits + e)
+        w = int(mp.floor(mp.ldexp(z.real, bits + e))), int(mp.ceil(y) if y > 0 else mp.floor(y))
+        gr, gi, sr, si = _rational_form(mu)(e, bits)(*w)
+        return (
+            mp.mpc(mp.ldexp(gr, e - bits), mp.ldexp(gi, e - bits)),
+            mp.mpc(mp.ldexp(sr, 2 * e - bits), mp.ldexp(si, 2 * e - bits)),
+        )
 
 
 def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:

@@ -23,27 +23,30 @@ measure, so both pseudo-inverses come from one QR per such key and are
 cached; every fit after the first is three matrix-vector products.
 
 Newton gets G and G' from one evaluation per trial point and steps with
-the slope that came with the point it accepted; a measure's closed form is
-built once per ray, at the ray's precision.  The radii double from level to
-level, so the quadratic through R at t/2, t/4 and t/8 predicts R(t) with
-the integer weights 7, -14, 8, and the seed 1/z + R often needs no Newton
-step at all.  The last step at a level is mostly not evaluated: the
-curvature bound |G''(w)| <= 2 / (Im w)^3 of a probability law on the real
-line certifies it from the point it starts at (`_step_certificate`).
-At 50 digits that takes about 1.5 evaluations per grid point over the
-benchmark's laws on the 15 levels of its order-4 fits, 1.3 on 21 levels
-(the first levels take the most) and 1.2 on the 15 levels of semicircles,
-where R is linear; 2.1, 1.9 and 1.5 with every last step evaluated.  At
-400 digits it takes 3.2 on the 15 levels, 5.1 on discrete laws and 1.6 on
-semicircles, against 3.8, 6.1 and 1.9.
+the slope that came with the point it accepted; a measure's form is built
+once per ray, at the ray's precision (`_level_evaluators`).  The radii
+double from level to level, so the quadratic through R at t/2, t/4 and
+t/8 predicts R(t) with the integer weights 7, -14, 8, and the seed
+1/z + R often needs no Newton step at all.  The last step at a level is
+mostly not evaluated: the curvature bound |G''(w)| <= 2 / (Im w)^3 of a
+probability law on the real line certifies it from the point it starts
+at (`_step_certificate`).  At 50 digits that takes about 1.5 evaluations
+per grid point over the benchmark's laws on the 15 levels of its order-4
+fits, 1.3 on 21 levels (the first levels take the most) and 1.2 on the
+15 levels of semicircles, where R is linear; 2.1, 1.9 and 1.5 with every
+last step evaluated.  At 400 digits it takes 3.2 on the 15 levels, 5.1 on
+discrete laws and 1.6 on semicircles, against 3.8, 6.1 and 1.9.
 
-Everything but the evaluations of G runs in fixed point: each level's
-Newton loop, its certificate and the seeds are Python ints scaled by a
-binary exponent of the level (`_fixed_transform`), which round in a known
-direction, so every bound is rounded the safe way at any radius and any
-precision.  G, G' and the fit are mpmath at a caller-chosen working
-precision.  Every kept sample carries a certified upper bound on its
-inversion residual |G(K(z)) - z|, and the stability figure
+Each level's Newton loop, its certificate and the seeds run in fixed
+point: Python ints scaled by a binary exponent of the level
+(`_fixed_transform`), which round in a known direction, so every bound is
+rounded the safe way at any radius and any precision.  A discrete or
+Cauchy law's G and G' are ints of that fixed point too, each within a
+unit of the exact value (`measures._rational_form`); those of the
+semicircle, Marchenko-Pastur and uniform laws and of a pair of
+callables, and the fit, are mpmath at a caller-chosen working precision.
+Every kept sample carries a certified upper bound on its inversion
+residual |G(K(z)) - z|, and the stability figure
 residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
 value: what the residual induces to first order, through a lower bound on
 the slope at the point, plus the rounding of K ~ 1/z, which R = K - 1/z
@@ -52,6 +55,7 @@ falls below on very small radii.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +73,7 @@ from .errors import (
     ValidationError,
     _check_work,
 )
-from .measures import Measure, _evaluator, _to_mpf, moments
+from .measures import Measure, _evaluator, _poles, _rational_form, _to_mpf, moments
 
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
@@ -96,6 +100,14 @@ _EVALUATION_ERRORS = (DomainError, ValueError, ZeroDivisionError)
 # form, the uniform law's logarithm, takes about 6 s at 3200 digits and
 # 10 s at 4000; at 100000 digits a ray would run for hours.
 _RAY_BUDGET = 7 * 10**8
+# A term of a discrete or Cauchy law costs a 48th of the budget's dps^2 per
+# evaluation (_ray_work), and below 200 digits what it costs at 200, where
+# the interpreter's work on each term takes over.  On a 2-core machine an
+# atom took 1.1-1.8 ms per evaluation at 3200 digits and 7 us at 50, and a
+# ray of order 10 at 3200 digits 0.22 s per atom, against 3.7 s for the
+# uniform law: 48 atoms, 10.4 s, are admitted there, 1000 are not.
+_TERMS_PER_EVALUATION = 48
+_TERM_FLOOR_DIGITS = 200
 
 
 @dataclass(frozen=True)
@@ -147,15 +159,28 @@ class RayTransformSamples:
     dropped: tuple[int, ...]
 
 
-def _transform_pair(source):
-    """One callable w -> (G(w), G'(w)) at the working precision; for a
-    Measure its closed form is built here, once."""
+def _level_evaluators(source):
+    """level(e, bits) -> evaluate(wr, wi): G and G' of source in the fixed
+    point of each ray level (`_fixed_transform`), the one seam through
+    which the ray evaluates every source.  A discrete or Cauchy law takes
+    its exact int form (`measures._rational_form`); the other shapes take
+    their mpmath closed form, built here once at the working precision, and
+    a (G, G') pair of callables its two calls, each point converted to an
+    mpc and the values floored back."""
     if isinstance(source, Measure):
-        return _evaluator(source)
-    if isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source):
+        rational = _rational_form(source)
+        if rational is not None:
+            return rational
+        transform = _evaluator(source)
+    elif isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source):
         g, gp = source
-        return lambda w: (g(w), gp(w))
-    raise ValidationError("source must be a Measure or a (G, G') pair of callables")
+
+        def transform(w):
+            return g(w), gp(w)
+
+    else:
+        raise ValidationError("source must be a Measure or a (G, G') pair of callables")
+    return functools.partial(_fixed_transform, transform)
 
 
 def _fixed(x, shift: int, cap: float = math.inf) -> int:
@@ -268,7 +293,7 @@ def _step_certificate(w, dw, f, s, target: int, bits: int):
 def _newton(evaluate, z, seed, target: int, bits: int):
     """Damped Newton on G(w) = z in a ray level's fixed point: evaluate(w)
     gives G(w) and G'(w) of a probability law as four ints
-    (`_fixed_transform`), z and seed are int pairs, and target is in units
+    (`_level_evaluators`), z and seed are int pairs, and target is in units
     of 2^-bits of G's scale.  Returns (w, residual, slope) once the
     residual, an upper bound on |G(w) - z|, is <= target, or None; slope
     bounds |G'(w)| from below.  At an evaluated point they are the floored
@@ -340,15 +365,28 @@ def _check_ray_order(p: int) -> None:
         )
 
 
-def _ray_work(dps: int) -> int:
+def _ray_work(dps: int, source=None) -> int:
     """Estimated digit products of one ray at dps digits: two evaluations
     of G, each counted as dps^2, the growth of one multiply at that
     precision, for each of the 34 levels 7-40, the most a ray tries.  Both
     counts are upper bounds at 50 digits (see the module docstring); at 400
     digits Newton takes 3.2-5.1 evaluations per level.  The wall time grows
     about like dps^2: 4.5-fold per doubling of dps from 1600 to 3200 digits
-    on the uniform law, 2.9-fold on Marchenko-Pastur."""
-    return 2 * (NontangentialRay.levels - NontangentialRay.first_level) * dps * dps
+    on the uniform law, 2.9-fold on Marchenko-Pastur.
+
+    A discrete or Cauchy law's evaluation costs a reciprocal per term
+    (`measures._rational_form`) of ints that carry the term's own bits too:
+    it counts (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _TERMS_PER_EVALUATION
+    per term instead when that is more, with h the bits of the term's
+    numerators and denominators, as levy._moments_work counts an atom's
+    height (3.3 bits make a digit)."""
+    per_evaluation = dps * dps
+    found = _poles(source) if isinstance(source, Measure) else None
+    if found is not None:
+        digits = max(dps, _TERM_FLOOR_DIGITS)
+        terms = sum((digits + sum(x.bit_length() for x in term) // 3) ** 2 for term in found[0])
+        per_evaluation = max(per_evaluation, terms // _TERMS_PER_EVALUATION)
+    return 2 * (NontangentialRay.levels - NontangentialRay.first_level) * per_evaluation
 
 
 def invert_g_on_ray(
@@ -383,8 +421,8 @@ def invert_g_on_ray(
     Refused before any evaluation of G, in this order: an order past 10
     (`_check_ray_order`); a measure of mass other than 1, as at mass 0 G
     vanishes identically and at mass c K(z) ~ c/z, so K(z) - 1/z keeps the
-    pole (c - 1)/z; and, with BudgetError, a precision whose estimated work
-    (`_ray_work`) exceeds the budget.  A (G, G') pair of callables cannot
+    pole (c - 1)/z; and, with BudgetError, a precision, or a discrete law
+    of so many atoms, whose estimated work (`_ray_work`) exceeds the budget.  A (G, G') pair of callables cannot
     be checked, but must be the Cauchy transform of a probability law on
     the real line too: the residuals of the points accepted on the
     curvature bound (`_step_certificate`) are certified only then.
@@ -398,14 +436,15 @@ def invert_g_on_ray(
         except ValueError:  # more digits than the interpreter prints
             shown = ""
         raise ValidationError(f"the R-transform needs a probability measure{shown}")
-    what = "a ray at this precision takes"
-    _check_work(_ray_work(dps), _RAY_BUDGET, what, "digit products", "lower the precision")
+    what = "a ray of this source at this precision takes"
+    remedy = "lower the precision or the number of atoms"
+    _check_work(_ray_work(dps, source), _RAY_BUDGET, what, "digit products", remedy)
     if ray is None:
         ray = NontangentialRay()
     count = max(3 * (p + 1), ray.first_level + 1)  # levels kept
     top = ray.first_level + count  # the shallowest level tried only after a drop
     with mp.workdps(dps):
-        transform = _transform_pair(source)
+        levels = _level_evaluators(source)
         bits = mp.mp.prec + _GUARD_BITS
         beta = _to_mpf(ray.beta)
         e0 = mp.mag(beta)  # level j has the binary exponent e0 - j
@@ -428,7 +467,7 @@ def invert_g_on_ray(
             pair of the level's fixed point; None if dropped."""
             e = e0 - j
             seed = (inv_r + r_seed[0], inv_i + r_seed[1])
-            got = _newton(_fixed_transform(transform, e, bits), z, seed, target, bits)
+            got = _newton(levels(e, bits), z, seed, target, bits)
             if got is None:
                 dropped.append(j)
                 return None

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: all-set-partition enumeration with a
 quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep,
 certified Gauss-Legendre integrals of densities, and the Cauchy transform of
-a discrete measure in rational arithmetic.  The production code must agree
+a discrete or Cauchy law, with its derivative, in rational arithmetic.  The production code must agree
 with these on small sizes.
 """
 
@@ -184,14 +184,25 @@ def shifted_poisson_model(t, c) -> dict[str, Fraction]:
     return {"scale": t, "rate": c * (1 + t * t) / (t * t), "shift": -c / t}
 
 
-def cauchy_exact(mu: Measure, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact (real, imag) of G at the rational point re + i im, im > 0, of a
-    discrete measure: G is a rational function of the atom data, summed here
-    in Fractions; checks the mpmath evaluation."""
-    out_re, out_im = Fraction(0), Fraction(0)
-    for t, w in mu.atoms:
-        dre = re - t
-        denom = dre * dre + im * im
-        out_re += w * dre / denom
-        out_im -= w * im / denom
-    return out_re, out_im
+def cauchy_exact(mu: Measure, re: Fraction, im: Fraction):
+    """Exact (G_re, G_im, G'_re, G'_im) at the rational point z = re + i im
+    of a discrete measure or a Cauchy law, z off its atoms or its pole: G is
+    a rational function of the data, the sum of weight / (z - pole) over the
+    atoms or the one pole center - i scale, and G' the sum of
+    -weight / (z - pole)^2, summed here in Fractions; checks the production
+    evaluation."""
+    if mu.kind == "discrete":
+        terms = [(w, t, Fraction(0)) for t, w in mu.atoms]
+    else:
+        terms = [(mu.mass, mu.param("center"), -mu.param("scale"))]
+    g_re = g_im = gp_re = gp_im = Fraction(0)
+    for w, pole_re, pole_im in terms:
+        dre, dim = re - pole_re, im - pole_im
+        denom = dre * dre + dim * dim
+        # 1 / (z - pole) = (dre - i dim) / denom
+        inv_re, inv_im = dre / denom, -dim / denom
+        g_re += w * inv_re
+        g_im += w * inv_im
+        gp_re -= w * (inv_re * inv_re - inv_im * inv_im)
+        gp_im -= w * 2 * inv_re * inv_im
+    return g_re, g_im, gp_re, gp_im

@@ -1181,8 +1181,8 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv, guarded",
     [
-        ("rtransform --measure @one-atom --order 2 --dps", "rays._transform_pair"),
-        ("verify --measure @one-atom --order 2 --dps", "rays._transform_pair"),
+        ("rtransform --measure @one-atom --order 2 --dps", "rays._level_evaluators"),
+        ("verify --measure @one-atom --order 2 --dps", "rays._level_evaluators"),
         ("levy --gamma=1/3 --sigma @two-atom --order", "levy.cumulants_from_levy"),
         ("moments --measure @semicircle --order", "measures.moments"),
         ("simulate --spec @gue --order", "rmt.sample_matrix"),
@@ -1201,6 +1201,32 @@ def test_every_budget_refuses_through_the_one_check(
     assert code == 2 and data["error"] == "budget", data
     assert _BUDGET_DETAIL.fullmatch(data["detail"]), data["detail"]
     assert ("past 1e300" in data["detail"]) == (size != "100000")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cumulants", "--moments"],
+        ["cumulants", "--classical", "--moments"],
+        ["moments", "--cumulants"],
+        ["rseries", "--moments"],
+        ["support-bound", "--moments"],
+        ["freeconv", "--a", "@long", "--b"],
+    ],
+    ids=["cumulants", "cumulants-classical", "moments", "rseries", "support-bound", "freeconv"],
+)
+def test_a_long_sequence_is_refused_before_any_sweep(capsys, monkeypatch, argv):
+    # the free cumulants of 200 small rationals took 7 s; 3000 of them take
+    # an estimated 1.7e11 word products free and 6e8 classical
+    from freemoments import cumulants
+
+    monkeypatch.setattr(cumulants, "_free_sweep", _refuse)
+    monkeypatch.setattr(cumulants, "_classical_sweep", _refuse)
+    long = json.dumps([f"{(-1) ** i * (i % 50)}/{1 + i % 12}" for i in range(3000)])
+    code, data = run_json(capsys, *[long if arg == "@long" else arg for arg in argv], long)
+    assert code == 2 and data["error"] == "budget", data
+    assert _BUDGET_DETAIL.fullmatch(data["detail"]), data["detail"]
+    assert "a sequence of 3000 values" in data["detail"]
 
 
 def test_budget_error_is_raised_only_by_the_one_check():
@@ -1225,13 +1251,13 @@ def test_an_order_past_the_ray_is_refused_before_any_evaluation(
     from freemoments import rays
 
     calls = []
-    build = rays._transform_pair
+    build = rays._level_evaluators
 
     def counting_build(source):
-        evaluate = build(source)
-        return lambda w: calls.append(w) or evaluate(w)
+        levels = build(source)
+        return lambda e, bits: lambda wr, wi: calls.append((wr, wi)) or levels(e, bits)(wr, wi)
 
-    monkeypatch.setattr(rays, "_transform_pair", counting_build)
+    monkeypatch.setattr(rays, "_level_evaluators", counting_build)
     argv = [command, "--measure", _law_file(tmp_path, "uniform"), "--order", order]
     code, data = run_json(capsys, *argv, "--dps", "3200")
     assert code == 1 and data["error"] == "validation"

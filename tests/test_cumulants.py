@@ -11,6 +11,9 @@ from freemoments.cumulants import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    _WORD_BUDGET,
+    _check_sweeps,
+    _sweep_work,
     as_fraction,
     classical_cumulants_from_moments,
     free_convolve,
@@ -18,7 +21,7 @@ from freemoments.cumulants import (
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
 )
-from freemoments.errors import KindMismatchError, ValidationError
+from freemoments.errors import BudgetError, KindMismatchError, ValidationError
 from freemoments.noncrossing import (
     NCInterval,
     NCPartition,
@@ -375,3 +378,41 @@ def test_high_order_classical_bell_numbers():
     assert m.values[:6] == frac_seq([1, 2, 5, 15, 52, 203])
     assert m.values == frac_seq(bell_numbers(30))
     assert classical_cumulants_from_moments(m).values == c.values
+
+
+def small_rationals(p: int, seed: int = 1) -> tuple[Fraction, ...]:
+    """p rationals with numerators in [-50, 50] over denominators 1..12."""
+    import random
+
+    rng = random.Random(seed)
+    return tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(p))
+
+
+def test_sweep_budget_refuses_by_its_estimate():
+    # the free cumulants of 100 such moments took 0.9 s and those of 200
+    # 7 s; the moments of 160 such cumulants 7.4 s.  The estimate reads
+    # only the length and the widest value, never a sweep
+    assert _sweep_work(small_rationals(100)) <= _WORD_BUDGET < _sweep_work(small_rationals(200))
+    _check_sweeps(small_rationals(130))
+    for p in (160, 200):
+        with pytest.raises(BudgetError, match="shorten the sequence"):
+            _check_sweeps(small_rationals(p))
+    # p^3/6 products of 1 + p h/64 words, h = 3 + the bits of -49/11
+    widest = (Fraction(-49, 11),) + (Fraction(1, 2),) * 127
+    assert _sweep_work(widest) == 128**3 // 6 * (1 + 2 * 13)
+    # a classical sweep is p^2 products; three free sweeps three times one
+    assert _sweep_work(widest, CLASSICAL) == 128**2 * (1 + 2 * 13)
+    assert _sweep_work(widest, sweeps=3) == 3 * _sweep_work(widest)
+    # the classical cumulants of 300 took 0.5 s, those of 450 1.7 s
+    _check_sweeps(small_rationals(300), CLASSICAL)
+    # wider values make each product longer
+    assert _sweep_work((Fraction(12345678901, 98765432107),) * 100) > _WORD_BUDGET
+
+
+def test_sweep_budget_admits_the_orders_the_command_line_runs():
+    # the benchmark's cumulants, moments, freeconv, rseries and
+    # support-bound calls run orders 3-12 of numerators in [-9, 9] over
+    # denominators up to 9, and the acceptance battery orders up to 12
+    for kind in (FREE, CLASSICAL):
+        widest = (Fraction(-8, 9),) * 12
+        assert 3 * _sweep_work(widest, kind) < _WORD_BUDGET // 1000

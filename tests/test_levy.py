@@ -10,7 +10,7 @@ from freemoments.cumulants import (
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
-from freemoments.cumulants import CLASSICAL
+from freemoments.cumulants import _WORD_BUDGET, CLASSICAL
 from freemoments.errors import (
     BudgetError,
     MomentDoesNotExistError,
@@ -18,7 +18,6 @@ from freemoments.errors import (
     ValidationError,
 )
 from freemoments.levy import (
-    _LEVY_BUDGET,
     LevyPair,
     _check_budget,
     _levy_work,
@@ -272,7 +271,7 @@ def test_levy_budget_refuses_by_its_estimate():
     # the free moments of this pair took 2.2 s at order 100 and 37 s at
     # order 200; the estimate reads only the order and the input's sizes
     slow = pair(F(1, 3), [(F(1, 3), F(1, 7)), (F(-5, 11), F(2, 13))])
-    assert _levy_work(slow, 100) <= _LEVY_BUDGET < _levy_work(slow, 200)
+    assert _levy_work(slow, 100) <= _WORD_BUDGET < _levy_work(slow, 200)
     _check_budget(_levy_work(slow, 100), 100)
     with pytest.raises(BudgetError, match="lower the order"):
         _check_budget(_levy_work(slow, 200), 200)
@@ -284,7 +283,7 @@ def test_levy_budget_refuses_by_its_estimate():
     assert _levy_work(slow, 128) == 128**3 // 6 * (1 + 2 * 13)
     # wider atoms make each product longer
     wide = pair(F(1, 3), [(F(12345678901, 98765432107), F(1, 7)), (F(-5, 11), F(2, 13))])
-    assert _levy_work(wide, 100) > _LEVY_BUDGET
+    assert _levy_work(wide, 100) > _WORD_BUDGET
 
 
 def test_levy_budget_admits_the_orders_the_command_line_runs():
@@ -293,7 +292,7 @@ def test_levy_budget_admits_the_orders_the_command_line_runs():
     widest = pair(F(-6, 7), [(F(-7, 3), F(7, 8)), (F(5, 3), F(8, 7)), (F(-5, 4), F(5, 7))])
     for p in range(3, 9):
         for kind in ("free", CLASSICAL):
-            assert _levy_work(widest, p, kind) < _LEVY_BUDGET // 1000
+            assert _levy_work(widest, p, kind) < _WORD_BUDGET // 1000
 
 
 def test_moments_budget_refuses_by_its_estimate():
@@ -328,4 +327,4 @@ def test_moments_budget_admits_the_orders_the_command_line_runs():
         Measure.uniform(F(-7, 3), F(13, 4)),
         Measure.discrete([(F(-7, 3), F(7, 23)), (F(5, 3), F(8, 23)), (F(-5, 4), F(8, 23))]),
     ):
-        assert _moments_work(mu, 10) < _LEVY_BUDGET // 1000
+        assert _moments_work(mu, 10) < _WORD_BUDGET // 1000

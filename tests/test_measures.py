@@ -1,5 +1,8 @@
 """Measures: exact moments, Cauchy transforms, JSON."""
 
+import inspect
+import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freemoments import measures, rays
 from freemoments.cumulants import CumulantSequence, moments_from_free_cumulants
 from freemoments.errors import (
     DomainError,
@@ -387,6 +391,9 @@ def test_domain_errors():
         cauchy_transform(Measure.cauchy(), mp.mpc(5, -1))  # no escape region
     with pytest.raises(DomainError):
         cauchy_transform(Measure.dirac(2), 2)  # at the atom
+    for z in (mp.inf, mp.mpc(0, mp.inf), mp.nan):
+        with pytest.raises(DomainError):
+            cauchy_transform(Measure.cauchy(), z)  # no fixed point holds it
 
 
 def test_derivative_discrete_exact_form():
@@ -433,12 +440,150 @@ def test_derivative_matches_difference_quotient(mu):
 @settings(max_examples=60, deadline=None)
 def test_exact_discrete_transform_matches_mpc(atoms, re, im):
     mu = Measure.discrete(atoms)
-    ere, eim = cauchy_exact(mu, re, im)
+    ere, eim, _, _ = cauchy_exact(mu, re, im)
     z = mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
     g = cauchy_transform(mu, z, dps=35)
     target = mp.mpc(mp.mpf(ere.numerator) / ere.denominator, mp.mpf(eim.numerator) / eim.denominator)
     assert close(g, target, 1e-28)
     assert eim < 0
+
+
+# ------------------------------------------------------ the int form of G
+
+
+def random_rational_laws(rng):
+    """Four laws of 1-6 atoms on the 1/4 grid in [-8, 8] with weights
+    k / sum(k), k in 1..9, and four Cauchy laws."""
+    laws = []
+    for _ in range(4):
+        atoms = rng.sample(range(-32, 33), rng.randint(1, 6))
+        ks = [rng.randint(1, 9) for _ in atoms]
+        laws.append(Measure.discrete([(F(a, 4), F(k, sum(ks))) for a, k in zip(atoms, ks)]))
+        center, scale = F(rng.randint(-24, 24), rng.randint(1, 4)), F(rng.randint(1, 32), 4)
+        laws.append(Measure.cauchy(center, scale))
+    return laws
+
+
+def contract_points(mu, s, bits, rng):
+    """Int points W of a level, w = W / 2^s: one in each half-plane at
+    |w| ~ 2^(bits - s), one just above each atom (or above the Cauchy
+    law's center), and, where the level's grid holds them, each atom and
+    the three points of |w| = max |t| on the axis and below it."""
+    top, unit = 1 << bits, F(2) ** s
+    points = [(rng.randint(-top, top), rng.randint(1, top)), (rng.randint(-top, top), -rng.randint(1, top))]
+    poles = [t for t, _ in mu.atoms] if mu.kind == "discrete" else [mu.param("center")]
+    for t in poles:
+        near = rng.randint(1, 1 << (bits // 2))
+        points.append((math.floor(t * unit) + rng.randint(-near, near), near))
+    if mu.kind == "discrete":
+        radius = max(abs(t) for t in poles)
+        on_grid = [x * unit for x in poles + [radius, -radius] if (x * unit).denominator == 1]
+        points += [(int(x), 0) for x in on_grid]
+        if (radius * unit).denominator == 1:
+            points.append((0, -int(radius * unit)))
+    return points
+
+
+def rational_form_misses(seed=20261020, stats=None):
+    """(kind, detail) of each point where `measures._rational_form` breaks
+    its contract, over random discrete and Cauchy laws at 15, 50 and 400
+    digits on levels of beta = 1/8 and 10^(+-320), where bits + e takes
+    both signs: each of the four ints must lie within one unit of the exact
+    value (`cauchy_exact`), "G" or "G'" if not, and a point is refused with
+    DomainError exactly when it lies neither in the upper half-plane nor
+    outside the support disk, "domain" if not.  `stats` counts what the
+    points covered."""
+    rng = random.Random(seed)
+    stats = {} if stats is None else stats
+    misses = []
+    for dps in (15, 50, 400):
+        with mp.workdps(dps):
+            bits = mp.mp.prec + rays._GUARD_BITS
+        for beta in (F(1, 8), F(10) ** 320, F(10) ** -320):
+            for mu in random_rational_laws(rng):
+                e = beta.numerator.bit_length() - beta.denominator.bit_length() - rng.randint(7, 40)
+                s = bits + e
+                stats["negative shift" if s < 0 else "positive shift"] = 1
+                evaluate = measures._rational_form(mu)(e, bits)
+                for w in contract_points(mu, s, bits, rng):
+                    misses += _contract_miss(mu, evaluate, w, s, e, bits, stats)
+    return misses
+
+
+def _contract_miss(mu, evaluate, w, s, e, bits, stats):
+    """The misses of `rational_form_misses` at the int point w."""
+    wr, wi = w
+    re, im = F(wr) / F(2) ** s, F(wi) / F(2) ** s
+    if mu.kind == "discrete":
+        radius = max(abs(t) for t, _ in mu.atoms)
+        outside = re * re + im * im > radius * radius
+    else:
+        outside = False
+    refused = im <= 0 and not outside
+    try:
+        got = evaluate(wr, wi)
+    except DomainError:
+        stats["refused"] = stats.get("refused", 0) + 1
+        return [] if refused else [("domain", f"{w} refused")]
+    except (ValueError, ZeroDivisionError) as exc:
+        return [("domain", f"{w} raised {exc!r}")]
+    if refused:
+        return [("domain", f"{w} evaluated")]
+    stats["evaluated"] = stats.get("evaluated", 0) + 1
+    exact = cauchy_exact(mu, re, im)
+    scales = (F(2) ** (bits - e),) * 2 + (F(2) ** (bits - 2 * e),) * 2
+    offs = [abs(x - v * scale) for x, v, scale in zip(got, exact, scales)]
+    return [
+        ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}: off by {float(min(off, 10**300))}")
+        for i, off in enumerate(offs)
+        if not off < 1
+    ]
+
+
+def test_rational_form_is_within_a_unit_of_the_exact_transform():
+    stats = {}
+    assert rational_form_misses(stats=stats) == []
+    assert stats["positive shift"] and stats["negative shift"]
+    assert stats["evaluated"] > 200 and stats["refused"] > 200
+
+
+def test_a_trial_point_on_an_atom_is_an_evaluation_error_newton_catches():
+    mu = Measure.discrete([(-1, "1/2"), (2, "1/2")])
+    e, bits = -10, 120
+    evaluate = measures._rational_form(mu)(e, bits)
+    on_atom = (2 << (bits + e), 0)
+    with pytest.raises(rays._EVALUATION_ERRORS):
+        evaluate(*on_atom)
+    z = (0, -(1 << bits))
+    assert rays._newton(evaluate, z, on_atom, 1, bits) is None
+
+
+def rational_form_mutant(old: str, new: str):
+    """`measures._rational_form` compiled from the module's source with
+    `old` replaced by `new`, which must occur once."""
+    source = inspect.getsource(measures)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": measures.__name__, "__package__": "freemoments"}
+    exec(compile(source.replace(old, new), measures.__file__, "exec"), namespace)
+    return namespace["_rational_form"]
+
+
+@pytest.mark.parametrize(
+    "old, new, kind",
+    [
+        # the reciprocal that G' squares, without the guard bits grown with
+        # |w| / |w - t|: near an atom G' is off by many units
+        ("g = h + 3 + max(grow, 0)", "g = h + 3", "G'"),
+        # a point on the support's circle below the axis, and the atom of
+        # largest |t| among them, pass the domain check
+        ("* outer > inner", "* outer >= inner", "domain"),
+    ],
+    ids=["guard-bits-not-grown", "domain-check-ge"],
+)
+def test_rational_form_mutants_break_the_contract(monkeypatch, old, new, kind):
+    monkeypatch.setattr(measures, "_rational_form", rational_form_mutant(old, new))
+    misses = rational_form_misses()
+    assert misses and {k for k, _ in misses} == {kind}
 
 
 # ---------------------------------------------------------------------- JSON

@@ -38,6 +38,8 @@ from freemoments.rays import (
     verify_taylor_cumulants,
 )
 
+from oracles import cauchy_exact
+
 F = Fraction
 
 
@@ -166,21 +168,27 @@ def test_residuals_certified():
 
 
 def count_evaluations(monkeypatch):
-    """Patch the ray's (G, G') builder so that each evaluation, of a
-    measure or of a pair of callables, is logged with its point."""
+    """Patch the ray's one seam for (G, G') (`rays._level_evaluators`) so
+    that each evaluation, of a measure or of a pair of callables, is logged
+    with its point as an mpc."""
     calls = []
-    build = rays._transform_pair
+    build = rays._level_evaluators
 
     def counting_build(source):
-        evaluate = build(source)
+        levels = build(source)
 
-        def counting(w):
-            calls.append(w)
-            return evaluate(w)
+        def counting_level(e, bits):
+            evaluate = levels(e, bits)
 
-        return counting
+            def counting(wr, wi):
+                calls.append(rays._unfixed_pair((wr, wi), bits + e))
+                return evaluate(wr, wi)
 
-    monkeypatch.setattr(rays, "_transform_pair", counting_build)
+            return counting
+
+        return counting_level
+
+    monkeypatch.setattr(rays, "_level_evaluators", counting_build)
     return calls
 
 
@@ -194,13 +202,36 @@ def smooth_law_pair():
     )
 
 
+def _fraction(x):
+    """An mpf as the Fraction it is."""
+    sign, man, exp, _ = mp.mpf(x)._mpf_
+    return F(-man if sign else man) * F(2) ** exp
+
+
+def independent_g(source):
+    """w -> G(w) at the working precision, by none of the ray's forms: the
+    rational oracle for a discrete or Cauchy law, the mpmath closed form for
+    the other shapes, the first callable of a pair."""
+    if not isinstance(source, Measure):
+        return source[0]
+    if source.kind == "discrete" or source.density == "cauchy":
+
+        def exact(w):
+            g_re, g_im = cauchy_exact(source, _fraction(w.real), _fraction(w.imag))[:2]
+            return mp.mpc(measures._to_mpf(g_re), measures._to_mpf(g_im))
+
+        return exact
+    evaluate = measures._evaluator(source)
+    return lambda w: evaluate(w)[0]
+
+
 def fresh_residuals(source, samples):
     """|G(K(z)) - z| of each kept point, G evaluated at 20 more digits."""
     zs = grid_points(samples)
     ks = k_values(samples, 20)
     with mp.workdps(samples.dps + 20):
-        transform = rays._transform_pair(source)
-        return [abs(transform(w)[0] - z) for z, w in zip(zs, ks)]
+        g = independent_g(source)
+        return [abs(g(w) - z) for z, w in zip(zs, ks)]
 
 
 CERTIFIED_SOURCES = {
@@ -274,7 +305,7 @@ def test_newton_step_is_certified_only_inside_the_float_range(monkeypatch, beta,
     with mp.workdps(dps):
         z = mp.mpc(0, -1) * measures._to_mpf(F(beta) / 100)
         e, bits = mp.mag(z), mp.mp.prec + rays._GUARD_BITS
-        evaluate = rays._fixed_transform(rays._transform_pair(dirac), e, bits)
+        evaluate = rays._level_evaluators(dirac)(e, bits)
         seed = rays._fixed_pair((1 + mp.mpf(10) ** -30) / z, bits + e)
         target = rays._fixed((abs(z) * mp.mpf(10) ** (6 - dps))._mpf_, bits - e)
         w, res, _ = rays._newton(evaluate, rays._fixed_pair(z, bits - e), seed, target, bits)
@@ -283,7 +314,7 @@ def test_newton_step_is_certified_only_inside_the_float_range(monkeypatch, beta,
         g_rounding = abs(z) * mp.mpf(10) ** (1 - dps)  # added by invert_g_on_ray
         bound = rays._unfixed(res, bits - e) + g_rounding
     with mp.workdps(dps + 20):
-        assert abs(rays._transform_pair(dirac)(k)[0] - z) <= bound
+        assert abs(independent_g(dirac)(k) - z) <= bound
 
 
 def test_certificate_rounds_each_bound_the_safe_way():
@@ -331,21 +362,23 @@ EDGE_LAWS = (
     Measure.discrete([(-1, "1/2"), (1, "1/2")]),
     Measure.semicircle(0, 2),
     Measure.uniform(-1, 1),
+    Measure.cauchy(),
 )
 
 
 def test_rays_from_beta_1e_320_to_1e320_keep_only_points_within_target():
     # beta = 10^k for k = -320..320 in steps of 40 at 15, 50 and 305 digits,
-    # on two tilts and three laws, is 306 rays and takes about 10 s; this
+    # on two tilts and four laws, is 408 rays and takes about 12 s; this
     # samples each (k, dps) once, with the law and the tilt turning so that
-    # every pair of them meets every precision: 51 rays in about 2 s.  Each
+    # every pair of them meets every precision: 51 rays in about 1 s.  Each
     # raises RegionTooLargeError, where beta is too large for G to reach the
     # grid points, or keeps only points within the residual target
     outcomes = {"inverted": 0, "too-large": 0}
+    laws = len(EDGE_LAWS)
     for i, k in enumerate(range(-320, 321, 40)):
         for j, dps in enumerate((15, 50, 305)):
-            mu = EDGE_LAWS[(i + j) % 3]
-            ray = NontangentialRay(beta=F(10) ** k, tan_theta=(F(0), F(-1, 2))[i % 2])
+            mu = EDGE_LAWS[(i + j) % laws]
+            ray = NontangentialRay(beta=F(10) ** k, tan_theta=(F(0), F(-1, 2))[i // laws % 2])
             try:
                 samples = invert_g_on_ray(mu, ray, dps=dps, p=2)
             except RegionTooLargeError:
@@ -398,15 +431,20 @@ EXPLICIT_ORDERS = [p for p in LEVELS_AT_ORDER if p != 6]
 )
 def test_newton_solves_only_radii_the_fit_reads(monkeypatch, ray, p):
     # Newton runs once per level, in the fixed point of the level's binary
-    # exponent mag(beta) - j
+    # exponent mag(beta) - j, each level's evaluator built through the seam
     exponents = []
-    fixed_transform = rays._fixed_transform
+    level_evaluators = rays._level_evaluators
 
-    def recording(transform, e, bits):
-        exponents.append(e)
-        return fixed_transform(transform, e, bits)
+    def recording(source):
+        levels = level_evaluators(source)
 
-    monkeypatch.setattr(rays, "_fixed_transform", recording)
+        def level(e, bits):
+            exponents.append(e)
+            return levels(e, bits)
+
+        return level
+
+    monkeypatch.setattr(rays, "_level_evaluators", recording)
     mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
     if not LEVELS_AT_ORDER[6 if p is None else p]:
         with pytest.raises(ValidationError, match="at most 10"):
@@ -442,16 +480,27 @@ FIVE_SHAPES = {
 @pytest.mark.parametrize("mu", FIVE_SHAPES.values(), ids=FIVE_SHAPES.keys())
 def test_measure_and_callable_pair_sources_agree(mu):
     # a Measure runs the joint (G, G') evaluation; the pair of its two
-    # components must follow the same Newton path
+    # components must follow the same Newton path.  A density shape's pair
+    # calls the closed form the ray calls, bit for bit.  A discrete or
+    # Cauchy law takes its int form at each level's fixed point on the ray,
+    # and through cauchy_transform at the fixed point of |w|, rounded to 50
+    # digits: the two R values agree within their stability figures
     pair = (
         functools.partial(cauchy_transform, mu, dps=50),
         functools.partial(cauchy_transform_derivative, mu, dps=50),
     )
     direct = invert_g_on_ray(mu, dps=50)
     wrapped = invert_g_on_ray(pair, dps=50)
-    assert direct.r_values == wrapped.r_values
-    assert direct.residuals == wrapped.residuals
     assert direct.dropped == wrapped.dropped
+    assert direct.indices == wrapped.indices
+    if mu.kind == "discrete" or mu.density == "cauchy":
+        for a, b, stab_a, stab_b in zip(
+            direct.r_values, wrapped.r_values, direct.stability, wrapped.stability
+        ):
+            assert abs(a - b) <= stab_a + stab_b
+    else:
+        assert direct.r_values == wrapped.r_values
+        assert direct.residuals == wrapped.residuals
 
 
 def test_one_transform_evaluation_per_newton_point(monkeypatch):
@@ -467,8 +516,8 @@ def test_one_transform_evaluation_per_newton_point(monkeypatch):
         assert samples.dropped == ()
         # one evaluation per Newton point, few points once the seed
         # extrapolates R from the levels below, and none at the step that
-        # the curvature bound accepts
-        assert len(calls) < bound * INVERTED_LEVELS
+        # the curvature bound accepts; each counted through the seam
+        assert 0 < len(calls) < bound * INVERTED_LEVELS
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -502,16 +551,19 @@ def test_constants_converted_once_per_ray(monkeypatch):
     monkeypatch.setattr(measures, "_to_mpf", counting)
     monkeypatch.setattr(rays, "_to_mpf", counting)
     calls = count_evaluations(monkeypatch)
-    mu = Measure.discrete(
+    six_atoms = Measure.discrete(
         [(-3, "1/4"), (-1, "1/8"), (0, "1/8"), ("1/2", "1/8"), (2, "1/8"), (5, "1/4")]
     )
-    samples = invert_g_on_ray(mu)
-    assert samples.dropped == ()
-    allowed = 2 * len(mu.atoms) + 2
-    # the closed form's atoms and weights, and the ray's beta and tilt: none
+    # the ray's beta and tilt, and the semicircle's mass, center and radius
+    # for its closed form; a discrete law's int form converts nothing.  None
     # per level or per evaluation, of which there are more than that
-    assert len(calls) > allowed and len(samples.indices) > allowed
-    assert len(conversions) <= allowed
+    for mu, allowed in ((six_atoms, 2), (Measure.semicircle("1/2", 3), 2 + 3)):
+        conversions.clear()
+        calls.clear()
+        samples = invert_g_on_ray(mu)
+        assert samples.dropped == ()
+        assert len(calls) > allowed and len(samples.indices) > allowed
+        assert len(conversions) <= allowed
 
 
 def with_a_hole(mu, lo: int, hi: int):
@@ -1172,6 +1224,50 @@ def test_ray_work_estimate_accepts_every_working_precision():
     levels = NontangentialRay.levels - NontangentialRay.first_level
     assert _ray_work(50) == 2 * levels * 50**2
     assert _ray_work(6400) == 4 * _ray_work(3200)
+
+
+def atomic_law(n: int, seed: int = 5):
+    """n atoms on the 1/4 grid in [-2n, 2n] (at least [-8, 8]), weights
+    k / sum(k) with k in 1..9."""
+    rng = random.Random(seed)
+    reach = max(32, 8 * n)
+    atoms = rng.sample(range(-reach, reach + 1), n)
+    ks = [rng.randint(1, 9) for _ in atoms]
+    return Measure.discrete([(F(a, 4), F(k, sum(ks))) for a, k in zip(atoms, ks)])
+
+
+def test_ray_work_counts_the_atoms_and_their_heights(monkeypatch):
+    # at 3200 digits and order 4 the earlier code took 1.57 s on 10 atoms
+    # and 4.96 s on 40, about 0.11 s per atom: a 1000-atom law would run
+    # for about 2 minutes, and a precision alone did not refuse it.  Judged
+    # by the estimate alone, never run
+    assert _ray_work(50, atomic_law(6)) < _RAY_BUDGET // 1000
+    admitted = [(atomic_law(n), 50) for n in range(2, 7)] + [
+        (Measure.discrete([(-1, "1/2"), (1, "1/2")]), 400),  # the CI demo's preset
+        (atomic_law(6), 3200),
+        (atomic_law(40), 3200),
+        (atomic_law(1000), 50),
+    ]
+    for mu, dps in admitted:
+        assert _ray_work(dps, mu) <= _RAY_BUDGET
+    assert _ray_work(3200, atomic_law(1000)) > _RAY_BUDGET
+    # each term counts (max(dps, 200) + h/3)^2 / 48, h its bits: more atoms,
+    # wider atoms and more digits each cost more
+    levels = 2 * (NontangentialRay.levels - NontangentialRay.first_level)
+    assert _ray_work(3200, Measure.discrete([(F(k, 4), F(1, 50)) for k in range(50)])) > _RAY_BUDGET
+    assert _ray_work(400, atomic_law(100)) > _ray_work(400, atomic_law(50)) > _ray_work(400)
+    # one small atom costs dps^2 per evaluation, as any law
+    assert _ray_work(10**5, Measure.dirac(F(3, 4))) == levels * 10**10
+    # an atom of 3000-digit numbers costs what about 6600 digits do, one of
+    # 30000-digit numbers more than the budget
+    for digits, admitted in ((3000, True), (30000, False)):
+        wide = F(10**digits + 1, 10**digits)
+        for mu in (Measure.dirac(wide), Measure.cauchy(wide)):
+            assert (_ray_work(50, mu) <= _RAY_BUDGET) == admitted
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(BudgetError, match="the number of atoms"):
+        invert_g_on_ray(atomic_law(1000), dps=3200)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dps", [100_000, 10**400], ids=["1e5", "1e400"])
