@@ -9,17 +9,19 @@ shift that the random-matrix predictions share.  The Cauchy transform
 G(z) = integral of 1/(z - x) and its derivative come from one evaluation
 of the pair (G(z), G'(z)), closed-form for every shape and free of
 cancellation for large |z|; the shared terms (1/(z - t), or s =
-sqrt(z - a) sqrt(z - b)) and the domain check serve both components,
+sqrt(zeta^2 - h^2)) and the domain check serve both components,
 which ``cauchy_transform`` and ``cauchy_transform_derivative`` return.
-A discrete or Cauchy law is a sum of weight / (z - pole), rational in its
-data: ``_rational_form`` evaluates it in ints, from the exact numerators
-and denominators, within a unit of a fixed point that the ray inversion
-chooses per level and ``cauchy_transform`` from |z|.  The semicircle,
-Marchenko-Pastur and uniform laws take roots and logarithms in arbitrary
-precision (mpmath): ``_evaluator`` builds their evaluation at the working
-precision (the precision of ``Measure.support_radius`` too), with the
-exact constants (center and radius, the Marchenko-Pastur edges, the
-uniform ends) converted to mpf once, so the ray inversion pays the
+Every shape but the uniform law is evaluated in ints, within a unit of a
+fixed point that the ray inversion chooses per level and
+``cauchy_transform`` from |z|: a discrete or Cauchy law is a sum of
+weight / (z - pole), rational in its data, which ``_rational_form``
+evaluates from the exact numerators and denominators, and a semicircle or
+Marchenko-Pastur law is 2m / (zeta + s + kappa), s = sqrt(zeta^2 - h^2),
+of rational constants, which ``_sqrt_form`` evaluates with one
+``math.isqrt`` per root.  The uniform law takes its logarithm in
+arbitrary precision (mpmath): ``_evaluator`` builds its evaluation at the
+working precision (the precision of ``Measure.support_radius`` too), with
+the exact ends converted to mpf once, so the ray inversion pays the
 conversions once per ray, not per Newton point.  No production path
 integrates numerically; quadrature of the densities lives in the test
 oracles.
@@ -28,8 +30,8 @@ Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
 for masses other than 1.  G is evaluated on the upper half-plane and, for
 compactly supported measures, also outside the closed disk containing the
-support.  Every compact closed form (sums of w / (z - t), principal roots
-sqrt(z - a) sqrt(z - b), log1p(w / (z - b))) is the analytic G on all of
+support.  Every compact closed form (sums of w / (z - t), the root
+s ~ zeta of zeta^2 - h^2, log1p(w / (z - b))) is the analytic G on all of
 C minus the support's hull [a, b], so a lower-half-plane point takes the
 same formula as an upper one; G(conj z) = conj G(z) holds bit for bit.
 """
@@ -56,9 +58,13 @@ from .errors import (
 )
 from .noncrossing import catalan
 
-# cauchy_transform evaluates a discrete or Cauchy law with this many bits
-# past the working precision (_transform)
+# cauchy_transform evaluates a law of an int form with this many bits past
+# the working precision (_transform)
 _GUARD_BITS = 20
+# _sqrt_form computes G and G' this many bits finer than its result, and
+# rounds once to the nearest unit
+_ROUND_BITS = 3
+_HALF = 1 << (_ROUND_BITS - 1)
 
 DISCRETE = "discrete"
 DENSITY = "density"
@@ -411,61 +417,177 @@ def _rational_form(mu: Measure):
     return level
 
 
-def _closed_form(mu: Measure):
-    """A callable z -> (G(z), G'(z)) of a semicircle, Marchenko-Pastur or
-    uniform law for points that passed the domain check, with the exact
-    constants of mu converted to mpf once, at the working precision of this
-    call; _evaluator adds the domain check.  Each form is analytic off the
-    support [a, b], so it holds in the lower half-plane too.
+def _shifted(x: int, n: int, d: int = 1) -> int:
+    """x 2^n / d rounded toward 0, for d > 0 and n of either sign."""
+    return _toward_zero(x << n, d) if n >= 0 else _toward_zero(x, d, -n)
 
-    The forms are free of cancellation for large |z| (the ray inversion's
-    Newton iterates reach |z| ~ 1e12): with s = sqrt(z - a) * sqrt(z - b)
-    ~ z, the Marchenko-Pastur (z + 1 - rate - s) / (2z) becomes
-    2 / (z + 1 - rate + s), like the semicircle's 2 / (zeta + s), and the
-    uniform log((z - a) / (z - b)) becomes log1p((b - a) / (z - b)).
+
+def _quotient(x: int, n: int, d: int) -> int:
+    """x 2^n / d for d > 0, rounded toward 0 after the two are cut by the
+    same power of 2 to 12 bits more than the quotient has: off by less than
+    1 + 2^-10, and the cost of the division follows the quotient's bits,
+    not the operands'."""
+    size = d.bit_length()
+    cut = max(size - max(x.bit_length() + n - size + 1, 1) - 12, 0)
+    q = abs(x) << (n - cut) if n >= cut else abs(x) >> (cut - n)
+    q //= d >> cut
+    return q if x >= 0 else -q
+
+
+def _size(x: int, y: int) -> int:
+    """L with 2^(L - 1) <= |x + i y| < 2^(L + 1/2), for x + i y != 0."""
+    return max(abs(x), abs(y)).bit_length()
+
+
+def _sqrt_form(mu: Measure):
+    """level(e, bits) -> evaluate(wr, wi), the (G, G') of a semicircle or
+    Marchenko-Pastur law in ints, or None for the other shapes; the same
+    contract as `_rational_form`: at a level of binary exponent e the point
+    is w = (wr + i wi) 2^-(bits + e), and G and G' come back as ints of
+    2^(e - bits) and 2^(2e - bits), each within one unit of the exact
+    value.
+
+    Both laws are one form of rational constants (mid, h^2, kappa) and the
+    mass m: with zeta = w - mid and s = sqrt(zeta^2 - h^2) on the branch
+    s ~ zeta, d = zeta + s + kappa, G = 2m / d and G' = -2m (zeta + s) /
+    (s d^2); (c, r^2, 0) for the semicircle of center c and radius r and
+    (1 + rate, 4 rate, 2) for Marchenko-Pastur, whose edges mid -+ h are
+    irrational at a rate that is not a square.  Each form is analytic off
+    the support [mid - h, mid + h] and free of cancellation at large |w|,
+    where the textbook (z + 1 - rate - s) / (2z) loses 2 log2 |w| bits.
+
+    zeta and zeta^2 - h^2 are exact over the denominator b 2^u of mid, u =
+    max(bits + e, 0).  s takes one `math.isqrt` of |zeta^2 - h^2|^2 and one
+    of the larger of |Re s|^2 = (|s|^2 + Re s^2) / 2 and |Im s|^2, the
+    smaller part coming from Im s^2 = 2 Re s Im s; on the branch Re s has
+    the sign of Re zeta and Im s that of Im zeta, exact signs, so no
+    rounding picks the wrong root near the cut.  s, zeta + s and d each
+    lie within 8 units 2^-k of their values, and k is chosen from bounds
+    read off the exact ints: |s| and |d| are 128 units at least, which
+    keeps each relative error below 1/16, and the errors of G = 2m / d and
+    of G', whose error grows like 1/|s|^2 near an edge, stay below a
+    quarter unit, as |d| |zeta - s + kappa| = |2 kappa zeta + kappa^2 +
+    h^2| with |zeta - s| <= h bounds |d| from below near
+    Marchenko-Pastur's rate-1 pole at 0.  Both are divided out 2^3 times
+    finer than the result (`_quotient`) and rounded once: within 0.88 of a
+    unit.  Every rounding is toward 0, so G(conj w) = conj G(w) holds bit
+    for bit.
+
+    The domain check is exact: Im w > 0, or |w| > |mid| + h, which with A =
+    |w|^2 and B = A + mid^2 - h^2 reads A > mid^2, B > 0 and B^2 >
+    4 mid^2 A, all rational."""
+    if mu.density == SEMICIRCLE:
+        radius = mu.param("radius")
+        mid, h2, kappa = mu.param("center"), radius * radius, 0
+    elif mu.density == MARCHENKO_PASTUR:
+        rate = mu.param("rate")
+        mid, h2, kappa = 1 + rate, 4 * rate, 2
+    else:
+        return None
+    a, b, p, q = mid.numerator, mid.denominator, h2.numerator, h2.denominator
+    mn, md = 2 * mu.mass.numerator, mu.mass.denominator  # 2m
+    qbb = q * b * b
+    lm = (mn // md + 1).bit_length()  # 2m < 2^lm
+    # h + kappa < 2^hk
+    hk = (math.isqrt(p * q) // q + 1 + kappa).bit_length()
+    # log2 |zeta|, |s|, |P| past the bit lengths of their numerators
+    lb, lqbb, lqb = b.bit_length(), qbb.bit_length(), (q * b).bit_length()
+
+    def level(e: int, bits: int):
+        s = bits + e
+        up, down = max(s, 0), max(-s, 0)
+        # zeta = Z / (b 2^up), Z = W b 2^down - a 2^up; zeta^2 - h^2 =
+        # (q Z^2 - p b^2 4^up) / (qbb 4^up); with A and mid^2, h^2 over qbb 4^up
+        bd, au, pb = b << down, a << up, p * b * b << 2 * up
+        mid2, wq = a * a * q << 2 * up, qbb << 2 * down
+        # d (zeta - s + kappa) = P = (2 kappa q Z + c0) / (q b 2^up)
+        c0 = (kappa * kappa * q + p) * b << up
+
+        def evaluate(wr: int, wi: int):
+            big = (wr * wr + wi * wi) * wq
+            beyond = big + mid2 - pb
+            if not (wi > 0 or (big > mid2 and beyond > 0 and beyond * beyond > 4 * mid2 * big)):
+                raise DomainError(
+                    "the point is neither in the upper half-plane nor outside the support disk"
+                )
+            zr, zi = wr * bd - au, wi * bd
+            nr, ni = q * (zr * zr - zi * zi) - pb, 2 * q * zr * zi
+            # lower bounds on log2 |zeta|, |s|, |zeta + s| and |d|, and an
+            # upper bound on log2 |zeta + s| <= log2 (|zeta| + |s|)
+            size_z, size_n = _size(zr, zi), _size(nr, ni)
+            lz, ls = size_z - 1 - lb - up, (size_n - 1 - lqbb - 2 * up) // 2
+            upper = max(size_z + 2 - lb - up, (size_n + 3 - lqbb - 2 * up) // 2) + 1
+            lt = max(lz, ls)
+            ld = _size(2 * kappa * q * zr + c0, 2 * kappa * q * zi) - 1 - lqb - up - hk
+            if not kappa:
+                ld = max(ld, lt)
+            elif lt > kappa.bit_length():  # |d| >= |zeta + s| - kappa >= |zeta + s| / 2
+                ld = max(ld, lt - 1)
+            lo = min(ls, ld)
+            k = max(
+                bits - e + 7 + lm - 2 * ld,
+                bits - 2 * e + 9 + lm + upper - ls - 2 * ld - lo,
+                7 - lo,
+            )
+            # s 2^k from (zeta^2 - h^2) 4^k
+            xr, xi = _shifted(nr, 2 * (k - up), qbb), _shifted(ni, 2 * (k - up), qbb)
+            modulus = math.isqrt(xr * xr + xi * xi)
+            if xr >= 0:
+                u = math.isqrt((modulus + xr) >> 1)
+                v = abs(xi) // (2 * u)
+            else:
+                v = math.isqrt((modulus - xr) >> 1)
+                u = abs(xi) // (2 * v)
+            sr, si = (u if zr >= 0 else -u), (v if zi >= 0 else -v)
+            tr, ti = _shifted(zr, k - up, b) + sr, _shifted(zi, k - up, b) + si
+            dr, di = tr + _shifted(kappa, k), ti
+            dd = dr * dr + di * di
+            # G = 2m conj(d) / |d|^2 and, with t = zeta + s, G' = -2m t conj(s) conj(d)^2 / (|s|^2 |d|^4)
+            shift = bits - e + k + _ROUND_BITS
+            gr, gi = _quotient(mn * dr, shift, md * dd), _quotient(-mn * di, shift, md * dd)
+            ur, ui = tr * sr + ti * si, ti * sr - tr * si
+            cr, ci = dr * dr - di * di, -2 * dr * di
+            den = md * (sr * sr + si * si) * dd * dd
+            shift += k - e
+            gpr = _quotient(-mn * (ur * cr - ui * ci), shift, den)
+            gpi = _quotient(-mn * (ur * ci + ui * cr), shift, den)
+            return tuple(
+                _toward_zero(x + (_HALF if x >= 0 else -_HALF), 1, _ROUND_BITS) for x in (gr, gi, gpr, gpi)
+            )
+
+        return evaluate
+
+    return level
+
+
+def _closed_form(mu: Measure):
+    """A callable z -> (G(z), G'(z)) of a uniform law for points that passed
+    the domain check, with the exact constants of mu converted to mpf once,
+    at the working precision of this call; _evaluator adds the domain
+    check.  The form is analytic off the support [a, b], so it holds in the
+    lower half-plane too, and free of cancellation for large |z| (the ray
+    inversion's Newton iterates reach |z| ~ 1e12): log((z - a) / (z - b))
+    becomes log1p((b - a) / (z - b)).
     """
     import mpmath as mp
 
     mass = _to_mpf(mu.mass)
-    if mu.density == UNIFORM:
-        a, b = mu.param("a"), mu.param("b")
-        lo, hi, width = _to_mpf(a), _to_mpf(b), _to_mpf(b - a)
+    a, b = mu.param("a"), mu.param("b")
+    lo, hi, width = _to_mpf(a), _to_mpf(b), _to_mpf(b - a)
 
-        def uniform(z):
-            z_hi = z - hi
-            return mass * mp.log1p(width / z_hi) / width, -mass / ((z - lo) * z_hi)
+    def uniform(z):
+        z_hi = z - hi
+        return mass * mp.log1p(width / z_hi) / width, -mass / ((z - lo) * z_hi)
 
-        return uniform
-    if mu.density == SEMICIRCLE:
-        center, r = _to_mpf(mu.param("center")), _to_mpf(mu.param("radius"))
-
-        def semicircle(z):
-            zeta = z - center
-            s = mp.sqrt(zeta - r) * mp.sqrt(zeta + r)
-            g = mass * 2 / (zeta + s)
-            return g, -g / s  # s' = zeta / s turns -G (1 + s') / (zeta + s) into -G / s
-
-        return semicircle
-    rate = _to_mpf(mu.param("rate"))
-    root = mp.sqrt(rate)
-    lo, hi = (1 - root) ** 2, (1 + root) ** 2
-
-    def marchenko_pastur(z):
-        s = mp.sqrt(z - lo) * mp.sqrt(z - hi)
-        d = z + 1 - rate + s
-        g = mass * 2 / d
-        # s' = (z - 1 - rate) / s, with 1 + rate the midpoint of the support
-        return g, -g * (1 + (z - 1 - rate) / s) / d
-
-    return marchenko_pastur
+    return uniform
 
 
 def _evaluator(mu: Measure):
-    """A callable z -> (G(z), G'(z)) of a semicircle, Marchenko-Pastur or
-    uniform law with the domain check, built at the working precision and
-    to be called at it.  The check keeps Newton on G's own branch: the upper
-    half-plane, or outside the support disk, whose radius is converted on
-    the first point off the upper half-plane.
+    """A callable z -> (G(z), G'(z)) of a uniform law with the domain check,
+    built at the working precision and to be called at it.  The check keeps
+    Newton on G's own branch: the upper half-plane, or outside the support
+    disk, whose radius is converted on the first point off the upper
+    half-plane.
     """
     import mpmath as mp
 
@@ -485,31 +607,39 @@ def _evaluator(mu: Measure):
 
 
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
-    """(G(z), G'(z)) to roughly dps digits.  A discrete or Cauchy law takes
-    its int form (`_rational_form`) in the fixed point of a level at |z|,
-    e = -mag(z), where G ~ 1/z is an int of about `bits` bits: _GUARD_BITS
-    past the precision, and as many more as a pole lies farther out than z
-    or the mass lies below 1.  z goes in rounded to that fixed point, its
-    imaginary part away from 0, so it stays on its side of the axis."""
+    """(G(z), G'(z)) to roughly dps digits.  A law of an int form
+    (`_rational_form`, `_sqrt_form`) takes it in the fixed point of a level
+    at |z|, e = -mag(z), where G ~ 1/z is an int of about `bits` bits:
+    _GUARD_BITS past the precision, and as many more as a pole lies farther
+    out than z or the mass lies below 1; twice as many as the support
+    reaches past z for a semicircle or Marchenko-Pastur law, where G' ~
+    1/h^2 falls below the level's scale 1/z^2.  z goes in rounded to that
+    fixed point, its imaginary part away from 0, so it stays on its side of
+    the axis.  The uniform law takes its mpmath form (`_evaluator`)."""
     import mpmath as mp
 
     with mp.workdps(dps):
         found = _poles(mu)
-        if found is None:
+        form = _rational_form(mu) if found is not None else _sqrt_form(mu)
+        if form is None:
             return _evaluator(mu)(z)
         z = mp.mpc(z)
         if not mp.isfinite(z):
             raise DomainError(f"point {z} is not finite")
         e = -int(mp.mag(z)) if z else 0
-        reach = max(
-            (max(abs(pr), abs(pi)).bit_length() - q.bit_length() + 1 for _, _, pr, pi, q in found[0]),
-            default=0,
-        )
+        if found is not None:
+            reach = max(
+                (max(abs(pr), abs(pi)).bit_length() - q.bit_length() + 1 for _, _, pr, pi, q in found[0]),
+                default=0,
+            )
+            spread = max(reach + e, 0)
+        else:
+            spread = 2 * max(int(mp.mag(mu.support_radius())) + e, 0)
         light = mu.mass.denominator.bit_length() - mu.mass.numerator.bit_length() + 1
-        bits = mp.mp.prec + _GUARD_BITS + max(reach + e, 0) + max(light, 0)
+        bits = mp.mp.prec + _GUARD_BITS + spread + max(light, 0)
         y = mp.ldexp(z.imag, bits + e)
         w = int(mp.floor(mp.ldexp(z.real, bits + e))), int(mp.ceil(y) if y > 0 else mp.floor(y))
-        gr, gi, sr, si = _rational_form(mu)(e, bits)(*w)
+        gr, gi, sr, si = form(e, bits)(*w)
         return (
             mp.mpc(mp.ldexp(gr, e - bits), mp.ldexp(gi, e - bits)),
             mp.mpc(mp.ldexp(sr, 2 * e - bits), mp.ldexp(si, 2 * e - bits)),

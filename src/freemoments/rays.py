@@ -40,11 +40,12 @@ discrete laws and 1.6 on semicircles, against 3.8, 6.1 and 1.9.
 Each level's Newton loop, its certificate and the seeds run in fixed
 point: Python ints scaled by a binary exponent of the level
 (`_fixed_transform`), which round in a known direction, so every bound is
-rounded the safe way at any radius and any precision.  A discrete or
-Cauchy law's G and G' are ints of that fixed point too, each within a
-unit of the exact value (`measures._rational_form`); those of the
-semicircle, Marchenko-Pastur and uniform laws and of a pair of
-callables, and the fit, are mpmath at a caller-chosen working precision.
+rounded the safe way at any radius and any precision.  The G and G' of
+a discrete, Cauchy, semicircle or Marchenko-Pastur law are ints of that
+fixed point too, each within a unit of the exact value
+(`measures._rational_form`, `measures._sqrt_form`); those of the uniform
+law and of a pair of callables, and the fit, are mpmath at a
+caller-chosen working precision.
 Every kept sample carries a certified upper bound on its inversion
 residual |G(K(z)) - z|, and the stability figure
 residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
@@ -73,7 +74,7 @@ from .errors import (
     ValidationError,
     _check_work,
 )
-from .measures import Measure, _evaluator, _poles, _rational_form, _to_mpf, moments
+from .measures import Measure, _evaluator, _poles, _rational_form, _sqrt_form, _to_mpf, moments
 
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
@@ -163,14 +164,15 @@ def _level_evaluators(source):
     """level(e, bits) -> evaluate(wr, wi): G and G' of source in the fixed
     point of each ray level (`_fixed_transform`), the one seam through
     which the ray evaluates every source.  A discrete or Cauchy law takes
-    its exact int form (`measures._rational_form`); the other shapes take
-    their mpmath closed form, built here once at the working precision, and
-    a (G, G') pair of callables its two calls, each point converted to an
-    mpc and the values floored back."""
+    its int form (`measures._rational_form`), a semicircle or
+    Marchenko-Pastur law its own (`measures._sqrt_form`); the uniform law
+    takes its mpmath closed form, built here once at the working precision,
+    and a (G, G') pair of callables its two calls, each point converted to
+    an mpc and the values floored back."""
     if isinstance(source, Measure):
-        rational = _rational_form(source)
-        if rational is not None:
-            return rational
+        form = _rational_form(source) or _sqrt_form(source)
+        if form is not None:
+            return form
         transform = _evaluator(source)
     elif isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source):
         g, gp = source
@@ -372,7 +374,13 @@ def _ray_work(dps: int, source=None) -> int:
     counts are upper bounds at 50 digits (see the module docstring); at 400
     digits Newton takes 3.2-5.1 evaluations per level.  The wall time grows
     about like dps^2: 4.5-fold per doubling of dps from 1600 to 3200 digits
-    on the uniform law, 2.9-fold on Marchenko-Pastur.
+    on the uniform law, 3.5-fold on Marchenko-Pastur's int form
+    (`measures._sqrt_form`).  On a 2-core machine at 3200 digits the
+    uniform law's mpmath form, the costliest, took 2.4 s at order 4 and
+    3.2 s at order 10, Marchenko-Pastur at rate 2 0.82 s and 1.7 s, the
+    semicircle 0.1 s and 0.15 s.  A semicircle's or Marchenko-Pastur law's
+    ints carry its constants' bits too, which the estimate leaves out: at
+    50 digits, constants of 3000 digits took a ray of order 10 0.07 s.
 
     A discrete or Cauchy law's evaluation costs a reciprocal per term
     (`measures._rational_form`) of ints that carry the term's own bits too:

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: all-set-partition enumeration with a
 quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep,
-certified Gauss-Legendre integrals of densities, and the Cauchy transform of
-a discrete or Cauchy law, with its derivative, in rational arithmetic.  The production code must agree
-with these on small sizes.
+certified Gauss-Legendre integrals of densities, the Cauchy transform of
+a discrete or Cauchy law, with its derivative, in rational arithmetic, and
+that of a semicircle or Marchenko-Pastur law from its textbook closed form
+at a precision past the cancellation.  The production code must agree with
+these on small sizes.
 """
 
 from __future__ import annotations
@@ -206,3 +208,32 @@ def cauchy_exact(mu: Measure, re: Fraction, im: Fraction):
         gp_re -= w * (inv_re * inv_re - inv_im * inv_im)
         gp_im -= w * 2 * inv_re * inv_im
     return g_re, g_im, gp_re, gp_im
+
+
+def cauchy_sqrt_law(mu: Measure, re: Fraction, im: Fraction, prec: int):
+    """(G_re, G_im, G'_re, G'_im) at the rational point z = re + i im of a
+    semicircle or Marchenko-Pastur law, z off the support [a, b], from the
+    textbook closed forms with principal roots, s = sqrt(z - a) sqrt(z - b):
+    G(z) = 2 (z - c - s) / r^2 for the semicircle of center c and radius r,
+    (z + 1 - rate - s) / (2 z) for Marchenko-Pastur, whose edges (1 -+
+    sqrt(rate))^2 are computed here, each times the mass, and G' their
+    derivative, with s' = (z - (a + b) / 2) / s.  Evaluated in mpmath at
+    prec bits, which must cover the cancellation of z - c - s ~ r^2 / (2z)
+    and of G' ~ -1/z^2 at large |z|; checks the production evaluation."""
+    with mp.workprec(prec):
+        z = mp.mpc(_mpf(re), _mpf(im))
+        if mu.density == SEMICIRCLE:
+            c, r = _mpf(mu.param("center")), _mpf(mu.param("radius"))
+            a, b = c - r, c + r
+        else:
+            rate = _mpf(mu.param("rate"))
+            a, b = (1 - mp.sqrt(rate)) ** 2, (1 + mp.sqrt(rate)) ** 2
+        s = mp.sqrt(z - a) * mp.sqrt(z - b)
+        ds = (z - (a + b) / 2) / s
+        if mu.density == SEMICIRCLE:
+            g, gp = 2 * (z - c - s) / r**2, 2 * (1 - ds) / r**2
+        else:
+            g = (z + 1 - rate - s) / (2 * z)
+            gp = ((1 - ds) * z - (z + 1 - rate - s)) / (2 * z * z)
+        mass = _mpf(mu.mass)
+        return (mass * g).real, (mass * g).imag, (mass * gp).real, (mass * gp).imag

@@ -16,7 +16,7 @@ import pytest
 import freemoments
 from freemoments.cli import JSON_MAX_DEPTH, main
 from freemoments.measures import Measure, measure_to_json
-from freemoments.noncrossing import catalan
+from freemoments.noncrossing import MAX_N, catalan
 from freemoments.rmt import MatrixEnsembleSpec, ensemble_spec_to_json
 
 
@@ -1201,6 +1201,24 @@ def test_every_budget_refuses_through_the_one_check(
     assert code == 2 and data["error"] == "budget", data
     assert _BUDGET_DETAIL.fullmatch(data["detail"]), data["detail"]
     assert ("past 1e300" in data["detail"]) == (size != "100000")
+
+
+def test_nc_list_is_refused_by_its_output_estimate(capsys, monkeypatch):
+    # n Catalan(n) numbers: 646646 at n = 11 fit the budget, 2496144 at
+    # n = 12 do not, and the refusal comes before any enumeration; past the
+    # ceiling noncrossing.MAX_N the lattice refuses n as it is
+    import freemoments.cli as cli
+
+    assert 11 * catalan(11) <= cli._LIST_BUDGET < 12 * catalan(12)
+    monkeypatch.setattr(cli, "enumerate_nc", _refuse)
+    for n in range(12, MAX_N + 1):
+        code, data = run_json(capsys, "nc", "--list", str(n))
+        assert code == 2 and data["error"] == "budget", data
+        assert _BUDGET_DETAIL.fullmatch(data["detail"]), data["detail"]
+        assert f"{n * catalan(n):.2e} printed numbers" in data["detail"]
+    monkeypatch.undo()
+    code, data = run_json(capsys, "nc", "--list", str(MAX_N + 1))
+    assert code == 1 and data["error"] == "size-limit", data
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ exit code 0, 1 or 2, and never in the internal-error payload.
 Sizes are bounded on purpose: the budgets of `moments --measure --order`
 and `levy --order` admit seconds per call, and the budget of `--dps` still
 admits about 3200 digits, seconds per call, so an unbounded draw could run
-for minutes without finding anything.  Orders stay in -1..8, `nc` sizes at or below 9,
-`simulate` dimensions at or below 6 with at most 3 trials, and `--dps` at
-or below 60.  `verify --suite` is fuzzed only with slugs no
-criterion has, since a real criterion takes 0.1-17 s.
+for minutes without finding anything.  Orders stay in -1..8, `simulate`
+dimensions at or below 6 with at most 3 trials, and `--dps` at or below
+60.  `nc` sizes reach two past the lattice's ceiling: the output budget
+of `nc --list` refuses n = 12 up front and admits n = 11, 2.7 s.
+`verify --suite` is fuzzed only with slugs no criterion has, since a real
+criterion takes 0.1-17 s.
 """
 
 import io
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from freemoments.cli import main
+from freemoments.noncrossing import MAX_N
 
 _SETTINGS = dict(
     derandomize=True,
@@ -182,8 +185,10 @@ def _set_partition(n: int):
 
 
 def _nc_argv():
-    size = _ORDER.map(str)
-    blocks = st.integers(min_value=1, max_value=9).flatmap(_set_partition)
+    size = _mostly(
+        st.integers(min_value=1, max_value=MAX_N + 2), st.sampled_from([-1, 0, "x", "1.5", ""])
+    ).map(str)
+    blocks = st.integers(min_value=1, max_value=MAX_N + 2).flatmap(_set_partition)
     payload = _mostly(blocks, _JSON).map(json.dumps)
     return st.one_of(
         st.tuples(st.just("--count"), size),

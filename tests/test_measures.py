@@ -27,7 +27,7 @@ from freemoments.measures import (
     moments,
 )
 
-from oracles import cauchy_exact, cauchy_quad, density_integral, numeric_moment
+from oracles import cauchy_exact, cauchy_quad, cauchy_sqrt_law, density_integral, numeric_moment
 
 F = Fraction
 
@@ -558,14 +558,14 @@ def test_a_trial_point_on_an_atom_is_an_evaluation_error_newton_catches():
     assert rays._newton(evaluate, z, on_atom, 1, bits) is None
 
 
-def rational_form_mutant(old: str, new: str):
-    """`measures._rational_form` compiled from the module's source with
-    `old` replaced by `new`, which must occur once."""
+def form_mutant(name: str, old: str, new: str):
+    """`measures.<name>` compiled from the module's source with `old`
+    replaced by `new`, which must occur once."""
     source = inspect.getsource(measures)
     assert source.count(old) == 1, old
     namespace = {"__name__": measures.__name__, "__package__": "freemoments"}
     exec(compile(source.replace(old, new), measures.__file__, "exec"), namespace)
-    return namespace["_rational_form"]
+    return namespace[name]
 
 
 @pytest.mark.parametrize(
@@ -581,9 +581,169 @@ def rational_form_mutant(old: str, new: str):
     ids=["guard-bits-not-grown", "domain-check-ge"],
 )
 def test_rational_form_mutants_break_the_contract(monkeypatch, old, new, kind):
-    monkeypatch.setattr(measures, "_rational_form", rational_form_mutant(old, new))
+    monkeypatch.setattr(measures, "_rational_form", form_mutant("_rational_form", old, new))
     misses = rational_form_misses()
     assert misses and {k for k, _ in misses} == {kind}
+
+
+# ------------------------------------ the int form of a square-root law
+
+
+def random_sqrt_laws(rng):
+    """Three semicircles of center and radius on the 1/4 grid, one of mass
+    k / 9, and three Marchenko-Pastur laws: rate 1, whose G has a pole at
+    the hard edge 0, a square rate and a rate k / 4 that is not a square,
+    whose edges (1 -+ sqrt(rate))^2 are irrational."""
+    laws = [
+        Measure.semicircle(F(rng.randint(-24, 24), 4), F(rng.randint(1, 32), 4), mass=mass)
+        for mass in (1, 1, F(rng.randint(1, 17), 9))
+    ]
+    square = F(rng.randint(2, 6), rng.randint(1, 2)) ** 2
+    rate = F(rng.choice([k for k in range(5, 41) if math.isqrt(k) ** 2 != k]), 4)
+    return laws + [Measure.marchenko_pastur(r) for r in (1, square, rate)]
+
+
+def _sqrt_law_edges(mu):
+    """The support's edges and |mid| + h, the radius of its disk, as mpf at
+    the working precision."""
+    if mu.density == "semicircle":
+        c, r = mu.param("center"), mu.param("radius")
+        lo, hi = measures._to_mpf(c - r), measures._to_mpf(c + r)
+        return lo, hi, max(abs(lo), abs(hi))
+    root = mp.sqrt(measures._to_mpf(mu.param("rate")))
+    return (1 - root) ** 2, (1 + root) ** 2, (1 + root) ** 2
+
+
+def sqrt_contract_points(mu, s, bits, rng):
+    """Int points W of a level, w = W / 2^s: one in each half-plane at
+    |w| ~ 2^(bits - s), on both signs of Re w; around each edge, above,
+    below and on the axis, from one unit to 2^(bits / 2) units away; near
+    0, where Marchenko-Pastur's G at rate 1 has its pole; two below the
+    axis just outside the support disk, one on each side; and, where the
+    level's grid holds them, the points of the disk's circle on the axis
+    and below it."""
+    top = 1 << bits
+    sign = rng.choice((-1, 1))
+    points = [(sign * rng.randint(1, top), rng.randint(1, top)), (-sign * rng.randint(1, top), -rng.randint(1, top))]
+    with mp.workprec(bits + abs(s) + 64):
+        lo, hi, radius = _sqrt_law_edges(mu)
+        corner = int(mp.ceil(radius * mp.ldexp(4, s) / 5))  # |w| ~ 1.13 |mid| + h
+        edges = [int(mp.floor(mp.ldexp(x, s))) for x in (lo, hi)]
+    for x in edges:
+        for im in (1, -1, 0):
+            near = rng.randint(1, 1 << rng.randint(0, bits // 2))
+            points.append((x + rng.randint(-near, near), im * rng.randint(1, near)))
+    near = rng.randint(1, 1 << rng.randint(0, bits // 2))
+    points.append((rng.randint(-near, near), rng.randint(1, near)))
+    points += [(corner + rng.randint(0, 4), -corner - rng.randint(0, 4)),
+               (-corner - rng.randint(0, 4), -corner - rng.randint(0, 4))]
+    if mu.density == "semicircle":
+        c, r = mu.param("center"), mu.param("radius")
+        x = (abs(c) + r) * F(2) ** s
+        if x.denominator == 1:
+            points += [(int(x), 0), (-int(x), 0), (0, -int(x))]
+    return points
+
+
+def outside_support_disk(mu, re, im):
+    """|w| > the support disk's radius, exactly: |c| + r for a semicircle,
+    (1 + sqrt(rate))^2 for Marchenko-Pastur, whose fourth power is
+    1 + 6 rate + rate^2 + 4 (1 + rate) sqrt(rate)."""
+    size = re * re + im * im
+    if mu.density == "semicircle":
+        return size > (abs(mu.param("center")) + mu.param("radius")) ** 2
+    rate = mu.param("rate")
+    rest = size - 1 - 6 * rate - rate * rate
+    return rest > 0 and rest * rest > 16 * (1 + rate) ** 2 * rate
+
+
+def sqrt_form_misses(seed=20261021, stats=None):
+    """(kind, detail) of each point where `measures._sqrt_form` breaks its
+    contract, over random semicircle and Marchenko-Pastur laws at 15, 50 and
+    400 digits on levels of beta = 1/8 and 10^(+-320): each of the four ints
+    must lie within one unit of `cauchy_sqrt_law` at more than twice the
+    working bits and past its cancellation, "G" or "G'" if not, and a point
+    is refused with DomainError exactly when it lies neither in the upper
+    half-plane nor outside the support disk, "domain" if not.  `stats`
+    counts what the points covered."""
+    rng = random.Random(seed)
+    stats = {} if stats is None else stats
+    misses = []
+    for dps in (15, 50, 400):
+        with mp.workdps(dps):
+            bits = mp.mp.prec + rays._GUARD_BITS
+        for beta in (F(1, 8), F(10) ** 320, F(10) ** -320):
+            for mu in random_sqrt_laws(rng):
+                e = beta.numerator.bit_length() - beta.denominator.bit_length() - rng.randint(7, 40)
+                s = bits + e
+                stats["negative shift" if s < 0 else "positive shift"] = 1
+                evaluate = measures._sqrt_form(mu)(e, bits)
+                for w in sqrt_contract_points(mu, s, bits, rng):
+                    misses += _sqrt_contract_miss(mu, evaluate, w, s, e, bits, stats)
+    return misses
+
+
+def _sqrt_contract_miss(mu, evaluate, w, s, e, bits, stats):
+    """The misses of `sqrt_form_misses` at the int point w."""
+    wr, wi = w
+    re, im = F(wr) / F(2) ** s, F(wi) / F(2) ** s
+    refused = im <= 0 and not outside_support_disk(mu, re, im)
+    try:
+        got = evaluate(wr, wi)
+    except DomainError:
+        stats["refused"] = stats.get("refused", 0) + 1
+        return [] if refused else [("domain", f"{w} refused")]
+    except (ValueError, ZeroDivisionError) as exc:
+        return [("domain", f"{w} raised {exc!r}")]
+    if refused:
+        return [("domain", f"{w} evaluated")]
+    stats["evaluated"] = stats.get("evaluated", 0) + 1
+    if wr < 0 and wi > 0:
+        stats["negative real part"] = stats.get("negative real part", 0) + 1
+    if wi < 0:
+        stats["lower half-plane"] = stats.get("lower half-plane", 0) + 1
+    # the textbook forms lose 4 log2 |w| bits at large |w|, and the edges'
+    # rounding 1 / |w - edge| <= 2^s near them
+    reach = max(max(abs(wr), abs(wi)).bit_length() - s, 0)
+    prec = 3 * (bits + abs(s) + abs(e)) + 4 * reach + 64
+    exact = cauchy_sqrt_law(mu, re, im, prec)
+    with mp.workprec(prec):
+        shifts = (bits - e,) * 2 + (bits - 2 * e,) * 2
+        offs = [abs(x - mp.ldexp(v, shift)) for x, v, shift in zip(got, exact, shifts)]
+        return [
+            ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}, w = {w}: off by {mp.nstr(off, 5)}")
+            for i, off in enumerate(offs)
+            if not off < 1
+        ]
+
+
+def test_sqrt_form_is_within_a_unit_of_the_transform():
+    stats = {}
+    assert sqrt_form_misses(stats=stats) == []
+    assert stats["positive shift"] and stats["negative shift"]
+    assert stats["evaluated"] > 200 and stats["refused"] > 100
+    assert stats["negative real part"] > 20 and stats["lower half-plane"] > 50
+
+
+@pytest.mark.parametrize(
+    "old, new, kinds",
+    [
+        # the principal root, Re s >= 0, for every point: left of the
+        # support G and G' come from the wrong branch, and on the axis
+        # zeta + s cancels to d = 0, which raises
+        ("(u if zr >= 0 else -u)", "u", {"G", "G'", "domain"}),
+        # k without the guard bits that 1 / |s| grows near an edge: there
+        # G' ~ 1 / s is off by many units
+        ("upper - ls - 2 * ld - lo", "upper - 2 * ld - lo", {"G'"}),
+        # the points of the support disk's circle pass the domain check
+        ("beyond * beyond > 4 * mid2 * big", "beyond * beyond >= 4 * mid2 * big", {"domain"}),
+    ],
+    ids=["principal-root", "guard-bits-not-grown-at-edges", "domain-check-ge"],
+)
+def test_sqrt_form_mutants_break_the_contract(monkeypatch, old, new, kinds):
+    monkeypatch.setattr(measures, "_sqrt_form", form_mutant("_sqrt_form", old, new))
+    misses = sqrt_form_misses()
+    assert misses and {k for k, _ in misses} == kinds
 
 
 # ---------------------------------------------------------------------- JSON

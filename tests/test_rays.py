@@ -38,7 +38,7 @@ from freemoments.rays import (
     verify_taylor_cumulants,
 )
 
-from oracles import cauchy_exact
+from oracles import cauchy_exact, cauchy_sqrt_law
 
 F = Fraction
 
@@ -210,8 +210,9 @@ def _fraction(x):
 
 def independent_g(source):
     """w -> G(w) at the working precision, by none of the ray's forms: the
-    rational oracle for a discrete or Cauchy law, the mpmath closed form for
-    the other shapes, the first callable of a pair."""
+    rational oracle for a discrete or Cauchy law, the textbook closed form
+    for a semicircle or Marchenko-Pastur law, past its cancellation at large
+    |w|, the mpmath form for the uniform law, the first callable of a pair."""
     if not isinstance(source, Measure):
         return source[0]
     if source.kind == "discrete" or source.density == "cauchy":
@@ -221,6 +222,14 @@ def independent_g(source):
             return mp.mpc(measures._to_mpf(g_re), measures._to_mpf(g_im))
 
         return exact
+    if source.density in ("semicircle", "marchenko_pastur"):
+
+        def textbook(w):
+            prec = mp.mp.prec + 4 * max(int(mp.mag(w)), 0) + 64
+            g_re, g_im = cauchy_sqrt_law(source, _fraction(w.real), _fraction(w.imag), prec)[:2]
+            return mp.mpc(g_re, g_im)
+
+        return textbook
     evaluate = measures._evaluator(source)
     return lambda w: evaluate(w)[0]
 
@@ -363,12 +372,15 @@ EDGE_LAWS = (
     Measure.semicircle(0, 2),
     Measure.uniform(-1, 1),
     Measure.cauchy(),
+    # irrational edges (1 -+ sqrt(3/2))^2: the int form's domain check
+    # stays exact on the negative-exponent levels of beta = 10^320
+    Measure.marchenko_pastur("3/2"),
 )
 
 
 def test_rays_from_beta_1e_320_to_1e320_keep_only_points_within_target():
     # beta = 10^k for k = -320..320 in steps of 40 at 15, 50 and 305 digits,
-    # on two tilts and four laws, is 408 rays and takes about 12 s; this
+    # on two tilts and five laws, is 510 rays and takes about 15 s; this
     # samples each (k, dps) once, with the law and the tilt turning so that
     # every pair of them meets every precision: 51 rays in about 1 s.  Each
     # raises RegionTooLargeError, where beta is too large for G to reach the
@@ -480,10 +492,10 @@ FIVE_SHAPES = {
 @pytest.mark.parametrize("mu", FIVE_SHAPES.values(), ids=FIVE_SHAPES.keys())
 def test_measure_and_callable_pair_sources_agree(mu):
     # a Measure runs the joint (G, G') evaluation; the pair of its two
-    # components must follow the same Newton path.  A density shape's pair
-    # calls the closed form the ray calls, bit for bit.  A discrete or
-    # Cauchy law takes its int form at each level's fixed point on the ray,
-    # and through cauchy_transform at the fixed point of |w|, rounded to 50
+    # components must follow the same Newton path.  The uniform law's pair
+    # calls the closed form the ray calls, bit for bit.  Every other law
+    # takes its int form at each level's fixed point on the ray, and
+    # through cauchy_transform at the fixed point of |w|, rounded to 50
     # digits: the two R values agree within their stability figures
     pair = (
         functools.partial(cauchy_transform, mu, dps=50),
@@ -493,7 +505,7 @@ def test_measure_and_callable_pair_sources_agree(mu):
     wrapped = invert_g_on_ray(pair, dps=50)
     assert direct.dropped == wrapped.dropped
     assert direct.indices == wrapped.indices
-    if mu.kind == "discrete" or mu.density == "cauchy":
+    if mu.density != "uniform":
         for a, b, stab_a, stab_b in zip(
             direct.r_values, wrapped.r_values, direct.stability, wrapped.stability
         ):
@@ -554,10 +566,10 @@ def test_constants_converted_once_per_ray(monkeypatch):
     six_atoms = Measure.discrete(
         [(-3, "1/4"), (-1, "1/8"), (0, "1/8"), ("1/2", "1/8"), (2, "1/8"), (5, "1/4")]
     )
-    # the ray's beta and tilt, and the semicircle's mass, center and radius
-    # for its closed form; a discrete law's int form converts nothing.  None
-    # per level or per evaluation, of which there are more than that
-    for mu, allowed in ((six_atoms, 2), (Measure.semicircle("1/2", 3), 2 + 3)):
+    # the ray's beta and tilt; the int forms of a discrete law and of a
+    # semicircle convert nothing.  None per level or per evaluation, of
+    # which there are more than that
+    for mu, allowed in ((six_atoms, 2), (Measure.semicircle("1/2", 3), 2)):
         conversions.clear()
         calls.clear()
         samples = invert_g_on_ray(mu)
@@ -632,8 +644,8 @@ def test_stability_figure_bounds_r_against_a_higher_precision_run(mu):
 
 
 def test_evaluator_follows_the_precision_of_each_call():
-    # a closed form left over from the 50-digit run would put 50-digit
-    # constants into the later runs: R off by ~1e-51
+    # a form left over from the 50-digit run would evaluate the later runs
+    # at 50 digits: R off by ~1e-51
     mu = Measure.semicircle("1/3", "5/7")  # R(z) = 1/3 + (5/14)^2 z
     invert_g_on_ray(mu, dps=50)
     at_80 = invert_g_on_ray(mu, dps=80)
