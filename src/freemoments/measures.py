@@ -439,6 +439,19 @@ def _size(x: int, y: int) -> int:
     return max(abs(x), abs(y)).bit_length()
 
 
+def _sqrt_constants(mu: Measure):
+    """The constants (mid, h^2, kappa) of `_sqrt_form`: (c, r^2, 0) for the
+    semicircle of center c and radius r, (1 + rate, 4 rate, 2) for
+    Marchenko-Pastur; None for the other shapes."""
+    if mu.density == SEMICIRCLE:
+        radius = mu.param("radius")
+        return mu.param("center"), radius * radius, 0
+    if mu.density == MARCHENKO_PASTUR:
+        rate = mu.param("rate")
+        return 1 + rate, 4 * rate, 2
+    return None
+
+
 def _sqrt_form(mu: Measure):
     """level(e, bits) -> evaluate(wr, wi), the (G, G') of a semicircle or
     Marchenko-Pastur law in ints, or None for the other shapes; the same
@@ -476,14 +489,10 @@ def _sqrt_form(mu: Measure):
     The domain check is exact: Im w > 0, or |w| > |mid| + h, which with A =
     |w|^2 and B = A + mid^2 - h^2 reads A > mid^2, B > 0 and B^2 >
     4 mid^2 A, all rational."""
-    if mu.density == SEMICIRCLE:
-        radius = mu.param("radius")
-        mid, h2, kappa = mu.param("center"), radius * radius, 0
-    elif mu.density == MARCHENKO_PASTUR:
-        rate = mu.param("rate")
-        mid, h2, kappa = 1 + rate, 4 * rate, 2
-    else:
+    constants = _sqrt_constants(mu)
+    if constants is None:
         return None
+    mid, h2, kappa = constants
     a, b, p, q = mid.numerator, mid.denominator, h2.numerator, h2.denominator
     mn, md = 2 * mu.mass.numerator, mu.mass.denominator  # 2m
     qbb = q * b * b

@@ -18,9 +18,11 @@ stability figures move the fit and that gap by.  The expansion is read at
 0, so only radii <= beta/100 are sampled, and the fit reads every one of
 them: 3 (p + 1) levels for a fit of order p, which the ray's 34 levels
 hold up to order 10 (invert_g_on_ray).  The fit matrix depends only on
-which grid levels were kept, the degree and the precision, never on the
-measure, so both pseudo-inverses come from one QR per such key and are
-cached; every fit after the first is three matrix-vector products.
+which grid levels were kept and the degree, never on the measure or the
+precision, and its entries are powers of 2: both pseudo-inverses are
+exact rationals, which one fraction-free elimination per such key gives
+as int rows (`_fit_maps`), cached; every fit after the first is int dot
+products, rounded once per output value.
 
 Newton gets G and G' from one evaluation per trial point and steps with
 the slope that came with the point it accepted; a measure's form is built
@@ -44,8 +46,10 @@ rounded the safe way at any radius and any precision.  The G and G' of
 a discrete, Cauchy, semicircle or Marchenko-Pastur law are ints of that
 fixed point too, each within a unit of the exact value
 (`measures._rational_form`, `measures._sqrt_form`); those of the uniform
-law and of a pair of callables, and the fit, are mpmath at a
-caller-chosen working precision.
+law and of a pair of callables are mpmath at a caller-chosen working
+precision.  The fit runs in ints too: a kept R value or stability figure
+is a dyadic number, which it takes exactly at one common scale
+(`estimate_taylor_on_ray`).
 Every kept sample carries a certified upper bound on its inversion
 residual |G(K(z)) - z|, and the stability figure
 residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
@@ -58,13 +62,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, round_ceiling, round_nearest
 
 from .cumulants import _check_order, as_fraction, free_cumulants_from_moments
 from .errors import (
@@ -74,7 +79,16 @@ from .errors import (
     ValidationError,
     _check_work,
 )
-from .measures import Measure, _evaluator, _poles, _rational_form, _sqrt_form, _to_mpf, moments
+from .measures import (
+    Measure,
+    _evaluator,
+    _poles,
+    _rational_form,
+    _sqrt_constants,
+    _sqrt_form,
+    _to_mpf,
+    moments,
+)
 
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
@@ -109,6 +123,18 @@ _RAY_BUDGET = 7 * 10**8
 # uniform law: 48 atoms, 10.4 s, are admitted there, 1000 are not.
 _TERMS_PER_EVALUATION = 48
 _TERM_FLOOR_DIGITS = 200
+# A semicircle's or Marchenko-Pastur law's evaluation costs
+# (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _SQRT_FORM_DIVISOR when that is
+# more than dps^2, h the bits of its constants (_ray_work).  On a 2-core
+# machine at 50 digits, order 10, a semicircle of center 1/3 + 10^-D and
+# radius 2 + 10^-D took 0.05 s at D = 3000, 0.27 s at 10^4 and 1.4 s at
+# 3 10^4, where it is counted 1.9 times the budget, and Marchenko-Pastur of
+# rate 2 + 10^-D 1.2 s at 3 10^4 (0.84 of it); at 400 digits, order 4,
+# the two took 0.9 s and 1.9 s at 3 10^4, counted the same.  Their time
+# grows like h^1.5, the count like h^2.
+_SQRT_FORM_DIVISOR = 2048
+# bits past the output precision of the fit's unscaling ints (_unscale)
+_UNSCALE_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -378,22 +404,29 @@ def _ray_work(dps: int, source=None) -> int:
     (`measures._sqrt_form`).  On a 2-core machine at 3200 digits the
     uniform law's mpmath form, the costliest, took 2.4 s at order 4 and
     3.2 s at order 10, Marchenko-Pastur at rate 2 0.82 s and 1.7 s, the
-    semicircle 0.1 s and 0.15 s.  A semicircle's or Marchenko-Pastur law's
-    ints carry its constants' bits too, which the estimate leaves out: at
-    50 digits, constants of 3000 digits took a ray of order 10 0.07 s.
+    semicircle 0.1 s and 0.15 s.
 
     A discrete or Cauchy law's evaluation costs a reciprocal per term
     (`measures._rational_form`) of ints that carry the term's own bits too:
     it counts (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _TERMS_PER_EVALUATION
     per term instead when that is more, with h the bits of the term's
     numerators and denominators, as levy._moments_work counts an atom's
-    height (3.3 bits make a digit)."""
+    height (3.3 bits make a digit).  A semicircle's or Marchenko-Pastur
+    law's ints carry the bits h of its constants and mass
+    (`measures._sqrt_constants`), and an evaluation counts
+    (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _SQRT_FORM_DIVISOR when that
+    is more than dps^2."""
     per_evaluation = dps * dps
     found = _poles(source) if isinstance(source, Measure) else None
+    digits = max(dps, _TERM_FLOOR_DIGITS)
     if found is not None:
-        digits = max(dps, _TERM_FLOOR_DIGITS)
         terms = sum((digits + sum(x.bit_length() for x in term) // 3) ** 2 for term in found[0])
         per_evaluation = max(per_evaluation, terms // _TERMS_PER_EVALUATION)
+    constants = _sqrt_constants(source) if isinstance(source, Measure) else None
+    if constants is not None:
+        mid, h2, _ = constants
+        bits = sum(x.bit_length() for c in (mid, h2, source.mass) for x in (c.numerator, c.denominator))
+        per_evaluation = max(per_evaluation, (digits + bits // 3) ** 2 // _SQRT_FORM_DIVISOR)
     return 2 * (NontangentialRay.levels - NontangentialRay.first_level) * per_evaluation
 
 
@@ -562,42 +595,172 @@ class TaylorEstimate:
     condition: object
 
 
+def _eliminate(gram, cols: int):
+    """(minors, fit, check) of the symmetric positive definite int matrix
+    gram, from one fraction-free elimination (Bareiss, Math. Comp. 22
+    (1968)) of [gram | I] into [U | L], U = L gram upper triangular and L
+    lower triangular: minors[k] is the leading principal minor of order
+    k + 1, which Sylvester's identity makes each step's divisor, so every
+    division is exact and no pivot is 0.  fit and check are (det, adj) of
+    the leading cols-block of gram and of all of it, adj the int rows of
+    det * inverse, by back substitution in U, again exact.  Row i of U and
+    L reads rows 0..i of [gram | I] only, so the leading block of [U | L]
+    is the block's own elimination."""
+    size = len(gram)
+    rows = [list(row) + [int(i == k) for k in range(size)] for i, row in enumerate(gram)]
+    previous = 1
+    for k in range(size):
+        pivot_row, pivot = rows[k], rows[k][k]
+        for i in range(k + 1, size):
+            row, factor = rows[i], rows[i][k]
+            for c in range(k + 1, size + i + 1):  # row i of L is 0 past column i
+                row[c] = (pivot * row[c] - factor * pivot_row[c]) // previous
+        previous = pivot
+    minors = tuple(rows[k][k] for k in range(size))
+
+    def adjugate(n: int):
+        det, adj = minors[n - 1], [None] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            adj[i] = [
+                (det * row[size + c] - sum(row[l] * adj[l][c] for l in range(i + 1, n))) // row[i]
+                for c in range(n)
+            ]
+        return det, adj
+
+    return minors, adjugate(cols), adjugate(size)
+
+
+def _normal_matrix(offsets: tuple[int, ...], size: int) -> list[int]:
+    """h[s] = sum_i 2^(s (top - offsets[i])), s < 2 size - 1, top =
+    max(offsets): the normal matrix of a[i, m] = 2^(-offsets[i] m), m <
+    size, is the Hankel matrix (a^T a)[m, k] = h[m + k] / 2^((m + k) top)."""
+    top = max(offsets)
+    return [sum(1 << s * (top - o) for o in offsets) for s in range(2 * size - 1)]
+
+
 @lru_cache(maxsize=32)
-def _fit_maps(offsets: tuple[int, ...], degree: int, dps: int):
-    """The fit and its check fit as linear maps, built once per (offsets,
-    degree, dps) from one skinny QR of a[i, m] = 2^(-offsets[i] m) with
-    m <= degree + CHECK_DEGREES.
+def _fit_maps(offsets: tuple[int, ...], degree: int):
+    """The fit and its check fit as exact linear maps, built once per
+    (offsets, degree) from one elimination (`_eliminate`) of the normal
+    matrix of a[i, m] = 2^(-offsets[i] m), m <= degree + CHECK_DEGREES.
 
     The fit radii are t_i = beta / 2^j_i, so t_i / t_ref = 2^-(j_i - j_0)
     with offsets[i] = j_i - j_0: the matrix depends neither on the measure
-    nor on beta or the direction.  Householder QR factors column by column,
-    so the fit's QR is the leading (degree + 1)-block of this one, bit for
-    bit, and the check fit takes all of it.  Returns both pseudo-inverses,
-    the error figure's weights (estimate_taylor_on_ray) and the fit's
-    condition number (a has the singular values of R).  None when a is
-    numerically singular at dps."""
+    nor on beta, the direction or the precision.  Its columns times
+    2^(m top), top = max(offsets), are the ints a'[i, m] =
+    2^(m (top - offsets[i])), whose normal matrix is the int Hankel matrix
+    of `_normal_matrix`, and the fit's normal matrix is its leading
+    (degree + 1)-block.  Row m of a pseudo-inverse (a^T a)^-1 a^T is
+    2^(m top) times row m of adj(a'^T a') a'^T over the determinant.
+    Returns (fit, check, weights, denominators, minors): row m <= degree of
+    the fit's and of the check fit's pseudo-inverse and of the error
+    figure's weights 2 |fit - check| + |fit| (estimate_taylor_on_ray), as
+    int rows over the least common denominator denominators[m] of the two
+    rows; and the leading principal minors of a'^T a', which
+    `_fit_condition` reads."""
     cols, wide = degree + 1, degree + 1 + CHECK_DEGREES
-    with mp.workdps(dps):
-        eps = +mp.eps  # fixed at dps: mp.eps follows the working precision
-        with mp.extradps(10):
-            a = mp.matrix([[mp.ldexp(1, -o * m) for m in range(wide)] for o in offsets])
-            q, r = mp.qr(a, mode="skinny")
-            if any(r[m, m] ** 2 <= eps for m in range(wide)):
-                return None
-            # R^-1 is upper triangular and its leading n-block inverts that
-            # of R: row m of the n columns' R^-1 Q^T sums over m..n-1 only
-            inv, q_rows = mp.inverse(r).tolist(), q.tolist()
-            rows, check = (
-                tuple(tuple(mp.fdot(inv[m][m:n], q[m:n]) for q in q_rows) for m in range(n))
-                for n in (cols, wide)
-            )
-            weights = tuple(
-                tuple(2 * abs(f - c) + abs(f) for f, c in zip(fit_row, check_row))
-                for fit_row, check_row in zip(rows, check)
-            )
-            sv = mp.svd_r(r[:cols, :cols], compute_uv=False)
-            condition = max(sv) / min(sv) if min(sv) else mp.inf
-    return rows, check, weights, condition
+    top = max(offsets)
+    nodes = [top - o for o in offsets]
+    hankel = _normal_matrix(offsets, wide)
+    minors, fit_inverse, check_inverse = _eliminate(
+        [hankel[m : m + wide] for m in range(wide)], cols
+    )
+
+    def row_over(inverse, m):
+        # row m of the pseudo-inverse as (ints, denominator) in lowest terms
+        det, adj = inverse
+        row = [sum(c << k * x for k, c in enumerate(adj[m])) << m * top for x in nodes]
+        g = math.gcd(det, *row)
+        return [v // g for v in row], det // g
+
+    fit, check, weights, denominators = [], [], [], []
+    for m in range(cols):
+        (f, f_den), (c, c_den) = row_over(fit_inverse, m), row_over(check_inverse, m)
+        g = math.gcd(f_den, c_den)
+        f, c = [v * (c_den // g) for v in f], [v * (f_den // g) for v in c]
+        fit.append(tuple(f))
+        check.append(tuple(c))
+        weights.append(tuple(2 * abs(u - v) + abs(u) for u, v in zip(f, c)))
+        denominators.append(f_den // g * c_den)
+    return tuple(fit), tuple(check), tuple(weights), tuple(denominators), minors
+
+
+@lru_cache(maxsize=32)
+def _fit_condition(offsets: tuple[int, ...], degree: int, dps: int):
+    """The fit's condition number at dps + 10 digits, or None when the
+    matrix a of `_fit_maps` is numerically singular at dps: when a squared
+    diagonal entry r_m^2 of its QR factor R is at most mp.eps.  That needs
+    no QR: a^T a = R^T R, so r_m^2 = minors[m] / minors[m - 1] / 4^(m top)
+    of the int normal matrix's minors, an exact test.  The condition number
+    is sqrt(l_max / l_min) of the eigenvalues of the fit block of a^T a, one
+    mpmath eigsy, with guard bits for the l_min it loses: about log2 of
+    the spread of those r_m^2, a's condition squared."""
+    minors = _fit_maps(offsets, degree)[4]
+    cols, top, prec = degree + 1, max(offsets), dps_to_prec(dps)
+    logs, previous = [], 1
+    for m, minor in enumerate(minors):
+        if minor << prec - 1 <= previous << 2 * m * top:  # r_m^2 <= 2^(1 - prec)
+            return None
+        logs.append(minor.bit_length() - previous.bit_length() - 2 * m * top)
+        previous = minor
+    work = dps_to_prec(dps + 10) + max(logs[:cols]) - min(logs[:cols]) + 32
+    hankel = [
+        mp.mp.make_mpf(from_man_exp(h, -s * top, work, round_nearest))
+        for s, h in enumerate(_normal_matrix(offsets, cols))
+    ]
+    with mp.workprec(work):
+        eigenvalues = mp.eigsy(mp.matrix([hankel[m : m + cols] for m in range(cols)]), eigvals_only=True)
+        condition = mp.sqrt(max(eigenvalues) / min(eigenvalues)) if min(eigenvalues) > 0 else mp.inf
+    with mp.workdps(dps + 10):
+        return +condition
+
+
+@lru_cache(maxsize=32)
+def _unscale(ray: NontangentialRay, j0: int, p: int, prec: int):
+    """For m < p the unscaling x_m d^-m t_ref^-m of a fitted power as
+    (re, im, num, den): t_ref^-m = 2^(m j0) / beta^m = num / den exactly,
+    and d^-m = (tau + i)^m / (1 + tau^2)^(m/2) = (a + ic)^m / |a + ic|^m,
+    tau = a / c, within two units of (re + i im) 2^-(prec + _UNSCALE_GUARD)
+    in each part: one unit from the floored root, whose argument |a + ic|^m
+    is at least 1, and one from the floored quotient."""
+    k = prec + _UNSCALE_GUARD
+    a, c = ray.tan_theta.numerator, ray.tan_theta.denominator
+    beta, zr, zi, out = ray.beta, 1, 0, []
+    for m in range(p):
+        root = math.isqrt((a * a + c * c) ** m << 2 * k)
+        num, den = beta.denominator**m << m * j0, beta.numerator**m
+        out.append(((zr << 2 * k) // root, (zi << 2 * k) // root, num, den))
+        zr, zi = zr * a - zi * c, zr * c + zi * a
+    return tuple(out)
+
+
+def _dyadic_ints(parts) -> tuple[list[int], int]:
+    """(ints, shift): mpf tuples as ints of one common scale 2^-shift,
+    exactly; the finest exponent among them sets it."""
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-man if sign else man) << exp - low if man else 0 for sign, man, exp, _ in parts], -low
+
+
+def _dot(row, values) -> int:
+    return sum(map(operator.mul, row, values))
+
+
+def _above(a: int, a_exp: int, b: int, b_exp: int) -> bool:
+    """a 2^a_exp > b 2^b_exp, exactly."""
+    if a_exp >= b_exp:
+        return a << a_exp - b_exp > b
+    return a > b << b_exp - a_exp
+
+
+def _rounded(num: int, den: int, exp: int, prec: int, rnd) -> mp.mpf:
+    """num / den * 2^exp, den > 0, as an mpf of prec bits, rounded once
+    toward rnd: the floored quotient has prec + 3 bits at least, and a
+    sticky bit stands for a remainder, which no rounding boundary then
+    separates from the exact value."""
+    shift = max(prec + 3 + den.bit_length() - abs(num).bit_length(), 0)
+    quotient, rest = divmod(num << shift, den)
+    return mp.mp.make_mpf(from_man_exp(2 * quotient + bool(rest), exp - shift - 1, prec, rnd))
 
 
 def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstimate:
@@ -615,55 +778,78 @@ def estimate_taylor_on_ray(samples: RayTransformSamples, p: int) -> TaylorEstima
     most sum_i |fit[m, i] - check[m, i]| stab_i, which the check fit's
     wider pseudo-inverse makes far larger.  So errors[m] is
     2 |x_fit[m] - x_check[m]| + sum_i w[m, i] stab_i, scaled to b_m, with
-    w[m, i] = 2 |fit[m, i] - check[m, i]| + |fit[m, i]|.  Each product is
-    with a map cached in `_fit_maps`, which brings the condition number."""
-    _check_ray_order(p)
-    with mp.workdps(samples.dps):
-        n = len(samples.indices)
-        degree = p - 1 + FIT_GUARD
-        if n < 3 * (p + 1):
-            # a ray inverted for a lower order left its deepest levels untried
-            deepest = max(samples.indices + samples.dropped, default=samples.ray.levels - 1)
-            hint = "" if deepest == samples.ray.levels - 1 else f"; invert the ray with p={p}"
-            raise ValidationError(
-                f"{n} points kept on the ray but the fit needs at least {3 * (p + 1)}{hint}"
-            )
-        ts, vals = samples.radii, samples.r_values
-        if max(ts) / min(ts) < 100:
-            raise ValidationError("fit radii must span at least two decades")
-        t_ref = max(ts)
-        j0 = samples.indices[0]
-        maps = _fit_maps(tuple(j - j0 for j in samples.indices), degree, samples.dps)
-        if maps is None:
-            raise NumericError(
-                "least-squares matrix is numerically singular; lower the fit "
-                "degree or raise the working precision"
-            )
-        fit, check, weights, condition = maps
-        # only the first p coefficients are read off
-        with mp.extradps(10):
-            x_fit = [mp.fdot(row, vals) for row in fit[:p]]
-            x_check = [mp.fdot(row, vals) for row in check[:p]]
-            noise = [mp.fdot(row, samples.stability) for row in weights[:p]]
+    w[m, i] = 2 |fit[m, i] - check[m, i]| + |fit[m, i]|.
 
-        d = samples.ray.direction()
-        coeffs, imags, errors, nonreal = [], [], [], []
-        for m in range(p):
-            unscale = d**-m * t_ref**-m
-            c = x_fit[m] * unscale
-            err = (2 * abs(x_fit[m] - x_check[m]) + noise[m]) * abs(unscale)
-            coeffs.append(c.real)
-            imags.append(c.imag)
-            errors.append(err)
-            nonreal.append(abs(c.imag) > max(mp.mpf(10) ** -6, 10 * err))
-        return TaylorEstimate(
-            order=p,
-            coefficients=tuple(coeffs),
-            imag_parts=tuple(imags),
-            errors=tuple(errors),
-            nonreal=tuple(nonreal),
-            condition=condition,
+    The fit runs in ints.  The maps are exact rationals, cached in
+    `_fit_maps`, which with `_fit_condition` brings the condition number;
+    every R value and stability figure is a dyadic mpf, so each becomes an
+    int of one common scale exactly (`_dyadic_ints`).  x_fit, x_check,
+    their gap and the noise sum are then exact, but for the one square
+    root of the gap, rounded up, and the unscaling to b_m multiplies by
+    `_unscale`'s ints.  Each output is one mpf of the working precision,
+    rounded once: an error figure up, a coefficient and its imaginary part
+    to within one unit of |b_m| in the last place; the non-real flag
+    compares the same ints."""
+    _check_ray_order(p)
+    n = len(samples.indices)
+    degree = p - 1 + FIT_GUARD
+    if n < 3 * (p + 1):
+        # a ray inverted for a lower order left its deepest levels untried
+        deepest = max(samples.indices + samples.dropped, default=samples.ray.levels - 1)
+        hint = "" if deepest == samples.ray.levels - 1 else f"; invert the ray with p={p}"
+        raise ValidationError(
+            f"{n} points kept on the ray but the fit needs at least {3 * (p + 1)}{hint}"
         )
+    j0 = samples.indices[0]  # the largest radius, t_ref = beta / 2^j0
+    if 2 ** (max(samples.indices) - min(samples.indices)) < 100:
+        raise ValidationError("fit radii must span at least two decades")
+    offsets = tuple(j - j0 for j in samples.indices)
+    condition = _fit_condition(offsets, degree, samples.dps)
+    if condition is None:
+        raise NumericError(
+            "least-squares matrix is numerically singular; lower the fit "
+            "degree or raise the working precision"
+        )
+    fit, check, weights, denominators, _ = _fit_maps(offsets, degree)
+    prec = dps_to_prec(samples.dps)
+    parts = [getattr(x, "_mpc_", None) or (x._mpf_, fzero) for x in samples.r_values]
+    stability = [s._mpf_ for s in samples.stability]
+    values, r_shift = _dyadic_ints([part for pair in parts for part in pair])
+    re, im = values[0::2], values[1::2]
+    finite = all(man or not bc for _, man, _, bc in stability)
+    if finite:
+        stab, s_shift = _dyadic_ints(stability)
+        shift = max(r_shift, s_shift)
+    coeffs, imags, errors, nonreal = [], [], [], []
+    for m, (ur, ui, num, den) in enumerate(_unscale(samples.ray, j0, p, prec)):
+        xr, xi = _dot(fit[m], re), _dot(fit[m], im)
+        den *= denominators[m]
+        # b_m = x_fit[m] d^-m t_ref^-m, over den 2^(r_shift + prec + guard)
+        yr, yi = xr * ur - xi * ui, xr * ui + xi * ur
+        exp = -r_shift - prec - _UNSCALE_GUARD
+        coeffs.append(_rounded(yr * num, den, exp, prec, round_nearest))
+        imags.append(_rounded(yi * num, den, exp, prec, round_nearest))
+        if not finite:
+            errors.append(mp.inf)
+            nonreal.append(False)
+            continue
+        gap = _abs_up(xr - _dot(check[m], re), xi - _dot(check[m], im))
+        # the error figure of x_fit[m], over denominators[m] 2^shift
+        figure = (2 * gap << shift - r_shift) + (_dot(weights[m], stab) << shift - s_shift)
+        errors.append(_rounded(figure * num, den, -shift, prec, round_ceiling))
+        # |Im b_m| > 10^-6 and > 10 errors[m]
+        nonreal.append(
+            _above(abs(yi) * num * 10**6, exp, den, 0)
+            and _above(abs(yi), exp, 10 * figure, -shift)
+        )
+    return TaylorEstimate(
+        order=p,
+        coefficients=tuple(coeffs),
+        imag_parts=tuple(imags),
+        errors=tuple(errors),
+        nonreal=tuple(nonreal),
+        condition=condition,
+    )
 
 
 # ---------------------------------------------------------------- comparison

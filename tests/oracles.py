@@ -237,3 +237,24 @@ def cauchy_sqrt_law(mu: Measure, re: Fraction, im: Fraction, prec: int):
             gp = ((1 - ds) * z - (z + 1 - rate - s)) / (2 * z * z)
         mass = _mpf(mu.mass)
         return (mass * g).real, (mass * g).imag, (mass * gp).real, (mass * gp).imag
+
+
+def least_squares_rows(offsets, columns: int) -> list[list[Fraction]]:
+    """The pseudo-inverse (A^T A)^-1 A^T of the ray fit's matrix
+    A[i, m] = 2^(-offsets[i] m), m < columns, as rows of Fractions: plain
+    Gauss-Jordan on [A^T A | A^T], each pivot row divided by its pivot;
+    checks the production fit's fraction-free elimination."""
+    a = [[Fraction(1, 2 ** (o * m)) for m in range(columns)] for o in offsets]
+    rows = [
+        [sum(row[m] * row[k] for row in a) for k in range(columns)] + [row[m] for row in a]
+        for m in range(columns)
+    ]
+    for k in range(columns):
+        pivot = next(i for i in range(k, columns) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(columns):
+            if i != k and rows[i][k]:
+                factor = rows[i][k]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
+    return [row[columns:] for row in rows]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from freemoments.rays import (
     verify_taylor_cumulants,
 )
 
-from oracles import cauchy_exact, cauchy_sqrt_law
+from oracles import cauchy_exact, cauchy_sqrt_law, least_squares_rows
 
 F = Fraction
 
@@ -912,27 +913,42 @@ def test_fit_agrees_with_svd_and_householder_oracles(mu):
     t_ref = max(samples.radii)
     sel = [i for i, t in enumerate(samples.radii) if t <= t_ref]
     assert len(sel) == len(samples.indices)
-    # the cached weights, from the leading blocks of one QR, are those of
-    # the two fits' SVD pseudo-inverses
+    # the cached weights, exact rows over a common denominator from one
+    # elimination of the check fit's normal matrix, are those of the two
+    # fits' SVD pseudo-inverses
     offsets = tuple(samples.indices[i] - samples.indices[sel[0]] for i in sel)
-    weights = rays._fit_maps(offsets, p - 1 + FIT_GUARD, samples.dps)[2]
-    assert len(weights) == len(want) == p + FIT_GUARD
-    for got_row, ref_row in zip(weights, want):
+    _, _, weights, denominators, _ = rays._fit_maps(offsets, p - 1 + FIT_GUARD)
+    assert len(weights) == len(denominators) == len(want) == p + FIT_GUARD
+    for got_row, den, ref_row in zip(weights, denominators, want):
         assert len(got_row) == len(ref_row) == len(sel)
         for got, ref in zip(got_row, ref_row):
-            assert abs(got - ref) <= mp.mpf("1e-20") * ref
+            assert abs(mp.mpf(got) / den - ref) <= mp.mpf("1e-20") * ref
+
+
+def clear_fit_caches():
+    rays._fit_maps.cache_clear()
+    rays._fit_condition.cache_clear()
 
 
 def test_fit_cache_keys_on_precision():
+    # the exact maps hold at every precision, so rays at 30 and 50 digits
+    # share them; the condition number and the singular verdict are per
+    # precision
     mu = Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")])
     at_30 = invert_g_on_ray(mu, dps=30)
     at_50 = invert_g_on_ray(mu, dps=50)
-    rays._fit_maps.cache_clear()
+    assert at_30.indices == at_50.indices
+    clear_fit_caches()
     fresh = estimate_taylor_on_ray(at_50, 4)
-    rays._fit_maps.cache_clear()
-    estimate_taylor_on_ray(at_30, 4)
+    clear_fit_caches()
+    low = estimate_taylor_on_ray(at_30, 4)
     after_30 = estimate_taylor_on_ray(at_50, 4)
     assert after_30 == fresh
+    assert rays._fit_maps.cache_info().misses == 1
+    assert rays._fit_condition.cache_info().misses == 2
+    # each condition number carries its own precision's dps + 10 digits
+    assert low.condition != fresh.condition
+    assert abs(low.condition - fresh.condition) <= mp.mpf("1e-38") * fresh.condition
 
 
 def test_fit_with_a_dropped_level_matches_oracle():
@@ -966,27 +982,33 @@ def test_warm_fit_runs_no_factorisation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a warm fit factorised a matrix")
 
-    for name in ("qr", "inverse", "svd_r"):
+    for name in ("qr", "inverse", "svd_r", "eigsy"):
         monkeypatch.setattr(mp, name, refuse)
+    monkeypatch.setattr(rays, "_eliminate", refuse)
     samples = invert_g_on_ray(Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]))
     est = estimate_taylor_on_ray(samples, 4)
     assert est.condition > 1
 
 
 def test_cold_fit_factorises_once(monkeypatch):
-    # the fit is the leading block of the check fit's QR
+    # the fit's normal matrix is the leading block of the check fit's, so
+    # one elimination per (offsets, degree) gives both maps, at every
+    # precision
     samples = invert_g_on_ray(Measure.semicircle(0, 2))
-    widths = []
-    qr = mp.qr
+    other = invert_g_on_ray(Measure.semicircle(0, 2), dps=30)
+    assert other.indices == samples.indices
+    sizes = []
+    eliminate = rays._eliminate
 
-    def counting(a, *args, **kwargs):
-        widths.append(a.cols)
-        return qr(a, *args, **kwargs)
+    def counting(gram, cols):
+        sizes.append((len(gram), cols))
+        return eliminate(gram, cols)
 
-    monkeypatch.setattr(mp, "qr", counting)
-    rays._fit_maps.cache_clear()
+    monkeypatch.setattr(rays, "_eliminate", counting)
+    clear_fit_caches()
     estimate_taylor_on_ray(samples, 4)
-    assert widths == [4 + FIT_GUARD + rays.CHECK_DEGREES]
+    estimate_taylor_on_ray(other, 4)
+    assert sizes == [(4 + FIT_GUARD + rays.CHECK_DEGREES, 4 + FIT_GUARD)]
 
 
 # ----------------------------------------------------- error figure coverage
@@ -1132,17 +1154,14 @@ def test_error_figures_cover_hard_cases(mu, ray, inverted_at, orders):
 
 
 def mutated_fit_maps(monkeypatch, mutate):
-    """Patch the fit's cached maps with mutate(fit, check, weights), which
-    returns the three maps the error figure reads instead."""
+    """Patch the fit's cached maps with mutate(fit, check, weights,
+    denominators), which returns the four the error figure reads instead:
+    int rows over a common denominator per row."""
     fit_maps = rays._fit_maps
 
-    def mutated(offsets, degree, dps):
-        maps = fit_maps(offsets, degree, dps)
-        if maps is None:
-            return None
-        fit, check, weights, condition = maps
-        with mp.workdps(dps + 10):
-            return (*mutate(fit, check, weights), condition)
+    def mutated(offsets, degree):
+        *maps, minors = fit_maps(offsets, degree)
+        return (*mutate(*maps), minors)
 
     monkeypatch.setattr(rays, "_fit_maps", mutated)
 
@@ -1157,8 +1176,8 @@ def test_weights_without_the_check_gap_miss(monkeypatch, preset_samples):
     fits = [(mu, s, 7) for mu, s in preset_samples[7] if mu == two_atom]
     assert figure_misses(fits) == []
 
-    def fit_alone(fit, check, weights):
-        return fit, check, tuple(tuple(abs(f) for f in row) for row in fit)
+    def fit_alone(fit, check, weights, denominators):
+        return fit, check, tuple(tuple(abs(f) for f in row) for row in fit), denominators
 
     mutated_fit_maps(monkeypatch, fit_alone)
     assert [(p, m) for p, m, _ in figure_misses(fits)] == [(7, 5)]
@@ -1174,16 +1193,18 @@ def test_a_halved_check_gap_misses(monkeypatch):
     fits = [(mu, invert_g_on_ray(mu, NontangentialRay(beta=80), dps=50, p=6), 6)]
     assert figure_misses(fits) == []
 
-    def halved(fit, check, weights):
-        # check' = (fit + check) / 2 halves every fit - check
+    def halved(fit, check, weights, denominators):
+        # check' = (fit + check) / 2 halves every fit - check: over twice
+        # the denominators, fit' = 2 fit and check' = fit + check
         check = tuple(
-            tuple((f + c) / 2 for f, c in zip(fit_row, check_row))
+            tuple(f + c for f, c in zip(fit_row, check_row))
             for fit_row, check_row in zip(fit, check)
         )
+        fit = tuple(tuple(2 * f for f in row) for row in fit)
         return fit, check, tuple(
             tuple(2 * abs(f - c) + abs(f) for f, c in zip(fit_row, check_row))
             for fit_row, check_row in zip(fit, check)
-        )
+        ), tuple(2 * den for den in denominators)
 
     mutated_fit_maps(monkeypatch, halved)
     misses = figure_misses(fits)
@@ -1203,10 +1224,11 @@ def test_a_check_fit_one_power_wider_is_blind_to_two_powers(monkeypatch):
     samples = invert_g_on_ray(Measure.dirac(0), p=p)
     offsets = tuple(j - samples.indices[0] for j in samples.indices)
     powers = {k: [mp.ldexp(1, -o * k) for o in offsets] for k in (degree + 1, degree + 2)}
-    rays._fit_maps.cache_clear()  # its key does not hold CHECK_DEGREES
+    clear_fit_caches()  # their keys do not hold CHECK_DEGREES
     with monkeypatch.context() as patch:
         patch.setattr(rays, "CHECK_DEGREES", 1)
-        fit, check = rays._fit_maps(offsets, degree, samples.dps)[:2]
+        # rows over one denominator, which cancels in c
+        fit, check = rays._fit_maps(offsets, degree)[:2]
         c = -mp.fdot(fit[0], powers[degree + 1]) / (
             mp.fdot(fit[0], powers[degree + 2]) - mp.fdot(check[0], powers[degree + 2])
         )
@@ -1215,11 +1237,129 @@ def test_a_check_fit_one_power_wider_is_blind_to_two_powers(monkeypatch):
             r_values=tuple(a + c * b for a, b in zip(powers[degree + 1], powers[degree + 2])),
         )
         one_wider = estimate_taylor_on_ray(blind, p)
-        rays._fit_maps.cache_clear()
+        clear_fit_caches()
     est = estimate_taylor_on_ray(blind, p)
     assert one_wider.coefficients[0] == est.coefficients[0] != 0
     assert abs(one_wider.coefficients[0]) > 10**20 * one_wider.errors[0]
     assert abs(est.coefficients[0]) <= est.errors[0]
+
+
+# --------------------------------------- the fit against exact least squares
+
+
+@functools.lru_cache(maxsize=None)
+def exact_fit_rows(offsets, degree):
+    """The exact pseudo-inverses of the fit and of the check fit
+    (`oracles.least_squares_rows`)."""
+    return (
+        least_squares_rows(offsets, degree + 1),
+        least_squares_rows(offsets, degree + 1 + rays.CHECK_DEGREES),
+    )
+
+
+def dyadic(x) -> Fraction:
+    """An mpf as the Fraction it is."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def at_most_root(c, t, s) -> bool:
+    """c <= t / sqrt(s), s > 0, exactly."""
+    if t >= 0:
+        return c <= 0 or c * c * s <= t * t
+    return c < 0 and c * c * s >= t * t
+
+
+def exact_fit_misses(fits):
+    """(kind, detail) of each output of `rays.estimate_taylor_on_ray` that
+    misses the exact least squares on the samples' own R values and
+    stability figures, over (samples, p) pairs: "coefficient" for a
+    coefficient more than one unit in the last place of |b_m|, at the
+    working precision, off the exact fit's b_m = x_fit[m] d^-m t_ref^-m,
+    "error" for an error figure below the exact (2 |x_fit[m] - x_check[m]|
+    + sum_i w[m, i] stab_i) |t_ref^-m|.  With tan theta = a / c, d^-m =
+    (a + ic)^m / (a^2 + c^2)^(m/2); every comparison is exact."""
+    misses = []
+    for samples, p in fits:
+        est = rays.estimate_taylor_on_ray(samples, p)
+        j0 = samples.indices[0]
+        fit, check = exact_fit_rows(tuple(j - j0 for j in samples.indices), p - 1 + FIT_GUARD)
+        values = [(dyadic(r.real), dyadic(r.imag)) for r in samples.r_values]
+        stability = [dyadic(s) for s in samples.stability]
+        a, c = samples.ray.tan_theta.numerator, samples.ray.tan_theta.denominator
+        prec = mp.libmp.dps_to_prec(samples.dps)
+        zr, zi = 1, 0  # (a + ic)^m
+        for m in range(p):
+            where = f"p = {p}, b_{m}, tan theta = {samples.ray.tan_theta}"
+            xf = [sum(f * v[k] for f, v in zip(fit[m], values)) for k in (0, 1)]
+            xc = [sum(f * v[k] for f, v in zip(check[m], values)) for k in (0, 1)]
+            size = Fraction(2 ** (m * j0)) / samples.ray.beta**m  # |t_ref^-m|
+            # Re b_m = t / sqrt(root)
+            t = (xf[0] * zr - xf[1] * zi) * size / (a * a + c * c) ** (m // 2)
+            root = a * a + c * c if m % 2 else 1
+            modulus2 = (xf[0] ** 2 + xf[1] ** 2) * size**2  # |b_m|^2
+            unit = 0
+            if modulus2:
+                k = modulus2.numerator.bit_length() - modulus2.denominator.bit_length()
+                k -= modulus2 < Fraction(2) ** k  # 2^k <= |b_m|^2 < 2^(k + 1)
+                unit = Fraction(2) ** (k // 2 + 1 - prec)
+            got = dyadic(est.coefficients[m])
+            if not (at_most_root(got - unit, t, root) and at_most_root(-got - unit, -t, root)):
+                misses.append(("coefficient", where))
+            zr, zi = zr * a - zi * c, zr * c + zi * a
+            if not mp.isfinite(est.errors[m]):
+                continue
+            noise = sum(
+                (2 * abs(f - g) + abs(f)) * s for f, g, s in zip(fit[m], check[m], stability)
+            )
+            left = dyadic(est.errors[m]) / size - noise  # must be >= 2 |x_fit - x_check|
+            if left < 0 or left * left < 4 * ((xf[0] - xc[0]) ** 2 + (xf[1] - xc[1]) ** 2):
+                misses.append(("error", where))
+    return misses
+
+
+@pytest.fixture(scope="module")
+def exact_fit_cases(preset_samples):
+    """The presets' rays at orders 4 and 10, and two laws on the tilted ray
+    and on one of tan theta = 1/3, whose d^-m is irrational at odd m, at
+    orders 4 and 7: (samples, p) pairs."""
+    cases = [(s, p) for p in (4, 10) for _, s in preset_samples[p]]
+    rays_ = (RAYS["tilted"], NontangentialRay(beta=F(1, 5), tan_theta=F(1, 3)))
+    laws = (Measure.semicircle(0, 2), Measure.discrete([(-1, "1/2"), (1, "1/4"), (2, "1/4")]))
+    cases += [(invert_g_on_ray(mu, ray, p=p), p) for ray in rays_ for mu in laws for p in (4, 7)]
+    return cases
+
+
+def test_fit_is_within_a_unit_of_the_exact_least_squares(exact_fit_cases):
+    assert exact_fit_misses(exact_fit_cases) == []
+
+
+def fit_mutant(name: str, old: str, new: str):
+    """`rays.<name>` compiled from the module's source with `old` replaced
+    by `new`, which must occur once."""
+    source = inspect.getsource(rays)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": rays.__name__, "__package__": "freemoments"}
+    exec(compile(source.replace(old, new), rays.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize(
+    "name, old, new, kinds",
+    [
+        # the error figure rounded down: below the exact figure by up to a
+        # unit, as the gap's square root rounded up adds far less
+        ("estimate_taylor_on_ray", "prec, round_ceiling)", "prec, mp.libmp.round_floor)", {"error"}),
+        # the samples whose exponent sets the common scale shifted one bit
+        # too far: each such R value doubled
+        ("_dyadic_ints", "<< exp - low if man", "<< (exp - low or 1) if man", {"coefficient"}),
+    ],
+    ids=["error-rounded-down", "common-scale-shift-off-by-one"],
+)
+def test_fit_mutants_break_the_exact_least_squares(monkeypatch, exact_fit_cases, name, old, new, kinds):
+    monkeypatch.setattr(rays, name, fit_mutant(name, old, new))
+    misses = exact_fit_misses(exact_fit_cases)
+    assert misses and {kind for kind, _ in misses} == kinds
 
 
 def test_ray_work_estimate_accepts_every_working_precision():
@@ -1280,6 +1420,34 @@ def test_ray_work_counts_the_atoms_and_their_heights(monkeypatch):
     with pytest.raises(BudgetError, match="the number of atoms"):
         invert_g_on_ray(atomic_law(1000), dps=3200)
     assert calls == []
+
+
+def test_ray_work_counts_the_heights_of_a_square_root_law():
+    # a semicircle's or Marchenko-Pastur law's ints carry its constants'
+    # bits: at 50 digits, order 10, a semicircle of center 1/3 + 10^-D and
+    # radius 2 + 10^-D took 0.05 s at D = 3000 and 1.4 s at D = 30000,
+    # which the estimate counted as dps^2 whatever D.  Judged by the
+    # estimate alone, never run
+    def wide(base, digits):
+        return base + F(1, 10**digits)
+
+    for mu in (Measure.semicircle(0, 2), Measure.marchenko_pastur(2)):
+        # the CI demo's presets at the most digits the budget admits
+        assert _ray_work(3200, mu) == _ray_work(3200) <= _RAY_BUDGET
+    for digits, admitted in ((3000, True), (10_000, True), (100_000, False)):
+        for mu in (
+            Measure.semicircle(wide(F(1, 3), digits), wide(2, digits)),
+            Measure.marchenko_pastur(wide(2, digits)),
+        ):
+            assert _ray_work(50, mu) > _ray_work(50)
+            assert (_ray_work(50, mu) <= _RAY_BUDGET) == admitted
+    # a wider constant costs more, and at 3200 digits a rate of 4000-digit
+    # parts, which took 1.6 s at order 4, counts as dps^2 still
+    mp_wide = Measure.marchenko_pastur(wide(2, 4000))
+    assert _ray_work(50, Measure.marchenko_pastur(wide(2, 8000))) > _ray_work(50, mp_wide)
+    assert _ray_work(3200, mp_wide) == _ray_work(3200)
+    with pytest.raises(BudgetError, match="digit products"):
+        invert_g_on_ray(Measure.semicircle(0, wide(2, 100_000)))
 
 
 @pytest.mark.parametrize("dps", [100_000, 10**400], ids=["1e5", "1e400"])
