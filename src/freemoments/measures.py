@@ -8,32 +8,31 @@ closed recurrences and, for the semicircle, the affine map x -> scale * x +
 shift that the random-matrix predictions share.  The Cauchy transform
 G(z) = integral of 1/(z - x) and its derivative come from one evaluation
 of the pair (G(z), G'(z)), closed-form for every shape and free of
-cancellation for large |z|; the shared terms (1/(z - t), or s =
-sqrt(zeta^2 - h^2)) and the domain check serve both components,
-which ``cauchy_transform`` and ``cauchy_transform_derivative`` return.
-Every shape but the uniform law is evaluated in ints, within a unit of a
-fixed point that the ray inversion chooses per level and
-``cauchy_transform`` from |z|: a discrete or Cauchy law is a sum of
-weight / (z - pole), rational in its data, which ``_rational_form``
-evaluates from the exact numerators and denominators, and a semicircle or
-Marchenko-Pastur law is 2m / (zeta + s + kappa), s = sqrt(zeta^2 - h^2),
-of rational constants, which ``_sqrt_form`` evaluates with one
-``math.isqrt`` per root.  The uniform law takes its logarithm in
-arbitrary precision (mpmath): ``_evaluator`` builds its evaluation at the
-working precision (the precision of ``Measure.support_radius`` too), with
-the exact ends converted to mpf once, so the ray inversion pays the
-conversions once per ray, not per Newton point.  No production path
-integrates numerically; quadrature of the densities lives in the test
-oracles.
+cancellation for large |z|; the shared terms (1/(z - t), s =
+sqrt(zeta^2 - h^2), or z - a and z - b) and the domain check serve both
+components, which ``cauchy_transform`` and ``cauchy_transform_derivative``
+return.  Every shape is evaluated in ints, within a unit of a fixed point
+that the ray inversion chooses per level and ``cauchy_transform`` from
+|z|: a discrete or Cauchy law is a sum of weight / (z - pole), rational in
+its data, which ``_rational_form`` evaluates from the exact numerators and
+denominators; a semicircle or Marchenko-Pastur law is 2m / (zeta + s +
+kappa), s = sqrt(zeta^2 - h^2), of rational constants, which
+``_sqrt_form`` evaluates with one ``math.isqrt`` per root; and the uniform
+law is m / (b - a) log q, q = (z - a) / (z - b), whose ``_log_form`` sums
+an atanh series for log |q| and an atan series for arg q in ints, with pi
+and log 2 computed once per precision.  No production path integrates
+numerically or evaluates G in mpmath; quadrature of the densities lives in
+the test oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
 for masses other than 1.  G is evaluated on the upper half-plane and, for
 compactly supported measures, also outside the closed disk containing the
 support.  Every compact closed form (sums of w / (z - t), the root
-s ~ zeta of zeta^2 - h^2, log1p(w / (z - b))) is the analytic G on all of
-C minus the support's hull [a, b], so a lower-half-plane point takes the
-same formula as an upper one; G(conj z) = conj G(z) holds bit for bit.
+s ~ zeta of zeta^2 - h^2, the principal log of (z - a) / (z - b)) is the
+analytic G on all of C minus the support's hull [a, b], so a
+lower-half-plane point takes the same formula as an upper one; G(conj z)
+= conj G(z) holds bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ _GUARD_BITS = 20
 # rounds once to the nearest unit
 _ROUND_BITS = 3
 _HALF = 1 << (_ROUND_BITS - 1)
+# _log_form halves a series' argument until it lies below about 2^-this
+_SERIES_REACH = 3
 
 DISCRETE = "discrete"
 DENSITY = "density"
@@ -569,69 +570,195 @@ def _sqrt_form(mu: Measure):
     return level
 
 
-def _closed_form(mu: Measure):
-    """A callable z -> (G(z), G'(z)) of a uniform law for points that passed
-    the domain check, with the exact constants of mu converted to mpf once,
-    at the working precision of this call; _evaluator adds the domain
-    check.  The form is analytic off the support [a, b], so it holds in the
-    lower half-plane too, and free of cancellation for large |z| (the ray
-    inversion's Newton iterates reach |z| ~ 1e12): log((z - a) / (z - b))
-    becomes log1p((b - a) / (z - b)).
-    """
-    import mpmath as mp
+def _odd_series(x: int, k: int, sign: int) -> int:
+    """The sum of sign^i x^(2i+1) / (2i+1) over i >= 0, atanh x at sign 1
+    and atan x at sign -1, for 0 <= x < 2^(k-1), x and the sum ints of
+    2^-k: within 3 units of the value at x, so within 3 + 4/3 e units of
+    the value at a real x' when x is within e units of x'.
 
-    mass = _to_mpf(mu.mass)
-    a, b = mu.param("a"), mu.param("b")
-    lo, hi, width = _to_mpf(a), _to_mpf(b), _to_mpf(b - a)
+    Summed by rectangular splitting (Smith, Math. Comp. 52 (1989)): the n
+    terms that take the tail below a quarter unit, as x < 2^-l, form
+    blocks of m = isqrt(n), each a sum of the powers y^0..y^(m-1) of y =
+    sign x^2 divided by small ints, joined by Horner's rule in y^m.  The
+    powers carry 3 units at most, and each term is rounded once, so the
+    sum runs at guard bits that follow the term count: the bits of 4m + 8."""
+    if not x:
+        return 0
+    l = k - x.bit_length()
+    n = (k + l) // (2 * l) + 1
+    m = math.isqrt(n)
+    guard = (4 * m + 8).bit_length()
+    kk = k + guard
+    big = x << guard
+    y = big * big >> kk
+    powers = [1 << kk]
+    for _ in range(m):
+        powers.append(powers[-1] * y >> kk)
+    if sign < 0:
+        powers = [-p if i % 2 else p for i, p in enumerate(powers)]
+    step = powers.pop()
+    acc = 0
+    for start in range((n - 1) // m * m, -1, -m):
+        block = sum(p // d for p, d in zip(powers, range(2 * start + 1, 2 * n, 2)))
+        acc = block + (acc * step >> kk)
+    return big * acc >> (k + 2 * guard)
 
-    def uniform(z):
-        z_hi = z - hi
-        return mass * mp.log1p(width / z_hi) / width, -mass / ((z - lo) * z_hi)
 
-    return uniform
+@functools.lru_cache(maxsize=16)
+def _log_constants(k: int) -> tuple[int, int]:
+    """(pi, log 2) as ints of 2^-k, each within 1.01 units: Machin's pi =
+    16 atan(1/5) - 4 atan(1/239) and log 2 = 4 atanh(1/7) + 2 atanh(1/17),
+    summed 2^16 finer.  `_log_form` asks for k rounded up to a multiple of
+    64 bits, so they are computed once per such precision, and cuts them."""
+    kk = k + 16
+    pi = 16 * _odd_series((1 << kk) // 5, kk, -1) - 4 * _odd_series((1 << kk) // 239, kk, -1)
+    log2 = 4 * _odd_series((1 << kk) // 7, kk, 1) + 2 * _odd_series((1 << kk) // 17, kk, 1)
+    return pi >> 16, log2 >> 16
 
 
-def _evaluator(mu: Measure):
-    """A callable z -> (G(z), G'(z)) of a uniform law with the domain check,
-    built at the working precision and to be called at it.  The check keeps
-    Newton on G's own branch: the upper half-plane, or outside the support
-    disk, whose radius is converted on the first point off the upper
-    half-plane.
-    """
-    import mpmath as mp
+def _halvings(num: int, den: int) -> int:
+    """How often `_log_form` halves the argument num / den <= 1 of a series,
+    each halving dividing it by about 2 or more, to take it below about
+    2^-_SERIES_REACH."""
+    return max(num.bit_length() - den.bit_length() + 1 + _SERIES_REACH, 0)
 
-    closed = _closed_form(mu)
-    support = functools.cache(mu.support_radius)
 
-    def evaluate(z):
-        zz = mp.mpc(z)
-        if zz.imag <= 0 and abs(zz) <= support():
-            raise DomainError(
-                f"point {zz} is neither in the upper half-plane nor outside "
-                "the support disk"
+def _halved(x: int, k: int, j: int, sign: int) -> int:
+    """x / (1 + sqrt(1 + sign x^2)) applied j times to an int x >= 0 of 2^-k:
+    tan(atan(x) / 2) for x <= 1 at sign 1, tanh(atanh(x) / 2) for x <= 1/3
+    at sign -1.  Their slopes are at most 1/2 and 0.57, and each step
+    rounds by less than 1.3 units, so an x within 3 units stays within 3."""
+    one, square = 1 << k, 1 << 2 * k
+    for _ in range(j):
+        x = (x << k) // (one + math.isqrt(square + sign * x * x))
+    return x
+
+
+def _log_form(mu: Measure):
+    """level(e, bits) -> evaluate(wr, wi), the (G, G') of a uniform law in
+    ints, or None for the other shapes; the same contract as
+    `_rational_form`: at a level of binary exponent e the point is w = (wr
+    + i wi) 2^-(bits + e), and G and G' come back as ints of 2^(e - bits)
+    and 2^(2e - bits), each within one unit of the exact value.
+
+    G = m / (b - a) log q with q = (w - a) / (w - b) on the principal
+    branch, analytic off [a, b], and log q = log |q| + i arg q, both from
+    exact ints of zeta_x = w - x over the ends' common denominator times
+    2^u, u = max(bits + e, 0).  log |q| = atanh v of the exact ratio v =
+    (|zeta_a|^2 - |zeta_b|^2) / (|zeta_a|^2 + |zeta_b|^2); past |v| = 1/3,
+    near an end, it is n log 2 / 2 + atanh of (|zeta_a|^2 - 2^n
+    |zeta_b|^2) / (|zeta_a|^2 + 2^n |zeta_b|^2), n the difference of the
+    two norms' bit lengths.  arg q is the argument of zeta_a conj(zeta_b)
+    = P + iQ, where Q has the sign of -Im w: atan(|Q| / P), pi/2 - atan(P
+    / |Q|) or pi - atan(|Q| / |P|), whichever argument is at most 1; pi
+    enters near arg q = -pi, just above the support.  Each argument is one
+    rounded quotient, halved j times by x -> x / (1 + sqrt(1 -+ x^2))
+    (`_halved`) while it may be 1/8 or more, and its series is summed by
+    rectangular splitting (`_odd_series`) and multiplied by 2^j; pi and
+    log 2 are computed once per precision (`_log_constants`).  So log q
+    lies within (7 << j) + 2 |n| + 3 units 2^-k, and k = max(bits - e, 0)
+    + g keeps G's error below a quarter unit: the guard bits g follow m /
+    (b - a), the halvings and n.
+
+    G' = -m / ((w - a)(w - b)) is one Gaussian reciprocal of the exact
+    product zeta_a zeta_b, whose norm is |zeta_a|^2 |zeta_b|^2, free of the
+    cancellation of m / (b - a) (1 / (w - a) - 1 / (w - b)) at large |w|.
+    G and G' are divided out 2^3 times finer than the result (`_quotient`)
+    and rounded once.  Every rounding is toward 0, and the sign of Im w
+    enters only at the end, so G(conj w) = conj G(w) holds bit for bit.
+
+    The domain check is exact: Im w > 0, or |w| > max(|a|, |b|)."""
+    if mu.density != UNIFORM:
+        return None
+    lo, hi = mu.param("a"), mu.param("b")
+    den = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    mn, md = mu.mass.numerator, mu.mass.denominator
+    # G = c log q, c = m / (b - a) = cn / cd
+    cn, cd = mn * den, md * (b - a)
+    lc = (cn // cd + 1).bit_length()  # c < 2^lc
+    radius = max(abs(lo), abs(hi))
+    gp = mn * den * den  # -G' = m / ((w - a)(w - b)) = gp 4^up / (md N)
+
+    def level(e: int, bits: int):
+        s = bits + e
+        up, down = max(s, 0), max(-s, 0)
+        dd, au, bu, width = den << down, a << up, b << up, (b - a) << up
+        # |w| > radius  <=>  |W|^2 rd2 > rn2
+        rn2, rd2 = (radius.numerator << up) ** 2, (radius.denominator << down) ** 2
+        out = bits - e + _ROUND_BITS  # G in units 2^-out
+        gp_shift = 2 * up + bits - 2 * e + _ROUND_BITS
+
+        def evaluate(wr: int, wi: int):
+            if not (wi > 0 or (wr * wr + wi * wi) * rd2 > rn2):
+                raise DomainError(
+                    "the point is neither in the upper half-plane nor outside the support disk"
+                )
+            # zeta_a = (ar + i y) / (den 2^up), zeta_b = (br + i y) / (den 2^up)
+            y, ar, br = wi * dd, wr * dd - au, wr * dd - bu
+            yy, ab = y * y, ar * br
+            na, nb = ar * ar + yy, br * br + yy
+            # log |q| = n log 2 / 2 + atanh(vn / vd), vd = na + nb 2^n
+            if 3 * abs(na - nb) <= na + nb:
+                n, vn, vd = 0, na - nb, na + nb
+            else:
+                n = na.bit_length() - nb.bit_length()
+                sa, sb = (na, nb << n) if n >= 0 else (na << -n, nb)
+                vn, vd = sa - sb, sa + sb
+            # arg q = -sign(Im w) theta, theta = atan2(|Q|, P) = base pi/2
+            # + turn atan(tn / td), tn <= td, of zeta_a conj(zeta_b) = (P +
+            # iQ) / (den 2^up)^2
+            p, aq = ab + yy, abs(y) * width
+            if aq <= p:
+                base, tn, td, turn = 0, aq, p, 1
+            elif aq < -p:
+                base, tn, td, turn = 2, aq, -p, -1
+            else:
+                base, tn, td, turn = 1, abs(p), aq, -1 if p > 0 else 1
+            jr, ji = _halvings(abs(vn), vd), _halvings(tn, td)
+            # 2^(g - 2) > c times log q's error bound in units 2^-k
+            g = lc + 2 + ((7 << max(jr, ji)) + 2 * abs(n) + 3).bit_length()
+            k = max(bits - e, 0) + g
+            atanh = _odd_series(_halved(_quotient(abs(vn), k, vd), k, jr, -1), k, 1) << jr
+            theta = _odd_series(_halved(_quotient(tn, k, td), k, ji, 1), k, -1) << ji
+            re = atanh if vn >= 0 else -atanh
+            im = turn * theta
+            if n or base:
+                # pi and log 2 within 2.01 units
+                top = -(-k // 64) * 64
+                pi, log2 = (c >> (top - k) for c in _log_constants(top))
+                re += _toward_zero(n * log2, 1, 1)
+                im += base * pi >> 1
+            if wi > 0:
+                im = -im
+            gr, gi = _quotient(cn * re, out - k, cd), _quotient(cn * im, out - k, cd)
+            nn = na * nb * md
+            gpr = _quotient(-gp * (ab - yy), gp_shift, nn)
+            gpi = _quotient(gp * y * (ar + br), gp_shift, nn)
+            return tuple(
+                _toward_zero(x + (_HALF if x >= 0 else -_HALF), 1, _ROUND_BITS) for x in (gr, gi, gpr, gpi)
             )
-        return closed(zz)
 
-    return evaluate
+        return evaluate
+
+    return level
 
 
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
-    """(G(z), G'(z)) to roughly dps digits.  A law of an int form
-    (`_rational_form`, `_sqrt_form`) takes it in the fixed point of a level
-    at |z|, e = -mag(z), where G ~ 1/z is an int of about `bits` bits:
-    _GUARD_BITS past the precision, and as many more as a pole lies farther
-    out than z or the mass lies below 1; twice as many as the support
-    reaches past z for a semicircle or Marchenko-Pastur law, where G' ~
+    """(G(z), G'(z)) to roughly dps digits, from the law's int form
+    (`_rational_form`, `_sqrt_form`, `_log_form`) in the fixed point of a
+    level at |z|, e = -mag(z), where G ~ 1/z is an int of about `bits`
+    bits: _GUARD_BITS past the precision, and as many more as a pole lies
+    farther out than z or the mass lies below 1; twice as many as the
+    support reaches past z for a compactly supported density, where G' ~
     1/h^2 falls below the level's scale 1/z^2.  z goes in rounded to that
     fixed point, its imaginary part away from 0, so it stays on its side of
-    the axis.  The uniform law takes its mpmath form (`_evaluator`)."""
+    the axis."""
     import mpmath as mp
 
     with mp.workdps(dps):
         found = _poles(mu)
-        form = _rational_form(mu) if found is not None else _sqrt_form(mu)
-        if form is None:
-            return _evaluator(mu)(z)
+        form = _rational_form(mu) if found is not None else _sqrt_form(mu) or _log_form(mu)
         z = mp.mpc(z)
         if not mp.isfinite(z):
             raise DomainError(f"point {z} is not finite")

@@ -41,15 +41,14 @@ discrete laws and 1.6 on semicircles, against 3.8, 6.1 and 1.9.
 
 Each level's Newton loop, its certificate and the seeds run in fixed
 point: Python ints scaled by a binary exponent of the level
-(`_fixed_transform`), which round in a known direction, so every bound is
-rounded the safe way at any radius and any precision.  The G and G' of
-a discrete, Cauchy, semicircle or Marchenko-Pastur law are ints of that
-fixed point too, each within a unit of the exact value
-(`measures._rational_form`, `measures._sqrt_form`); those of the uniform
-law and of a pair of callables are mpmath at a caller-chosen working
-precision.  The fit runs in ints too: a kept R value or stability figure
-is a dyadic number, which it takes exactly at one common scale
-(`estimate_taylor_on_ray`).
+(`_level_evaluators`), which round in a known direction, so every bound
+is rounded the safe way at any radius and any precision.  The G and G'
+of every measure are ints of that fixed point too, each within a unit of
+the exact value (`measures._rational_form`, `measures._sqrt_form`,
+`measures._log_form`); those of a pair of callables are mpmath at a
+caller-chosen working precision (`_fixed_transform`).  The fit runs in
+ints too: a kept R value or stability figure is a dyadic number, which
+it takes exactly at one common scale (`estimate_taylor_on_ray`).
 Every kept sample carries a certified upper bound on its inversion
 residual |G(K(z)) - z|, and the stability figure
 residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
@@ -81,7 +80,7 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    _evaluator,
+    _log_form,
     _poles,
     _rational_form,
     _sqrt_constants,
@@ -111,28 +110,32 @@ _FLOOR_SLACK = 3
 _BACKTRACK_HALVINGS = 40  # the smallest damped step Newton tries is dw / 2^39
 _EVALUATION_ERRORS = (DomainError, ValueError, ZeroDivisionError)
 # The ray's work is refused up front past this many digit products (see
-# _ray_work): about 3200 digits.  On a 2-core machine the costliest closed
-# form, the uniform law's logarithm, takes about 6 s at 3200 digits and
-# 10 s at 4000; at 100000 digits a ray would run for hours.
+# _ray_work): about 3200 digits.  On a 2-core machine the costliest
+# closed form there, Marchenko-Pastur's, takes about 0.9 s at order 4 and
+# 1.6 s at order 10, the uniform law's 0.7 s and 1.3 s; at 100000 digits
+# a ray would run for hours.
 _RAY_BUDGET = 7 * 10**8
 # A term of a discrete or Cauchy law costs a 48th of the budget's dps^2 per
 # evaluation (_ray_work), and below 200 digits what it costs at 200, where
 # the interpreter's work on each term takes over.  On a 2-core machine an
 # atom took 1.1-1.8 ms per evaluation at 3200 digits and 7 us at 50, and a
-# ray of order 10 at 3200 digits 0.22 s per atom, against 3.7 s for the
-# uniform law: 48 atoms, 10.4 s, are admitted there, 1000 are not.
+# ray of order 10 at 3200 digits 0.22 s per atom, against 1.6 s for
+# Marchenko-Pastur at rate 2: 48 atoms, 10.4 s, are admitted there, 1000
+# are not.
 _TERMS_PER_EVALUATION = 48
 _TERM_FLOOR_DIGITS = 200
-# A semicircle's or Marchenko-Pastur law's evaluation costs
-# (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _SQRT_FORM_DIVISOR when that is
-# more than dps^2, h the bits of its constants (_ray_work).  On a 2-core
-# machine at 50 digits, order 10, a semicircle of center 1/3 + 10^-D and
-# radius 2 + 10^-D took 0.05 s at D = 3000, 0.27 s at 10^4 and 1.4 s at
-# 3 10^4, where it is counted 1.9 times the budget, and Marchenko-Pastur of
-# rate 2 + 10^-D 1.2 s at 3 10^4 (0.84 of it); at 400 digits, order 4,
-# the two took 0.9 s and 1.9 s at 3 10^4, counted the same.  Their time
-# grows like h^1.5, the count like h^2.
-_SQRT_FORM_DIVISOR = 2048
+# An evaluation of a semicircle, a Marchenko-Pastur law or a uniform law
+# costs (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _DENSITY_FORM_DIVISOR when
+# that is more than dps^2, h the bits of its constants (_ray_work).  On a
+# 2-core machine at 50 digits, order 10, a semicircle of center 1/3 +
+# 10^-D and radius 2 + 10^-D took 0.05 s at D = 3000, 0.27 s at 10^4 and
+# 1.4 s at 3 10^4, where it is counted 1.9 times the budget,
+# Marchenko-Pastur of rate 2 + 10^-D 1.2 s at 3 10^4 (0.84 of it), and
+# the uniform law on [-1/3 + 10^-D, 2 + 10^-D] 0.04 s, 0.25 s and 1.3 s
+# (0.84 of it); at 400 digits, order 4, the three took 0.9 s, 1.9 s and
+# 2.4 s at 3 10^4, counted the same.  Their time grows like h^1.5, the
+# count like h^2.
+_DENSITY_FORM_DIVISOR = 2048
 # bits past the output precision of the fit's unscaling ints (_unscale)
 _UNSCALE_GUARD = 8
 
@@ -188,26 +191,21 @@ class RayTransformSamples:
 
 def _level_evaluators(source):
     """level(e, bits) -> evaluate(wr, wi): G and G' of source in the fixed
-    point of each ray level (`_fixed_transform`), the one seam through
-    which the ray evaluates every source.  A discrete or Cauchy law takes
-    its int form (`measures._rational_form`), a semicircle or
-    Marchenko-Pastur law its own (`measures._sqrt_form`); the uniform law
-    takes its mpmath closed form, built here once at the working precision,
-    and a (G, G') pair of callables its two calls, each point converted to
-    an mpc and the values floored back."""
+    point of each ray level, the one seam through which the ray evaluates
+    every source.  A measure takes its int form: a discrete or Cauchy law
+    `measures._rational_form`, a semicircle or Marchenko-Pastur law
+    `measures._sqrt_form`, the uniform law `measures._log_form`.  A (G, G')
+    pair of callables takes its two calls (`_fixed_transform`), each point
+    converted to an mpc and the values floored back."""
     if isinstance(source, Measure):
-        form = _rational_form(source) or _sqrt_form(source)
-        if form is not None:
-            return form
-        transform = _evaluator(source)
-    elif isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source):
-        g, gp = source
-
-        def transform(w):
-            return g(w), gp(w)
-
-    else:
+        return _rational_form(source) or _sqrt_form(source) or _log_form(source)
+    if not (isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source)):
         raise ValidationError("source must be a Measure or a (G, G') pair of callables")
+    g, gp = source
+
+    def transform(w):
+        return g(w), gp(w)
+
     return functools.partial(_fixed_transform, transform)
 
 
@@ -258,14 +256,15 @@ def _div_up(a: int, b: int) -> int:
 
 def _fixed_transform(transform, e: int, bits: int):
     """evaluate(wr, wi) -> (G_r, G_i, G'_r, G'_i): transform, which gives
-    (G(w), G'(w)), in the fixed point of a ray level of binary exponent e.
-    The point w = (wr + i wi) 2^-(bits + e) goes to transform as an mpc,
-    exactly; G and G' come back floored to ints of 2^(e - bits) and
-    2^(2e - bits).  On a level of radius about 2^e, K ~ 1/z, G ~ z and
-    G' ~ -z^2, so the point and the four values are ints of about `bits`
-    bits.  A value of G or G' past 2^(2 bits) times its scale raises
-    ValueError, as a point off G's domain raises DomainError: Newton takes
-    no step from such a point."""
+    (G(w), G'(w)) from a caller's (G, G') pair of callables
+    (`_level_evaluators`), in the fixed point of a ray level of binary
+    exponent e.  The point w = (wr + i wi) 2^-(bits + e) goes to
+    transform as an mpc, exactly; G and G' come back floored to ints of
+    2^(e - bits) and 2^(2e - bits).  On a level of radius about 2^e, K ~
+    1/z, G ~ z and G' ~ -z^2, so the point and the four values are ints of
+    about `bits` bits.  A value of G or G' past 2^(2 bits) times its scale
+    raises ValueError, as a point off G's domain raises DomainError:
+    Newton takes no step from such a point."""
     exp = -bits - e
     g_shift, s_shift = bits - e, bits - 2 * e
     cap = 3 * bits
@@ -283,7 +282,7 @@ def _step_certificate(w, dw, f, s, target: int, bits: int):
     evaluated point w, with f = G(w) - z and s = G'(w) there as floored:
     an upper bound on |G(step) - z| and a lower bound on |G'(step)|, or None
     when the residual bound exceeds target or the slope bound is not
-    positive.  All are ints of a level's fixed point (`_fixed_transform`).
+    positive.  All are ints of a level's fixed point (`_level_evaluators`).
 
     For a probability law on the real line |G''(v)| <= _CURVATURE/(Im v)^3,
     and Im v >= m = min(Im w, Im step) on the segment from w to step, so
@@ -399,34 +398,34 @@ def _ray_work(dps: int, source=None) -> int:
     precision, for each of the 34 levels 7-40, the most a ray tries.  Both
     counts are upper bounds at 50 digits (see the module docstring); at 400
     digits Newton takes 3.2-5.1 evaluations per level.  The wall time grows
-    about like dps^2: 4.5-fold per doubling of dps from 1600 to 3200 digits
-    on the uniform law, 3.5-fold on Marchenko-Pastur's int form
-    (`measures._sqrt_form`).  On a 2-core machine at 3200 digits the
-    uniform law's mpmath form, the costliest, took 2.4 s at order 4 and
-    3.2 s at order 10, Marchenko-Pastur at rate 2 0.82 s and 1.7 s, the
-    semicircle 0.1 s and 0.15 s.
+    about like dps^2: 4.3-fold per doubling of dps from 1600 to 3200 digits
+    on the uniform law's int form (`measures._log_form`), 3.6-fold on
+    Marchenko-Pastur's (`measures._sqrt_form`).  On a 2-core machine at
+    3200 digits Marchenko-Pastur at rate 2, the costliest, took 0.86 s at
+    order 4 and 1.6 s at order 10, the uniform law on [-1, 1] 0.69 s and
+    1.25 s, the semicircle 0.24 s and 0.7 s.
 
     A discrete or Cauchy law's evaluation costs a reciprocal per term
     (`measures._rational_form`) of ints that carry the term's own bits too:
     it counts (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _TERMS_PER_EVALUATION
     per term instead when that is more, with h the bits of the term's
     numerators and denominators, as levy._moments_work counts an atom's
-    height (3.3 bits make a digit).  A semicircle's or Marchenko-Pastur
-    law's ints carry the bits h of its constants and mass
-    (`measures._sqrt_constants`), and an evaluation counts
-    (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _SQRT_FORM_DIVISOR when that
-    is more than dps^2."""
+    height (3.3 bits make a digit).  The ints of a semicircle, a
+    Marchenko-Pastur law or a uniform law carry the bits h of its
+    constants (`measures._sqrt_constants`, or the ends a and b) and mass,
+    and an evaluation counts (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 /
+    _DENSITY_FORM_DIVISOR when that is more than dps^2."""
     per_evaluation = dps * dps
     found = _poles(source) if isinstance(source, Measure) else None
     digits = max(dps, _TERM_FLOOR_DIGITS)
     if found is not None:
         terms = sum((digits + sum(x.bit_length() for x in term) // 3) ** 2 for term in found[0])
         per_evaluation = max(per_evaluation, terms // _TERMS_PER_EVALUATION)
-    constants = _sqrt_constants(source) if isinstance(source, Measure) else None
-    if constants is not None:
-        mid, h2, _ = constants
-        bits = sum(x.bit_length() for c in (mid, h2, source.mass) for x in (c.numerator, c.denominator))
-        per_evaluation = max(per_evaluation, (digits + bits // 3) ** 2 // _SQRT_FORM_DIVISOR)
+    elif isinstance(source, Measure):
+        # (mid, h^2) of a semicircle or Marchenko-Pastur law, the ends of a uniform law
+        constants = (_sqrt_constants(source) or (source.param("a"), source.param("b")))[:2]
+        bits = sum(x.bit_length() for c in (*constants, source.mass) for x in (c.numerator, c.denominator))
+        per_evaluation = max(per_evaluation, (digits + bits // 3) ** 2 // _DENSITY_FORM_DIVISOR)
     return 2 * (NontangentialRay.levels - NontangentialRay.first_level) * per_evaluation
 
 
@@ -444,7 +443,7 @@ def invert_g_on_ray(
     after one kept level, or right after a dropped one, the last R is
     carried as it is.
 
-    Each level runs in fixed point (`_fixed_transform`): level j has the
+    Each level runs in fixed point (`_level_evaluators`): level j has the
     binary exponent e = mag(beta) - j, and K, R and 1/z are ints of
     2^-(e + bits), z and G of 2^(e - bits) and G' of 2^(2e - bits), with
     bits = mp.prec + _GUARD_BITS.  z = beta d / 2^j is the same int pair

@@ -4,9 +4,9 @@ Everything here is deliberately naive: all-set-partition enumeration with a
 quartic crossing scan, the Catalan recurrence, a full poset Mobius sweep,
 certified Gauss-Legendre integrals of densities, the Cauchy transform of
 a discrete or Cauchy law, with its derivative, in rational arithmetic, and
-that of a semicircle or Marchenko-Pastur law from its textbook closed form
-at a precision past the cancellation.  The production code must agree with
-these on small sizes.
+that of a semicircle, Marchenko-Pastur or uniform law from its textbook
+closed form at a precision past the cancellation.  The production code
+must agree with these on small sizes.
 """
 
 from __future__ import annotations
@@ -237,6 +237,39 @@ def cauchy_sqrt_law(mu: Measure, re: Fraction, im: Fraction, prec: int):
             gp = ((1 - ds) * z - (z + 1 - rate - s)) / (2 * z * z)
         mass = _mpf(mu.mass)
         return (mass * g).real, (mass * g).imag, (mass * gp).real, (mass * gp).imag
+
+
+def cauchy_log_law(mu: Measure, re: Fraction, im: Fraction, prec: int):
+    """(G_re, G_im, G'_re, G'_im) at the rational point z = re + i im of a
+    uniform law on [a, b], z off [a, b], from the textbook forms G(z) = m /
+    (b - a) (log(z - a) - log(z - b)) and G'(z) = m / (b - a) (1 / (z - a)
+    - 1 / (z - b)), each log taken as log |z - x| + i arg(z - x).  The
+    branch comes from exact signs: arg(z - x) is atan2 of the exact parts
+    im and re - x, 0 or pi on the axis, so the two args' difference is arg
+    q of q = (z - a) / (z - b) on C minus [a, b].  G' is summed in
+    Fractions; G in mpmath at prec bits, which must cover the cancellation
+    of the two logs, about log2 |z| bits at large |z|.  Checks the
+    production evaluation."""
+    a, b = mu.param("a"), mu.param("b")
+    with mp.workprec(prec):
+
+        def log(x: Fraction):
+            dre = re - x
+            if im == 0:
+                arg = mp.pi if dre < 0 else mp.mpf(0)
+            else:
+                arg = mp.atan2(_mpf(im), _mpf(dre))
+            return mp.mpc(mp.log(mp.hypot(_mpf(dre), _mpf(im))), arg)
+
+        def inverse(x: Fraction):
+            dre = re - x
+            size = dre * dre + im * im
+            return dre / size, -im / size
+
+        c = mu.mass / (b - a)
+        g = _mpf(c) * (log(a) - log(b))
+        (ar, ai), (br, bi) = inverse(a), inverse(b)
+        return g.real, g.imag, _mpf(c * (ar - br)), _mpf(c * (ai - bi))
 
 
 def least_squares_rows(offsets, columns: int) -> list[list[Fraction]]:

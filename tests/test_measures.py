@@ -27,7 +27,14 @@ from freemoments.measures import (
     moments,
 )
 
-from oracles import cauchy_exact, cauchy_quad, cauchy_sqrt_law, density_integral, numeric_moment
+from oracles import (
+    cauchy_exact,
+    cauchy_log_law,
+    cauchy_quad,
+    cauchy_sqrt_law,
+    density_integral,
+    numeric_moment,
+)
 
 F = Fraction
 
@@ -744,6 +751,142 @@ def test_sqrt_form_mutants_break_the_contract(monkeypatch, old, new, kinds):
     monkeypatch.setattr(measures, "_sqrt_form", form_mutant("_sqrt_form", old, new))
     misses = sqrt_form_misses()
     assert misses and {k for k, _ in misses} == kinds
+
+
+# ---------------------------------------------------- the int form of a uniform law
+
+
+def random_uniform_laws(rng):
+    """Uniform windows on the 1/4 grid left of 0, across 0 (one of mass
+    k / 9) and right of 0, and one across 0 whose ends have numerators and
+    denominators of about 100 bits."""
+    left = -F(rng.randint(0, 8), 4)
+    right = F(rng.randint(0, 8), 4)
+    across = -F(rng.randint(1, 24), 4), F(rng.randint(1, 24), 4)
+    high = F(-1, 3) + F(1, 10**30 + rng.randint(1, 99)), 2 + F(rng.randint(1, 99), 10**30)
+    return [
+        Measure.uniform(left - F(rng.randint(1, 24), 4), left),
+        Measure.uniform(*across),
+        Measure.uniform(*across, mass=F(rng.randint(1, 17), 9)),
+        Measure.uniform(right, right + F(rng.randint(1, 24), 4)),
+        Measure.uniform(*high),
+    ]
+
+
+def log_contract_points(mu, s, bits, rng):
+    """Int points W of a level, w = W / 2^s: one in each half-plane at
+    |w| ~ 2^(bits - s), on both signs of Re w; around each end, above,
+    below and on the axis, from one unit to 2^(bits / 2) units away; two
+    just above the interior of [a, b], where arg q is near -pi; two below
+    the axis just outside the support disk, one on each side; and, where
+    the level's grid holds them, the points of the disk's circle on the
+    axis and below it."""
+    top = 1 << bits
+    sign = rng.choice((-1, 1))
+    points = [(sign * rng.randint(1, top), rng.randint(1, top)), (-sign * rng.randint(1, top), -rng.randint(1, top))]
+    a, b = mu.param("a"), mu.param("b")
+    unit = F(2) ** s
+    for x in (a, b):
+        for im in (1, -1, 0):
+            near = rng.randint(1, 1 << rng.randint(0, bits // 2))
+            points.append((math.floor(x * unit) + rng.randint(-near, near), im * rng.randint(1, near)))
+    for _ in range(2):
+        inside = a + (b - a) * F(rng.randint(1, 15), 16)
+        points.append((math.floor(inside * unit), rng.randint(1, 1 << rng.randint(0, bits // 2))))
+    radius = max(abs(a), abs(b))
+    corner = math.ceil(radius * unit * 4 / 5)  # |w| ~ 1.13 radius
+    points += [(corner + rng.randint(0, 4), -corner - rng.randint(0, 4)),
+               (-corner - rng.randint(0, 4), -corner - rng.randint(0, 4))]
+    x = radius * unit
+    if x.denominator == 1:
+        points += [(int(x), 0), (-int(x), 0), (0, -int(x))]
+    return points
+
+
+def log_form_misses(seed=20261022, stats=None):
+    """(kind, detail) of each point where `measures._log_form` breaks its
+    contract, over random uniform windows at 15, 50 and 400 digits on
+    levels of beta = 1/8 and 10^(+-320): each of the four ints must lie
+    within one unit of `cauchy_log_law` at more than twice the working
+    bits past each unit, "G" or "G'" if not, and a point is
+    refused with DomainError exactly when it lies neither in the upper
+    half-plane nor outside the support disk, "domain" if not.  `stats`
+    counts what the points covered."""
+    rng = random.Random(seed)
+    stats = {} if stats is None else stats
+    misses = []
+    for dps in (15, 50, 400):
+        with mp.workdps(dps):
+            bits = mp.mp.prec + rays._GUARD_BITS
+        for beta in (F(1, 8), F(10) ** 320, F(10) ** -320):
+            for mu in random_uniform_laws(rng):
+                e = beta.numerator.bit_length() - beta.denominator.bit_length() - rng.randint(7, 40)
+                s = bits + e
+                stats["negative shift" if s < 0 else "positive shift"] = 1
+                evaluate = measures._log_form(mu)(e, bits)
+                for w in log_contract_points(mu, s, bits, rng):
+                    misses += _log_contract_miss(mu, evaluate, w, s, e, bits, stats)
+    return misses
+
+
+def _log_contract_miss(mu, evaluate, w, s, e, bits, stats):
+    """The misses of `log_form_misses` at the int point w."""
+    wr, wi = w
+    re, im = F(wr) / F(2) ** s, F(wi) / F(2) ** s
+    a, b = mu.param("a"), mu.param("b")
+    refused = im <= 0 and re * re + im * im <= max(a * a, b * b)
+    try:
+        got = evaluate(wr, wi)
+    except DomainError:
+        stats["refused"] = stats.get("refused", 0) + 1
+        return [] if refused else [("domain", f"{w} refused")]
+    except (ValueError, ZeroDivisionError) as exc:
+        return [("domain", f"{w} raised {exc!r}")]
+    if refused:
+        return [("domain", f"{w} evaluated")]
+    stats["evaluated"] = stats.get("evaluated", 0) + 1
+    if wi < 0:
+        stats["lower half-plane"] = stats.get("lower half-plane", 0) + 1
+    if (re - a) * (re - b) + im * im < 0:  # Re q < 0: |arg q| > pi / 2
+        stats["arg past pi / 2"] = stats.get("arg past pi / 2", 0) + 1
+    # G needs bits - e bits past its unit, and |G'| <= 2^(s + 3) / (b - a)
+    # near an end 2 bits - e past its unit 2^(2e - bits)
+    prec = 2 * bits + abs(e) + 64
+    exact = cauchy_log_law(mu, re, im, prec)
+    with mp.workprec(prec):
+        shifts = (bits - e,) * 2 + (bits - 2 * e,) * 2
+        offs = [abs(x - mp.ldexp(v, shift)) for x, v, shift in zip(got, exact, shifts)]
+        return [
+            ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}, w = {w}: off by {mp.nstr(off, 5)}")
+            for i, off in enumerate(offs)
+            if not off < 1
+        ]
+
+
+def test_log_form_is_within_a_unit_of_the_transform():
+    stats = {}
+    assert log_form_misses(stats=stats) == []
+    assert stats["positive shift"] and stats["negative shift"]
+    assert stats["evaluated"] > 300 and stats["refused"] > 100
+    assert stats["lower half-plane"] > 50 and stats["arg past pi / 2"] > 50
+
+
+@pytest.mark.parametrize(
+    "old, new, kind",
+    [
+        # the points of the support disk's circle pass the domain check,
+        # and the end of largest |x| among them raises
+        ("(wr * wr + wi * wi) * rd2 > rn2", "(wr * wr + wi * wi) * rd2 >= rn2", "domain"),
+        # the guard bits without the reductions' count: log q loses 2^j
+        # to j halvings and |n| units to n log 2 / 2, near an end
+        ("((7 << max(jr, ji)) + 2 * abs(n) + 3)", "(10)", "G"),
+    ],
+    ids=["domain-check-ge", "guard-bits-without-reductions"],
+)
+def test_log_form_mutants_break_the_contract(monkeypatch, old, new, kind):
+    monkeypatch.setattr(measures, "_log_form", form_mutant("_log_form", old, new))
+    misses = log_form_misses()
+    assert misses and {k for k, _ in misses} == {kind}
 
 
 # ---------------------------------------------------------------------- JSON

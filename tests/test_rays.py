@@ -39,7 +39,7 @@ from freemoments.rays import (
     verify_taylor_cumulants,
 )
 
-from oracles import cauchy_exact, cauchy_sqrt_law, least_squares_rows
+from oracles import cauchy_exact, cauchy_log_law, cauchy_sqrt_law, least_squares_rows
 
 F = Fraction
 
@@ -212,8 +212,8 @@ def _fraction(x):
 def independent_g(source):
     """w -> G(w) at the working precision, by none of the ray's forms: the
     rational oracle for a discrete or Cauchy law, the textbook closed form
-    for a semicircle or Marchenko-Pastur law, past its cancellation at large
-    |w|, the mpmath form for the uniform law, the first callable of a pair."""
+    for a semicircle, Marchenko-Pastur or uniform law, past its cancellation
+    at large |w|, the first callable of a pair."""
     if not isinstance(source, Measure):
         return source[0]
     if source.kind == "discrete" or source.density == "cauchy":
@@ -223,16 +223,14 @@ def independent_g(source):
             return mp.mpc(measures._to_mpf(g_re), measures._to_mpf(g_im))
 
         return exact
-    if source.density in ("semicircle", "marchenko_pastur"):
+    textbook_law = cauchy_log_law if source.density == "uniform" else cauchy_sqrt_law
 
-        def textbook(w):
-            prec = mp.mp.prec + 4 * max(int(mp.mag(w)), 0) + 64
-            g_re, g_im = cauchy_sqrt_law(source, _fraction(w.real), _fraction(w.imag), prec)[:2]
-            return mp.mpc(g_re, g_im)
+    def textbook(w):
+        prec = mp.mp.prec + 4 * max(int(mp.mag(w)), 0) + 64
+        g_re, g_im = textbook_law(source, _fraction(w.real), _fraction(w.imag), prec)[:2]
+        return mp.mpc(g_re, g_im)
 
-        return textbook
-    evaluate = measures._evaluator(source)
-    return lambda w: evaluate(w)[0]
+    return textbook
 
 
 def fresh_residuals(source, samples):
@@ -493,11 +491,10 @@ FIVE_SHAPES = {
 @pytest.mark.parametrize("mu", FIVE_SHAPES.values(), ids=FIVE_SHAPES.keys())
 def test_measure_and_callable_pair_sources_agree(mu):
     # a Measure runs the joint (G, G') evaluation; the pair of its two
-    # components must follow the same Newton path.  The uniform law's pair
-    # calls the closed form the ray calls, bit for bit.  Every other law
-    # takes its int form at each level's fixed point on the ray, and
-    # through cauchy_transform at the fixed point of |w|, rounded to 50
-    # digits: the two R values agree within their stability figures
+    # components must follow the same Newton path.  Every law takes its int
+    # form at each level's fixed point on the ray, and through
+    # cauchy_transform at the fixed point of |w|, rounded to 50 digits: the
+    # two R values agree within their stability figures
     pair = (
         functools.partial(cauchy_transform, mu, dps=50),
         functools.partial(cauchy_transform_derivative, mu, dps=50),
@@ -506,14 +503,10 @@ def test_measure_and_callable_pair_sources_agree(mu):
     wrapped = invert_g_on_ray(pair, dps=50)
     assert direct.dropped == wrapped.dropped
     assert direct.indices == wrapped.indices
-    if mu.density != "uniform":
-        for a, b, stab_a, stab_b in zip(
-            direct.r_values, wrapped.r_values, direct.stability, wrapped.stability
-        ):
-            assert abs(a - b) <= stab_a + stab_b
-    else:
-        assert direct.r_values == wrapped.r_values
-        assert direct.residuals == wrapped.residuals
+    for a, b, stab_a, stab_b in zip(
+        direct.r_values, wrapped.r_values, direct.stability, wrapped.stability
+    ):
+        assert abs(a - b) <= stab_a + stab_b
 
 
 def test_one_transform_evaluation_per_newton_point(monkeypatch):
@@ -567,10 +560,11 @@ def test_constants_converted_once_per_ray(monkeypatch):
     six_atoms = Measure.discrete(
         [(-3, "1/4"), (-1, "1/8"), (0, "1/8"), ("1/2", "1/8"), (2, "1/8"), (5, "1/4")]
     )
-    # the ray's beta and tilt; the int forms of a discrete law and of a
-    # semicircle convert nothing.  None per level or per evaluation, of
-    # which there are more than that
-    for mu, allowed in ((six_atoms, 2), (Measure.semicircle("1/2", 3), 2)):
+    # the ray's beta and tilt; the int forms of a discrete law, a
+    # semicircle and a uniform law convert nothing.  None per level or per
+    # evaluation, of which there are more than that
+    allowed = 2
+    for mu in (six_atoms, Measure.semicircle("1/2", 3), Measure.uniform(-1, 1)):
         conversions.clear()
         calls.clear()
         samples = invert_g_on_ray(mu)
@@ -1448,6 +1442,30 @@ def test_ray_work_counts_the_heights_of_a_square_root_law():
     assert _ray_work(3200, mp_wide) == _ray_work(3200)
     with pytest.raises(BudgetError, match="digit products"):
         invert_g_on_ray(Measure.semicircle(0, wide(2, 100_000)))
+
+
+def test_ray_work_counts_the_heights_of_a_uniform_law(monkeypatch):
+    # the uniform law's int form carries its ends' and mass's bits: at 50
+    # digits, order 10, the window [-1/3 + 10^-D, 2 + 10^-D] took 0.04 s at
+    # D = 3000, 0.25 s at 10^4 and 1.3 s at 3 10^4, where its mpmath form,
+    # which converted the ends once per ray, took 0.03 s.  Judged by the
+    # estimate alone, never run
+    def wide(base, digits):
+        return base + F(1, 10**digits)
+
+    # the CI demo's preset at the most digits the budget admits
+    assert _ray_work(3200, Measure.uniform(-1, 1)) == _ray_work(3200) <= _RAY_BUDGET
+    for digits, admitted in ((3000, True), (10_000, True), (30_000, True), (100_000, False)):
+        mu = Measure.uniform(wide(F(-1, 3), digits), wide(2, digits))
+        assert _ray_work(50, mu) > _ray_work(50)
+        assert (_ray_work(50, mu) <= _RAY_BUDGET) == admitted
+    # a wider end costs more, and so does a mass of many digits
+    assert _ray_work(50, Measure.uniform(-1, wide(2, 8000))) > _ray_work(50, Measure.uniform(-1, wide(2, 4000)))
+    assert _ray_work(50, Measure.uniform(-1, 1, mass=wide(0, 8000))) > _ray_work(50)
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(BudgetError, match="digit products"):
+        invert_g_on_ray(Measure.uniform(-1, wide(2, 100_000)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("dps", [100_000, 10**400], ids=["1e5", "1e400"])
