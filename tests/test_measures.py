@@ -339,6 +339,34 @@ def test_closed_form_has_no_cancellation_at_large_z(mu):
     assert abs(-(z**2) * cauchy_transform_derivative(mu, z, dps=dps) - dg_series) <= tol
 
 
+def _exact_parts(z):
+    """The real and imaginary parts of an mpc as the Fractions they are."""
+    return [Fraction(man * (-1) ** sign) * Fraction(2) ** exp if man else Fraction(0)
+            for sign, man, exp, _ in (z.real._mpf_, z.imag._mpf_)]
+
+
+@pytest.mark.parametrize("mu", COMPACT_SHAPES, ids=COMPACT_IDS)
+def test_transform_keeps_a_point_near_its_singular_point(mu):
+    # z = t + 10^-28 i above the right end, edge or atom t of the support,
+    # where G' grows like 1 / (z - t): rounded to the fixed point of |z| at
+    # 15 digits, 2^-(prec + 20) |z| ~ 1e-22, z would move far past its
+    # distance to t.  It goes in exactly, and G and G' keep 13 digits of
+    # the oracle's values at that very point
+    with mp.workdps(15):
+        z = mp.mpc(mu.support_radius(), mp.mpf(10) ** -28)
+        got = cauchy_transform(mu, z, dps=15), cauchy_transform_derivative(mu, z, dps=15)
+    re, im = _exact_parts(z)
+    if mu.kind == "discrete":
+        want = [measures._to_mpf(v) for v in cauchy_exact(mu, re, im)]
+    else:
+        oracle = cauchy_log_law if mu.density == "uniform" else cauchy_sqrt_law
+        want = oracle(mu, re, im, 600)
+    with mp.workprec(600):
+        for g, (w_re, w_im) in zip(got, (want[:2], want[2:])):
+            w = mp.mpc(w_re, w_im)
+            assert abs(g - w) <= abs(w) * mp.mpf(10) ** -13
+
+
 def test_mp_rate_one_near_the_hard_edge():
     # the density blows up like x^(-1/2) at 0, so G is large but finite near 0
     mu = Measure.marchenko_pastur(1)
