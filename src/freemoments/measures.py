@@ -751,13 +751,12 @@ def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
     bits: _GUARD_BITS past the precision, and as many more as a pole lies
     farther out than z or the mass lies below 1; twice as many as the
     support reaches past z for a compactly supported density, where G' ~
-    1/h^2 falls below the level's scale 1/z^2, and as many more as z
-    needs to be an int pair of that fixed point exactly, up to 4 times as
-    many bits in all: a point near an atom, an edge or an end of the
-    support, where G' grows like the inverse of the distance, keeps its
-    distance to it unless that is below about |z| 2^-(4 bits).  Past that
-    z goes in rounded, its imaginary part away from 0, so it stays on its
-    side of the axis."""
+    1/h^2 falls below the level's scale 1/z^2.  Then bits grow, up to 4
+    times as many, until z is an int pair of that fixed point exactly: a
+    point near an atom, an edge or an end of the support, where G' grows
+    like the inverse of the distance, keeps its distance to it unless that
+    is below about |z| 2^-(4 bits).  Past that z goes in rounded, its
+    imaginary part away from 0, so it stays on its side of the axis."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -777,7 +776,7 @@ def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
             spread = 2 * max(int(mp.mag(mu.support_radius())) + e, 0)
         light = mu.mass.denominator.bit_length() - mu.mass.numerator.bit_length() + 1
         bits = mp.mp.prec + _GUARD_BITS + spread + max(light, 0)
-        # up to 4 times as many bits as z's finest bit needs to go in exactly
+        # the bits z's finest bit needs to go in exactly, up to 4 times as many
         finest = max((-exp - e for _, man, exp, _ in (z.real._mpf_, z.imag._mpf_) if man), default=0)
         bits = max(bits, min(finest, 4 * bits))
         y = mp.ldexp(z.imag, bits + e)
