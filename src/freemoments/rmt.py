@@ -14,10 +14,19 @@ additive convolution for free_sum), and `compare_to_prediction` checks the
 sampled trace moments against them with an allowance of 3 standard errors
 plus a 5 k^2 / N term for the finite-dimension bias.
 
-The trace moments tr(H^k)/N, k <= p, come from the half powers H^j,
-j <= ceil(p/2): tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>,
-so order p takes ceil(p/2) - 1 matrix products (none at order 2, one at
-order 4, two at order 6) and holds two powers at a time.
+A sample H = A + iB is held as its real parts, A symmetric and B
+antisymmetric, and the trace moments tr(H^k)/N, k <= p, are real dot
+products of its powers: tr(H^k) = <H^a, H^b> with a + b = k.  A square
+goes through one real kernel, H^2 = (A A^T + B B^T) + i(T - T^T) with
+T = AB: one BLAS syrk and one gemm, half the work of a complex product, and
+the result is exactly Hermitian.  Up to order 6 the powers are the squares
+H^2 (from order 3) and H^4 = (H^2)^2 (from order 5): tr H^3 = <H, H^2>,
+tr H^4 = ||H^2||^2, tr H^5 = <H, H^4>, tr H^6 = <H^2, H^4>.  Above, order k
+reads the half powers H^floor(k/2) and H^ceil(k/2), and each new one that
+is not the square of a held power is H times the power below it, by
+Gauss's three real products.  So order p takes ceil(p/2) - 1 powers, at
+most two of them squares, and holds at most three powers up to order 6 and
+four above.
 
 A free sum is the sum of its GUE, Wishart and diagonal leaves, nested sums
 flattened, with every diagonal leaf but the last rotated by its own Haar
@@ -216,46 +225,52 @@ def _diagonal(spec: MatrixEnsembleSpec) -> np.ndarray:
 
 
 def _mapped(h: np.ndarray, scale: Fraction, shift: Fraction) -> np.ndarray:
-    """h under the map x -> scale * x + shift, in place."""
+    """The parts h of a sample under the map x -> scale * x + shift, in place."""
     import numpy as np
     if scale != 1:
         h *= float(scale)
     if shift != 0:
-        h[np.diag_indices(len(h))] += float(shift)
+        h[0][np.diag_indices(h.shape[1])] += float(shift)
     return h
 
 
 def _leaf_matrix(leaf: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One dense complex sample of a GUE, Wishart or diagonal leaf, unmapped."""
+    """One dense sample of a GUE, Wishart or diagonal leaf, unmapped, as its
+    real and imaginary parts: a 2 x N x N real array.  A Wishart X X^H / n,
+    X = (P + iQ) / sqrt(2), is (P P^T + Q Q^T + i(T - T^T)) / 2n with
+    T = Q P^T, made from the real draws: two syrk and one gemm."""
     import numpy as np
     n = leaf.dim
+    if leaf.kind == DETERMINISTIC:
+        h = np.zeros((2, n, n))
+        h[0][np.diag_indices(n)] = _diagonal(leaf)
+        return h
+    h = np.empty((2, n, n))
     if leaf.kind == GUE:
         g = rng.standard_normal((2, n, n))  # the real parts, then the imaginary
-        h = np.empty((n, n), dtype=complex)
-        np.add(g[0], g[0].T, out=h.real)
-        np.subtract(g[1], g[1].T, out=h.imag)
-        h /= 2 * math.sqrt(n)
-    elif leaf.kind == WISHART:
-        m = leaf.wishart_columns()
-        g = rng.standard_normal((2, n, m))
-        x = np.empty((n, m), dtype=complex)
-        x.real, x.imag = g
-        x /= math.sqrt(2)
-        h = x @ x.conj().T
-        h /= n
+        np.add(g[0], g[0].T, out=h[0])
+        np.subtract(g[1], g[1].T, out=h[1])
+        scale = 2 * math.sqrt(n)
     else:
-        h = np.zeros((n, n), dtype=complex)
-        h[np.diag_indices(n)] = _diagonal(leaf)
+        p, q = rng.standard_normal((2, n, leaf.wishart_columns()))
+        t = q @ p.T
+        np.add(p @ p.T, q @ q.T, out=h[0])
+        np.subtract(t, t.T, out=h[1])
+        scale = 2 * n
+    # times the reciprocal, as numpy divides a complex array by a real:
+    # a sample keeps the bits of its complex expression
+    h *= 1 / scale
     return h
 
 
-def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One dense complex sample of the ensemble, built in place: its leaves
-    (see _leaves), the unrotated ones in order, then the rotated ones, then
-    the spec's own map.  Every diagonal leaf D but the last is rotated as
-    U^H D U, D = t I + sum_i (a_i - t) e_i e_i^H with t its last atom of
-    positive count (the atoms ascend), so only over the m = N - count(t)
-    columns of U^H that it moves, with one N x m by m x N product."""
+def _sample(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One dense sample of the ensemble as its real and imaginary parts,
+    built in place: its leaves (see _leaves), the unrotated ones in order,
+    then the rotated ones, then the spec's own map.  Every diagonal leaf D
+    but the last is rotated as U^H D U, D = t I + sum_i (a_i - t) e_i e_i^H
+    with t its last atom of positive count (the atoms ascend), so only over
+    the m = N - count(t) columns of U^H that it moves, with one N x m by
+    m x N product."""
     import numpy as np
     leaves = _leaves(spec)
     diagonal = [i for i, (leaf, _, _) in enumerate(leaves) if leaf.kind == DETERMINISTIC]
@@ -273,10 +288,19 @@ def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
         vh = v.conj().T
         v *= d[:m] - d[-1]
         rotation = v @ vh
-        rotation += h  # into the product: h may be an np.zeros with pages never written
-        h = rotation
-        h[np.diag_indices(spec.dim)] += d[-1]
+        h[0] += rotation.real
+        h[1] += rotation.imag
+        h[0][np.diag_indices(spec.dim)] += d[-1]
     return _mapped(h, spec.scale, spec.shift)
+
+
+def sample_matrix(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One dense complex sample of the ensemble (see _sample)."""
+    import numpy as np
+    parts = _sample(spec, rng)
+    h = np.empty(parts.shape[1:], dtype=complex)
+    h.real, h.imag = parts
+    return h
 
 
 @dataclass(frozen=True)
@@ -319,10 +343,13 @@ def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
     Per trial: 4 N^2 max(N, M) per leaf (see _leaves), the Wishart X X^H or
     a floor bounding the time and memory of large N at low orders; per
     rotated leaf the Haar QR (about 16/3 N^3) and one product at all N
-    columns; the trace moments, ceil(p/2) - 1 half-power products and p
-    inner products of 4 N^2.  Once, the prediction: p^2 rational
-    multiply-adds per leaf and for the spec's map, p^3 per free
-    convolution, weighted by their time at orders 50-1000."""
+    columns; the trace moments, ceil(p/2) - 1 powers and p inner products
+    of 4 N^2.  Each power counts as one complex product, an upper bound: a
+    square (see _square) takes 2 N^3 and a Gauss product 3 N^3, so the
+    budget admits the specs it admitted when every power was a complex
+    product.  Once, the prediction: p^2 rational multiply-adds per leaf and
+    for the spec's map, p^3 per free convolution, weighted by their time at
+    orders 50-1000."""
     n = spec.dim
     leaves = [leaf for leaf, _, _ in _leaves(spec)]
     rotated = max(sum(leaf.kind == DETERMINISTIC for leaf in leaves) - 1, 0)
@@ -335,21 +362,64 @@ def _cost_units(spec: MatrixEnsembleSpec, p: int) -> int:
     return spec.trials * (sample + trace) + predict
 
 
-def _trace_moments(h: np.ndarray, p: int) -> list[float]:
-    """tr(H^k)/N, k = 1..p, of a Hermitian H from the half powers:
-    tr(H^2j) = ||H^j||_F^2 and tr(H^(2j+1)) = Re <H^j, H^(j+1)>.  Only H^j
-    and H^(j+1) are held, so at most three N x N arrays are alive."""
+def _square(h: np.ndarray) -> np.ndarray:
+    """H^2 of a Hermitian H given as its parts (A, B): the real part
+    A A^T + B B^T is one BLAS syrk of the stacked [A; B], the imaginary
+    part T - T^T with T = AB one gemm, so the square is exactly Hermitian."""
     import numpy as np
-    n = h.shape[0]
-    sums = [np.trace(h).real]
-    low = high = h
+    n = h.shape[1]
+    out = np.empty_like(h)
+    np.matmul(h[0], h[1], out=out[0])  # T, parked in the real part
+    np.subtract(out[0], out[0].T, out=out[1])
+    stacked = h.reshape(2 * n, n)
+    np.matmul(stacked.T, stacked, out=out[0])
+    return out
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X Y of two complex matrices given as their parts (A, B) and (C, D),
+    by Gauss's three real products: the real part AC - BD, the imaginary
+    part (A + B)(C + D) - AC - BD."""
+    import numpy as np
+    a, b = x
+    c, d = y
+    out = np.empty_like(x)
+    t = a + b
+    np.add(c, d, out=out[0])
+    np.matmul(t, out[0], out=out[1])
+    np.matmul(a, c, out=out[0])
+    bd = np.matmul(b, d, out=t)  # A + B is spent: its buffer takes BD
+    out[1] -= out[0]
+    out[1] -= bd
+    out[0] -= bd
+    return out
+
+
+def _trace_moments(h: np.ndarray, p: int) -> list[float]:
+    """tr(H^k)/N, k = 1..p, of a Hermitian H given as its parts: order k
+    is the real dot product <H^a, H^b>, a + b = k, of the parts.  Orders 5
+    and 6 read H^4 = (H^2)^2, every other order the half powers
+    H^floor(k/2) and H^ceil(k/2).  A power is the square of a held power
+    where it can be (H^2 and H^4), else H times the power below it, so
+    order p takes ceil(p/2) - 1 powers: min(ceil(p/2) - 1, 2) squares and
+    the rest Gauss products.  A power is dropped once no later order reads
+    it: at most H, H^2 and H^4 are held up to order 6, one more above."""
+    import numpy as np
+    n = h.shape[1]
+    powers = {1: h}
+    sums = [h[0].trace()]
     for k in range(2, p + 1):
-        if k % 2:  # k = 2j + 1: H^(j+1) = H H^j
-            high = h @ low
-            sums.append(np.vdot(low, high).real)
-        else:  # k = 2j: H^j is the last power made
-            low = high
-            sums.append(np.vdot(low, low).real)
+        a, b = (k - 4, 4) if k in (5, 6) else (k // 2, (k + 1) // 2)
+        for j in (a, b):
+            if j in powers:
+                continue
+            if j % 2 == 0 and j // 2 in powers:
+                powers[j] = _square(powers[j // 2])
+            else:
+                powers[j] = _product(h, powers[j - 1])
+        sums.append(np.vdot(powers[a], powers[b]))
+        if a > 2:  # from order 7 on, no later order or power reads H^(a-1)
+            powers.pop(a - 1, None)
     return [float(s) / n for s in sums]
 
 
@@ -357,9 +427,9 @@ def sample_trace_moments(
     spec: MatrixEnsembleSpec, p: int, budget: float | None = None
 ) -> MomentEstimate:
     """Run the trials and collect tr(H^k)/N per trial (see _trace_moments:
-    ceil(p/2) - 1 half-power products).  Refuses up front if the
-    estimated operation count of sampling and prediction exceeds the budget
-    (default 2e11)."""
+    ceil(p/2) - 1 powers, the first two of them real-part squares, the rest
+    Gauss products).  Refuses up front if the estimated operation count of
+    sampling and prediction exceeds the budget (default 2e11)."""
     import numpy as np
     _check_order(p)
     cap = DEFAULT_BUDGET if budget is None else float(budget)
@@ -370,7 +440,7 @@ def sample_trace_moments(
     # compare_to_prediction, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         for child in np.random.SeedSequence(spec.seed).spawn(spec.trials):
-            h = sample_matrix(spec, np.random.default_rng(child))
+            h = _sample(spec, np.random.default_rng(child))
             if not np.isfinite(h).all():
                 raise SizeLimitError("a sampled matrix has an entry past the float range")
             rows.append(tuple(_trace_moments(h, p)))

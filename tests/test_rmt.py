@@ -17,6 +17,7 @@ from freemoments.rmt import (
     _cost_units,
     _diagonal,
     _haar_columns,
+    _square,
     _trace_moments,
     compare_to_prediction,
     ensemble_spec_from_json,
@@ -91,12 +92,15 @@ def test_spec_validation():
 
 
 def test_compare_rejects_prediction_past_float_range():
-    # scale 1e100 keeps the spec in range, but m_4 = 2 * 10^400 is not
+    # scale 1e100 keeps the spec in range, but m_4 = 2 * 10^400 is not.  At
+    # order 6 the sampled H^4 overflows too, and T - T^T of its square meets
+    # inf - inf = nan: the refusal is still the prediction's at order 4
     spec = MatrixEnsembleSpec(kind="gue", dim=4, scale="1e100")
-    with np.errstate(over="ignore", invalid="ignore"):
-        est = sample_trace_moments(spec, 4)
-    with pytest.raises(SizeLimitError, match="order 4"):
-        compare_to_prediction(est, predicted_moments(spec, 4))
+    for p in (4, 6):
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = sample_trace_moments(spec, p)
+        with pytest.raises(SizeLimitError, match="order 4"):
+            compare_to_prediction(est, predicted_moments(spec, p))
 
 
 def test_wishart_columns_rounding():
@@ -159,8 +163,9 @@ def _plain_sample(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndar
         h = (x + x.conj().T) / (2 * math.sqrt(n))
     elif spec.kind == "wishart":
         m = spec.wishart_columns()
-        x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
-        h = (x @ x.conj().T) / n
+        p, q = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+        t = q @ p.T
+        h = (p @ p.T + q @ q.T + 1j * (t - t.T)) / (2 * n)
     elif spec.kind == "deterministic":
         h = np.diag(_diagonal(spec)).astype(complex)
     else:
@@ -612,43 +617,90 @@ def test_both_trace_routes_are_eigenvalue_power_sums(p):
                 assert abs(got - want) <= 1e-12 * max(abs(want), size), (spec.kind, p, t, k)
 
 
-def test_low_orders_keep_the_bits_of_a_list_of_half_powers():
-    # up to order 6 the two held powers take the products and the inner
-    # products of a list of all half powers H^j, j <= ceil(p/2), in the
-    # same order, so every trial moment keeps its bits
-    def listed(h, p):
-        powers = [h]  # powers[j - 1] = H^j
-        while len(powers) < (p + 1) // 2:
-            powers.append(h @ powers[-1])
-        sums = [np.trace(h).real]
-        for k in range(2, p + 1):
-            sums.append(np.vdot(powers[k // 2 - 1], powers[(k + 1) // 2 - 1]).real)
-        return tuple(float(s) / h.shape[0] for s in sums)
+def _parts(h: np.ndarray) -> np.ndarray:
+    return np.stack((h.real, h.imag))
+
+
+def test_low_orders_keep_the_bits_of_the_written_out_squares():
+    # up to order 6 the trace route is H^2 and H^4 = (H^2)^2 by the real
+    # square (A A^T + B B^T) + i(T - T^T), T = AB, and real dot products of
+    # the parts, in this order, so every trial moment keeps its bits
+    def square(a, b):
+        stacked = np.concatenate((a, b))
+        t = a @ b
+        return stacked.T @ stacked, t - t.T
+
+    def dot(x, y):
+        return np.vdot(np.stack(x), np.stack(y))
+
+    def written_out(h, p):
+        one = (h.real.copy(), h.imag.copy())
+        two = square(*one)
+        four = square(*two)
+        sums = [np.trace(one[0]), dot(one, one), dot(one, two), dot(two, two),
+                dot(one, four), dot(two, four)]
+        return tuple(float(s) / h.shape[0] for s in sums[:p])
 
     for spec in _ROUTE_SPECS:
         for p in range(1, 7):
             est = sample_trace_moments(spec, p)
             for t, row in enumerate(est.per_trial):
-                assert row == listed(_trial_matrix(spec, t), p), (spec.kind, p, t)
-
-
-class _CountedProducts(np.ndarray):
-    """An array that counts the products `a @ b` it is the left factor of;
-    every power made from it is one too."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        _CountedProducts.products += 1
-        return super().__matmul__(other)
+                assert row == written_out(_trial_matrix(spec, t), p), (spec.kind, p, t)
 
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_order_p_takes_ceil_half_p_minus_one_products(p, monkeypatch):
-    h = _trial_matrix(_ROUTE_SPECS[0], 0)
-    monkeypatch.setattr(_CountedProducts, "products", 0)
-    _trace_moments(h.view(_CountedProducts), p)
-    assert _CountedProducts.products == (p + 1) // 2 - 1
+    # H^2 from order 3 and H^4 from order 5 are squares; above order 6 each
+    # further half power is one Gauss product, so order p makes
+    # ceil(p/2) - 1 powers, as many as complex products before
+    import freemoments.rmt as rmt
+
+    made = []
+    for name in ("_square", "_product"):
+        def counted(*args, name=name, real=getattr(rmt, name)):
+            made.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(rmt, name, counted)
+    _trace_moments(_parts(_trial_matrix(_ROUTE_SPECS[0], 0)), p)
+    squares = (p >= 3) + (p >= 5)
+    assert made.count("_square") == squares
+    assert made.count("_product") == (p + 1) // 2 - 1 - squares
+
+
+def test_every_square_is_exactly_hermitian(monkeypatch):
+    # also the squares of a rotated free sum, which is Hermitian only up to
+    # rounding
+    import freemoments.rmt as rmt
+
+    squares = []
+
+    def kept(h):
+        squares.append(_square(h))
+        return squares[-1]
+
+    monkeypatch.setattr(rmt, "_square", kept)
+    for spec in _ROUTE_SPECS:
+        _trace_moments(_parts(_trial_matrix(spec, 0)), 12)
+    assert len(squares) == 2 * len(_ROUTE_SPECS)
+    for a, b in squares:
+        h = a + 1j * b
+        assert np.array_equal(h, h.conj().T)
+
+
+@pytest.mark.parametrize("rate", ["1/5", "1/2", 1, "3/2", 3])
+def test_wishart_leaf_is_exactly_hermitian_and_is_the_complex_product(rate):
+    # the leaf is built from the real draws P and Q of sqrt(2) X; the complex
+    # X X^H / n is its oracle, which need not come out exactly Hermitian
+    for dim in (1, 7, 60):
+        spec = MatrixEnsembleSpec(kind="wishart", dim=dim, rate=rate)
+        for seed in (0, 3):
+            h = sample_matrix(spec, np.random.default_rng(seed))
+            assert np.array_equal(h, h.conj().T)
+            g = np.random.default_rng(seed).standard_normal((2, dim, spec.wishart_columns()))
+            x = (g[0] + 1j * g[1]) / math.sqrt(2)
+            want = x @ x.conj().T / dim
+            assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _literal_sum(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
