@@ -13,16 +13,18 @@ sqrt(zeta^2 - h^2), or z - a and z - b) and the domain check serve both
 components, which ``cauchy_transform`` and ``cauchy_transform_derivative``
 return.  Every shape is evaluated in ints, within a unit of a fixed point
 that the ray inversion chooses per level and ``cauchy_transform`` from
-|z|: a discrete or Cauchy law is a sum of weight / (z - pole), rational in
-its data, which ``_rational_form`` evaluates from the exact numerators and
-denominators; a semicircle or Marchenko-Pastur law is 2m / (zeta + s +
-kappa), s = sqrt(zeta^2 - h^2), of rational constants, which
-``_sqrt_form`` evaluates with one ``math.isqrt`` per root; and the uniform
-law is m / (b - a) log q, q = (z - a) / (z - b), whose ``_log_form`` sums
-an atanh series for log |q| and an atan series for arg q in ints, with pi
-and log 2 computed once per precision.  No production path integrates
-numerically or evaluates G in mpmath; quadrature of the densities lives in
-the test oracles.
+|z|, the point itself in ints of a scale of its own; ``_int_form`` is the
+one place that picks a law's form, and ``_evaluation_work`` counts what
+an evaluation of it costs.  A discrete or Cauchy law is a sum of
+weight / (z - pole), rational in its data, which ``_rational_form``
+evaluates from the exact numerators and denominators; a semicircle or
+Marchenko-Pastur law is 2m / (zeta + s + kappa), s = sqrt(zeta^2 - h^2),
+of rational constants, which ``_sqrt_form`` evaluates with one
+``math.isqrt`` per root; and the uniform law is m / (b - a) log q, q =
+(z - a) / (z - b), whose ``_log_form`` sums an atanh series for log |q|
+and an atan series for arg q in ints, with pi and log 2 computed once per
+precision.  No production path integrates numerically or evaluates G in
+mpmath; quadrature of the densities lives in the test oracles.
 
 Conventions: weights of discrete atoms are positive rationals; "moments" are
 raw integrals of x^k (no normalization), which is what the Levy layer needs
@@ -57,9 +59,34 @@ from .errors import (
 )
 from .noncrossing import catalan
 
-# cauchy_transform evaluates a law of an int form with this many bits past
-# the working precision (_transform)
+# an int form's level carries this many bits past the working precision,
+# on each ray level (rays.invert_g_on_ray) and in cauchy_transform
 _GUARD_BITS = 20
+# cauchy_transform takes z exactly while its finest bit lies at most this
+# many bits past the level's scale 2^-(bits + e) (_transform): on a 2-core
+# machine the semicircle, the slowest kind there, took 0.36 s, 1.4 s at 2^19
+_POINT_BITS = 1 << 18
+# A term of a discrete or Cauchy law costs a 48th of the ray budget's dps^2
+# per evaluation (_evaluation_work), and below 200 digits what it costs at
+# 200, where the interpreter's work on each term takes over.  On a 2-core
+# machine an atom took 1.1-1.8 ms per evaluation at 3200 digits and 7 us
+# at 50, and a ray of order 10 at 3200 digits 0.22 s per atom, against
+# 1.6 s for Marchenko-Pastur at rate 2: 48 atoms, 10.4 s, are admitted
+# there, 1000 are not.
+_TERMS_PER_EVALUATION = 48
+_TERM_FLOOR_DIGITS = 200
+# An evaluation of a semicircle, a Marchenko-Pastur law or a uniform law
+# costs (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _DENSITY_FORM_DIVISOR when
+# that is more than dps^2, h the bits of its constants (_evaluation_work).
+# On a 2-core machine at 50 digits, order 10, a semicircle of center 1/3 +
+# 10^-D and radius 2 + 10^-D took 0.05 s at D = 3000, 0.27 s at 10^4 and
+# 1.4 s at 3 10^4, where it is counted 1.9 times the ray budget,
+# Marchenko-Pastur of rate 2 + 10^-D 1.2 s at 3 10^4 (0.84 of it), and
+# the uniform law on [-1/3 + 10^-D, 2 + 10^-D] 0.04 s, 0.25 s and 1.3 s
+# (0.84 of it); at 400 digits, order 4, the three took 0.9 s, 1.9 s and
+# 2.4 s at 3 10^4, counted the same.  Their time grows like h^1.5, the
+# count like h^2.
+_DENSITY_FORM_DIVISOR = 2048
 # _sqrt_form computes G and G' this many bits finer than its result, and
 # rounds once to the nearest unit
 _ROUND_BITS = 3
@@ -357,32 +384,30 @@ def _toward_zero(x: int, d: int = 1, shift: int = 0) -> int:
 
 
 def _rational_form(mu: Measure):
-    """level(e, bits) -> evaluate(wr, wi), the exact (G, G') of a discrete
-    or Cauchy law in ints, or None for the other shapes.
+    """level(e, bits, scale) -> evaluate(wr, wi), the exact (G, G') of a
+    discrete or Cauchy law in ints.
 
-    At a level of binary exponent e (`rays._fixed_transform`) the point is
-    w = (wr + i wi) 2^-s, s = bits + e, and evaluate returns G and G' as
-    ints of 2^(e - bits) and 2^(2e - bits), each within one unit of the
-    exact value, as a floor is.  Each term (c/d) / (w - P/q) takes one
-    reciprocal r = q 2^u conj(N) / |N|^2 of the Gaussian int N = (w - P/q)
-    q 2^u, u = max(s, 0), rounded toward 0 in units 2^-(bits - e + g), and
-    G' takes -(c/d) r^2, whose error grows with |r| 2^-e ~ |w| / |w - P/q|:
-    the guard bits g grow with it.  The terms are summed 2^h times finer
-    than the result, which keeps their errors, below 1 + (c/d) / 2 units
-    each, under half a unit, and rounded once.
+    At a level of binary exponent e the point is w = (wr + i wi) 2^-s, s =
+    scale, or the level's own scale bits + e when none is given, and
+    evaluate returns G and G' as ints of 2^(e - bits) and 2^(2e - bits),
+    each within one unit of the exact value, as a floor is.  Each term
+    (c/d) / (w - P/q) takes one reciprocal r = q 2^u conj(N) / |N|^2 of
+    the Gaussian int N = (w - P/q) q 2^u, u = max(s, 0), rounded toward 0
+    in units 2^-(bits - e + g), and G' takes -(c/d) r^2, whose error grows
+    with |r| 2^-e ~ |w| / |w - P/q|: the guard bits g grow with it.  The
+    terms are summed 2^h times finer than the result, which keeps their
+    errors, below 1 + (c/d) / 2 units each, under half a unit, and rounded
+    once.
 
     The domain check is exact: Im w > 0, or |w| greater than the support
     radius; a point on an atom fails it."""
-    found = _poles(mu)
-    if found is None:
-        return None
-    terms, radius = found
+    terms, radius = _poles(mu)
     # 2^(h - 1) > n + mass, which bounds the terms' errors
     h = (len(terms) + math.ceil(mu.mass)).bit_length() + 1
     half = 1 << (h - 1)
 
-    def level(e: int, bits: int):
-        s = bits + e
+    def level(e: int, bits: int, scale: int | None = None):
+        s = bits + e if scale is None else scale
         up, down = max(s, 0), max(-s, 0)
         # N = W q 2^down - P 2^up, with W = wr + i wi
         scaled = [(c, d, pr << up, pi << up, q << down, q) for c, d, pr, pi, q in terms]
@@ -443,23 +468,21 @@ def _size(x: int, y: int) -> int:
 def _sqrt_constants(mu: Measure):
     """The constants (mid, h^2, kappa) of `_sqrt_form`: (c, r^2, 0) for the
     semicircle of center c and radius r, (1 + rate, 4 rate, 2) for
-    Marchenko-Pastur; None for the other shapes."""
+    Marchenko-Pastur."""
     if mu.density == SEMICIRCLE:
         radius = mu.param("radius")
         return mu.param("center"), radius * radius, 0
-    if mu.density == MARCHENKO_PASTUR:
-        rate = mu.param("rate")
-        return 1 + rate, 4 * rate, 2
-    return None
+    rate = mu.param("rate")
+    return 1 + rate, 4 * rate, 2
 
 
 def _sqrt_form(mu: Measure):
-    """level(e, bits) -> evaluate(wr, wi), the (G, G') of a semicircle or
-    Marchenko-Pastur law in ints, or None for the other shapes; the same
-    contract as `_rational_form`: at a level of binary exponent e the point
-    is w = (wr + i wi) 2^-(bits + e), and G and G' come back as ints of
-    2^(e - bits) and 2^(2e - bits), each within one unit of the exact
-    value.
+    """level(e, bits, scale) -> evaluate(wr, wi), the (G, G') of a
+    semicircle or Marchenko-Pastur law in ints, with the contract of
+    `_rational_form`: at a level of binary exponent e the point is w = (wr
+    + i wi) 2^-scale, scale = bits + e unless given, and G and G' come back
+    as ints of 2^(e - bits) and 2^(2e - bits), each within one unit of the
+    exact value.
 
     Both laws are one form of rational constants (mid, h^2, kappa) and the
     mass m: with zeta = w - mid and s = sqrt(zeta^2 - h^2) on the branch
@@ -471,7 +494,7 @@ def _sqrt_form(mu: Measure):
     where the textbook (z + 1 - rate - s) / (2z) loses 2 log2 |w| bits.
 
     zeta and zeta^2 - h^2 are exact over the denominator b 2^u of mid, u =
-    max(bits + e, 0).  s takes one `math.isqrt` of |zeta^2 - h^2|^2 and one
+    max(scale, 0).  s takes one `math.isqrt` of |zeta^2 - h^2|^2 and one
     of the larger of |Re s|^2 = (|s|^2 + Re s^2) / 2 and |Im s|^2, the
     smaller part coming from Im s^2 = 2 Re s Im s; on the branch Re s has
     the sign of Re zeta and Im s that of Im zeta, exact signs, so no
@@ -490,10 +513,7 @@ def _sqrt_form(mu: Measure):
     The domain check is exact: Im w > 0, or |w| > |mid| + h, which with A =
     |w|^2 and B = A + mid^2 - h^2 reads A > mid^2, B > 0 and B^2 >
     4 mid^2 A, all rational."""
-    constants = _sqrt_constants(mu)
-    if constants is None:
-        return None
-    mid, h2, kappa = constants
+    mid, h2, kappa = _sqrt_constants(mu)
     a, b, p, q = mid.numerator, mid.denominator, h2.numerator, h2.denominator
     mn, md = 2 * mu.mass.numerator, mu.mass.denominator  # 2m
     qbb = q * b * b
@@ -503,8 +523,8 @@ def _sqrt_form(mu: Measure):
     # log2 |zeta|, |s|, |P| past the bit lengths of their numerators
     lb, lqbb, lqb = b.bit_length(), qbb.bit_length(), (q * b).bit_length()
 
-    def level(e: int, bits: int):
-        s = bits + e
+    def level(e: int, bits: int, scale: int | None = None):
+        s = bits + e if scale is None else scale
         up, down = max(s, 0), max(-s, 0)
         # zeta = Z / (b 2^up), Z = W b 2^down - a 2^up; zeta^2 - h^2 =
         # (q Z^2 - p b^2 4^up) / (qbb 4^up); with A and mid^2, h^2 over qbb 4^up
@@ -635,16 +655,16 @@ def _halved(x: int, k: int, j: int, sign: int) -> int:
 
 
 def _log_form(mu: Measure):
-    """level(e, bits) -> evaluate(wr, wi), the (G, G') of a uniform law in
-    ints, or None for the other shapes; the same contract as
-    `_rational_form`: at a level of binary exponent e the point is w = (wr
-    + i wi) 2^-(bits + e), and G and G' come back as ints of 2^(e - bits)
-    and 2^(2e - bits), each within one unit of the exact value.
+    """level(e, bits, scale) -> evaluate(wr, wi), the (G, G') of a uniform
+    law in ints, with the contract of `_rational_form`: at a level of
+    binary exponent e the point is w = (wr + i wi) 2^-s, s = scale or bits
+    + e, and G and G' come back as ints of 2^(e - bits) and 2^(2e - bits),
+    each within one unit of the exact value.
 
     G = m / (b - a) log q with q = (w - a) / (w - b) on the principal
     branch, analytic off [a, b], and log q = log |q| + i arg q, both from
     exact ints of zeta_x = w - x over the ends' common denominator times
-    2^u, u = max(bits + e, 0).  log |q| = atanh v of the exact ratio v =
+    2^u, u = max(s, 0).  log |q| = atanh v of the exact ratio v =
     (|zeta_a|^2 - |zeta_b|^2) / (|zeta_a|^2 + |zeta_b|^2); past |v| = 1/3,
     near an end, it is n log 2 / 2 + atanh of (|zeta_a|^2 - 2^n
     |zeta_b|^2) / (|zeta_a|^2 + 2^n |zeta_b|^2), n the difference of the
@@ -668,8 +688,6 @@ def _log_form(mu: Measure):
     enters only at the end, so G(conj w) = conj G(w) holds bit for bit.
 
     The domain check is exact: Im w > 0, or |w| > max(|a|, |b|)."""
-    if mu.density != UNIFORM:
-        return None
     lo, hi = mu.param("a"), mu.param("b")
     den = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
@@ -680,8 +698,8 @@ def _log_form(mu: Measure):
     radius = max(abs(lo), abs(hi))
     gp = mn * den * den  # -G' = m / ((w - a)(w - b)) = gp 4^up / (md N)
 
-    def level(e: int, bits: int):
-        s = bits + e
+    def level(e: int, bits: int, scale: int | None = None):
+        s = bits + e if scale is None else scale
         up, down = max(s, 0), max(-s, 0)
         dd, au, bu, width = den << down, a << up, b << up, (b - a) << up
         # |w| > radius  <=>  |W|^2 rd2 > rn2
@@ -744,24 +762,54 @@ def _log_form(mu: Measure):
     return level
 
 
+def _int_form(mu: Measure):
+    """(form, terms, divisor): mu's int form, chosen here and nowhere else,
+    whose form(mu) builds its levels, and the ints whose heights
+    `_evaluation_work` counts over divisor, read off without building it:
+    the poles (`_poles`) of a discrete or Cauchy law (`_rational_form`), or
+    one term of the constants and mass of a semicircle or Marchenko-Pastur
+    law (`_sqrt_form`, `_sqrt_constants`) or of the uniform law
+    (`_log_form`)."""
+    found = _poles(mu)
+    if found is not None:
+        return _rational_form, found[0], _TERMS_PER_EVALUATION
+    if mu.density == UNIFORM:
+        form, constants = _log_form, (mu.param("a"), mu.param("b"))
+    else:
+        form, constants = _sqrt_form, _sqrt_constants(mu)[:2]
+    term = tuple(x for c in (*constants, mu.mass) for x in (c.numerator, c.denominator))
+    return form, (term,), _DENSITY_FORM_DIVISOR
+
+
+def _evaluation_work(mu: Measure, dps: int) -> int:
+    """Estimated digit products of one evaluation of mu's int form at dps
+    digits: dps^2, the growth of one multiply at that precision, or, when
+    more, (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 per term of h bits over
+    the form's divisor (`_int_form`), as levy._moments_work counts an
+    atom's height (3.3 bits make a digit)."""
+    _, terms, divisor = _int_form(mu)
+    digits = max(dps, _TERM_FLOOR_DIGITS)
+    heights = sum((digits + sum(x.bit_length() for x in term) // 3) ** 2 for term in terms)
+    return max(dps * dps, heights // divisor)
+
+
 def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
     """(G(z), G'(z)) to roughly dps digits, from the law's int form
-    (`_rational_form`, `_sqrt_form`, `_log_form`) in the fixed point of a
-    level at |z|, e = -mag(z), where G ~ 1/z is an int of about `bits`
-    bits: _GUARD_BITS past the precision, and as many more as a pole lies
-    farther out than z or the mass lies below 1; twice as many as the
-    support reaches past z for a compactly supported density, where G' ~
-    1/h^2 falls below the level's scale 1/z^2.  Then bits grow, up to 4
-    times as many, until z is an int pair of that fixed point exactly: a
-    point near an atom, an edge or an end of the support, where G' grows
-    like the inverse of the distance, keeps its distance to it unless that
-    is below about |z| 2^-(4 bits).  Past that z goes in rounded, its
-    imaginary part away from 0, so it stays on its side of the axis."""
+    (`_int_form`) at a level of |z|, e = -mag(z), where G ~ 1/z is an int
+    of about `bits` bits: _GUARD_BITS past the precision, and as many more
+    as a pole lies farther out than z or the mass lies below 1; twice as
+    many as the support reaches past z for a compactly supported density,
+    where G' ~ 1/h^2 falls below the level's scale 1/z^2.  z goes in at the
+    scale of its own finest bit, exactly, so that a point near an atom, an
+    edge or an end of the support, where G' grows like the inverse of the
+    distance, keeps its distance to it, while that scale lies at most
+    _POINT_BITS past the level's own, bits + e.  Past that z goes in
+    rounded, its imaginary part away from 0, so it stays on its side of the
+    axis."""
     import mpmath as mp
 
     with mp.workdps(dps):
         found = _poles(mu)
-        form = _rational_form(mu) if found is not None else _sqrt_form(mu) or _log_form(mu)
         z = mp.mpc(z)
         if not mp.isfinite(z):
             raise DomainError(f"point {z} is not finite")
@@ -776,12 +824,11 @@ def _transform(mu: Measure, z, dps: int) -> tuple[mp.mpc, mp.mpc]:
             spread = 2 * max(int(mp.mag(mu.support_radius())) + e, 0)
         light = mu.mass.denominator.bit_length() - mu.mass.numerator.bit_length() + 1
         bits = mp.mp.prec + _GUARD_BITS + spread + max(light, 0)
-        # the bits z's finest bit needs to go in exactly, up to 4 times as many
-        finest = max((-exp - e for _, man, exp, _ in (z.real._mpf_, z.imag._mpf_) if man), default=0)
-        bits = max(bits, min(finest, 4 * bits))
-        y = mp.ldexp(z.imag, bits + e)
-        w = int(mp.floor(mp.ldexp(z.real, bits + e))), int(mp.ceil(y) if y > 0 else mp.floor(y))
-        gr, gi, sr, si = form(e, bits)(*w)
+        finest = max((-exp for _, man, exp, _ in (z.real._mpf_, z.imag._mpf_) if man), default=0)
+        s = min(max(finest, bits + e), bits + e + _POINT_BITS)
+        y = mp.ldexp(z.imag, s)
+        w = int(mp.floor(mp.ldexp(z.real, s))), int(mp.ceil(y) if y > 0 else mp.floor(y))
+        gr, gi, sr, si = _int_form(mu)[0](mu)(e, bits, s)(*w)
         return (
             mp.mpc(mp.ldexp(gr, e - bits), mp.ldexp(gi, e - bits)),
             mp.mpc(mp.ldexp(sr, 2 * e - bits), mp.ldexp(si, 2 * e - bits)),
@@ -792,7 +839,9 @@ def cauchy_transform(mu: Measure, z, dps: int = 30) -> mp.mpc:
     """G(z) = integral of 1/(z - x) dmu(x), to roughly dps digits.
 
     z must lie in the open upper half-plane, or (for compactly supported
-    measures) strictly outside the disk |z| <= support radius.
+    measures) strictly outside the disk |z| <= support radius.  Near an
+    atom, an edge or an end z is taken exactly up to 2^18 bits past the
+    scale of |z|, and rounded past that (`_transform`).
     """
     return _transform(mu, z, dps)[0]
 

@@ -44,11 +44,11 @@ point: Python ints scaled by a binary exponent of the level
 (`_level_evaluators`), which round in a known direction, so every bound
 is rounded the safe way at any radius and any precision.  The G and G'
 of every measure are ints of that fixed point too, each within a unit of
-the exact value (`measures._rational_form`, `measures._sqrt_form`,
-`measures._log_form`); those of a pair of callables are mpmath at a
-caller-chosen working precision (`_fixed_transform`).  The fit runs in
-ints too: a kept R value or stability figure is a dyadic number, which
-it takes exactly at one common scale (`estimate_taylor_on_ray`).
+the exact value (`measures._int_form`); those of a pair of callables are
+mpmath at a caller-chosen working precision (`_fixed_transform`).  The
+fit runs in ints too: a kept R value or stability figure is a dyadic
+number, which it takes exactly at one common scale
+(`estimate_taylor_on_ray`).
 Every kept sample carries a certified upper bound on its inversion
 residual |G(K(z)) - z|, and the stability figure
 residual / |G'(K(z))| + |K(z)| 10^(1 - dps) bounds the error of the R
@@ -78,16 +78,7 @@ from .errors import (
     ValidationError,
     _check_work,
 )
-from .measures import (
-    Measure,
-    _log_form,
-    _poles,
-    _rational_form,
-    _sqrt_constants,
-    _sqrt_form,
-    _to_mpf,
-    moments,
-)
+from .measures import _GUARD_BITS, Measure, _evaluation_work, _int_form, _to_mpf, moments
 
 NEWTON_MAX_ITER = 80
 FIT_GUARD = 2  # fit degree above the p - 1 coefficients read off
@@ -102,8 +93,6 @@ SEED_WEIGHTS = ((1,), (3, -2), (7, -14, 8))
 # |G''(w)| <= _CURVATURE / (Im w)^3 for every probability law on the real
 # line; Newton's last step at a level is accepted on it (_step_certificate)
 _CURVATURE = 2
-# Newton runs each level in fixed point with this many bits past mp.prec
-_GUARD_BITS = 20
 # |G(w) - z| exceeds the distance of the floored G(w) and z by less than this
 # many units of the fixed point: each floor moves it by less than sqrt 2
 _FLOOR_SLACK = 3
@@ -115,27 +104,6 @@ _EVALUATION_ERRORS = (DomainError, ValueError, ZeroDivisionError)
 # 1.6 s at order 10, the uniform law's 0.7 s and 1.3 s; at 100000 digits
 # a ray would run for hours.
 _RAY_BUDGET = 7 * 10**8
-# A term of a discrete or Cauchy law costs a 48th of the budget's dps^2 per
-# evaluation (_ray_work), and below 200 digits what it costs at 200, where
-# the interpreter's work on each term takes over.  On a 2-core machine an
-# atom took 1.1-1.8 ms per evaluation at 3200 digits and 7 us at 50, and a
-# ray of order 10 at 3200 digits 0.22 s per atom, against 1.6 s for
-# Marchenko-Pastur at rate 2: 48 atoms, 10.4 s, are admitted there, 1000
-# are not.
-_TERMS_PER_EVALUATION = 48
-_TERM_FLOOR_DIGITS = 200
-# An evaluation of a semicircle, a Marchenko-Pastur law or a uniform law
-# costs (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _DENSITY_FORM_DIVISOR when
-# that is more than dps^2, h the bits of its constants (_ray_work).  On a
-# 2-core machine at 50 digits, order 10, a semicircle of center 1/3 +
-# 10^-D and radius 2 + 10^-D took 0.05 s at D = 3000, 0.27 s at 10^4 and
-# 1.4 s at 3 10^4, where it is counted 1.9 times the budget,
-# Marchenko-Pastur of rate 2 + 10^-D 1.2 s at 3 10^4 (0.84 of it), and
-# the uniform law on [-1/3 + 10^-D, 2 + 10^-D] 0.04 s, 0.25 s and 1.3 s
-# (0.84 of it); at 400 digits, order 4, the three took 0.9 s, 1.9 s and
-# 2.4 s at 3 10^4, counted the same.  Their time grows like h^1.5, the
-# count like h^2.
-_DENSITY_FORM_DIVISOR = 2048
 # bits past the output precision of the fit's unscaling ints (_unscale)
 _UNSCALE_GUARD = 8
 
@@ -192,13 +160,11 @@ class RayTransformSamples:
 def _level_evaluators(source):
     """level(e, bits) -> evaluate(wr, wi): G and G' of source in the fixed
     point of each ray level, the one seam through which the ray evaluates
-    every source.  A measure takes its int form: a discrete or Cauchy law
-    `measures._rational_form`, a semicircle or Marchenko-Pastur law
-    `measures._sqrt_form`, the uniform law `measures._log_form`.  A (G, G')
-    pair of callables takes its two calls (`_fixed_transform`), each point
-    converted to an mpc and the values floored back."""
+    every source.  A measure takes its int form (`measures._int_form`).  A
+    (G, G') pair of callables takes its two calls (`_fixed_transform`),
+    each point converted to an mpc and the values floored back."""
     if isinstance(source, Measure):
-        return _rational_form(source) or _sqrt_form(source) or _log_form(source)
+        return _int_form(source)[0](source)
     if not (isinstance(source, tuple) and len(source) == 2 and all(callable(f) for f in source)):
         raise ValidationError("source must be a Measure or a (G, G') pair of callables")
     g, gp = source
@@ -399,33 +365,13 @@ def _ray_work(dps: int, source=None) -> int:
     counts are upper bounds at 50 digits (see the module docstring); at 400
     digits Newton takes 3.2-5.1 evaluations per level.  The wall time grows
     about like dps^2: 4.3-fold per doubling of dps from 1600 to 3200 digits
-    on the uniform law's int form (`measures._log_form`), 3.6-fold on
-    Marchenko-Pastur's (`measures._sqrt_form`).  On a 2-core machine at
-    3200 digits Marchenko-Pastur at rate 2, the costliest, took 0.86 s at
-    order 4 and 1.6 s at order 10, the uniform law on [-1, 1] 0.69 s and
-    1.25 s, the semicircle 0.24 s and 0.7 s.
-
-    A discrete or Cauchy law's evaluation costs a reciprocal per term
-    (`measures._rational_form`) of ints that carry the term's own bits too:
-    it counts (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 / _TERMS_PER_EVALUATION
-    per term instead when that is more, with h the bits of the term's
-    numerators and denominators, as levy._moments_work counts an atom's
-    height (3.3 bits make a digit).  The ints of a semicircle, a
-    Marchenko-Pastur law or a uniform law carry the bits h of its
-    constants (`measures._sqrt_constants`, or the ends a and b) and mass,
-    and an evaluation counts (max(dps, _TERM_FLOOR_DIGITS) + h/3)^2 /
-    _DENSITY_FORM_DIVISOR when that is more than dps^2."""
-    per_evaluation = dps * dps
-    found = _poles(source) if isinstance(source, Measure) else None
-    digits = max(dps, _TERM_FLOOR_DIGITS)
-    if found is not None:
-        terms = sum((digits + sum(x.bit_length() for x in term) // 3) ** 2 for term in found[0])
-        per_evaluation = max(per_evaluation, terms // _TERMS_PER_EVALUATION)
-    elif isinstance(source, Measure):
-        # (mid, h^2) of a semicircle or Marchenko-Pastur law, the ends of a uniform law
-        constants = (_sqrt_constants(source) or (source.param("a"), source.param("b")))[:2]
-        bits = sum(x.bit_length() for c in (*constants, source.mass) for x in (c.numerator, c.denominator))
-        per_evaluation = max(per_evaluation, (digits + bits // 3) ** 2 // _DENSITY_FORM_DIVISOR)
+    on the uniform law's int form, 3.6-fold on Marchenko-Pastur's.  On a
+    2-core machine at 3200 digits Marchenko-Pastur at rate 2, the
+    costliest, took 0.86 s at order 4 and 1.6 s at order 10, the uniform
+    law on [-1, 1] 0.69 s and 1.25 s, the semicircle 0.24 s and 0.7 s.  A
+    measure's evaluation counts more where the heights of its int form's
+    ints ask for it (`measures._evaluation_work`)."""
+    per_evaluation = _evaluation_work(source, dps) if isinstance(source, Measure) else dps * dps
     return 2 * (NontangentialRay.levels - NontangentialRay.first_level) * per_evaluation
 
 

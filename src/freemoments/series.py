@@ -26,6 +26,9 @@ from .cumulants import (
 )
 from .errors import KindMismatchError, ValidationError
 
+# _nth_root_upper bounds an irrational root within 10^-this, relative
+_ROOT_DIGITS = 18
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -74,15 +77,16 @@ def _int_nth_root_floor(x: int, n: int) -> int:
         r = below
 
 
-def _nth_root_upper(value: Fraction, n: int, digits: int = 18) -> Fraction:
+def _nth_root_upper(value: Fraction, n: int) -> Fraction:
     """Exact n-th root when value is a perfect n-th power of a rational,
-    otherwise a certified rational upper bound within 10^-digits relative."""
+    otherwise a certified rational upper bound within 10^-_ROOT_DIGITS
+    relative."""
     num, den = value.numerator, value.denominator
     rn = _int_nth_root_floor(num, n)
     rd = _int_nth_root_floor(den, n)
     if rn**n == num and rd**n == den:
         return Fraction(rn, rd)
-    scale = 10**digits
+    scale = 10**_ROOT_DIGITS
     # ceil of (num * scale^n / den)^(1/n) ... / scale  bounds value^(1/n) above
     target = -(-num * scale**n // den)  # ceil division
     root = _int_nth_root_floor(target, n)

@@ -1259,6 +1259,20 @@ def test_budget_error_is_raised_only_by_the_one_check():
     assert raising == ["errors.py"]
 
 
+def test_only_measures_knows_the_int_forms():
+    # a law's int form is chosen in measures._int_form, and its guard bits
+    # are set there too: no other module names a form's builder or its
+    # constants, or sets _GUARD_BITS of its own
+    package = os.path.dirname(freemoments.__file__)
+    names = re.compile(r"\b(_rational_form|_sqrt_form|_log_form|_poles|_sqrt_constants)\b|^\s*_GUARD_BITS\s*=", re.M)
+    knowing = [
+        name
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py") and names.search(open(os.path.join(package, name), encoding="utf-8").read())
+    ]
+    assert knowing == ["measures.py"]
+
+
 @pytest.mark.parametrize("command", ["rtransform", "verify"])
 @pytest.mark.parametrize("order", ["11", str(10**400)], ids=["11", "1e400"])
 def test_an_order_past_the_ray_is_refused_before_any_evaluation(

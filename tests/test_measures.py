@@ -345,26 +345,55 @@ def _exact_parts(z):
             for sign, man, exp, _ in (z.real._mpf_, z.imag._mpf_)]
 
 
-@pytest.mark.parametrize("mu", COMPACT_SHAPES, ids=COMPACT_IDS)
-def test_transform_keeps_a_point_near_its_singular_point(mu):
-    # z = t + 10^-28 i above the right end, edge or atom t of the support,
-    # where G' grows like 1 / (z - t): rounded to the fixed point of |z| at
-    # 15 digits, 2^-(prec + 20) |z| ~ 1e-22, z would move far past its
-    # distance to t.  It goes in exactly, and G and G' keep 13 digits of
-    # the oracle's values at that very point
+# each compact shape at 10^-28, 10^-100 and 10^-1000 from its singular
+# point; the 10^-28 cases are named by the shape alone
+NEAR_DIGITS = (28, 100, 1000)
+NEAR_CASES = [(mu, digits) for digits in NEAR_DIGITS for mu in COMPACT_SHAPES]
+NEAR_IDS = [name if digits == 28 else f"{name}-1e-{digits}" for digits in NEAR_DIGITS for name in COMPACT_IDS]
+
+
+@pytest.mark.parametrize("mu, digits", NEAR_CASES, ids=NEAR_IDS)
+def test_transform_keeps_a_point_near_its_singular_point(mu, digits):
+    # z = t + 10^-digits i above the right end, edge or atom t of the
+    # support, where G' grows like 1 / (z - t): rounded to the fixed point
+    # of |z| at 15 digits, 2^-(prec + 20) |z| ~ 1e-22, z would move far past
+    # its distance to t.  It goes in exactly, at a point scale of its own,
+    # and G and G' keep 13 digits of the oracle's values at that very point
     with mp.workdps(15):
-        z = mp.mpc(mu.support_radius(), mp.mpf(10) ** -28)
+        z = mp.mpc(mu.support_radius(), mp.mpf(10) ** -digits)
         got = cauchy_transform(mu, z, dps=15), cauchy_transform_derivative(mu, z, dps=15)
     re, im = _exact_parts(z)
+    prec = 600 + 4 * digits
     if mu.kind == "discrete":
         want = [measures._to_mpf(v) for v in cauchy_exact(mu, re, im)]
     else:
         oracle = cauchy_log_law if mu.density == "uniform" else cauchy_sqrt_law
-        want = oracle(mu, re, im, 600)
-    with mp.workprec(600):
+        want = oracle(mu, re, im, prec)
+    with mp.workprec(prec):
         for g, (w_re, w_im) in zip(got, (want[:2], want[2:])):
             w = mp.mpc(w_re, w_im)
             assert abs(g - w) <= abs(w) * mp.mpf(10) ** -13
+
+
+def test_transform_rounds_a_point_past_the_point_bits(monkeypatch):
+    # above the end 1 of uniform(-1, 1), G = (log 2 - log(10^-d i)) / 2
+    # reads 115.47583 - 0.78539816i at d = 100 and 1151.6391 - 0.78539816i
+    # at d = 1000; a point more than _POINT_BITS finer than the level's
+    # scale goes in rounded, its imaginary part away from 0, so every
+    # nearer point takes the value of one point on its own side of the axis
+    mu = Measure.uniform(-1, 1)
+    for digits in (100, 1000):
+        with mp.workdps(15):
+            got = cauchy_transform(mu, mp.mpc(1, mp.mpf(10) ** -digits), dps=15)
+        want = mp.mpc((mp.log(2) + digits * mp.log(10)) / 2, -mp.pi / 4)
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -13
+    monkeypatch.setattr(measures, "_POINT_BITS", 64)
+    with mp.workdps(15):
+        above, below = (
+            [cauchy_transform(mu, mp.mpc(1, sign * mp.mpf(10) ** -digits), dps=15) for digits in (100, 1000)]
+            for sign in (1, -1)
+        )
+    assert above[0] == above[1] == mp.conj(below[0]) == mp.conj(below[1])
 
 
 def test_mp_rate_one_near_the_hard_edge():
@@ -528,7 +557,7 @@ def rational_form_misses(seed=20261020, stats=None):
     DomainError exactly when it lies neither in the upper half-plane nor
     outside the support disk, "domain" if not.  `stats` counts what the
     points covered."""
-    rng = random.Random(seed)
+    rng, fine = random.Random(seed), random.Random(seed + 1)
     stats = {} if stats is None else stats
     misses = []
     for dps in (15, 50, 400):
@@ -542,6 +571,25 @@ def rational_form_misses(seed=20261020, stats=None):
                 evaluate = measures._rational_form(mu)(e, bits)
                 for w in contract_points(mu, s, bits, rng):
                     misses += _contract_miss(mu, evaluate, w, s, e, bits, stats)
+        laws = random_rational_laws(fine)[:2]
+        misses += finer_scale_misses(measures._rational_form, laws, contract_points, _contract_miss, bits, fine, stats)
+    return misses
+
+
+def finer_scale_misses(form, laws, points, miss, bits, rng, stats):
+    """The misses of a form's contract on levels of beta = 1/8 at points of
+    a scale s finer than the level's own, bits + e, by up to 2 bits bits:
+    form(mu)(e, bits, s) must keep each int within one unit at any such
+    scale, as `cauchy_transform` takes a point near a singular point at the
+    scale of its finest bit.  `stats` counts the points."""
+    misses = []
+    for mu in laws:
+        e = -3 - rng.randint(7, 40)
+        s = bits + e + rng.randint(1, 2 * bits)
+        evaluate = form(mu)(e, bits, s)
+        for w in points(mu, s, bits, rng):
+            stats["finer scale"] = stats.get("finer scale", 0) + 1
+            misses += miss(mu, evaluate, w, s, e, bits, stats)
     return misses
 
 
@@ -580,6 +628,7 @@ def test_rational_form_is_within_a_unit_of_the_exact_transform():
     assert rational_form_misses(stats=stats) == []
     assert stats["positive shift"] and stats["negative shift"]
     assert stats["evaluated"] > 200 and stats["refused"] > 200
+    assert stats["finer scale"] > 30
 
 
 def test_a_trial_point_on_an_atom_is_an_evaluation_error_newton_catches():
@@ -701,7 +750,7 @@ def sqrt_form_misses(seed=20261021, stats=None):
     is refused with DomainError exactly when it lies neither in the upper
     half-plane nor outside the support disk, "domain" if not.  `stats`
     counts what the points covered."""
-    rng = random.Random(seed)
+    rng, fine = random.Random(seed), random.Random(seed + 1)
     stats = {} if stats is None else stats
     misses = []
     for dps in (15, 50, 400):
@@ -715,6 +764,8 @@ def sqrt_form_misses(seed=20261021, stats=None):
                 evaluate = measures._sqrt_form(mu)(e, bits)
                 for w in sqrt_contract_points(mu, s, bits, rng):
                     misses += _sqrt_contract_miss(mu, evaluate, w, s, e, bits, stats)
+        laws = random_sqrt_laws(fine)[::3]  # a semicircle and Marchenko-Pastur at rate 1
+        misses += finer_scale_misses(measures._sqrt_form, laws, sqrt_contract_points, _sqrt_contract_miss, bits, fine, stats)
     return misses
 
 
@@ -746,7 +797,7 @@ def _sqrt_contract_miss(mu, evaluate, w, s, e, bits, stats):
         shifts = (bits - e,) * 2 + (bits - 2 * e,) * 2
         offs = [abs(x - mp.ldexp(v, shift)) for x, v, shift in zip(got, exact, shifts)]
         return [
-            ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}, w = {w}: off by {mp.nstr(off, 5)}")
+            ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}, w = {w}: off by {mp.nstr(min(off, mp.mpf(10) ** 300), 5)}")
             for i, off in enumerate(offs)
             if not off < 1
         ]
@@ -755,7 +806,7 @@ def _sqrt_contract_miss(mu, evaluate, w, s, e, bits, stats):
 def test_sqrt_form_is_within_a_unit_of_the_transform():
     stats = {}
     assert sqrt_form_misses(stats=stats) == []
-    assert stats["positive shift"] and stats["negative shift"]
+    assert stats["positive shift"] and stats["negative shift"] and stats["finer scale"] > 30
     assert stats["evaluated"] > 200 and stats["refused"] > 100
     assert stats["negative real part"] > 20 and stats["lower half-plane"] > 50
 
@@ -840,7 +891,7 @@ def log_form_misses(seed=20261022, stats=None):
     refused with DomainError exactly when it lies neither in the upper
     half-plane nor outside the support disk, "domain" if not.  `stats`
     counts what the points covered."""
-    rng = random.Random(seed)
+    rng, fine = random.Random(seed), random.Random(seed + 1)
     stats = {} if stats is None else stats
     misses = []
     for dps in (15, 50, 400):
@@ -854,6 +905,8 @@ def log_form_misses(seed=20261022, stats=None):
                 evaluate = measures._log_form(mu)(e, bits)
                 for w in log_contract_points(mu, s, bits, rng):
                     misses += _log_contract_miss(mu, evaluate, w, s, e, bits, stats)
+        laws = random_uniform_laws(fine)[1:3]  # across 0, of mass 1 and k / 9
+        misses += finer_scale_misses(measures._log_form, laws, log_contract_points, _log_contract_miss, bits, fine, stats)
     return misses
 
 
@@ -878,14 +931,14 @@ def _log_contract_miss(mu, evaluate, w, s, e, bits, stats):
     if (re - a) * (re - b) + im * im < 0:  # Re q < 0: |arg q| > pi / 2
         stats["arg past pi / 2"] = stats.get("arg past pi / 2", 0) + 1
     # G needs bits - e bits past its unit, and |G'| <= 2^(s + 3) / (b - a)
-    # near an end 2 bits - e past its unit 2^(2e - bits)
-    prec = 2 * bits + abs(e) + 64
+    # near an end s + bits - 2e past its unit 2^(2e - bits)
+    prec = 2 * bits + abs(e) + (s - bits - e) + 64
     exact = cauchy_log_law(mu, re, im, prec)
     with mp.workprec(prec):
         shifts = (bits - e,) * 2 + (bits - 2 * e,) * 2
         offs = [abs(x - mp.ldexp(v, shift)) for x, v, shift in zip(got, exact, shifts)]
         return [
-            ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}, w = {w}: off by {mp.nstr(off, 5)}")
+            ("G" if i < 2 else "G'", f"{mu}, e = {e}, bits = {bits}, w = {w}: off by {mp.nstr(min(off, mp.mpf(10) ** 300), 5)}")
             for i, off in enumerate(offs)
             if not off < 1
         ]
@@ -894,7 +947,7 @@ def _log_contract_miss(mu, evaluate, w, s, e, bits, stats):
 def test_log_form_is_within_a_unit_of_the_transform():
     stats = {}
     assert log_form_misses(stats=stats) == []
-    assert stats["positive shift"] and stats["negative shift"]
+    assert stats["positive shift"] and stats["negative shift"] and stats["finer scale"] > 30
     assert stats["evaluated"] > 300 and stats["refused"] > 100
     assert stats["lower half-plane"] > 50 and stats["arg past pi / 2"] > 50
 

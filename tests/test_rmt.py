@@ -547,7 +547,7 @@ def test_budget_counts_one_rotation_product_for_a_diagonal_part():
     two = MatrixEnsembleSpec(kind="free_sum", dim=dim, trials=trials, parts=(nested, nested))
     draw = 4 * dim**3  # one GUE or deterministic node
     qr, product = 16 * dim**3 // 3, 4 * dim**3
-    trace = product + 4 * dim * dim * p  # one half-power product at order 4
+    trace = product + 4 * dim * dim * p  # one power, H^2, at order 4
     predict = 3 * 350_000 * p * p + 20_000 * p**3  # three nodes, one of them a sum
     assert _cost_units(none, p) == trials * (2 * draw + trace) + predict
     assert _cost_units(one, p) == trials * (2 * draw + qr + product + trace) + predict
@@ -568,8 +568,9 @@ def test_budget_refuses_large_draws_at_low_orders():
 
 
 def test_budget_adds_one_product_per_odd_order():
-    # order 2j + 1 makes the half power H^(j+1), one product, and both
-    # steps add one inner product of 4 N^2 and the prediction's growth
+    # order 2j + 1 makes one new power, counted as one product (H^2 at
+    # order 3, H^4 = (H^2)^2 at 5, H^3 at 7, then H^(j+1) = H H^j), and
+    # both steps add one inner product of 4 N^2 and the prediction's growth
     dim, trials = 50, 3
     spec = MatrixEnsembleSpec(kind="gue", dim=dim, trials=trials)
     for p in range(2, 13):
@@ -605,8 +606,10 @@ _ROUTE_SPECS = [
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_both_trace_routes_are_eigenvalue_power_sums(p):
-    # the even orders are the norms ||H^j||_F^2, the odd ones the inner
-    # products Re <H^j, H^(j+1)>; both must give the eigenvalue power sums
+    # order k is the real inner product <H^a, H^b>, a + b = k, of the
+    # parts: H with H^4 and H^2 with H^4 at orders 5 and 6, the half powers
+    # H^floor(k/2) and H^ceil(k/2) at the others; each must give the
+    # eigenvalue power sum
     for spec in _ROUTE_SPECS:
         est = sample_trace_moments(spec, p)
         for t, row in enumerate(est.per_trial):
